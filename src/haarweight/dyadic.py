@@ -152,9 +152,6 @@ class Cube:
                 return False
         return True
 
-    def contains_point(self, point):
-        return all(a <= x < b for (a, b), x in zip(self.bounds(), point))
-
 
 # ---------------------------------------------------------------------------
 # Signatures
@@ -163,10 +160,6 @@ class Cube:
 def signatures(d):
     """All cancellative signatures {0,1}^d minus the all-ones tuple, lex order."""
     return [eps for eps in itertools.product((0, 1), repeat=d) if eps != (1,) * d]
-
-
-def is_cancellative(eps):
-    return tuple(eps) != (1,) * len(eps)
 
 
 def haar_sign_table(d):
@@ -448,12 +441,6 @@ def inverse_haar(e: HaarExpansion) -> StepFunction:
     """Reconstruct leaf values; exact inverse of haar_transform."""
     vals = haar_synthesize(e.mean, e.coeffs, e.grid.d, e.grid.L)
     return StepFunction(e.grid, vals, e.kind)
-
-
-def random_step(grid, value_shape=(), rng=None, scale=1.0):
-    rng = np.random.default_rng(rng)
-    vals = rng.standard_normal(grid.leaf_shape + tuple(value_shape)) * scale
-    return StepFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -212,9 +212,6 @@ class SparseFamily:
     def __len__(self):
         return len(self.cubes)
 
-    def cube_objects(self):
-        return [Cube(self.grid, lev, off) for lev, off in self.cubes]
-
     def _leaf_mask(self, lev, off):
         L, d = self.grid.L, self.grid.d
         mask = np.zeros(self.grid.leaf_shape, dtype=bool)

@@ -165,11 +165,6 @@ class ShiftMap:
                    for k in range(grid.L)]
         return cls(grid, corners, sig_map)
 
-    def target_offset(self, level, offset):
-        """sigma(I)'s offset at level+1 for the cube (level, offset)."""
-        corner = self.corners[level][tuple(offset)]
-        return tuple(2 * m + int(c) for m, c in zip(offset, corner))
-
     def flat_targets(self, level):
         """Flattened child-level indices of sigma over all cubes at ``level``."""
         d = self.grid.d
@@ -196,27 +191,26 @@ def _sig_first(arr, d):
     return np.moveaxis(arr, d, 0)
 
 
-def _paraproduct_values(B: MatrixSymbol, vals):
-    """pi_B f = sum_{I,eps} B_I^eps (m_I f) h_I^eps."""
-    grid = B.grid
+def _paraproduct_values(grid, coeffs, vals):
+    """pi f = sum_{I,eps} C_I^eps (m_I f) h_I^eps for coefficient levels C
+    (the Haar coefficients of B for pi_B)."""
     d = grid.d
     means = mean_pyramid(vals, d, grid.L)
     out = []
     for k in range(grid.L):
         m = means[k][..., None, :, :] if vals.ndim == d + 2 else means[k][..., None, :]
-        out.append(_mv(B.coeffs[k], m))
+        out.append(_mv(coeffs[k], m))
     return _synthesize_coeffs(grid, out, vals.shape[d:])
 
 
-def _adjoint_paraproduct_values(B: MatrixSymbol, vals):
-    """sum_{I,eps} B_I^eps f_I^eps chi_I / |I| (adjoint of pi with transposed
-    coefficients; with real symbols this is (pi_{B^*})^*)."""
-    grid = B.grid
+def _adjoint_paraproduct_values(grid, coeffs, vals):
+    """sum_{I,eps} C_I^eps f_I^eps chi_I / |I| (adjoint of the paraproduct with
+    transposed coefficients; with real symbols this is (pi_{B^*})^*)."""
     d, L = grid.d, grid.L
     _, fc, _ = haar_analyze(vals, d, L)
     acc = None
     for k in range(L):
-        t = _mv(B.coeffs[k], fc[k]).sum(axis=d) * (2.0 ** (k * d))
+        t = _mv(coeffs[k], fc[k]).sum(axis=d) * (2.0 ** (k * d))
         acc = t if acc is None else refine(acc, d) + t
     return refine(acc, d)
 
@@ -316,8 +310,9 @@ def product_decomposition_values(B: MatrixSymbol, vals):
     means = mean_pyramid(vals, d, B.grid.L)
     const = _mv(B.mean, means[0][(0,) * d])
     flat = np.broadcast_to(const, vals.shape)
-    return (_paraproduct_values(B, vals) + _means_multiplier_values(B, vals)
-            + _adjoint_paraproduct_values(B, vals) + _signature_mixer_values(B, vals)
+    return (_paraproduct_values(B.grid, B.coeffs, vals) + _means_multiplier_values(B, vals)
+            + _adjoint_paraproduct_values(B.grid, B.coeffs, vals)
+            + _signature_mixer_values(B, vals)
             + flat)
 
 
@@ -332,25 +327,13 @@ def _commutator_values(B: MatrixSymbol, sigma: ShiftMap, vals, mode="direct"):
     # channel; this regroups the same-cube/shifted-cube case analysis exactly
     # on the finite tree (constant channels die under Q).
     qf = _shift_values(sigma, vals)
-    out = _paraproduct_values(B, qf) - _shift_values(sigma, _paraproduct_values(B, vals))
+    g, c = B.grid, B.coeffs
+    out = _paraproduct_values(g, c, qf) - _shift_values(sigma, _paraproduct_values(g, c, vals))
     out += _means_multiplier_values(B, qf) - _shift_values(sigma, _means_multiplier_values(B, vals))
-    out += _adjoint_paraproduct_values(B, qf) - _shift_values(sigma, _adjoint_paraproduct_values(B, vals))
+    out += (_adjoint_paraproduct_values(g, c, qf)
+            - _shift_values(sigma, _adjoint_paraproduct_values(g, c, vals)))
     out += _signature_mixer_values(B, qf) - _shift_values(sigma, _signature_mixer_values(B, vals))
     return out
-
-
-def _big_pi_values(A: MatrixSequence, W: MatrixWeight, p, vals, reducing):
-    """Pi_A f = sum V_I A_I^eps m_I(W^{-1/p} f) h_I^eps."""
-    grid = A.grid
-    d = grid.d
-    g = _mv(W.leaf_averages(grid, -1.0 / p), vals)
-    means = mean_pyramid(g, d, grid.L)
-    out = []
-    for k in range(grid.L):
-        m = means[k][..., None, :, :] if vals.ndim == d + 2 else means[k][..., None, :]
-        VA = reducing["V"][k][..., None, :, :] @ A.levels[k]
-        out.append(_mv(VA, m))
-    return _synthesize_coeffs(grid, out, vals.shape[d:])
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +342,8 @@ def _big_pi_values(A: MatrixSequence, W: MatrixWeight, p, vals, reducing):
 
 @dataclass
 class Operator:
-    """A linear map on vector step functions with a batched array kernel and,
-    when available, the kernel of its unweighted-L^2 adjoint."""
+    """A linear map on vector step functions with a batched array kernel and
+    the kernel of its unweighted-L^2 adjoint."""
 
     grid: Grid
     n: int
@@ -378,25 +361,20 @@ class Operator:
     def apply_batched(self, vals):
         return self.kernel(vals)
 
-    def apply_transpose(self, vals):
-        if self.kernel_T is None:
-            raise ShapeError(f"{self.name} has no adjoint kernel")
-        return self.kernel_T(vals)
-
 
 def paraproduct_op(B: MatrixSymbol):
-    Bt = B.transpose()
-    return Operator(B.grid, B.n,
-                    lambda v: _paraproduct_values(B, v),
-                    lambda v: _adjoint_paraproduct_values(Bt, v),
+    g, c, cT = B.grid, B.coeffs, [_transpose(a) for a in B.coeffs]
+    return Operator(g, B.n,
+                    lambda v: _paraproduct_values(g, c, v),
+                    lambda v: _adjoint_paraproduct_values(g, cT, v),
                     "paraproduct")
 
 
 def adjoint_paraproduct_op(B: MatrixSymbol):
-    Bt = B.transpose()
-    return Operator(B.grid, B.n,
-                    lambda v: _adjoint_paraproduct_values(B, v),
-                    lambda v: _paraproduct_values(Bt, v),
+    g, c, cT = B.grid, B.coeffs, [_transpose(a) for a in B.coeffs]
+    return Operator(g, B.n,
+                    lambda v: _adjoint_paraproduct_values(g, c, v),
+                    lambda v: _paraproduct_values(g, cT, v),
                     "adjoint-paraproduct")
 
 
@@ -437,20 +415,20 @@ def commutator_op(B: MatrixSymbol, sigma: ShiftMap, mode="direct"):
 
 
 def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
+    """Pi_A f = sum V_I A_I^eps m_I(W^{-1/p} f) h_I^eps: the paraproduct with
+    coefficients V_I A_I^eps after the leaf multiplication by W^{-1/p}; its
+    adjoint is the adjoint paraproduct with (V_I A_I^eps)^T, then W^{-1/p}."""
+    g = A.grid
     if reducing is None:
-        reducing = reducing_pyramid(W, A.grid, p)
-    return Operator(A.grid, A.n,
-                    lambda v: _big_pi_values(A, W, p, v, reducing),
-                    None, "embedding")
-
-
-def composed_op(outer: Operator, inner: Operator, name=None):
-    kT = None
-    if outer.kernel_T is not None and inner.kernel_T is not None:
-        kT = lambda v: inner.kernel_T(outer.kernel_T(v))
-    return Operator(outer.grid, outer.n,
-                    lambda v: outer.kernel(inner.kernel(v)), kT,
-                    name or f"{outer.name}*{inner.name}")
+        reducing = reducing_pyramid(W, g, p)
+    inv = W.leaf_averages(g, -1.0 / p)
+    invT = _transpose(inv)
+    VA = [reducing["V"][k][..., None, :, :] @ A.levels[k] for k in range(g.L)]
+    VAT = [_transpose(a) for a in VA]
+    return Operator(g, A.n,
+                    lambda v: _paraproduct_values(g, VA, _mv(inv, v)),
+                    lambda v: _mv(invT, _adjoint_paraproduct_values(g, VAT, v)),
+                    "embedding")
 
 
 def apply_paraproduct(B: MatrixSymbol, f: StepFunction) -> StepFunction:
@@ -504,7 +482,11 @@ def square_function(W: MatrixWeight, f: StepFunction):
 # Dense matrices and weighted operator norms
 # ---------------------------------------------------------------------------
 
-DENSE_DIM_CAP = 4096
+# largest dimension whose p=2 norm is assembled densely and labelled exact.
+# For the commutator on 2 vCPUs with OpenBLAS, assembly and the Gram
+# eigensolve take about 1 s each at 2048, and 4 s and 9 s at 4096, where
+# Lanczos needs 0.1 s
+DENSE_DIM_CAP = 2048
 
 
 @dataclass
@@ -521,12 +503,12 @@ class NormReport:
         return json.dumps(out)
 
 
-def dense_matrix(op: Operator, cap=DENSE_DIM_CAP):
+def dense_matrix(op: Operator):
     """Dense matrix of op in the leaf-value basis (leaf-major, component-minor)."""
     grid, n = op.grid, op.n
     dim = grid.n_leaves * n
-    if dim > cap:
-        raise ShapeError(f"dense dimension {dim} exceeds cap {cap}")
+    if dim > DENSE_DIM_CAP:
+        raise ShapeError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
     basis = np.eye(dim).reshape(grid.leaf_shape + (n, dim))
     out = op.apply_batched(basis)
     return out.reshape(dim, dim)
@@ -541,21 +523,24 @@ def whitened_op(op: Operator, W: MatrixWeight):
     gram = W.leaf_averages(op.grid, 1.0)
     half = linalg.powm_spd(gram, 0.5)
     half_inv = linalg.powm_spd(gram, -0.5)
-    kernel = lambda v: _mv(half, op.kernel(_mv(half_inv, v)))
-    kT = None
-    if op.kernel_T is not None:
-        kT = lambda v: _mv(half_inv, op.kernel_T(_mv(half, v)))
-    return Operator(op.grid, op.n, kernel, kT, f"whitened-{op.name}")
+    return Operator(op.grid, op.n,
+                    lambda v: _mv(half, op.kernel(_mv(half_inv, v))),
+                    lambda v: _mv(half_inv, op.kernel_T(_mv(half, v))),
+                    f"whitened-{op.name}")
 
 
 def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0,
-                           ascent_iters=200, restarts=3, cap=DENSE_DIM_CAP) -> NormReport:
+                           ascent_iters=200, restarts=3) -> NormReport:
     """Weighted operator norm of ``op`` on L^p(W).
 
-    p = 2: the dense matrix of W^{1/2} op W^{-1/2} in the leaf basis is
-    assembled and its largest singular value returned (exact).  Above the
-    dense cap a matrix-free two-sided power iteration runs instead and the
-    converged value is reported as a certified lower bound.
+    p = 2, dimension up to DENSE_DIM_CAP: the dense matrix of
+    W^{1/2} op W^{-1/2} in the leaf basis is assembled and its largest
+    singular value taken from a symmetric eigensolve of its Gram matrix
+    (``exact``, to round-off).
+    p = 2 above the cap: Golub-Kahan-Lanczos on the matrix-free whitened
+    operator and its adjoint kernel; the value is ||T x|| of the returned
+    unit witness x, hence a ``lower-bound``, and ``details`` carries the
+    iteration count, the relative Ritz residual and whether it converged.
     p != 2: lower bound via normalized gradient ascent on the Rayleigh
     quotient of the leaf gauges, with the witness vector returned.
     """
@@ -563,18 +548,16 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0,
     dim = grid.n_leaves * n
     if p == 2.0:
         conj = whitened_op(op, W)
-        if dim <= cap:
-            mat = dense_matrix(conj, cap)
-            return NormReport(float(linalg.spectral_norm(mat)), "exact", details={"dim": dim})
-        if conj.kernel_T is None:
-            raise ShapeError("matrix-free norm needs an adjoint kernel above the dense cap")
+        if dim <= DENSE_DIM_CAP:
+            return NormReport(linalg.spectral_norm(dense_matrix(conj)), "exact",
+                              details={"dim": dim, "method": "dense eigensolve"})
         shape = grid.leaf_shape + (n,)
-        val, wit = linalg.matfree_spectral_norm(
+        val, wit, diag = linalg.matfree_spectral_norm(
             lambda x: conj.kernel(x.reshape(shape)).reshape(-1),
             lambda y: conj.kernel_T(y.reshape(shape)).reshape(-1),
             dim, seed=seed)
-        return NormReport(float(val), "lower-bound", wit,
-                          {"dim": dim, "method": "matrix-free power iteration"})
+        return NormReport(val, "lower-bound", wit,
+                          {"dim": dim, "method": "Golub-Kahan-Lanczos", **diag})
     return _ascent_lower_bound(op, W, p, seed, ascent_iters, restarts)
 
 
@@ -593,13 +576,6 @@ def _ascent_lower_bound(op, W, p, seed, iters, restarts):
         w = np.maximum(q, 1e-300) ** (p / 2.0 - 1.0)
         return p * meas * w[..., None] * _mv(M_in, vals)
 
-    if op.kernel_T is None:
-        matT = dense_matrix(op).T
-        shape = grid.leaf_shape + (n,)
-        adjoint = lambda v: (matT @ v.reshape(-1)).reshape(shape)
-    else:
-        adjoint = op.kernel_T
-
     best_val, best_wit = 0.0, None
     for _ in range(restarts):
         f = rng.standard_normal(grid.leaf_shape + (n,))
@@ -613,7 +589,7 @@ def _ascent_lower_bound(op, W, p, seed, iters, restarts):
             ratio = (A / max(Bv, 1e-300)) ** (1.0 / p)
             if ratio > best_val:
                 best_val, best_wit = ratio, f.copy()
-            g = adjoint(grad_norm_p(Tf)) / max(A, 1e-300) - grad_norm_p(f) / max(Bv, 1e-300)
+            g = op.kernel_T(grad_norm_p(Tf)) / max(A, 1e-300) - grad_norm_p(f) / max(Bv, 1e-300)
             gn = np.abs(g).max()
             if gn <= 0:
                 break
@@ -629,7 +605,3 @@ def _ascent_lower_bound(op, W, p, seed, iters, restarts):
     return NormReport(float(best_val), "lower-bound", best_wit,
                       {"p": p, "method": "rayleigh ascent"})
 
-
-def unweighted_operator_norm(op: Operator, cap=DENSE_DIM_CAP) -> NormReport:
-    """Largest singular value on unweighted L^2 (uniform leaf measures)."""
-    return weighted_operator_norm(op, MatrixWeight.identity(op.n), 2.0, cap=cap)

@@ -264,10 +264,6 @@ def _interval_power_means(edges, beta):
     return np.diff(prim) / widths
 
 
-def weight_from_json(spec):
-    return MatrixWeight.from_json(spec)
-
-
 def truncate_weight(W: MatrixWeight, n_cut) -> MatrixWeight:
     """Eigenvalue truncation onto [1/n_cut, n_cut] via the three-band
     projection formula, applied to the weight's leaf values."""

@@ -42,6 +42,14 @@ class TestCounterexamples:
         assert rep["passed"]
         assert rep["strictly_increasing"]
 
+    def test_commutator_growth_certified_only_from_exact(self):
+        # L=9, 10 are exact (dim <= 2048), L=11, 12 are Lanczos lower bounds:
+        # only a pair whose earlier value is exact proves growth
+        rep = ex.run_counterexample("commutator", {"alpha": 0.5, "l_range": [9, 12]})
+        assert rep["certified_pairs"] == [[9, 10], [10, 11]]
+        assert rep["uncertified_pairs"] == [[11, 12]]
+        assert rep["passed"]
+
     def test_bad_alpha_rejected(self):
         with pytest.raises(ConfigError):
             ex.run_counterexample("haar-multiplier", {"alpha": 1.5})

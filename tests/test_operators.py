@@ -18,7 +18,9 @@ from haarweight.operators import (
     product_decomposition_values, shift_op, square_function,
     weighted_operator_norm, whitened_op,
 )
+from haarweight.maximal import sparse_generate, sparse_op
 from haarweight.weights import MatrixWeight, lp_norm
+from haarweight import linalg
 
 
 def random_symbol(grid, rng, scale=1.0):
@@ -315,13 +317,37 @@ class TestWeightedNorms:
         g = Grid(1, 5)
         W = MatrixWeight.diagonal_power([0.3, -0.3])
         B = random_symbol(g, rng)
-        sigma = ShiftMap.left_child(g)
-        op = commutator_op(B, sigma, "direct")
-        dense = weighted_operator_norm(op, W, 2.0)
-        free = weighted_operator_norm(op, W, 2.0, cap=8)
-        assert free.kind == "lower-bound"
-        assert free.value == pytest.approx(dense.value, rel=1e-8)
-        assert free.value <= dense.value * (1 + 1e-9)
+        conj = whitened_op(commutator_op(B, ShiftMap.left_child(g), "direct"), W)
+        dense = linalg.spectral_norm(dense_matrix(conj))
+        shape = g.leaf_shape + (2,)
+        free, witness, diag = linalg.matfree_spectral_norm(
+            lambda x: conj.kernel(x.reshape(shape)).reshape(-1),
+            lambda y: conj.kernel_T(y.reshape(shape)).reshape(-1), 2 * g.n_leaves)
+        assert diag["converged"]
+        assert free == pytest.approx(dense, rel=1e-10)
+        assert free <= dense * (1 + 1e-12)      # a lower bound, up to round-off
+        achieved = np.linalg.norm(conj.kernel(witness.reshape(shape))) / np.linalg.norm(witness)
+        assert free == pytest.approx(achieved, rel=1e-14)
+        # above the dense cap the dispatch runs Lanczos and labels it honestly
+        g = Grid(1, 11)                          # dim 4096
+        B = random_symbol(g, rng)
+        rep = weighted_operator_norm(commutator_op(B, ShiftMap.left_child(g), "direct"), W, 2.0)
+        assert rep.details["dim"] == 4096
+        assert rep.kind == "lower-bound"
+        assert rep.details["method"] == "Golub-Kahan-Lanczos"
+        assert rep.details["converged"] is True
+
+    def test_exact_label_is_exact_at_dense_cap(self):
+        # sigma1/sigma2 = 1 + 5e-7 here, so power iteration with a stopping
+        # rule ends ~2e-8 below sigma1: an exact label needs a direct solve
+        g = Grid(1, 10)
+        W = MatrixWeight.diagonal_power([0.1, -0.1])
+        op = sparse_op(sparse_generate(g, seed=0, density=0.5))
+        rep = weighted_operator_norm(op, W, 2.0)
+        want = np.linalg.svd(dense_matrix(whitened_op(op, W)), compute_uv=False)[0]
+        assert rep.kind == "exact"
+        assert rep.details["method"] == "dense eigensolve"
+        assert rep.value == pytest.approx(want, rel=1e-12)
 
     def test_p_not_2_lower_bound(self):
         rng = np.random.default_rng(21)
@@ -356,7 +382,8 @@ class TestAdjointKernels:
         A = MatrixSequence.random(g, rng=33)
         sigma = ShiftMap.random_child(g, seed=44, sig_map=[0])
         ops = [paraproduct_op(B), adjoint_paraproduct_op(B), haar_multiplier_op(A),
-               shift_op(sigma), multiplication_op(B), commutator_op(B, sigma, "direct")]
+               shift_op(sigma), multiplication_op(B), commutator_op(B, sigma, "direct"),
+               big_pi_op(A, MatrixWeight.random_spd(23, cond=9.0), 2.0)]
         for op in ops:
             M = dense_matrix(op)
             MT = dense_matrix(Operator(op.grid, op.n, op.kernel_T))
