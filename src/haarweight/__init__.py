@@ -57,12 +57,10 @@ from .operators import (
 from .weights import (
     ApReport,
     MatrixWeight,
-    ReducingPair,
     ap_characteristic,
     cell_average,
     dual_weight,
     lp_norm,
-    reducing_operators,
     reducing_pyramid,
     truncate_weight,
 )
@@ -70,14 +68,14 @@ from .weights import (
 __all__ = [
     "ApReport", "CarlesonReport", "Cube", "Grid", "HaarExpansion",
     "MatrixSequence", "MatrixSymbol", "MatrixWeight", "NormReport", "Operator",
-    "ReducingPair", "ShiftMap", "SparseFamily", "StepFunction", "StoppingTree",
+    "ShiftMap", "SparseFamily", "StepFunction", "StoppingTree",
     "ap_characteristic", "apply_adjoint_paraproduct", "apply_big_pi",
     "apply_commutator", "apply_haar_multiplier", "apply_haar_shift",
     "apply_paraproduct", "bmo_norm", "carleson_b_sup", "carleson_c_constant",
     "cell_average", "dense_matrix", "dual_weight", "find_covering_cube",
     "haar_transform", "inverse_haar", "local_nq", "lp_norm", "maximal_mw",
     "maximal_mw_prime", "mean_oscillation", "ntv_scalar_equivalence",
-    "reducing_operators", "reducing_pyramid", "sequence_maximal",
+    "reducing_pyramid", "sequence_maximal",
     "signature_product", "signatures", "sparse_apply", "sparse_generate",
     "square_function", "stopping_time_tree", "truncate_weight",
     "weak_type_check", "weighted_operator_norm",

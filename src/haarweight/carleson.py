@@ -17,7 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .dyadic import Cube, Grid, mean_pyramid, refine, subtree_sums
+from .dyadic import (
+    Cube, Grid, coarsen_levels, refine, refine_to_leaves, subtree_sums, sup_over_cubes,
+)
 from .errors import ThresholdError
 from .operators import MatrixSequence, MatrixSymbol, _mv
 from .weights import MatrixWeight, ap_from_reducing, reducing_pyramid
@@ -45,17 +47,6 @@ class CarlesonReport:
         return json.dumps(payload)
 
 
-def _sup_over_cubes(per_level, grid):
-    best, cube = -np.inf, None
-    for k, arr in enumerate(per_level):
-        mx = float(arr.max())
-        if mx > best:
-            best = mx
-            idx = np.unravel_index(int(arr.argmax()), arr.shape)
-            cube = Cube(grid, k, tuple(int(i) for i in idx))
-    return best, cube
-
-
 def carleson_b_sup(A: MatrixSequence, W: MatrixWeight, p, reducing=None) -> CarlesonReport:
     """Condition (b): exact supremum with its supremizing cube."""
     grid = A.grid
@@ -71,7 +62,7 @@ def carleson_b_sup(A: MatrixSequence, W: MatrixWeight, p, reducing=None) -> Carl
     per_cube.append(np.zeros((1 << grid.L,) * d))
     sums = subtree_sums(per_cube, d)
     normalized = [s * (2.0 ** (k * d)) for k, s in enumerate(sums)]
-    value, cube = _sup_over_cubes(normalized, grid)
+    value, cube = sup_over_cubes(normalized, grid)
     return CarlesonReport(value, cube, p, "condition-b", normalized)
 
 
@@ -106,7 +97,7 @@ def carleson_c_constant(A: MatrixSequence, W: MatrixWeight, p, reducing=None) ->
             Vinv = linalg.powm_spd(reducing[vkey][k], -1.0)
             conj = Vinv @ (s * (2.0 ** (k * d))) @ Vinv
             per_level.append(linalg.lambda_max(conj))
-        value, cube = _sup_over_cubes(per_level, grid)
+        value, cube = sup_over_cubes(per_level, grid)
         reports.append((name, CarlesonReport(value, cube, p, f"condition-c-{name}", per_level)))
     by_name = dict(reports)
     best = max((rep for _, rep in reports), key=lambda r: r.value)
@@ -127,7 +118,6 @@ def carleson_c_constant(A: MatrixSequence, W: MatrixWeight, p, reducing=None) ->
 def _oscillation_sup(B: MatrixSymbol, weight_reps, V_inv, power, grid):
     """sup_I (1/|I|) sum_{leaves in I} w ||rep_leaf (B - m_I B) V_I^{-1}||^power."""
     d, L = grid.d, grid.L
-    best, cube = -np.inf, None
     per_level = []
     vals = B.step.values
     for k in range(L + 1):
@@ -135,20 +125,8 @@ def _oscillation_sup(B: MatrixSymbol, weight_reps, V_inv, power, grid):
         X = _mv(weight_reps, centered)
         X = X @ refine_to_leaves(V_inv[k], d, L - k)
         contrib = linalg.opnorm(X) ** power
-        avg = mean_pyramid(contrib, d, L)[k]
-        per_level.append(avg)
-        mx = float(avg.max())
-        if mx > best:
-            best = mx
-            idx = np.unravel_index(int(avg.argmax()), avg.shape)
-            cube = Cube(grid, k, tuple(int(i) for i in idx))
-    return best, cube, per_level
-
-
-def refine_to_leaves(arr, d, steps):
-    for _ in range(steps):
-        arr = refine(arr, d)
-    return arr
+        per_level.append(coarsen_levels(contrib, d, L - k))
+    return sup_over_cubes(per_level, grid)
 
 
 def bmo_norm(B: MatrixSymbol, W: MatrixWeight, p, variant="primal", reducing=None):
@@ -164,21 +142,18 @@ def bmo_norm(B: MatrixSymbol, W: MatrixWeight, p, variant="primal", reducing=Non
         eye = np.broadcast_to(np.eye(B.n), grid.leaf_shape + (B.n, B.n))
         Vinv = [np.broadcast_to(np.eye(B.n), (1 << k,) * grid.d + (B.n, B.n))
                 for k in range(grid.L + 1)]
-        val, cube, _ = _oscillation_sup(B, eye, Vinv, 2.0, grid)
-        return val, cube
+        return _oscillation_sup(B, eye, Vinv, 2.0, grid)
     if reducing is None:
         reducing = reducing_pyramid(W, grid, p)
     pprime = p / (p - 1.0)
     if variant in ("primal", "dyadic"):
         reps = W.leaf_reps(grid, 1.0 / p)
         Vinv = [linalg.powm_spd(v, -1.0) for v in reducing["V"]]
-        val, cube, _ = _oscillation_sup(B, reps, Vinv, p, grid)
-        return val, cube
+        return _oscillation_sup(B, reps, Vinv, p, grid)
     if variant == "dual":
         reps = W.leaf_reps(grid, -1.0 / p)
         Vinv = [linalg.powm_spd(v, -1.0) for v in reducing["V_prime"]]
-        val, cube, _ = _oscillation_sup(B.transpose(), reps, Vinv, pprime, grid)
-        return val, cube
+        return _oscillation_sup(B.transpose(), reps, Vinv, pprime, grid)
     raise ValueError(f"unknown BMO variant {variant!r}")
 
 
@@ -357,6 +332,6 @@ def ntv_scalar_equivalence(a_levels, d, p):
             drop = refine(drop + sq[k - 1] * (2.0 ** ((k - 1) * d)), d)
         dropL = refine_to_leaves(drop, d, L - k)
         integrand = np.maximum(chain - dropL, 0.0) ** (p / 2.0)
-        avg = mean_pyramid(integrand, d, L)[k]
+        avg = coarsen_levels(integrand, d, L - k)
         lp_form = max(lp_form, float(avg.max()) ** (1.0 / p))
     return sup_form, lp_form

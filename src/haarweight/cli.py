@@ -46,6 +46,17 @@ def build_weight(cfg):
         raise ConfigError(f"bad weight spec: {exc}")
 
 
+def read_p(cfg):
+    """The exponent p (default 2); every command that reads it needs 1 < p < inf."""
+    try:
+        p = float(cfg.get("p", 2.0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"p must be a number, got {cfg.get('p')!r}")
+    if not 1.0 < p < float("inf"):
+        raise ConfigError(f"p must satisfy 1 < p < inf, got {p:g}")
+    return p
+
+
 def build_symbol(spec, grid):
     kind = spec.get("kind", "log-swap")
     if kind == "log-swap":
@@ -109,7 +120,9 @@ def _dump(out_dir, name, payload):
 
 def cmd_apchar(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
-    p = float(cfg.get("p", 2.0))
+    if grid.d > 2:
+        raise ConfigError(f"apchar supports d <= 2, got d = {grid.d}")
+    p = read_p(cfg)
     rep = ap_characteristic(W, p, grid)
     payload = json.loads(rep.to_json())
     _dump(out_dir, "apchar.json", payload)
@@ -119,7 +132,7 @@ def cmd_apchar(cfg, out_dir):
 
 def cmd_opnorm(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
-    p = float(cfg.get("p", 2.0))
+    p = read_p(cfg)
     op = build_operator(cfg.get("operator", {}), grid, W, p)
     rep = weighted_operator_norm(op, W, p, seed=int(cfg.get("seed", 0)))
     payload = json.loads(rep.to_json())
@@ -130,7 +143,7 @@ def cmd_opnorm(cfg, out_dir):
 
 def cmd_bmo(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
-    p = float(cfg.get("p", 2.0))
+    p = read_p(cfg)
     B = build_symbol(cfg.get("symbol", {}), grid)
     variant = cfg.get("variant", "primal")
     val, cube = bmo_norm(B, W, p, variant)
@@ -142,7 +155,7 @@ def cmd_bmo(cfg, out_dir):
 
 def cmd_carleson(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
-    p = float(cfg.get("p", 2.0))
+    p = read_p(cfg)
     A = build_sequence(cfg.get("sequence", {"kind": "random"}), grid)
     red = reducing_pyramid(W, grid, p)
     rb = carleson_b_sup(A, W, p, reducing=red)
@@ -155,7 +168,7 @@ def cmd_carleson(cfg, out_dir):
 
 def cmd_stopping(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
-    p = float(cfg.get("p", 2.0))
+    p = read_p(cfg)
     tree = stopping_time_tree(W, p, grid=grid,
                               lambda1=cfg.get("lambda1"), lambda2=cfg.get("lambda2"))
     decay_ok = all(m <= 2.0 ** (-j) * (1 + 1e-12)
@@ -184,7 +197,7 @@ def cmd_sparse(cfg, out_dir):
     payload = {"passed": True, "cubes": json.loads(fam.to_json()),
                "size": len(fam)}
     if cfg.get("weight") is not None:
-        rep = weighted_operator_norm(sparse_op(fam), W, float(cfg.get("p", 2.0)))
+        rep = weighted_operator_norm(sparse_op(fam), W, read_p(cfg))
         payload["weighted_norm"] = rep.value
     _dump(out_dir, "sparse.json", payload)
     return payload

@@ -194,12 +194,14 @@ def signature_product(eps, eps_prime):
 # Per-level array plumbing
 # ---------------------------------------------------------------------------
 
-def coarsen_mean(a, d):
-    """Average sibling blocks: (2m,)*d + rest -> (m,)*d + rest."""
-    for ax in range(d):
-        n = a.shape[ax]
-        a = a.reshape(a.shape[:ax] + (n // 2, 2) + a.shape[ax + 1:])
-        a = a.mean(axis=ax + 1)
+def coarsen_levels(a, d, steps, axis=0):
+    """Cube means ``steps`` levels up: average sibling blocks ``steps`` times on
+    the d cube axes that start at ``axis``, (2^steps m,)*d -> (m,)*d there."""
+    for _ in range(steps):
+        for ax in range(axis, axis + d):
+            n = a.shape[ax]
+            a = a.reshape(a.shape[:ax] + (n // 2, 2) + a.shape[ax + 1:])
+            a = a.mean(axis=ax + 1)
     return a
 
 
@@ -216,6 +218,13 @@ def refine(a, d):
     """Broadcast cube values to their 2^d children: (m,)*d + rest -> (2m,)*d + rest."""
     for ax in range(d):
         a = np.repeat(a, 2, axis=ax)
+    return a
+
+
+def refine_to_leaves(a, d, steps):
+    """Broadcast cube values ``steps`` levels down (``refine`` applied ``steps`` times)."""
+    for _ in range(steps):
+        a = refine(a, d)
     return a
 
 
@@ -250,7 +259,7 @@ def mean_pyramid(values, d, L):
     means = [None] * (L + 1)
     means[L] = np.asarray(values, dtype=float)
     for k in range(L - 1, -1, -1):
-        means[k] = coarsen_mean(means[k + 1], d)
+        means[k] = coarsen_levels(means[k + 1], d, 1)
     return means
 
 
@@ -507,6 +516,19 @@ def sequence_maximal(per_level, d) -> np.ndarray:
     for k in range(1, len(per_level)):
         cur = np.maximum(refine(cur, d), per_level[k])
     return cur
+
+
+def sup_over_cubes(per_level, grid):
+    """(max, a Cube attaining it) over per-level arrays shaped (2^k,)*d; ties
+    go to the coarsest level, then to the first cube in C order."""
+    best, cube = -np.inf, None
+    for k, arr in enumerate(per_level):
+        mx = float(arr.max())
+        if mx > best:
+            best = mx
+            idx = np.unravel_index(int(arr.argmax()), arr.shape)
+            cube = Cube(grid, k, tuple(int(i) for i in idx))
+    return best, cube
 
 
 def levels_from_cube_map(grid, mapping, default=0.0, max_level=None):

@@ -16,27 +16,29 @@ import json
 import numpy as np
 
 from . import linalg
-from .dyadic import Cube, Grid, mean_pyramid, refine
+from .dyadic import Cube, Grid, coarsen_levels, mean_pyramid, refine_to_leaves
 from .errors import SparsenessError
 from .operators import Operator, _mv
 from .weights import MatrixWeight
 
 
-def _chain_averages(outer_levels, t_leaf, grid):
-    """A_k(x) = (1/|I_k(x)|) sum_{leaf in I_k(x)} w |O_{I_k} t_leaf| for the
-    level-k ancestor I_k(x) of each leaf; returns per-level leaf arrays."""
+def _cube_averages(outer_levels, t_leaf, grid):
+    """a_k(I) = (1/|I|) sum_{leaf in I} w |O_I t_leaf| for every level-k cube I;
+    returns per-level cube arrays."""
     d, L = grid.d, grid.L
     out = []
-    for k in range(L + 1):
-        O = outer_levels[k]
-        for _ in range(L - k):
-            O = refine(O, d)
-        vals = np.linalg.norm(_mv(O, t_leaf), axis=-1)
-        avg = mean_pyramid(vals, d, L)[k]
-        for _ in range(L - k):
-            avg = refine(avg, d)
-        out.append(avg)
+    for k, O in enumerate(outer_levels):
+        vals = np.linalg.norm(_mv(refine_to_leaves(O, d, L - k), t_leaf), axis=-1)
+        out.append(coarsen_levels(vals, d, L - k))
     return out
+
+
+def _chain_averages(outer_levels, t_leaf, grid):
+    """A_k(x) = a_k(I_k(x)) for the level-k ancestor I_k(x) of each leaf;
+    returns per-level leaf arrays."""
+    d, L = grid.d, grid.L
+    return [refine_to_leaves(a, d, L - k)
+            for k, a in enumerate(_cube_averages(outer_levels, t_leaf, grid))]
 
 
 def maximal_mw_prime(W: MatrixWeight, f, p=2.0):
@@ -70,27 +72,29 @@ def half_power_maximal(W: MatrixWeight, f):
     return np.maximum.reduce(levels)
 
 
-def maximal_mw(W: MatrixWeight, f):
-    """M_W f(x) = sup_{I: x in I} (1/|I|) int_I |W^{1/2}(x) W^{-1/2}(y) f(y)| dy,
-    with the x-dependence through the leaf value of W^{1/2} (d = 1)."""
+def _mw_ancestor_averages(W: MatrixWeight, f):
+    """(L+1, N) array: row k holds, for each leaf x, the average over the
+    level-k ancestor of x of P[x, y] = |W^{1/2}(x) W^{-1/2}(y) f(y)| (d = 1)."""
     grid = f.grid
     if grid.d != 1:
         raise ValueError("the two-sided maximal function is implemented for d=1")
-    L = grid.L
-    N = 1 << L
+    L, x = grid.L, np.arange(grid.n_leaves)
     Mw = W.leaf_averages(grid, 1.0)
     t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
     quad = np.einsum("lij,mi,mj->lm", Mw, t_leaf, t_leaf)
-    P = np.sqrt(np.maximum(quad, 0.0))        # P[x-leaf, y-leaf] = |W^{1/2}(x)-rep t_y|
-    best = np.full(N, -np.inf)
-    for k in range(L + 1):
-        avg = P.copy()
-        for _ in range(L - k):
-            nn = avg.shape[1]
-            avg = avg.reshape(N, nn // 2, 2).mean(axis=2)
-        anc = np.arange(N) >> (L - k)
-        best = np.maximum(best, avg[np.arange(N), anc])
-    return best
+    avg = np.sqrt(np.maximum(quad, 0.0))      # P[x-leaf, y-leaf] = |W^{1/2}(x)-rep t_y|
+    out = np.empty((L + 1, grid.n_leaves))
+    out[L] = avg[x, x]
+    for k in range(L - 1, -1, -1):
+        avg = coarsen_levels(avg, 1, 1, axis=1)
+        out[k] = avg[x, x >> (L - k)]
+    return out
+
+
+def maximal_mw(W: MatrixWeight, f):
+    """M_W f(x) = sup_{I: x in I} (1/|I|) int_I |W^{1/2}(x) W^{-1/2}(y) f(y)| dy,
+    with the x-dependence through the leaf value of W^{1/2} (d = 1)."""
+    return _mw_ancestor_averages(W, f).max(axis=0)
 
 
 def local_nq(W: MatrixWeight, Q: Cube, grid: Grid = None):
@@ -106,9 +110,7 @@ def local_nq(W: MatrixWeight, Q: Cube, grid: Grid = None):
     for k in range(Q.level, L + 1):
         Hk = halves[k][tuple(slice(m << (k - Q.level), (m + 1) << (k - Q.level))
                              for m in Q.offset)]
-        for _ in range(L - k):
-            Hk = refine(Hk, d)
-        vals = linalg.opnorm(reps_q @ Hk)
+        vals = linalg.opnorm(reps_q @ refine_to_leaves(Hk, d, L - k))
         best = vals if best is None else np.maximum(best, vals)
     avg_sq = float((best ** 2).mean())
     return best, avg_sq
@@ -147,22 +149,11 @@ def mw_proof_certificate(W: MatrixWeight, f):
     grid = f.grid
     L = grid.L
     N = 1 << L
-    Mw = W.leaf_averages(grid, 1.0)
-    t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
-    quad = np.einsum("lij,mi,mj->lm", Mw, t_leaf, t_leaf)
-    P = np.sqrt(np.maximum(quad, 0.0))
-    mw_avgs = []
-    for k in range(L + 1):
-        avg = P.copy()
-        for _ in range(L - k):
-            nn = avg.shape[1]
-            avg = avg.reshape(N, nn // 2, 2).mean(axis=2)
-        anc = np.arange(N) >> (L - k)
-        mw_avgs.append(avg[np.arange(N), anc])
-    mw_avgs = np.stack(mw_avgs)          # (L+1, N)
+    mw_avgs = _mw_ancestor_averages(W, f)
     k_star = mw_avgs.argmax(axis=0)
     mw_val = mw_avgs.max(axis=0)
 
+    t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
     outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -1.0)]
     prime_avgs = np.stack(_chain_averages(outer, t_leaf, grid))  # (L+1, N)
     D = prime_avgs[k_star, np.arange(N)]
@@ -309,9 +300,7 @@ def sparse_op(G: SparseFamily, n=2) -> Operator:
         out = np.zeros_like(vals)
         for lev, mask in masks.items():
             contrib = means[lev] * mask.reshape(mask.shape + (1,) * (vals.ndim - d))
-            for _ in range(L - lev):
-                contrib = refine(contrib, d)
-            out = out + contrib
+            out = out + refine_to_leaves(contrib, d, L - lev)
         return out
 
     return Operator(grid, n, kernel, kernel, "sparse")
@@ -342,10 +331,8 @@ def sparse_proof_chain(W: MatrixWeight, G: SparseFamily, f, g, ap_value):
     b = mean_pyramid(t_g, d, L)
     o_f = [linalg.powm_spd(x, -0.5) for x in W.average_pyramid(grid, -0.5)]
     o_g = [linalg.powm_spd(x, -0.5) for x in W.average_pyramid(grid, 0.5)]
-    alpha_lv = [mean_pyramid(np.linalg.norm(_mv(_refined(o_f[k], d, L - k), t_f), axis=-1), d, L)[k]
-                for k in range(L + 1)]
-    beta_lv = [mean_pyramid(np.linalg.norm(_mv(_refined(o_g[k], d, L - k), t_g), axis=-1), d, L)[k]
-               for k in range(L + 1)]
+    alpha_lv = _cube_averages(o_f, t_f, grid)
+    beta_lv = _cube_averages(o_g, t_g, grid)
     exc = G.exceptional_sets()
     q0_sum = 0.0
     q1 = q2 = q3 = 0.0
@@ -364,9 +351,3 @@ def sparse_proof_chain(W: MatrixWeight, G: SparseFamily, f, g, ap_value):
     mg = half_power_maximal(power_of(W, -1.0), g)
     q4 = 2.0 * np.sqrt(ap_value) * float((mf * mg).sum()) * grid.leaf_measure
     return [abs(q0_sum), q1, q2, q3, q4]
-
-
-def _refined(arr, d, steps):
-    for _ in range(steps):
-        arr = refine(arr, d)
-    return arr

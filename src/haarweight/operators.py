@@ -529,20 +529,28 @@ def whitened_op(op: Operator, W: MatrixWeight):
                     f"whitened-{op.name}")
 
 
-def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0,
-                           ascent_iters=200, restarts=3) -> NormReport:
+# p != 2 ascent budget: this many restarts from random inputs, each at most
+# this many gradient steps
+ASCENT_RESTARTS = 3
+ASCENT_ITERS = 200
+
+
+def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> NormReport:
     """Weighted operator norm of ``op`` on L^p(W).
 
     p = 2, dimension up to DENSE_DIM_CAP: the dense matrix of
     W^{1/2} op W^{-1/2} in the leaf basis is assembled and its largest
     singular value taken from a symmetric eigensolve of its Gram matrix
-    (``exact``, to round-off).
+    (``exact``, to round-off); this path returns no witness.
     p = 2 above the cap: Golub-Kahan-Lanczos on the matrix-free whitened
-    operator and its adjoint kernel; the value is ||T x|| of the returned
-    unit witness x, hence a ``lower-bound``, and ``details`` carries the
+    operator and its adjoint kernel; the value is ||T x|| of its unit
+    witness x, hence a ``lower-bound``, and ``details`` carries the
     iteration count, the relative Ritz residual and whether it converged.
     p != 2: lower bound via normalized gradient ascent on the Rayleigh
-    quotient of the leaf gauges, with the witness vector returned.
+    quotient of the leaf gauges.
+    Witnesses are inputs f shaped grid.leaf_shape + (n,), so that
+    ||op f|| / ||f|| in L^p(W) is the value; at p = 2 that is
+    f = m_leaf(W)^{-1/2} x.
     """
     grid, n = op.grid, op.n
     dim = grid.n_leaves * n
@@ -556,12 +564,13 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0,
             lambda x: conj.kernel(x.reshape(shape)).reshape(-1),
             lambda y: conj.kernel_T(y.reshape(shape)).reshape(-1),
             dim, seed=seed)
-        return NormReport(val, "lower-bound", wit,
+        f = _mv(linalg.powm_spd(W.leaf_averages(grid, 1.0), -0.5), wit.reshape(shape))
+        return NormReport(val, "lower-bound", f,
                           {"dim": dim, "method": "Golub-Kahan-Lanczos", **diag})
-    return _ascent_lower_bound(op, W, p, seed, ascent_iters, restarts)
+    return _ascent_lower_bound(op, W, p, seed)
 
 
-def _ascent_lower_bound(op, W, p, seed, iters, restarts):
+def _ascent_lower_bound(op, W, p, seed):
     grid, n = op.grid, op.n
     M_in = W.leaf_averages(grid, 2.0 / p)
     meas = grid.leaf_measure
@@ -577,11 +586,11 @@ def _ascent_lower_bound(op, W, p, seed, iters, restarts):
         return p * meas * w[..., None] * _mv(M_in, vals)
 
     best_val, best_wit = 0.0, None
-    for _ in range(restarts):
+    for _ in range(ASCENT_RESTARTS):
         f = rng.standard_normal(grid.leaf_shape + (n,))
         f /= np.abs(f).max()
         step = 0.5
-        for _ in range(iters):
+        for _ in range(ASCENT_ITERS):
             Tf = op.kernel(f)
             A, Bv = norm_p(Tf), norm_p(f)
             if Bv <= 0:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .dyadic import Cube, Grid, coarsen_mean, mean_pyramid, refine
+from .dyadic import Cube, Grid, coarsen_levels, mean_pyramid, refine, sup_over_cubes
 from .errors import IntegrabilityError, ShapeError
 
 POWER_KINDS = ("identity", "scalar-power", "diagonal-power", "rotated")
@@ -81,6 +81,8 @@ class MatrixWeight:
 
     @classmethod
     def random_spd(cls, seed, cond=16.0, n=2):
+        if not cond >= 1.0:
+            raise ValueError(f"condition number bound must be >= 1, got {cond}")
         return cls("random-spd", n=n, seed=seed, cond=cond)
 
     @classmethod
@@ -322,24 +324,6 @@ def lp_norm(f, W: MatrixWeight, p=2.0):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ReducingPair:
-    """Per-cube (V, V') with sandwich certificates over the direction net.
-
-    eta bounds |Ve|/rho(e) - ... : on every sampled direction,
-    rho(e) <= |V e| <= sqrt(n) (1 + eta) rho(e), and analogously for V' with
-    the dual gauge; eta_rev is the ReverseAp defect 1 - min |V'V e|/|e|.
-    """
-
-    cube: Cube
-    p: float
-    V: np.ndarray
-    V_prime: np.ndarray
-    eta: float
-    eta_rev: float
-    certificate: dict = field(default_factory=dict)
-
-
-@dataclass
 class ApReport:
     p: float
     value_reducing: float
@@ -521,41 +505,6 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p, net_size=64, max_iter=400,
         m *= 2
 
 
-def reducing_operators(W: MatrixWeight, cube: Cube, p, net_size=64,
-                       max_iter=400, tol=1e-8) -> ReducingPair:
-    """Reducing pair for a single cube (see reducing_pyramid for the batch form)."""
-    grid = cube.grid
-    n = W.n
-    if p == 2.0:
-        V = linalg.sqrtm_spd(cell_average(W, cube, 1.0))
-        Vp = linalg.sqrtm_spd(cell_average(W, cube, -1.0))
-        dirs = sphere_net(n, net_size)
-        rev = np.linalg.norm(np.einsum("ij,jk,mk->mi", Vp, V, dirs), axis=-1).min()
-        return ReducingPair(cube, p, V, Vp, 0.0, max(0.0, 1.0 - rev),
-                            {"net_size": net_size})
-    sub = Grid(grid.d, grid.L - cube.level, grid.shift)
-    dirs = sphere_net(n, net_size)
-    # restrict the gauge to the cube: its leaves are a contiguous block
-    sl = tuple(slice(mm << (grid.L - cube.level), (mm + 1) << (grid.L - cube.level))
-               for mm in cube.offset)
-    out = {}
-    for dual in (False, True):
-        expo = (-2.0 / p) if dual else (2.0 / p)
-        power = (p / (p - 1.0)) if dual else p
-        M = W.leaf_averages(grid, expo)[sl]
-        quad = np.maximum(np.einsum("...ij,mi,mj->...m", M, dirs, dirs), 0.0)
-        rho = (quad ** (power / 2.0)).reshape(-1, len(dirs)).mean(axis=0) ** (1.0 / power)
-        Vk, eta, _ = _reducing_from_gauge(rho[None, :], dirs, n, max_iter, tol)
-        out[dual] = (Vk[0], float(eta[0]), rho)
-    V, eta, rho = out[False]
-    Vp, eta_p, rho_d = out[True]
-    rev = np.linalg.norm(np.einsum("ij,jk,mk->mi", Vp, V, dirs), axis=-1).min()
-    cert = {"net_size": len(dirs),
-            "upper": float((np.linalg.norm(dirs @ V.T, axis=1) / rho).max()),
-            "lower": float((np.linalg.norm(dirs @ V.T, axis=1) / rho).min())}
-    return ReducingPair(cube, p, V, Vp, max(eta, eta_p), max(0.0, 1.0 - rev), cert)
-
-
 # ---------------------------------------------------------------------------
 # A_p characteristic
 # ---------------------------------------------------------------------------
@@ -570,14 +519,12 @@ def ap_from_reducing(reducing, p):
 
 
 def _cube_diagonal(arr, d, k):
-    """arr has x-cube axes then t-cube axes (each (2^k,)*d); take x == t."""
+    """arr has x-cube axes then t-cube axes (each (2^k,)*d, d <= 2); take x == t."""
     side = 1 << k
     if d == 1:
         return arr[np.arange(side), np.arange(side)]
-    if d == 2:
-        i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-        return arr[i, j, i, j]
-    raise ShapeError("A_p double integral implemented for d <= 2")
+    i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    return arr[i, j, i, j]
 
 
 def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport:
@@ -588,20 +535,13 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport
     leaf representatives for W^{+-1/p}.
     """
     d, L, n = grid.d, grid.L, W.n
+    if d > 2:
+        raise ShapeError("A_p double integral implemented for d <= 2")
     if reducing is None:
         reducing = reducing_pyramid(W, grid, p)
-    per_level = []
-    best_val = -np.inf
-    best_cube = None
-    for k in range(L + 1):
-        prod = reducing["V"][k] @ reducing["V_prime"][k]
-        vals = linalg.opnorm(prod) ** p
-        per_level.append(vals)
-        mx = float(vals.max())
-        if mx > best_val:
-            best_val = mx
-            idx = np.unravel_index(int(vals.argmax()), vals.shape)
-            best_cube = Cube(grid, k, tuple(int(i) for i in idx))
+    per_level = [linalg.opnorm(V @ Vp) ** p
+                 for V, Vp in zip(reducing["V"], reducing["V_prime"])]
+    best_val, best_cube = sup_over_cubes(per_level, grid)
     # defining double average
     pprime = p / (p - 1.0)
     P = W.leaf_reps(grid, 1.0 / p)       # W^{1/p}(x) leaf representative
@@ -610,29 +550,13 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport
     flatN = N.reshape(-1, n, n)
     G = linalg.opnorm(flatP[:, None] @ flatN[None, :]) ** pprime
     G = G.reshape(grid.leaf_shape + grid.leaf_shape)
-    best_int, best_int_cube = -np.inf, None
-    for k in range(L + 1):
-        inner = G
-        for _ in range(L - k):
-            inner = _coarsen_axes(inner, d, first=False)
-        inner = inner ** (p / pprime)
-        outer = inner
-        for _ in range(L - k):
-            outer = _coarsen_axes(outer, d, first=True)
-        diag = _cube_diagonal(outer, d, k)
-        mx = float(diag.max())
-        if mx > best_int:
-            best_int = mx
-            idx = np.unravel_index(int(diag.argmax()), diag.shape)
-            best_int_cube = Cube(grid, k, tuple(int(i) for i in idx))
+    # inner averages over t go up one level at a time; the outer average over
+    # x follows the power, so it starts from the leaves at each level
+    diags = [None] * (L + 1)
+    inner = G
+    for k in range(L, -1, -1):
+        if k < L:
+            inner = coarsen_levels(inner, d, 1, axis=d)
+        diags[k] = _cube_diagonal(coarsen_levels(inner ** (p / pprime), d, L - k), d, k)
+    best_int, best_int_cube = sup_over_cubes(diags, grid)
     return ApReport(p, best_val, best_cube, best_int, best_int_cube, per_level)
-
-
-def _coarsen_axes(a, d, first):
-    """Average sibling pairs on the first d or the second d cube axes."""
-    offset = 0 if first else d
-    for ax in range(offset, offset + d):
-        nn = a.shape[ax]
-        a = a.reshape(a.shape[:ax] + (nn // 2, 2) + a.shape[ax + 1:])
-        a = a.mean(axis=ax + 1)
-    return a

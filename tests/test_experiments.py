@@ -128,6 +128,25 @@ class TestCLI:
         cfg.write_text(json.dumps({"operator": {"op": "bogus"}, "grid": {"d": 1, "L": 3}}))
         assert self.run("opnorm", "--config", str(cfg), "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("apchar", {"p": 1}),
+        ("apchar", {"p": 0.5}),
+        ("apchar", {"p": "two"}),
+        ("apchar", {"weight": {"kind": "random-spd", "seed": 0, "cond": -4}}),
+        ("apchar", {"grid": {"d": 3, "L": 2}}),
+        ("opnorm", {"p": 1, "operator": {"op": "shift"}}),
+        ("stopping", {"p": 0.9}),
+        ("sparse", {"p": 1, "weight": {"kind": "identity"}}),
+    ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
+            "stopping-p<1", "sparse-p=1"])
+    def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 3}, **cfg}))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
     def test_apchar_roundtrip(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -95,6 +95,30 @@ class TestMW:
         want = dyadic_maximal_oracle(np.abs(s) * np.linalg.norm(e), 5)
         np.testing.assert_allclose(m, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("W", [MatrixWeight.random_spd(12, cond=50.0),
+                                   MatrixWeight.rotated_power([0.6, -0.4], 0.9)],
+                             ids=["random-spd", "rotated"])
+    def test_nonconstant_weight_brute_force(self, W):
+        # explicit walk over each leaf's ancestors and their y-leaves, with the
+        # x-side factor m_leaf(W)^{1/2}(x) applied as a matrix
+        from haarweight import linalg
+        rng = np.random.default_rng(6)
+        L = 4
+        g = Grid(1, L)
+        f = StepFunction(g, rng.standard_normal((16, 2)))
+        half = linalg.sqrtm_spd(W.leaf_averages(g, 1.0))
+        t = np.einsum("lij,lj->li", W.leaf_reps(g, -0.5), f.values)
+        m = maximal_mw(W, f)
+        for x in range(16):
+            best = 0.0
+            for k in range(L + 1):
+                anc = x >> (L - k)
+                ys = range(anc << (L - k), (anc + 1) << (L - k))
+                best = max(best, np.mean([np.linalg.norm(half[x] @ t[y]) for y in ys]))
+            assert m[x] == pytest.approx(best, rel=1e-12)
+        _, mw_val = mw_proof_certificate(W, f)
+        assert np.array_equal(mw_val, m)
+
     def test_proof_chain_certificate(self):
         rng = np.random.default_rng(5)
         g = Grid(1, 6)

@@ -331,11 +331,28 @@ class TestWeightedNorms:
         # above the dense cap the dispatch runs Lanczos and labels it honestly
         g = Grid(1, 11)                          # dim 4096
         B = random_symbol(g, rng)
-        rep = weighted_operator_norm(commutator_op(B, ShiftMap.left_child(g), "direct"), W, 2.0)
+        op = commutator_op(B, ShiftMap.left_child(g), "direct")
+        rep = weighted_operator_norm(op, W, 2.0)
         assert rep.details["dim"] == 4096
         assert rep.kind == "lower-bound"
         assert rep.details["method"] == "Golub-Kahan-Lanczos"
         assert rep.details["converged"] is True
+        # its witness is an input of op, not of the whitened operator
+        f = StepFunction(g, rep.witness)
+        assert lp_norm(op(f), W, 2.0) / lp_norm(f, W, 2.0) == pytest.approx(rep.value, rel=1e-10)
+
+    def test_lanczos_witness_is_an_input(self):
+        # the commutator counterexample at alpha = 0.1 above the dense cap: the
+        # whitened Lanczos vector itself reaches only 2.24547 against 2.25550
+        from haarweight.experiments import log_swap_symbol
+        g = Grid(1, 11)
+        W = MatrixWeight.diagonal_power([0.1, -0.1])
+        op = commutator_op(log_swap_symbol(g), ShiftMap.left_child(g), "direct")
+        rep = weighted_operator_norm(op, W, 2.0)
+        assert rep.kind == "lower-bound"
+        assert rep.witness.shape == g.leaf_shape + (2,)
+        f = StepFunction(g, rep.witness)
+        assert lp_norm(op(f), W, 2.0) / lp_norm(f, W, 2.0) == pytest.approx(rep.value, rel=1e-10)
 
     def test_exact_label_is_exact_at_dense_cap(self):
         # sigma1/sigma2 = 1 + 5e-7 here, so power iteration with a stopping
@@ -355,7 +372,7 @@ class TestWeightedNorms:
         W = MatrixWeight.diagonal_power([0.4, -0.4])
         B = random_symbol(g, rng)
         op = paraproduct_op(B)
-        rep = weighted_operator_norm(op, W, 3.0, ascent_iters=120, restarts=2)
+        rep = weighted_operator_norm(op, W, 3.0)
         assert rep.kind == "lower-bound"
         f = StepFunction(g, rep.witness)
         achieved = lp_norm(op(f), W, 3.0) / lp_norm(f, W, 3.0)

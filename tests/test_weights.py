@@ -13,7 +13,7 @@ from haarweight.dyadic import Cube, Grid
 from haarweight.errors import IntegrabilityError, ShapeError
 from haarweight.weights import (
     MatrixWeight, ap_characteristic, cell_average, dual_weight, gauge_pyramid,
-    lp_norm, power_of, reducing_operators, reducing_pyramid, sphere_net,
+    lp_norm, power_of, reducing_pyramid, sphere_net,
     truncate_weight,
 )
 
@@ -97,18 +97,19 @@ class TestReducingOperators:
     def test_identity_any_p(self):
         g = Grid(1, 3)
         for p in (1.5, 2.0, 3.0):
-            rp = reducing_operators(MatrixWeight.identity(), g.root(), p)
-            np.testing.assert_allclose(rp.V, np.eye(2), atol=2e-2)
-            np.testing.assert_allclose(rp.V_prime, np.eye(2), atol=2e-2)
-            assert rp.eta <= 1e-3
+            red = reducing_pyramid(MatrixWeight.identity(), g, p)
+            np.testing.assert_allclose(red["V"][0][0], np.eye(2), atol=2e-2)
+            np.testing.assert_allclose(red["V_prime"][0][0], np.eye(2), atol=2e-2)
+            assert max(red["eta"][0][0], red["eta_prime"][0][0]) <= 1e-3
 
     def test_p2_closed_form(self):
         W = MatrixWeight.diagonal_power([0.5, -0.5])
         g = Grid(1, 6)
-        rp = reducing_operators(W, g.root(), 2.0)
-        np.testing.assert_allclose(np.diag(rp.V), [np.sqrt(2.0 / 3.0), np.sqrt(2.0)], rtol=1e-12)
-        np.testing.assert_allclose(np.diag(rp.V_prime), [np.sqrt(2.0), np.sqrt(2.0 / 3.0)], rtol=1e-12)
-        assert np.linalg.norm(rp.V @ rp.V_prime, 2) ** 2 == pytest.approx(4.0 / 3.0)
+        red = reducing_pyramid(W, g, 2.0)
+        V, V_prime = red["V"][0][0], red["V_prime"][0][0]
+        np.testing.assert_allclose(np.diag(V), [np.sqrt(2.0 / 3.0), np.sqrt(2.0)], rtol=1e-12)
+        np.testing.assert_allclose(np.diag(V_prime), [np.sqrt(2.0), np.sqrt(2.0 / 3.0)], rtol=1e-12)
+        assert np.linalg.norm(V @ V_prime, 2) ** 2 == pytest.approx(4.0 / 3.0)
 
     def test_general_p_sandwich_certificate(self):
         # direct quadrature of the gauge on coordinate directions sandwiches |V e_i|
@@ -222,6 +223,13 @@ class TestApCharacteristic:
         rep = ap_characteristic(MatrixWeight.identity(), 2.0, Grid(1, 4))
         assert rep.value_reducing == pytest.approx(1.0)
         assert rep.value_integral == pytest.approx(1.0)
+
+    def test_d3_refused_before_any_work(self, monkeypatch):
+        import haarweight.weights as weights_module
+        monkeypatch.setattr(weights_module, "reducing_pyramid",
+                            lambda *args, **kwargs: pytest.fail("pyramid built for d=3"))
+        with pytest.raises(ShapeError):
+            ap_characteristic(MatrixWeight.identity(), 2.0, Grid(3, 2))
 
     def test_power_weight_p2_value(self):
         W = MatrixWeight.diagonal_power([0.5, -0.5])
