@@ -118,10 +118,23 @@ def _dump(out_dir, name, payload):
     return path
 
 
+# The A_p double integral holds up to about this many leaf-pair arrays of
+# N^2 n x n values at once (the products W^{1/p}(x) W^{-1/p}(t), then the SVD's
+# work); peak RSS grew by 1.5 such arrays at d=1, L=11.
+APCHAR_LIVE_ARRAYS = 2
+
+
 def cmd_apchar(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
     if grid.d > 2:
         raise ConfigError(f"apchar supports d <= 2, got d = {grid.d}")
+    need = grid.n_leaves ** 2 * W.n ** 2 * 8 * APCHAR_LIVE_ARRAYS
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"apchar at d = {grid.d}, L = {grid.L} needs about {need / 2**30:.3g} GiB "
+            f"for its leaf-pair arrays, more than the {have / 2**30:.3g} GiB of "
+            f"physical memory")
     p = read_p(cfg)
     rep = ap_characteristic(W, p, grid)
     payload = json.loads(rep.to_json())

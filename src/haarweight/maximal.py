@@ -97,23 +97,31 @@ def maximal_mw(W: MatrixWeight, f):
     return _mw_ancestor_averages(W, f).max(axis=0)
 
 
+def _nq_factors(W: MatrixWeight, grid: Grid):
+    """Leaf representatives of W^{1/2} and the per-level (m_R W^{-1})^{1/2}."""
+    return (W.leaf_reps(grid, 0.5),
+            [linalg.sqrtm_spd(a) for a in W.average_pyramid(grid, -1.0)])
+
+
+def _nq_on_cube(reps, halves, level, offset, grid):
+    """N_Q on the leaves of the cube Q = (level, offset) from ``_nq_factors``."""
+    d, L = grid.d, grid.L
+    reps_q = reps[tuple(slice(m << (L - level), (m + 1) << (L - level)) for m in offset)]
+    best = None
+    for k in range(level, L + 1):
+        Hk = halves[k][tuple(slice(m << (k - level), (m + 1) << (k - level))
+                             for m in offset)]
+        vals = linalg.opnorm(reps_q @ refine_to_leaves(Hk, d, L - k))
+        best = vals if best is None else np.maximum(best, vals)
+    return best
+
+
 def local_nq(W: MatrixWeight, Q: Cube, grid: Grid = None):
     """N_Q(x) = sup_{R: x in R, R in Q} ||W^{1/2}(x) (m_R W^{-1})^{1/2}|| on Q's
     leaves, plus its normalized square integral (1/|Q|) int_Q N_Q^2."""
     grid = grid or Q.grid
-    d, L = grid.d, grid.L
-    reps = W.leaf_reps(grid, 0.5)
-    halves = [linalg.sqrtm_spd(a) for a in W.average_pyramid(grid, -1.0)]
-    sl = tuple(slice(m << (L - Q.level), (m + 1) << (L - Q.level)) for m in Q.offset)
-    reps_q = reps[sl]
-    best = None
-    for k in range(Q.level, L + 1):
-        Hk = halves[k][tuple(slice(m << (k - Q.level), (m + 1) << (k - Q.level))
-                             for m in Q.offset)]
-        vals = linalg.opnorm(reps_q @ refine_to_leaves(Hk, d, L - k))
-        best = vals if best is None else np.maximum(best, vals)
-    avg_sq = float((best ** 2).mean())
-    return best, avg_sq
+    best = _nq_on_cube(*_nq_factors(W, grid), Q.level, Q.offset, grid)
+    return best, float((best ** 2).mean())
 
 
 def weak_type_check(W: MatrixWeight, f, p=2.0):
@@ -175,12 +183,16 @@ def mw_proof_certificate(W: MatrixWeight, f):
                 keep.append((lev, off))
         maximal[jj] = keep
 
+    reps, halves = _nq_factors(W, grid)
+    nq_of = {}                 # N_S for each distinct maximal cube S
     ratios = np.zeros(N)
     for x in range(N):
         lev, off = int(k_star[x]), x >> (L - int(k_star[x]))
         S = next((lv, o) for lv, o in maximal[int(j[x])]
                  if lv <= lev and (off >> (lev - lv)) == o)
-        nq, _ = local_nq(W, Cube(grid, S[0], (S[1],)), grid)
+        if S not in nq_of:
+            nq_of[S] = _nq_on_cube(reps, halves, S[0], (S[1],), grid)
+        nq = nq_of[S]
         pos = x - (S[1] << (L - S[0]))
         ratios[x] = mw_val[x] / (2.0 ** (j[x] + 1) * nq[pos]) if nq[pos] > 0 else 0.0
     return ratios, mw_val

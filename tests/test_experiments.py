@@ -147,6 +147,20 @@ class TestCLI:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
 
+    def test_apchar_oversized_grid_refused(self, tmp_path, capsys):
+        # L=16 needs hundreds of GiB of leaf-pair arrays: refused before any work
+        import time
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 16}, "p": 3,
+                                    "weight": {"kind": "random-spd", "seed": 0}}))
+        start = time.perf_counter()
+        assert self.run("apchar", "--config", str(path), "--out", str(tmp_path)) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "GiB" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "apchar.json").exists()
+
     def test_apchar_roundtrip(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -213,9 +227,14 @@ class TestCLI:
     def test_entry_point_subprocess(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "haar-multiplier", "alpha": 0.3, "depth": 8}))
+        # the child imports the same package as this process, also when pytest
+        # put src/ on sys.path itself rather than through PYTHONPATH
+        src = str(Path(ex.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "haarweight.cli", "counterexample",
              "--config", str(cfg), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True

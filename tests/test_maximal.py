@@ -130,6 +130,35 @@ class TestMW:
             assert ratios.max() <= 8.0
 
 
+    def test_proof_certificate_matches_per_leaf_local_nq(self):
+        # the certificate computes N_S once per maximal cube S; a loop that calls
+        # local_nq for every leaf's S gives the same ratios bit for bit
+        from haarweight import linalg
+        from haarweight.maximal import _chain_averages, _mw_ancestor_averages
+        from haarweight.operators import _mv
+        rng = np.random.default_rng(9)
+        L, N = 6, 64
+        g = Grid(1, L)
+        W = MatrixWeight.random_spd(21, cond=25.0)
+        f = StepFunction(g, rng.standard_normal((N, 2)))
+        ratios, _ = mw_proof_certificate(W, f)
+        avgs = _mw_ancestor_averages(W, f)
+        k_star, mw_val = avgs.argmax(axis=0), avgs.max(axis=0)
+        outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(g, -1.0)]
+        prime = np.stack(_chain_averages(outer, _mv(W.leaf_reps(g, -0.5), f.values), g))
+        j = np.floor(np.log2(prime[k_star, np.arange(N)])).astype(int)
+        r_cubes = [(int(k), x >> (L - int(k))) for x, k in enumerate(k_star)]
+        want = np.zeros(N)
+        for x in range(N):
+            lev, off = r_cubes[x]
+            same = [c for y, c in enumerate(r_cubes) if j[y] == j[x]]
+            S = min((lv, o) for lv, o in same if lv <= lev and (off >> (lev - lv)) == o)
+            nq, _ = local_nq(W, g.cube(S[0], (S[1],)), g)
+            want[x] = mw_val[x] / (2.0 ** (j[x] + 1) * nq[x - (S[1] << (L - S[0]))])
+        assert len({S for S in r_cubes}) > 1
+        assert np.array_equal(ratios, want)
+
+
 class TestNQ:
     def test_identity(self):
         g = Grid(1, 5)

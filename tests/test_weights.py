@@ -13,7 +13,7 @@ from haarweight.dyadic import Cube, Grid
 from haarweight.errors import IntegrabilityError, ShapeError
 from haarweight.weights import (
     MatrixWeight, ap_characteristic, cell_average, dual_weight, gauge_pyramid,
-    lp_norm, power_of, reducing_pyramid, sphere_net,
+    lowner_batched, lp_norm, power_of, reducing_pyramid, sphere_net,
     truncate_weight,
 )
 
@@ -171,6 +171,102 @@ class TestReducingOperators:
                     slack = 1.0 + 1e-9
                     assert np.all(a <= C_dim * b * slack), f"SmallBig p={p} k={k}"
                     assert np.all(b <= C_dim * ap * a * slack), f"BigSmall p={p} k={k}"
+
+
+def lowner_radii(seed, n_round, n_spiky, m=64):
+    """Net radii of point sets that are hard for the Lowner iteration (jittered
+    ellipses: every point is nearly on the boundary) and easy ones (two
+    orthogonal points on the unit circle, every other point well inside it)."""
+    rng = np.random.default_rng(seed)
+    dirs = sphere_net(2, m)
+    A = rng.standard_normal((n_round, 2, 2))
+    A = A @ np.swapaxes(A, 1, 2) + 0.5 * np.eye(2)
+    round_ = 1.0 / np.linalg.norm(np.einsum("kij,mj->kmi", A, dirs), axis=-1)
+    round_ *= 1.0 + 0.01 * rng.random((n_round, m))
+    spiky = rng.uniform(0.3, 0.9, (n_spiky, m))
+    spiky[:, [0, m // 2]] = 1.0
+    return round_, spiky, dirs
+
+
+def lowner_reference(radii, dirs, max_iter, tol):
+    """The multiplicative update in its batched-matmul form on the (K, m, n)
+    points, each row stopped when its own gap max_m g / n - 1 is <= tol."""
+    K, m = radii.shape
+    n = dirs.shape[1]
+    scale = radii.max(axis=1, keepdims=True)
+    q = (radii / scale)[..., None] * dirs[None, :, :]
+    u = np.full((K, m), 1.0 / m)
+    live = np.ones(K, dtype=bool)
+    for it in range(max_iter + 1):
+        Sinv = np.linalg.inv(q.transpose(0, 2, 1) @ (u[..., None] * q))
+        g = ((q @ Sinv) * q).sum(axis=-1)
+        if it == max_iter:
+            break
+        live &= g.max(axis=1) > n * (1.0 + tol)
+        step = u * (g / n)
+        step /= step.sum(axis=1, keepdims=True)
+        u = np.where(live[:, None], step, u)
+    gmax = g.max(axis=1)
+    U = linalg.sqrtm_spd(Sinv / gmax[:, None, None]) / scale[..., None]
+    return U, u, gmax / n - 1.0
+
+
+class TestLowner:
+    def test_batch_invariance(self):
+        # a row that converges is frozen: harder rows in its batch do not move it
+        hard, easy, dirs = lowner_radii(5, 3, 1)
+        U1, u1, gap1 = lowner_batched(easy, dirs)
+        assert gap1[0] <= 1e-8
+        Ub, ub, gapb = lowner_batched(np.vstack([hard[:2], easy, hard[2:]]), dirs)
+        assert np.all(np.delete(gapb, 2) > 1e-8)
+        # to round-off, not bit for bit: BLAS picks a different kernel for a
+        # one-row product than for a many-row one
+        assert np.abs(Ub[2] - U1[0]).max() <= 1e-13 * np.abs(U1[0]).max()
+        np.testing.assert_allclose(ub[2], u1[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gapb[2], gap1[0], rtol=1e-6)
+
+    def test_agrees_with_batched_matmul_update(self):
+        hard, easy, dirs = lowner_radii(11, 3, 5)
+        radii = np.vstack([hard, easy])
+        U, u, gap = lowner_batched(radii, dirs)
+        U_ref, u_ref, gap_ref = lowner_reference(radii, dirs, 400, 1e-8)
+        scale = np.abs(U_ref).max(axis=(1, 2), keepdims=True)
+        assert np.abs(U - U_ref).max() <= 1e-12 * scale.min()
+        np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gap, gap_ref, rtol=1e-6, atol=1e-15)
+
+    def test_certificate_touches_one(self):
+        hard, easy, dirs = lowner_radii(13, 4, 4)
+        radii = np.vstack([hard, easy])
+        U, _, _ = lowner_batched(radii, dirs, max_iter=50)
+        q = radii[..., None] * dirs[None]
+        worst = np.linalg.norm(np.einsum("kij,kmj->kmi", U, q), axis=-1).max(axis=1)
+        np.testing.assert_allclose(worst, 1.0, rtol=0, atol=1e-12)
+
+    def test_gap_reported(self):
+        hard, easy, dirs = lowner_radii(5, 1, 1)
+        radii = np.vstack([hard, easy])
+        tol = 1e-8
+        _, u, gap = lowner_batched(radii, dirs, tol=tol)
+        assert gap[1] <= tol < gap[0]
+        _, u_cut, gap_cut = lowner_batched(radii, dirs, max_iter=10, tol=tol)
+        assert np.all(gap_cut > tol)
+        # the reported gap is the gap of the returned design
+        for design, reported in ((u, gap), (u_cut, gap_cut)):
+            w = (radii / radii.max(axis=1, keepdims=True)) ** 2
+            S = np.einsum("km,mi,mj->kij", design * w, dirs, dirs)
+            g = w * np.einsum("mi,kij,mj->km", dirs, np.linalg.inv(S), dirs)
+            np.testing.assert_allclose(g.max(axis=1) / 2 - 1.0, reported, rtol=1e-6, atol=1e-13)
+
+    def test_pyramid_reports_gaps(self):
+        g = Grid(1, 5)
+        W = MatrixWeight.rotated_power([0.4, -0.3], 0.7)
+        red = reducing_pyramid(W, g, 3.0)
+        for key in ("gap", "gap_prime"):
+            assert [a.shape for a in red[key]] == [a.shape for a in red["eta"]]
+            assert all(np.all(a >= 0.0) for a in red[key])
+        red2 = reducing_pyramid(W, g, 2.0)
+        assert all(np.all(a == 0.0) for a in red2["gap"] + red2["gap_prime"])
 
 
 class TestRedOpAverageLemma:
