@@ -34,7 +34,6 @@ from .maximal import (
     local_nq,
     maximal_mw,
     maximal_mw_prime,
-    sparse_apply,
     sparse_generate,
     weak_type_check,
 )
@@ -44,12 +43,6 @@ from .operators import (
     NormReport,
     Operator,
     ShiftMap,
-    apply_adjoint_paraproduct,
-    apply_big_pi,
-    apply_commutator,
-    apply_haar_multiplier,
-    apply_haar_shift,
-    apply_paraproduct,
     dense_matrix,
     square_function,
     weighted_operator_norm,
@@ -69,14 +62,11 @@ __all__ = [
     "ApReport", "CarlesonReport", "Cube", "Grid", "HaarExpansion",
     "MatrixSequence", "MatrixSymbol", "MatrixWeight", "NormReport", "Operator",
     "ShiftMap", "SparseFamily", "StepFunction", "StoppingTree",
-    "ap_characteristic", "apply_adjoint_paraproduct", "apply_big_pi",
-    "apply_commutator", "apply_haar_multiplier", "apply_haar_shift",
-    "apply_paraproduct", "bmo_norm", "carleson_b_sup", "carleson_c_constant",
+    "ap_characteristic", "bmo_norm", "carleson_b_sup", "carleson_c_constant",
     "cell_average", "dense_matrix", "dual_weight", "find_covering_cube",
     "haar_transform", "inverse_haar", "local_nq", "lp_norm", "maximal_mw",
     "maximal_mw_prime", "mean_oscillation", "ntv_scalar_equivalence",
-    "reducing_pyramid", "sequence_maximal",
-    "signature_product", "signatures", "sparse_apply", "sparse_generate",
-    "square_function", "stopping_time_tree", "truncate_weight",
-    "weak_type_check", "weighted_operator_norm",
+    "reducing_pyramid", "sequence_maximal", "signature_product", "signatures",
+    "sparse_generate", "square_function", "stopping_time_tree",
+    "truncate_weight", "weak_type_check", "weighted_operator_norm",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .dyadic import (
-    Cube, Grid, coarsen_levels, refine, refine_to_leaves, subtree_sums, sup_over_cubes,
+    Cube, Grid, chain_sum, coarsen_levels, refine, refine_to_leaves, subtree_sums, sup_over_cubes,
 )
 from .errors import ThresholdError
 from .operators import MatrixSequence, MatrixSymbol, _mv
@@ -216,16 +216,19 @@ class StoppingTree:
                 }) + "\n")
 
 
-def stopping_constants(n, d, p, slack=0.05):
+STOPPING_SLACK = 0.05   # absorbs the ellipsoid certification tolerance
+
+
+def stopping_constants(n, p):
     """Runtime thresholds lambda1 = 4 C1, lambda2 = 4 C2' ||W||^{p'/p} with the
     dimensional constants traced through the decay proof:
       C1  = n^{p/2} * n^{max(p/2, 1)}   (gauge sandwich + norm-vs-column bounds)
       C2' = n^{p'/2} * n^{max(p'/2, 1)}
-    inflated by ``slack`` to absorb the ellipsoid certification tolerance."""
+    inflated by STOPPING_SLACK."""
     pp = p / (p - 1.0)
     C1 = n ** (p / 2.0) * n ** max(p / 2.0, 1.0)
     C2 = n ** (pp / 2.0) * n ** max(pp / 2.0, 1.0)
-    return 4.0 * C1 * (1.0 + slack), 4.0 * C2 * (1.0 + slack)
+    return 4.0 * C1 * (1.0 + STOPPING_SLACK), 4.0 * C2 * (1.0 + STOPPING_SLACK)
 
 
 def stopping_time_tree(W: MatrixWeight, p, root: Cube = None, lambda1=None,
@@ -243,7 +246,7 @@ def stopping_time_tree(W: MatrixWeight, p, root: Cube = None, lambda1=None,
     if lambda1 is None or lambda2 is None:
         if ap_value is None:
             ap_value = ap_from_reducing(reducing, p)
-        l1, l2 = stopping_constants(W.n, grid.d, p)
+        l1, l2 = stopping_constants(W.n, p)
         lambda1 = lambda1 if lambda1 is not None else l1
         lambda2 = lambda2 if lambda2 is not None else l2 * ap_value ** ((p / (p - 1.0)) / p)
     if lambda1 <= 1.0 or lambda2 <= 1.0:
@@ -319,11 +322,8 @@ def ntv_scalar_equivalence(a_levels, d, p):
     # for each J: the integrand restricted to J depends on J only through the
     # truncation of the chain sum above J; build it per level
     lp_form = 0.0
-    chain = None
-    for k in range(L + 1):
-        term = sq[k] * (2.0 ** (k * d))
-        chain = term if k == 0 else refine(chain, d) + term
-    # chain now holds, per leaf x, the sum over all I containing x of
+    chain = chain_sum([s * (2.0 ** (k * d)) for k, s in enumerate(sq)], d)
+    # chain holds, per leaf x, the sum over all I containing x of
     # a_I^2 chi_I / |I|; restricting to J drops the strict-ancestor part
     drop = np.zeros((1,) * d)
     for k in range(L + 1):

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import experiments
+from .experiments import _read_int, _read_number
 from .carleson import bmo_norm, carleson_b_sup, carleson_c_constant, stopping_time_tree
 from .dyadic import Grid
 from .errors import ConfigError, HaarweightError, SparsenessError
@@ -65,8 +66,8 @@ def build_symbol(spec, grid):
         vals = experiments.log_leaf_means(grid)[:, None, None] * np.eye(2)
         return MatrixSymbol.from_values(grid, vals)
     if kind == "random":
-        rng = np.random.default_rng(spec.get("seed", 0))
-        scale = spec.get("scale", 1.0)
+        rng = np.random.default_rng(_read_int(spec, "seed", 0))
+        scale = _read_number(spec, "scale", 1.0, np.isfinite, "a finite number")
         vals = np.cumsum(rng.standard_normal(grid.leaf_shape + (2, 2)), axis=0)
         return MatrixSymbol.from_values(grid, scale * vals / np.sqrt(grid.n_leaves))
     raise ConfigError(f"unknown symbol kind {kind!r}")
@@ -77,7 +78,7 @@ def build_sequence(spec, grid):
     if kind == "constant-swap":
         return MatrixSequence.constant(grid, experiments.SWAP)
     if kind == "random":
-        return MatrixSequence.random(grid, rng=spec.get("seed", 0))
+        return MatrixSequence.random(grid, rng=_read_int(spec, "seed", 0))
     if kind == "from-symbol":
         return MatrixSequence.from_symbol(build_symbol(spec.get("symbol", {}), grid))
     raise ConfigError(f"unknown sequence kind {kind!r}")
@@ -87,7 +88,7 @@ def build_sigma(spec, grid):
     if spec in (None, "left-child"):
         return ShiftMap.left_child(grid)
     if isinstance(spec, dict) and spec.get("kind") == "random":
-        return ShiftMap.random_child(grid, seed=spec.get("seed", 0))
+        return ShiftMap.random_child(grid, seed=_read_int(spec, "seed", 0))
     raise ConfigError(f"unknown shift spec {spec!r}")
 
 
@@ -103,8 +104,7 @@ def build_operator(spec, grid, weight, p):
         return shift_op(build_sigma(spec.get("sigma"), grid))
     if op_name == "commutator":
         return commutator_op(build_symbol(spec.get("symbol", {}), grid),
-                             build_sigma(spec.get("sigma"), grid),
-                             spec.get("mode", "direct"))
+                             build_sigma(spec.get("sigma"), grid))
     if op_name == "embedding":
         return big_pi_op(build_sequence(spec.get("sequence", {}), grid), weight, p)
     raise ConfigError(f"unknown operator spec {spec!r}")
@@ -147,7 +147,7 @@ def cmd_opnorm(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
     p = read_p(cfg)
     op = build_operator(cfg.get("operator", {}), grid, W, p)
-    rep = weighted_operator_norm(op, W, p, seed=int(cfg.get("seed", 0)))
+    rep = weighted_operator_norm(op, W, p, seed=_read_int(cfg, "seed", 0))
     payload = json.loads(rep.to_json())
     payload["operator"] = op.name
     _dump(out_dir, "opnorm.json", payload)
@@ -159,6 +159,8 @@ def cmd_bmo(cfg, out_dir):
     p = read_p(cfg)
     B = build_symbol(cfg.get("symbol", {}), grid)
     variant = cfg.get("variant", "primal")
+    if variant not in ("primal", "dyadic", "dual", "unweighted"):
+        raise ConfigError(f"unknown BMO variant {variant!r}")
     val, cube = bmo_norm(B, W, p, variant)
     payload = {"value": val, "variant": variant,
                "supremizing_cube": {"level": cube.level, "offset": list(cube.offset)}}
@@ -182,6 +184,9 @@ def cmd_carleson(cfg, out_dir):
 def cmd_stopping(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
     p = read_p(cfg)
+    for key in ("lambda1", "lambda2"):
+        if cfg.get(key) is not None:
+            _read_number(cfg, key, None, lambda v: v > 1.0, "a number > 1")
     tree = stopping_time_tree(W, p, grid=grid,
                               lambda1=cfg.get("lambda1"), lambda2=cfg.get("lambda2"))
     decay_ok = all(m <= 2.0 ** (-j) * (1 + 1e-12)
@@ -202,9 +207,9 @@ def cmd_maximal(cfg, out_dir):
 def cmd_sparse(cfg, out_dir):
     grid = build_grid(cfg)
     W = build_weight(cfg)
+    density = _read_number(cfg, "density", 0.5, lambda v: 0.0 < v <= 0.5, "in (0, 1/2]")
     try:
-        fam = sparse_generate(grid, seed=int(cfg.get("seed", 0)),
-                              density=float(cfg.get("density", 0.5)))
+        fam = sparse_generate(grid, seed=_read_int(cfg, "seed", 0), density=density)
     except SparsenessError as exc:
         return {"passed": False, "error": str(exc)}
     payload = {"passed": True, "cubes": json.loads(fam.to_json()),

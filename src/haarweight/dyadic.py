@@ -308,40 +308,6 @@ class StepFunction:
     def value_shape(self):
         return self.values.shape[self.grid.d:]
 
-    def _check_same_grid(self, other):
-        if self.grid != other.grid:
-            raise ShapeError("step functions live on different grids")
-
-    def __add__(self, other):
-        self._check_same_grid(other)
-        if self.kind != other.kind:
-            raise ShapeError("cannot add values of different kinds")
-        return StepFunction(self.grid, self.values + other.values, self.kind)
-
-    def __sub__(self, other):
-        self._check_same_grid(other)
-        if self.kind != other.kind:
-            raise ShapeError("cannot subtract values of different kinds")
-        return StepFunction(self.grid, self.values - other.values, self.kind)
-
-    def __mul__(self, scalar):
-        return StepFunction(self.grid, self.values * float(scalar), self.kind)
-
-    __rmul__ = __mul__
-
-    def matvec(self, vec):
-        """Pointwise matrix-vector product of a matrix step function with a vector one."""
-        if self.kind != "matrix" or vec.kind != "vector":
-            raise ShapeError("matvec needs a matrix step function and a vector one")
-        self._check_same_grid(vec)
-        out = np.einsum("...ij,...j->...i", self.values, vec.values)
-        return StepFunction(self.grid, out, "vector")
-
-    def integral(self):
-        """Exact integral over [0,1)^d (leaf values times leaf measure)."""
-        axes = tuple(range(self.grid.d))
-        return self.values.sum(axis=axes) * self.grid.leaf_measure
-
     def norm_l2(self):
         """Unweighted L^2 norm; for matrix values the Hilbert-Schmidt norm is used."""
         return float(np.sqrt((self.values ** 2).sum() * self.grid.leaf_measure))
@@ -515,6 +481,15 @@ def sequence_maximal(per_level, d) -> np.ndarray:
     cur = np.asarray(per_level[0], dtype=float)
     for k in range(1, len(per_level)):
         cur = np.maximum(refine(cur, d), per_level[k])
+    return cur
+
+
+def chain_sum(per_level, d) -> np.ndarray:
+    """Sum analogue of ``sequence_maximal`` over levels 0..K, accumulated
+    coarse to fine (cur = refine(cur) + per_level[k]); lands on level K."""
+    cur = np.asarray(per_level[0], dtype=float)
+    for k in range(1, len(per_level)):
+        cur = refine(cur, d) + per_level[k]
     return cur
 
 

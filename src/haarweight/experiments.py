@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from . import linalg
 from .carleson import carleson_b_sup, carleson_c_constant
 from .dyadic import Grid, StepFunction
 from .errors import ConfigError
@@ -52,14 +53,27 @@ def log_swap_symbol(grid: Grid) -> MatrixSymbol:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-def _require(cfg, key, types, default=None):
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing config field {key!r}")
-    val = cfg[key]
-    if not isinstance(val, types):
-        raise ConfigError(f"config field {key!r} has type {type(val).__name__}")
+def _read_number(cfg, key, default, ok, want):
+    """Config number (``default`` when absent, required when that is None)
+    for which ok(value) holds; ``want`` says which values do."""
+    val = cfg.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not ok(val):
+        raise ConfigError(f"config field {key!r} must be {want}, got {val!r}")
+    return val
+
+
+def _read_int(cfg, key, default, lo=0):
+    return int(_read_number(cfg, key, default, lambda v: float(v).is_integer() and v >= lo,
+                            f"an integer >= {lo}"))
+
+
+def _read_range(cfg, key, default, lo):
+    """Config pair [first, last] of integers with lo <= first <= last."""
+    val = cfg.get(key, default)
+    if not (isinstance(val, list) and len(val) == 2 and all(type(v) is int for v in val)
+            and lo <= val[0] <= val[1]):
+        raise ConfigError(f"config field {key!r} must be [first, last], integers with "
+                          f"{lo} <= first <= last, got {val!r}")
     return val
 
 
@@ -96,9 +110,7 @@ def fit_log2_slope(ns, values):
 # ---------------------------------------------------------------------------
 
 def run_counterexample(kind, cfg, out_dir=None):
-    alpha = float(_require(cfg, "alpha", (int, float)))
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0,1)")
+    alpha = float(_read_number(cfg, "alpha", None, lambda a: 0.0 < a < 1.0, "in (0, 1)"))
     if kind == "haar-multiplier":
         report = _counterexample_haar_multiplier(alpha, cfg, out_dir)
     elif kind == "paraproduct":
@@ -111,7 +123,7 @@ def run_counterexample(kind, cfg, out_dir=None):
 
 
 def _counterexample_haar_multiplier(alpha, cfg, out_dir):
-    n_max = int(_require(cfg, "depth", (int,), 20))
+    n_max = _read_int(cfg, "depth", 20, lo=1)
     rows = []
     values = []
     for N in range(n_max + 1):
@@ -152,8 +164,11 @@ def _counterexample_haar_multiplier(alpha, cfg, out_dir):
 
 
 def _counterexample_paraproduct(alpha, cfg, out_dir):
-    n_lo, n_hi = cfg.get("n_range", [4, 14])
-    L = int(cfg.get("L", n_hi + 2))
+    n_lo, n_hi = _read_range(cfg, "n_range", [4, 14], lo=0)
+    if n_lo == n_hi:
+        raise ConfigError("config field 'n_range' needs two depths for a rate fit")
+    # J_N = [2^{-N-1}, 2^{-N}) must hold at least one leaf
+    L = _read_int(cfg, "L", n_hi + 2, lo=n_hi + 1)
     g = Grid(1, L)
     W = MatrixWeight.diagonal_power([alpha, -alpha])
     B = log_swap_symbol(g)
@@ -194,13 +209,13 @@ def _counterexample_paraproduct(alpha, cfg, out_dir):
 
 
 def _counterexample_commutator(alpha, cfg, out_dir):
-    l_lo, l_hi = cfg.get("l_range", [4, 12])
+    l_lo, l_hi = _read_range(cfg, "l_range", [4, 12], lo=1)
     W = MatrixWeight.diagonal_power([alpha, -alpha])
     rows, norms = [], []
     for L in range(l_lo, l_hi + 1):
         g = Grid(1, L)
         B = log_swap_symbol(g)
-        op = commutator_op(B, ShiftMap.left_child(g), "direct")
+        op = commutator_op(B, ShiftMap.left_child(g))
         rep = weighted_operator_norm(op, W, 2.0, seed=0)
         norms.append(rep.value)
         rows.append([L, float(rep.value), rep.kind])
@@ -240,7 +255,6 @@ SWEEP_STABILITY_FACTOR = 4.0
 
 def _multiplier_criterion(A, red):
     """sup over cubes and signatures of ||V_I A_I^eps V_I^{-1}||."""
-    from . import linalg
     crit = 0.0
     for k in range(len(A.levels)):
         Vinv = linalg.powm_spd(red["V"][k], -1.0)
@@ -251,7 +265,6 @@ def _multiplier_criterion(A, red):
 
 def _conjugated_sequence(g, red, core):
     """A_I^eps = V_I^{-1} core V_I: the unit-criterion multiplier family."""
-    from . import linalg
     levels = []
     nsig = (1 << g.d) - 1
     for k in range(g.L):
@@ -262,66 +275,77 @@ def _conjugated_sequence(g, red, core):
     return MatrixSequence(g, levels)
 
 
-def _sweep_instruments(g, W, red, ap, seed):
-    """Measured norms and their bound curves for one weight; returns
-    {name: (measured, bound)}.  The ensembles pair the counterexample
-    symbol/sequence (which drives growth) with criterion-normalized
-    variants (which exercise the curves near their sharp regime)."""
-    rng = np.random.default_rng(seed)
+def _sweep_instruments(g, W, red, ap, seed, names):
+    """Measured norms and bound curves of ``names`` for one weight, plus what
+    their bounds read; returns {name: (measured, bound)}.  The ensembles pair
+    the counterexample symbol/sequence (which drives growth) with
+    criterion-normalized variants (which exercise the curves near their sharp
+    regime)."""
+    need = set(names) | ({"paraproduct", "shift"} if "commutator" in names else set())
     out = {}
     B = log_swap_symbol(g)
-    bstar = carleson_b_sup(MatrixSequence.from_symbol(B), W, 2.0, reducing=red).value
-    pi_w = weighted_operator_norm(paraproduct_op(B), W, 2.0).value
-    out["paraproduct"] = (pi_w, ap ** 1.5 * _logp(ap) ** 0.5 * np.sqrt(bstar))
-    # shift
-    q_norm = weighted_operator_norm(shift_op(ShiftMap.left_child(g)), W, 2.0).value
-    out["shift"] = (q_norm, ap ** 1.5 * _logp(ap))
-    # Haar multiplier: the constant swap sequence (counterexample family)
-    # and its criterion-normalized conjugate V^{-1} swap V
-    best = (0.0, 1.0)
-    for A in (MatrixSequence.constant(g, SWAP), _conjugated_sequence(g, red, SWAP)):
-        crit = _multiplier_criterion(A, red)
-        ta = weighted_operator_norm(haar_multiplier_op(A), W, 2.0).value
-        bound = ap ** 1.5 * _logp(ap) * crit
-        if ta / bound > best[0] / best[1]:
-            best = (ta, bound)
-    out["haar-multiplier"] = best
-    # commutator, termwise accounting (reuses pi_w and q_norm)
-    comm = weighted_operator_norm(commutator_op(B, ShiftMap.left_child(g), "direct"), W, 2.0).value
-    pi_dual = weighted_operator_norm(paraproduct_op(B.transpose()), power_of(W, -1.0), 2.0).value
-    comm_bound = q_norm * max(pi_w, pi_dual) + ap ** 1.5 * _logp(ap) * np.sqrt(bstar)
-    out["commutator"] = (comm, comm_bound)
-    # maximal functions: adapted + random probes
-    mw_best, mwp_best = 0.0, 0.0
-    probes = []
-    e2 = np.array([0.0, 1.0])
-    reps = W.leaf_reps(g, 0.5)
-    for j in (0, 2, 4, 6, 8):
-        mask = np.zeros(g.leaf_shape)
-        mask[: max(1, g.n_leaves >> j)] = 1.0
-        probes.append(mask[:, None] * (reps @ e2))
-        probes.append(mask[:, None] * e2)
-    probes.append(rng.standard_normal(g.leaf_shape + (2,)))
-    for vals in probes:
-        f = StepFunction(g, vals)
-        nf = f.norm_l2()
-        if nf <= 0:
-            continue
-        mw_best = max(mw_best, float(np.sqrt((maximal_mw(W, f) ** 2).mean())) / nf)
-        mwp_best = max(mwp_best, float(np.sqrt((maximal_mw_prime(W, f) ** 2).mean())) / nf)
-    out["maximal-mw"] = (mw_best, ap)
-    out["maximal-mw-prime-sq"] = (mwp_best ** 2, ap)
-    # sparse
-    fam = sparse_generate(g, seed=seed, density=0.5)
-    s_norm = weighted_operator_norm(sparse_op(fam), W, 2.0).value
-    out["sparse"] = (s_norm, ap ** 1.5)
+    if "paraproduct" in need:
+        bstar = carleson_b_sup(MatrixSequence.from_symbol(B), W, 2.0, reducing=red).value
+        pi_w = weighted_operator_norm(paraproduct_op(B), W, 2.0).value
+        out["paraproduct"] = (pi_w, ap ** 1.5 * _logp(ap) ** 0.5 * np.sqrt(bstar))
+    if "shift" in need:
+        q_norm = weighted_operator_norm(shift_op(ShiftMap.left_child(g)), W, 2.0).value
+        out["shift"] = (q_norm, ap ** 1.5 * _logp(ap))
+    if "haar-multiplier" in need:
+        # the constant swap sequence (counterexample family) and its
+        # criterion-normalized conjugate V^{-1} swap V
+        best = (0.0, 1.0)
+        for A in (MatrixSequence.constant(g, SWAP), _conjugated_sequence(g, red, SWAP)):
+            crit = _multiplier_criterion(A, red)
+            ta = weighted_operator_norm(haar_multiplier_op(A), W, 2.0).value
+            bound = ap ** 1.5 * _logp(ap) * crit
+            if ta / bound > best[0] / best[1]:
+                best = (ta, bound)
+        out["haar-multiplier"] = best
+    if "commutator" in need:
+        # termwise accounting (reuses pi_w and q_norm)
+        comm = weighted_operator_norm(commutator_op(B, ShiftMap.left_child(g)), W, 2.0).value
+        pi_dual = weighted_operator_norm(paraproduct_op(B.transpose()), power_of(W, -1.0),
+                                         2.0).value
+        comm_bound = q_norm * max(pi_w, pi_dual) + ap ** 1.5 * _logp(ap) * np.sqrt(bstar)
+        out["commutator"] = (comm, comm_bound)
+    if need & {"maximal-mw", "maximal-mw-prime-sq"}:
+        # adapted + random probes
+        rng = np.random.default_rng(seed)
+        mw_best, mwp_best = 0.0, 0.0
+        probes = []
+        e2 = np.array([0.0, 1.0])
+        reps = W.leaf_reps(g, 0.5)
+        for j in (0, 2, 4, 6, 8):
+            mask = np.zeros(g.leaf_shape)
+            mask[: max(1, g.n_leaves >> j)] = 1.0
+            probes.append(mask[:, None] * (reps @ e2))
+            probes.append(mask[:, None] * e2)
+        probes.append(rng.standard_normal(g.leaf_shape + (2,)))
+        for vals in probes:
+            f = StepFunction(g, vals)
+            nf = f.norm_l2()
+            if nf <= 0:
+                continue
+            mw_best = max(mw_best, float(np.sqrt((maximal_mw(W, f) ** 2).mean())) / nf)
+            mwp_best = max(mwp_best, float(np.sqrt((maximal_mw_prime(W, f) ** 2).mean())) / nf)
+        out["maximal-mw"] = (mw_best, ap)
+        out["maximal-mw-prime-sq"] = (mwp_best ** 2, ap)
+    if "sparse" in need:
+        fam = sparse_generate(g, seed=seed, density=0.5)
+        s_norm = weighted_operator_norm(sparse_op(fam), W, 2.0).value
+        out["sparse"] = (s_norm, ap ** 1.5)
     return out
 
 
 def run_sweep(kind, cfg, out_dir=None):
     alphas = cfg.get("alphas", [round(0.1 * i, 1) for i in range(1, 10)])
-    L = int(cfg.get("L", 10))
-    seed = int(cfg.get("seed", 0))
+    if not isinstance(alphas, list) or not alphas:
+        raise ConfigError(f"config field 'alphas' must be a non-empty list, got {alphas!r}")
+    for a in alphas:   # diag(x^a, x^-a) is cell-integrable for |a| < 1
+        _read_number({"alphas": a}, "alphas", None, lambda v: abs(v) < 1.0, "numbers in (-1, 1)")
+    L = _read_int(cfg, "L", 10, lo=1)
+    seed = _read_int(cfg, "seed", 0)
     g = Grid(1, L)
     kinds = {"para-quant": ["paraproduct"],
              "comm-quant": ["commutator", "shift"],
@@ -338,7 +362,7 @@ def run_sweep(kind, cfg, out_dir=None):
         W = MatrixWeight.diagonal_power([alpha, -alpha])
         red = reducing_pyramid(W, g, 2.0)
         ap = ap_from_reducing(red, 2.0)
-        table = _sweep_instruments(g, W, red, ap, seed)
+        table = _sweep_instruments(g, W, red, ap, seed, wanted)
         for name in wanted:
             measured, bound = table[name]
             rows.append([name, float(alpha), float(ap), float(measured),
@@ -389,9 +413,9 @@ EXPONENT_BAND = (0.0, 2.5)     # declared band for the (b)=>(a) A_2-power fit
 
 
 def run_equivalence(cfg, out_dir=None):
-    n_inst = int(cfg.get("instances", 200))
-    L = int(cfg.get("L", 5))
-    seed = int(cfg.get("seed", 0))
+    n_inst = _read_int(cfg, "instances", 200)
+    L = _read_int(cfg, "L", 5, lo=1)
+    seed = _read_int(cfg, "seed", 0)
     g = Grid(1, L)
     rng = np.random.default_rng(seed)
     n = 2

@@ -318,11 +318,6 @@ def sparse_op(G: SparseFamily, n=2) -> Operator:
     return Operator(grid, n, kernel, kernel, "sparse")
 
 
-def sparse_apply(G: SparseFamily, f):
-    """Apply the sparse averaging operator to a step function."""
-    return sparse_op(G, f.value_shape[0] if f.kind == "vector" else 1)(f)
-
-
 def sparse_proof_chain(W: MatrixWeight, G: SparseFamily, f, g, ap_value):
     """The displayed quadratic-form domination chain for S at p=2.
 

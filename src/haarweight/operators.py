@@ -21,8 +21,8 @@ import numpy as np
 
 from . import linalg
 from .dyadic import (
-    Grid, StepFunction, haar_analyze, haar_synthesize, mean_pyramid, refine,
-    signature_product, signatures,
+    Grid, StepFunction, chain_sum, haar_analyze, haar_synthesize, mean_pyramid,
+    refine, signature_product, signatures,
 )
 from .errors import ShapeError, ShiftMapError
 from .weights import MatrixWeight, reducing_pyramid
@@ -77,13 +77,13 @@ class MatrixSymbol:
 class MatrixSequence:
     """Coefficient sequence A_I^eps: per-level arrays (2^k,)*d + (S, n, n)."""
 
-    def __init__(self, grid: Grid, levels, n=None):
+    def __init__(self, grid: Grid, levels):
         self.grid = grid
         nsig = (1 << grid.d) - 1
         self.levels = [np.asarray(a, dtype=float) for a in levels]
         if len(self.levels) != grid.L:
             raise ShapeError(f"need {grid.L} coefficient levels")
-        self.n = n if n is not None else self.levels[0].shape[-1]
+        self.n = self.levels[0].shape[-1]
         for k, a in enumerate(self.levels):
             want = (1 << k,) * grid.d + (nsig, self.n, self.n)
             if a.shape != want:
@@ -92,7 +92,7 @@ class MatrixSequence:
     @classmethod
     def zeros(cls, grid, n=2):
         nsig = (1 << grid.d) - 1
-        return cls(grid, [np.zeros((1 << k,) * grid.d + (nsig, n, n)) for k in range(grid.L)], n)
+        return cls(grid, [np.zeros((1 << k,) * grid.d + (nsig, n, n)) for k in range(grid.L)])
 
     @classmethod
     def constant(cls, grid, mat):
@@ -100,32 +100,32 @@ class MatrixSequence:
         nsig = (1 << grid.d) - 1
         levels = [np.broadcast_to(mat, (1 << k,) * grid.d + (nsig,) + mat.shape).copy()
                   for k in range(grid.L)]
-        return cls(grid, levels, mat.shape[0])
+        return cls(grid, levels)
 
     @classmethod
     def from_symbol(cls, B: MatrixSymbol):
-        return cls(B.grid, [c.copy() for c in B.coeffs], B.n)
+        return cls(B.grid, [c.copy() for c in B.coeffs])
 
     @classmethod
-    def random(cls, grid, n=2, rng=None, scale=1.0, haar_normalized=True):
+    def random(cls, grid, n=2, rng=None, haar_normalized=True):
         """Random sequence; with haar_normalized the size of A_I^eps shrinks like
         |I|^{1/2}, mimicking Haar coefficients of a bounded-oscillation symbol."""
         rng = np.random.default_rng(rng)
         nsig = (1 << grid.d) - 1
         levels = []
         for k in range(grid.L):
-            size = scale * (2.0 ** (-k * grid.d / 2.0) if haar_normalized else 1.0)
+            size = 2.0 ** (-k * grid.d / 2.0) if haar_normalized else 1.0
             levels.append(rng.standard_normal((1 << k,) * grid.d + (nsig, n, n)) * size)
-        return cls(grid, levels, n)
+        return cls(grid, levels)
 
     def transpose(self):
-        return MatrixSequence(self.grid, [_transpose(a) for a in self.levels], self.n)
+        return MatrixSequence(self.grid, [_transpose(a) for a in self.levels])
 
     def with_entry(self, level, offset, sig_index, mat):
         """Copy with one coefficient overwritten (test utility)."""
         levels = [a.copy() for a in self.levels]
         levels[level][tuple(offset) + (sig_index,)] = np.asarray(mat, dtype=float)
-        return MatrixSequence(self.grid, levels, self.n)
+        return MatrixSequence(self.grid, levels)
 
 
 class ShiftMap:
@@ -179,161 +179,126 @@ class ShiftMap:
 
 
 # ---------------------------------------------------------------------------
-# Operator kernels (array level)
+# Operator kernels: maps on Haar coefficient levels
 # ---------------------------------------------------------------------------
-
-def _synthesize_coeffs(grid, coeffs, value_shape):
-    return haar_synthesize(np.zeros(value_shape), coeffs, grid.d, grid.L)
-
 
 def _sig_first(arr, d):
     """View with the signature axis moved to the front."""
     return np.moveaxis(arr, d, 0)
 
 
+def _on_coefficients(grid, level_map, vals):
+    """Analyze vals once, map its coefficient levels, synthesize once; the
+    coarse mean is dropped."""
+    d, L = grid.d, grid.L
+    _, fc, _ = haar_analyze(vals, d, L)
+    return haar_synthesize(np.zeros(vals.shape[d:]), level_map(fc), d, L)
+
+
+def _multiply_levels(mats, fc):
+    """Haar multiplier on coefficient levels: f_I^eps -> A_I^eps f_I^eps."""
+    return [_mv(a, c) for a, c in zip(mats, fc)]
+
+
+def _paraproduct_levels(coeffs, means, d):
+    """Coefficients C_I^eps m_I f of pi f from the cube means of f."""
+    return [_mv(c, np.expand_dims(m, d)) for c, m in zip(coeffs, means)]
+
+
+def _shift_levels(sigma: ShiftMap, fc, adjoint=False):
+    """Q_sigma on coefficient levels: f_I^eps moves to (sigma(I), sigma(eps))
+    (scatter), and what moves below the leaf level is dropped.  With
+    ``adjoint``, (Q^T g)_I^eps = g_{sigma(I)}^{sigma(eps)} (gather)."""
+    d = sigma.grid.d
+    flat = lambda a: a.reshape((-1,) + a.shape[d:])
+    out = [np.zeros_like(c) for c in fc]
+    for k in range(len(fc) - 1):
+        if adjoint:
+            src = _sig_first(flat(fc[k + 1])[sigma.flat_targets(k)].reshape(fc[k].shape), d)
+            dst = _sig_first(out[k], d)
+            for s, t in enumerate(sigma.sig_map):
+                dst[s] += src[t]
+            continue
+        relabeled = np.zeros_like(fc[k])
+        src, dst = _sig_first(fc[k], d), _sig_first(relabeled, d)
+        for s, t in enumerate(sigma.sig_map):
+            dst[t] += src[s]
+        flat_out = flat(out[k + 1])
+        np.add.at(flat_out, sigma.flat_targets(k), flat(relabeled))
+        out[k + 1] = flat_out.reshape(out[k + 1].shape)
+    return out
+
+
+def _mixer_levels(B: MatrixSymbol, fc):
+    """Signature mixer on coefficient levels:
+    sum_I sum_{eps != eps'} |I|^{-1/2} B_I^{eps'} f_I^eps h_I^{psi(eps',eps)}."""
+    d = B.grid.d
+    sigs = signatures(d)
+    pairs = [(sp, s, *signature_product(ep, e)) for sp, ep in enumerate(sigs)
+             for s, e in enumerate(sigs) if sp != s]
+    out = [np.zeros_like(c) for c in fc]
+    for k, (b, f, o) in enumerate(zip(B.coeffs, fc, out)):
+        scale = 2.0 ** (k * d / 2.0)   # |I|^{-1/2}
+        bs, fs, os = _sig_first(b, d), _sig_first(f, d), _sig_first(o, d)
+        for sp, s, psi, sign in pairs:
+            os[sigs.index(psi)] += sign * scale * _mv(bs[sp], fs[s])
+    return out
+
+
+def _adjoint_paraproduct_chain(coeffs, fc, d):
+    """sum_{I,eps} C_I^eps f_I^eps chi_I / |I| on the leaves, from f's levels fc."""
+    terms = [_mv(c, f).sum(axis=d) * (2.0 ** (k * d))
+             for k, (c, f) in enumerate(zip(coeffs, fc))]
+    return refine(chain_sum(terms, d), d)
+
+
 def _paraproduct_values(grid, coeffs, vals):
-    """pi f = sum_{I,eps} C_I^eps (m_I f) h_I^eps for coefficient levels C
-    (the Haar coefficients of B for pi_B)."""
-    d = grid.d
-    means = mean_pyramid(vals, d, grid.L)
-    out = []
-    for k in range(grid.L):
-        m = means[k][..., None, :, :] if vals.ndim == d + 2 else means[k][..., None, :]
-        out.append(_mv(coeffs[k], m))
-    return _synthesize_coeffs(grid, out, vals.shape[d:])
+    """pi f = sum_{I,eps} C_I^eps (m_I f) h_I^eps; it reads only cube means, so
+    it runs on the mean pyramid without a full analysis."""
+    d, L = grid.d, grid.L
+    levels = _paraproduct_levels(coeffs, mean_pyramid(vals, d, L), d)
+    return haar_synthesize(np.zeros(vals.shape[d:]), levels, d, L)
 
 
 def _adjoint_paraproduct_values(grid, coeffs, vals):
-    """sum_{I,eps} C_I^eps f_I^eps chi_I / |I| (adjoint of the paraproduct with
-    transposed coefficients; with real symbols this is (pi_{B^*})^*)."""
-    d, L = grid.d, grid.L
-    _, fc, _ = haar_analyze(vals, d, L)
-    acc = None
-    for k in range(L):
-        t = _mv(coeffs[k], fc[k]).sum(axis=d) * (2.0 ** (k * d))
-        acc = t if acc is None else refine(acc, d) + t
-    return refine(acc, d)
-
-
-def _haar_multiplier_values(A: MatrixSequence, vals):
-    """T_A f: coefficientwise f_I^eps -> A_I^eps f_I^eps; coarse mean dropped."""
-    grid = A.grid
+    """Adjoint of the paraproduct with transposed coefficients; with real
+    symbols this is (pi_{B^*})^*."""
     _, fc, _ = haar_analyze(vals, grid.d, grid.L)
-    out = [_mv(A.levels[k], fc[k]) for k in range(grid.L)]
-    return _synthesize_coeffs(grid, out, vals.shape[grid.d:])
+    return _adjoint_paraproduct_chain(coeffs, fc, grid.d)
 
 
-def _means_multiplier_values(B: MatrixSymbol, vals):
-    """Haar multiplier whose coefficient matrices are the cube means m_I(B)."""
-    grid = B.grid
-    d = grid.d
-    _, fc, _ = haar_analyze(vals, d, grid.L)
-    out = []
-    for k in range(grid.L):
-        m = B.means[k][..., None, :, :]
-        out.append(_mv(np.broadcast_to(m, fc[k].shape[:d + 1] + (B.n, B.n)), fc[k]))
-    return _synthesize_coeffs(grid, out, vals.shape[d:])
+def _shift_values(sigma: ShiftMap, vals, adjoint=False):
+    return _on_coefficients(sigma.grid, lambda fc: _shift_levels(sigma, fc, adjoint), vals)
 
 
-def _shift_values(sigma: ShiftMap, vals):
-    """Q_sigma f = sum f_I^eps h_{sigma(I)}^{sigma(eps)}; coefficients pushed
-    below the leaf level are dropped (finite-tree truncation)."""
-    grid = sigma.grid
-    d, L = grid.d, grid.L
-    _, fc, _ = haar_analyze(vals, d, L)
-    out = [np.zeros_like(c) for c in fc]
-    nsig = (1 << d) - 1
-    for k in range(L - 1):
-        relabeled = np.zeros_like(fc[k])
-        src = _sig_first(fc[k], d)
-        dst = _sig_first(relabeled, d)
-        for s in range(nsig):
-            dst[sigma.sig_map[s]] += src[s]
-        flat_src = relabeled.reshape((-1,) + relabeled.shape[d:])
-        flat_out = out[k + 1].reshape((-1,) + out[k + 1].shape[d:])
-        np.add.at(flat_out, sigma.flat_targets(k), flat_src)
-        out[k + 1] = flat_out.reshape(out[k + 1].shape)
-    return _synthesize_coeffs(grid, out, vals.shape[d:])
-
-
-def _shift_transpose_values(sigma: ShiftMap, vals):
-    """Adjoint of Q_sigma: (Q^T g)_I^eps = g_{sigma(I)}^{sigma(eps)} (gather)."""
-    grid = sigma.grid
-    d, L = grid.d, grid.L
-    _, gc, _ = haar_analyze(vals, d, L)
-    out = [np.zeros_like(c) for c in gc]
-    nsig = (1 << d) - 1
-    for k in range(L - 1):
-        flat_next = gc[k + 1].reshape((-1,) + gc[k + 1].shape[d:])
-        gathered = flat_next[sigma.flat_targets(k)].reshape(gc[k].shape)
-        src = _sig_first(gathered, d)
-        dst = _sig_first(out[k], d)
-        for s in range(nsig):
-            dst[s] += src[sigma.sig_map[s]]
-    return _synthesize_coeffs(grid, out, vals.shape[d:])
-
-
-def _signature_mixer_values(B: MatrixSymbol, vals, transpose=False):
-    """sum_I sum_{eps != eps'} |I|^{-1/2} B_I^{eps'} f_I^eps h_I^{psi(eps',eps)}."""
-    grid = B.grid
-    d, L = grid.d, grid.L
-    sigs = signatures(d)
-    _, fc, _ = haar_analyze(vals, d, L)
-    out = [np.zeros_like(c) for c in fc]
-    pairs = []
-    for sp, ep in enumerate(sigs):
-        for s, e in enumerate(sigs):
-            if sp == s:
-                continue
-            psi, sign = signature_product(ep, e)
-            pairs.append((sp, s, sigs.index(psi), sign))
-    for k in range(L):
-        scale = 2.0 ** (k * d / 2.0)   # |I|^{-1/2}
-        Bs = _sig_first(B.coeffs[k], d)
-        fs = _sig_first(fc[k], d)
-        os = _sig_first(out[k], d)
-        for sp, s, spsi, sign in pairs:
-            mat = Bs[sp].swapaxes(-1, -2) if transpose else Bs[sp]
-            if transpose:
-                # adjoint: dense transpose swaps the roles of eps and psi
-                os[s] += sign * scale * _mv(mat, fs[spsi])
-            else:
-                os[spsi] += sign * scale * _mv(mat, fs[s])
-    return _synthesize_coeffs(grid, out, vals.shape[d:])
+def _product_channels(B: MatrixSymbol, vals):
+    """(B g - m(B) m(g), m(g)) from one analysis of g: the paraproduct, cube-means
+    multiplier and signature mixer levels are summed and synthesized once, and
+    the adjoint-paraproduct chain of the same coefficients is added."""
+    d, L = B.grid.d, B.grid.L
+    mean, fc, means = haar_analyze(vals, d, L)
+    levels = [p + m + x for p, m, x in zip(
+        _paraproduct_levels(B.coeffs, means, d),
+        _multiply_levels([np.expand_dims(m, d) for m in B.means], fc),
+        _mixer_levels(B, fc))]
+    out = haar_synthesize(np.zeros(vals.shape[d:]), levels, d, L)
+    return out + _adjoint_paraproduct_chain(B.coeffs, fc, d), mean
 
 
 def product_decomposition_values(B: MatrixSymbol, vals):
     """Exact finite-tree pointwise-product identity
     B g = pi_B g + (means multiplier) g + (adjoint paraproduct) g
           + (signature mixer) g + m(B) m(g) chi."""
-    d = B.grid.d
-    means = mean_pyramid(vals, d, B.grid.L)
-    const = _mv(B.mean, means[0][(0,) * d])
-    flat = np.broadcast_to(const, vals.shape)
-    return (_paraproduct_values(B.grid, B.coeffs, vals) + _means_multiplier_values(B, vals)
-            + _adjoint_paraproduct_values(B.grid, B.coeffs, vals)
-            + _signature_mixer_values(B, vals)
-            + flat)
+    out, mean = _product_channels(B, vals)
+    return out + np.broadcast_to(_mv(B.mean, mean), vals.shape)
 
 
-def _commutator_values(B: MatrixSymbol, sigma: ShiftMap, vals, mode="direct"):
-    if mode == "direct":
-        qf = _shift_values(sigma, vals)
-        return _mv(B.step.values, qf) - _shift_values(sigma, _mv(B.step.values, vals))
-    if mode != "decomposed":
-        raise ValueError("mode must be 'direct' or 'decomposed'")
-    # case sum: triangular terms pi_B Q f and Q pi_B f, diagonal terms through
-    # the cube means, the adjoint-paraproduct channel, and the signature-mixing
-    # channel; this regroups the same-cube/shifted-cube case analysis exactly
-    # on the finite tree (constant channels die under Q).
+def commutator_case_sum(B: MatrixSymbol, sigma: ShiftMap, vals):
+    """[B, Q_sigma] f as the case sum D(Q f) - Q(D f) over the channels of
+    D = B - m(B) m(.).  It is exact on the finite tree: Q f has mean zero and
+    Q kills constants, so the constant channel drops from both terms."""
     qf = _shift_values(sigma, vals)
-    g, c = B.grid, B.coeffs
-    out = _paraproduct_values(g, c, qf) - _shift_values(sigma, _paraproduct_values(g, c, vals))
-    out += _means_multiplier_values(B, qf) - _shift_values(sigma, _means_multiplier_values(B, vals))
-    out += (_adjoint_paraproduct_values(g, c, qf)
-            - _shift_values(sigma, _adjoint_paraproduct_values(g, c, vals)))
-    out += _signature_mixer_values(B, qf) - _shift_values(sigma, _signature_mixer_values(B, vals))
-    return out
+    return _product_channels(B, qf)[0] - _shift_values(sigma, _product_channels(B, vals)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +323,6 @@ class Operator:
             raise ShapeError(f"expected vector values of dimension {self.n}")
         return StepFunction(self.grid, self.kernel(f.values), "vector")
 
-    def apply_batched(self, vals):
-        return self.kernel(vals)
-
 
 def paraproduct_op(B: MatrixSymbol):
     g, c, cT = B.grid, B.coeffs, [_transpose(a) for a in B.coeffs]
@@ -379,17 +341,17 @@ def adjoint_paraproduct_op(B: MatrixSymbol):
 
 
 def haar_multiplier_op(A: MatrixSequence):
-    At = A.transpose()
-    return Operator(A.grid, A.n,
-                    lambda v: _haar_multiplier_values(A, v),
-                    lambda v: _haar_multiplier_values(At, v),
+    g, a, aT = A.grid, A.levels, [_transpose(m) for m in A.levels]
+    return Operator(g, A.n,
+                    lambda v: _on_coefficients(g, lambda fc: _multiply_levels(a, fc), v),
+                    lambda v: _on_coefficients(g, lambda fc: _multiply_levels(aT, fc), v),
                     "haar-multiplier")
 
 
 def shift_op(sigma: ShiftMap, n=2):
     return Operator(sigma.grid, n,
                     lambda v: _shift_values(sigma, v),
-                    lambda v: _shift_transpose_values(sigma, v),
+                    lambda v: _shift_values(sigma, v, adjoint=True),
                     "haar-shift")
 
 
@@ -402,16 +364,19 @@ def multiplication_op(B: MatrixSymbol):
                     "multiplication")
 
 
-def commutator_op(B: MatrixSymbol, sigma: ShiftMap, mode="direct"):
-    kernel = lambda v: _commutator_values(B, sigma, v, mode)
+def commutator_op(B: MatrixSymbol, sigma: ShiftMap):
+    """[B, Q_sigma] f = B Q f - Q(B f); ``commutator_case_sum`` is the same
+    operator split into the paper's cases."""
+    vals, valsT = B.step.values, _transpose(B.step.values)
 
-    valsT = _transpose(B.step.values)
+    def kernel(v):
+        return _mv(vals, _shift_values(sigma, v)) - _shift_values(sigma, _mv(vals, v))
 
     def kernel_T(v):
-        qt = _shift_transpose_values(sigma, _mv(valsT, v))
-        return qt - _mv(valsT, _shift_transpose_values(sigma, v))
+        qt = _shift_values(sigma, _mv(valsT, v), adjoint=True)
+        return qt - _mv(valsT, _shift_values(sigma, v, adjoint=True))
 
-    return Operator(B.grid, B.n, kernel, kernel_T, f"commutator-{mode}")
+    return Operator(B.grid, B.n, kernel, kernel_T, "commutator")
 
 
 def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
@@ -431,30 +396,6 @@ def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
                     "embedding")
 
 
-def apply_paraproduct(B: MatrixSymbol, f: StepFunction) -> StepFunction:
-    return paraproduct_op(B)(f)
-
-
-def apply_adjoint_paraproduct(B: MatrixSymbol, f: StepFunction) -> StepFunction:
-    return adjoint_paraproduct_op(B)(f)
-
-
-def apply_haar_multiplier(A: MatrixSequence, f: StepFunction) -> StepFunction:
-    return haar_multiplier_op(A)(f)
-
-
-def apply_haar_shift(sigma: ShiftMap, f: StepFunction) -> StepFunction:
-    return shift_op(sigma, f.value_shape[0])(f)
-
-
-def apply_commutator(B: MatrixSymbol, sigma: ShiftMap, f: StepFunction, mode="direct") -> StepFunction:
-    return commutator_op(B, sigma, mode)(f)
-
-
-def apply_big_pi(A: MatrixSequence, W: MatrixWeight, p, f: StepFunction, reducing=None) -> StepFunction:
-    return big_pi_op(A, W, p, reducing)(f)
-
-
 def square_function(W: MatrixWeight, f: StepFunction):
     """Weighted dyadic square function at p=2.
 
@@ -466,16 +407,14 @@ def square_function(W: MatrixWeight, f: StepFunction):
     d, L = grid.d, grid.L
     _, fc, _ = haar_analyze(f.values, d, L)
     Vhalf = [linalg.sqrtm_spd(a) for a in W.average_pyramid(grid, 1.0)]
-    acc = None
+    terms = []
     aggregate = 0.0
     for k in range(L):
         term = _mv(Vhalf[k][..., None, :, :], fc[k])
         q = (term ** 2).sum(axis=(d, d + 1))
         aggregate += float(q.sum())
-        q_over_measure = q * (2.0 ** (k * d))
-        acc = q_over_measure if acc is None else refine(acc, d) + q_over_measure
-    acc = refine(acc, d)
-    return np.sqrt(acc), aggregate
+        terms.append(q * (2.0 ** (k * d)))
+    return np.sqrt(refine(chain_sum(terms, d), d)), aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +449,7 @@ def dense_matrix(op: Operator):
     if dim > DENSE_DIM_CAP:
         raise ShapeError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
     basis = np.eye(dim).reshape(grid.leaf_shape + (n, dim))
-    out = op.apply_batched(basis)
+    out = op.kernel(basis)
     return out.reshape(dim, dim)
 
 

@@ -19,8 +19,8 @@ from haarweight.dyadic import (
 from haarweight.errors import IntegrabilityError
 from haarweight.maximal import sparse_generate, sparse_proof_chain, weak_type_check
 from haarweight.operators import (
-    MatrixSequence, MatrixSymbol, ShiftMap, apply_commutator, big_pi_op,
-    weighted_operator_norm,
+    MatrixSequence, MatrixSymbol, ShiftMap, big_pi_op, commutator_case_sum,
+    commutator_op, weighted_operator_norm,
 )
 from haarweight.weights import (
     MatrixWeight, ap_from_reducing, reducing_pyramid, sphere_net,
@@ -80,8 +80,8 @@ def test_criterion_1_exactness_core():
         worst_roundtrip = max(worst_roundtrip, float(np.abs(back.values - f.values).max()))
         B = MatrixSymbol.from_values(g, rng.standard_normal(g.leaf_shape + (2, 2)))
         sigma = ShiftMap.random_child(g, seed=trial)
-        a = apply_commutator(B, sigma, f, "direct").values
-        b = apply_commutator(B, sigma, f, "decomposed").values
+        a = commutator_op(B, sigma)(f).values
+        b = commutator_case_sum(B, sigma, f.values)
         worst_comm = max(worst_comm, float(np.abs(a - b).max() / max(1.0, np.abs(a).max())))
     ok = (worst_parseval <= PARSEVAL_TOL and worst_roundtrip <= PARSEVAL_TOL
           and worst_gram <= PARSEVAL_TOL and worst_comm <= EXACT_CORE_TOL)

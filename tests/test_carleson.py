@@ -105,7 +105,7 @@ class TestConditionC:
             b = carleson_b_sup(A, W, p, reducing=red).value
             c = carleson_c_constant(A, W, p, reducing=red).value
             assert c <= n * b * (1 + 1e-9)
-            l1, l2_base = stopping_constants(n, d, p)
+            l1, l2_base = stopping_constants(n, p)
             l2 = l2_base * ap ** ((p / (p - 1.0)) / p)
             traced = 2.0 * n * l1 ** (1.0 / p) * l2 ** (1.0 - 1.0 / p)
             assert b <= traced * c * (1 + 1e-9)

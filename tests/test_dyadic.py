@@ -14,7 +14,7 @@ import pytest
 
 from haarweight import dyadic as dy
 from haarweight.dyadic import (
-    Cube, Grid, HaarExpansion, StepFunction, carleson_intensity,
+    Cube, Grid, HaarExpansion, StepFunction, carleson_intensity, chain_sum,
     find_covering_cube, haar_transform, inverse_haar, levels_from_cube_map,
     sequence_maximal, signature_product, signatures,
 )
@@ -283,6 +283,15 @@ class TestSequenceMaximal:
         for leaf in range(8):
             chain = [levels[k][leaf >> (3 - k)] for k in range(4)]
             assert out[leaf] == pytest.approx(max(chain))
+
+    def test_chain_sum_walk_oracle(self):
+        rng = np.random.default_rng(10)
+        levels = [rng.random((1 << k,) * 2) for k in range(4)]
+        out = chain_sum(levels, 2)
+        for i in range(8):
+            for j in range(8):
+                chain = [levels[k][i >> (3 - k), j >> (3 - k)] for k in range(4)]
+                assert out[i, j] == pytest.approx(sum(chain), rel=1e-14)
 
     def test_cube_map_adapter(self):
         g = Grid(1, 2)

@@ -101,6 +101,25 @@ class TestSweepSmall:
         rows = (tmp_path / "sweep_sparse.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 3
 
+    @pytest.mark.parametrize("kind, norms", [("maximal", 0), ("sparse", 1)])
+    def test_sweep_computes_only_named_quantities(self, monkeypatch, kind, norms):
+        calls = []
+        real = ex.weighted_operator_norm
+        monkeypatch.setattr(ex, "weighted_operator_norm",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        ex.run_sweep(kind, {"L": 5, "alphas": [0.5]})
+        assert len(calls) == norms
+
+    def test_comm_quant_rows_match_all(self, tmp_path):
+        cfg = {"L": 5, "alphas": [0.3, 0.6]}
+        ex.run_sweep("all", cfg, str(tmp_path))
+        ex.run_sweep("comm-quant", cfg, str(tmp_path))
+        rows_all = (tmp_path / "sweep_all.csv").read_text().splitlines()
+        rows_comm = (tmp_path / "sweep_comm-quant.csv").read_text().splitlines()
+        names = ("commutator,", "shift,")
+        assert len(rows_comm) == 1 + 4
+        assert sorted(rows_comm[1:]) == sorted(r for r in rows_all if r.startswith(names))
+
     def test_unknown_sweep_kind(self):
         with pytest.raises(ConfigError):
             ex.run_sweep("nope", {})
@@ -137,8 +156,23 @@ class TestCLI:
         ("opnorm", {"p": 1, "operator": {"op": "shift"}}),
         ("stopping", {"p": 0.9}),
         ("sparse", {"p": 1, "weight": {"kind": "identity"}}),
+        ("bmo", {"variant": "bogus"}),
+        ("sparse", {"density": 0.9}),
+        ("opnorm", {"operator": {"op": "shift", "sigma": {"kind": "random", "seed": "x"}}}),
+        ("opnorm", {"operator": {"op": "paraproduct",
+                                 "symbol": {"kind": "random", "scale": "x"}}}),
+        ("sweep", {"L": "x"}),
+        ("sweep", {"alphas": [1.0]}),
+        ("counterexample", {"kind": "commutator", "alpha": 0.5, "l_range": [4]}),
+        ("counterexample", {"kind": "paraproduct", "alpha": 0.5, "n_range": [4, 12], "L": 5}),
+        ("counterexample", {"kind": "paraproduct", "alpha": 0.5, "n_range": [8, 8]}),
+        ("equivalence", {"instances": "x"}),
+        ("stopping", {"lambda1": 0.5}),
     ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
-            "stopping-p<1", "sparse-p=1"])
+            "stopping-p<1", "sparse-p=1", "bmo-variant", "sparse-density",
+            "shift-seed", "symbol-scale", "sweep-L", "sweep-alpha=1", "l_range-length",
+            "paraproduct-L<n_range", "paraproduct-one-depth", "equivalence-instances",
+            "lambda1<1"])
     def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": {"d": 1, "L": 3}, **cfg}))

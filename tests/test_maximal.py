@@ -7,7 +7,7 @@ from haarweight.dyadic import Cube, Grid, StepFunction
 from haarweight.errors import SparsenessError
 from haarweight.maximal import (
     SparseFamily, half_power_maximal, local_nq, maximal_mw, maximal_mw_prime,
-    mw_proof_certificate, sparse_apply, sparse_generate, sparse_op,
+    mw_proof_certificate, sparse_generate, sparse_op,
     sparse_proof_chain, weak_type_check,
 )
 from haarweight.operators import weighted_operator_norm
@@ -205,7 +205,7 @@ class TestSparse:
         fam = SparseFamily(g, [g.root()])
         rng = np.random.default_rng(6)
         f = StepFunction(g, rng.standard_normal((16, 2)))
-        out = sparse_apply(fam, f)
+        out = sparse_op(fam)(f)
         np.testing.assert_allclose(out.values, f.values.mean(axis=0)[None, :].repeat(16, 0))
 
     def test_full_tree_rejected(self):
@@ -237,7 +237,7 @@ class TestSparse:
         g = Grid(1, 5)
         fam = sparse_generate(g, seed=3, density=0.5)
         f = StepFunction(g, rng.standard_normal((32, 2)))
-        out = sparse_apply(fam, f)
+        out = sparse_op(fam)(f)
         want = np.zeros_like(f.values)
         for lev, off in fam.cubes:
             sl = slice(off[0] << (5 - lev), (off[0] + 1) << (5 - lev))

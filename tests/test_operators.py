@@ -11,10 +11,8 @@ from haarweight.dyadic import Grid, StepFunction, haar_analyze, haar_transform
 from haarweight.errors import ShapeError, ShiftMapError
 from haarweight.operators import (
     MatrixSequence, MatrixSymbol, NormReport, Operator, ShiftMap,
-    adjoint_paraproduct_op, apply_adjoint_paraproduct, apply_big_pi,
-    apply_commutator, apply_haar_multiplier, apply_haar_shift,
-    apply_paraproduct, big_pi_op, commutator_op, dense_matrix,
-    haar_multiplier_op, multiplication_op, paraproduct_op,
+    adjoint_paraproduct_op, big_pi_op, commutator_case_sum, commutator_op,
+    dense_matrix, haar_multiplier_op, multiplication_op, paraproduct_op,
     product_decomposition_values, shift_op, square_function,
     weighted_operator_norm, whitened_op,
 )
@@ -36,7 +34,7 @@ class TestParaproduct:
         g = Grid(1, 4)
         B = MatrixSymbol.from_values(g, np.broadcast_to(np.diag([2.0, 3.0]), (16, 2, 2)).copy())
         f = random_vector(g, np.random.default_rng(0))
-        np.testing.assert_allclose(apply_paraproduct(B, f).values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(paraproduct_op(B)(f).values, 0.0, atol=1e-14)
 
     def test_single_term_oracle(self):
         # B = h^0_{[0,1)} Id, f = constant e: pi_B f = e h^0_{[0,1)}
@@ -45,7 +43,7 @@ class TestParaproduct:
         B = MatrixSymbol.from_values(g, h_root[:, None, None] * np.eye(2))
         e = np.array([1.0, 2.0])
         f = StepFunction.constant(g, e)
-        out = apply_paraproduct(B, f)
+        out = paraproduct_op(B)(f)
         np.testing.assert_allclose(out.values, h_root[:, None] * e, atol=1e-12)
 
     def test_adjoint_identity_dense(self):
@@ -64,8 +62,8 @@ class TestParaproduct:
         g = Grid(1, 4)
         B = random_symbol(g, rng)
         f, h = random_vector(g, rng), random_vector(g, rng)
-        lhs = (apply_paraproduct(B, f).values * h.values).sum() * g.leaf_measure
-        rhs = (f.values * apply_adjoint_paraproduct(B.transpose(), h).values).sum() * g.leaf_measure
+        lhs = (paraproduct_op(B)(f).values * h.values).sum() * g.leaf_measure
+        rhs = (f.values * adjoint_paraproduct_op(B.transpose())(h).values).sum() * g.leaf_measure
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -74,7 +72,7 @@ class TestAdjointParaproduct:
         g = Grid(1, 3)
         B = MatrixSymbol.from_values(g, np.broadcast_to(np.eye(2), (8, 2, 2)).copy())
         f = random_vector(g, np.random.default_rng(3))
-        np.testing.assert_allclose(apply_adjoint_paraproduct(B, f).values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(adjoint_paraproduct_op(B)(f).values, 0.0, atol=1e-14)
 
     def test_single_coefficient_evaluation(self):
         # For f = h^0_{[0,1)} e: output is B^0_{[0,1)} e on all of [0,1)
@@ -84,7 +82,7 @@ class TestAdjointParaproduct:
         e = np.array([1.0, -1.0])
         h_root = np.repeat([1.0, -1.0], 4)
         f = StepFunction(g, h_root[:, None] * e)
-        out = apply_adjoint_paraproduct(B, f)
+        out = adjoint_paraproduct_op(B)(f)
         want = B.coeffs[0][0, 0] @ e
         np.testing.assert_allclose(out.values, np.broadcast_to(want, (8, 2)), atol=1e-12)
 
@@ -94,7 +92,7 @@ class TestHaarMultiplier:
         g = Grid(2, 3)
         A = MatrixSequence.constant(g, np.eye(2))
         f = random_vector(g, np.random.default_rng(5))
-        out = apply_haar_multiplier(A, f)
+        out = haar_multiplier_op(A)(f)
         mean = f.values.mean(axis=(0, 1))
         np.testing.assert_allclose(out.values, f.values - mean, atol=1e-12)
 
@@ -119,7 +117,7 @@ class TestShift:
     def test_mean_only_input_gives_zero(self):
         g = Grid(1, 4)
         f = StepFunction.constant(g, np.array([1.0, 2.0]))
-        out = apply_haar_shift(ShiftMap.left_child(g), f)
+        out = shift_op(ShiftMap.left_child(g))(f)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-14)
 
     def test_single_coefficient_relabeling(self):
@@ -129,7 +127,7 @@ class TestShift:
         coeffs[0][0, 0] = [1.0, 0.0]
         from haarweight.dyadic import haar_synthesize
         f = StepFunction(g, haar_synthesize(mean, coeffs, 1, 3))
-        out = apply_haar_shift(sigma, f)
+        out = shift_op(sigma)(f)
         _, oc, _ = haar_analyze(out.values, 1, 3)
         np.testing.assert_allclose(oc[1][0, 0], [1.0, 0.0], atol=1e-12)
         oc[1][0, 0] = 0.0
@@ -140,7 +138,7 @@ class TestShift:
         g = Grid(1, 5)
         sigma = ShiftMap.random_child(g, seed=11)
         f = random_vector(g, rng)
-        out = apply_haar_shift(sigma, f)
+        out = shift_op(sigma)(f)
         # mean channel dies, deepest coefficients truncate: contraction
         assert out.norm_l2() <= f.norm_l2() * (1 + 1e-12)
         # headroom: input supported above the deepest coefficient level,
@@ -149,7 +147,7 @@ class TestShift:
         coeffs[4][:] = 0.0
         from haarweight.dyadic import haar_synthesize
         f2 = StepFunction(g, haar_synthesize(np.zeros(2), coeffs, 1, 5))
-        out2 = apply_haar_shift(sigma, f2)
+        out2 = shift_op(sigma)(f2)
         assert out2.norm_l2() == pytest.approx(f2.norm_l2(), rel=1e-12)
 
     def test_invalid_corner_shape(self):
@@ -168,9 +166,9 @@ class TestCommutator:
         g = Grid(1, 4)
         B = MatrixSymbol.from_values(g, np.broadcast_to(2.5 * np.eye(2), (16, 2, 2)).copy())
         f = random_vector(g, np.random.default_rng(9))
-        for mode in ("direct", "decomposed"):
-            out = apply_commutator(B, ShiftMap.left_child(g), f, mode)
-            np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
+        sigma = ShiftMap.left_child(g)
+        for out in (commutator_op(B, sigma)(f).values, commutator_case_sum(B, sigma, f.values)):
+            np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_product_decomposition_identity(self):
         rng = np.random.default_rng(10)
@@ -189,10 +187,10 @@ class TestCommutator:
         B = MatrixSymbol.from_values(g, b[..., None, None] * np.eye(2))
         sigma = ShiftMap.random_child(g, seed=13)
         f = random_vector(g, rng)
-        a = apply_commutator(B, sigma, f, "direct")
-        bvals = apply_commutator(B, sigma, f, "decomposed")
+        a = commutator_op(B, sigma)(f)
+        bvals = commutator_case_sum(B, sigma, f.values)
         assert np.abs(a.values).max() > 1e-3   # generically nonzero
-        np.testing.assert_allclose(a.values, bvals.values, atol=1e-10)
+        np.testing.assert_allclose(a.values, bvals, atol=1e-10)
 
     def test_modes_agree_random_instances(self):
         rng = np.random.default_rng(14)
@@ -204,11 +202,32 @@ class TestCommutator:
             B = random_symbol(g, rng)
             sigma = ShiftMap.random_child(g, seed=trial)
             f = random_vector(g, rng)
-            a = apply_commutator(B, sigma, f, "direct").values
-            b = apply_commutator(B, sigma, f, "decomposed").values
+            a = commutator_op(B, sigma)(f).values
+            b = commutator_case_sum(B, sigma, f.values)
             scale = max(1.0, np.abs(a).max())
             worst = max(worst, np.abs(a - b).max() / scale)
         assert worst <= 1e-10
+
+    def test_one_transform_at_each_end(self, monkeypatch):
+        # the case sum analyzes and synthesizes once for Q f, D(Q f), D f and
+        # Q(D f); the product decomposition once in all
+        import haarweight.operators as ops
+        rng = np.random.default_rng(25)
+        g = Grid(1, 4)
+        B = random_symbol(g, rng)
+        sigma = ShiftMap.random_child(g, seed=1)
+        vals = random_vector(g, rng).values
+        calls = {}
+        for name in ("haar_analyze", "haar_synthesize", "mean_pyramid"):
+            def counted(*args, _name=name, _fn=getattr(ops, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(ops, name, counted)
+        commutator_case_sum(B, sigma, vals)
+        assert calls == {"haar_analyze": 4, "haar_synthesize": 4}
+        calls.clear()
+        product_decomposition_values(B, vals)
+        assert calls == {"haar_analyze": 1, "haar_synthesize": 1}
 
 
 class TestBigPi:
@@ -216,7 +235,7 @@ class TestBigPi:
         g = Grid(1, 3)
         A = MatrixSequence.zeros(g)
         f = random_vector(g, np.random.default_rng(15))
-        out = apply_big_pi(A, MatrixWeight.identity(), 2.0, f)
+        out = big_pi_op(A, MatrixWeight.identity(), 2.0)(f)
         np.testing.assert_allclose(out.values, 0.0)
 
     def test_identity_weight_collapses_to_paraproduct(self):
@@ -225,8 +244,8 @@ class TestBigPi:
         B = random_symbol(g, rng)
         A = MatrixSequence.from_symbol(B)
         f = random_vector(g, rng)
-        a = apply_big_pi(A, MatrixWeight.identity(), 2.0, f)
-        b = apply_paraproduct(B, f)
+        a = big_pi_op(A, MatrixWeight.identity(), 2.0)(f)
+        b = paraproduct_op(B)(f)
         np.testing.assert_allclose(a.values, b.values, atol=1e-12)
 
     def test_p2_necessity_identity_exact(self):
@@ -317,7 +336,7 @@ class TestWeightedNorms:
         g = Grid(1, 5)
         W = MatrixWeight.diagonal_power([0.3, -0.3])
         B = random_symbol(g, rng)
-        conj = whitened_op(commutator_op(B, ShiftMap.left_child(g), "direct"), W)
+        conj = whitened_op(commutator_op(B, ShiftMap.left_child(g)), W)
         dense = linalg.spectral_norm(dense_matrix(conj))
         shape = g.leaf_shape + (2,)
         free, witness, diag = linalg.matfree_spectral_norm(
@@ -331,7 +350,7 @@ class TestWeightedNorms:
         # above the dense cap the dispatch runs Lanczos and labels it honestly
         g = Grid(1, 11)                          # dim 4096
         B = random_symbol(g, rng)
-        op = commutator_op(B, ShiftMap.left_child(g), "direct")
+        op = commutator_op(B, ShiftMap.left_child(g))
         rep = weighted_operator_norm(op, W, 2.0)
         assert rep.details["dim"] == 4096
         assert rep.kind == "lower-bound"
@@ -347,7 +366,7 @@ class TestWeightedNorms:
         from haarweight.experiments import log_swap_symbol
         g = Grid(1, 11)
         W = MatrixWeight.diagonal_power([0.1, -0.1])
-        op = commutator_op(log_swap_symbol(g), ShiftMap.left_child(g), "direct")
+        op = commutator_op(log_swap_symbol(g), ShiftMap.left_child(g))
         rep = weighted_operator_norm(op, W, 2.0)
         assert rep.kind == "lower-bound"
         assert rep.witness.shape == g.leaf_shape + (2,)
@@ -399,7 +418,7 @@ class TestAdjointKernels:
         A = MatrixSequence.random(g, rng=33)
         sigma = ShiftMap.random_child(g, seed=44, sig_map=[0])
         ops = [paraproduct_op(B), adjoint_paraproduct_op(B), haar_multiplier_op(A),
-               shift_op(sigma), multiplication_op(B), commutator_op(B, sigma, "direct"),
+               shift_op(sigma), multiplication_op(B), commutator_op(B, sigma),
                big_pi_op(A, MatrixWeight.random_spd(23, cond=9.0), 2.0)]
         for op in ops:
             M = dense_matrix(op)
@@ -429,4 +448,4 @@ class TestSymbolInvariants:
         B = MatrixSymbol.from_values(g1, np.broadcast_to(np.eye(2), (8, 2, 2)).copy())
         f = StepFunction(g2, np.zeros((16, 2)))
         with pytest.raises(ShapeError):
-            apply_paraproduct(B, f)
+            paraproduct_op(B)(f)
