@@ -18,7 +18,8 @@ import numpy as np
 
 from . import linalg
 from .dyadic import (
-    Cube, Grid, chain_sum, coarsen_levels, refine, refine_to_leaves, subtree_sums, sup_over_cubes,
+    Cube, Grid, carleson_intensity, chain_sum, coarsen_levels, refine, refine_to_leaves,
+    subtree_sums, sup_over_cubes,
 )
 from .errors import ThresholdError
 from .operators import MatrixSequence, MatrixSymbol, _mv
@@ -52,16 +53,12 @@ def carleson_b_sup(A: MatrixSequence, W: MatrixWeight, p, reducing=None) -> Carl
     grid = A.grid
     if reducing is None:
         reducing = reducing_pyramid(W, grid, p)
-    d = grid.d
-    per_cube = []
+    lam = []
     for k in range(grid.L):
         V = reducing["V"][k][..., None, :, :]
         Vinv = linalg.powm_spd(reducing["V"][k], -1.0)[..., None, :, :]
-        lam = linalg.opnorm(V @ A.levels[k] @ Vinv) ** 2
-        per_cube.append(lam.sum(axis=d))
-    per_cube.append(np.zeros((1 << grid.L,) * d))
-    sums = subtree_sums(per_cube, d)
-    normalized = [s * (2.0 ** (k * d)) for k, s in enumerate(sums)]
+        lam.append(linalg.opnorm(V @ A.levels[k] @ Vinv) ** 2)
+    _, normalized = carleson_intensity(lam, grid.d)
     value, cube = sup_over_cubes(normalized, grid)
     return CarlesonReport(value, cube, p, "condition-b", normalized)
 
@@ -231,77 +228,43 @@ def stopping_constants(n, p):
     return 4.0 * C1 * (1.0 + STOPPING_SLACK), 4.0 * C2 * (1.0 + STOPPING_SLACK)
 
 
-def stopping_time_tree(W: MatrixWeight, p, root: Cube = None, lambda1=None,
-                       lambda2=None, grid: Grid = None, reducing=None,
-                       ap_value=None) -> StoppingTree:
-    """Generations of maximal subcubes where the reducing operators deviate:
-    J is a stopping child of its stopping ancestor I when
+def stopping_time_tree(W: MatrixWeight, p, grid: Grid, lambda1=None, lambda2=None,
+                       reducing=None) -> StoppingTree:
+    """Generations of maximal subcubes of the grid's root where the reducing
+    operators deviate: J is a stopping child of its stopping ancestor I when
     ||V_J V_I^{-1}||^p > lambda1 or ||V_J^{-1} V_I||^{p'} > lambda2."""
-    if grid is None:
-        grid = root.grid
-    if root is None:
-        root = grid.root()
     if reducing is None:
         reducing = reducing_pyramid(W, grid, p)
     if lambda1 is None or lambda2 is None:
-        if ap_value is None:
-            ap_value = ap_from_reducing(reducing, p)
         l1, l2 = stopping_constants(W.n, p)
-        lambda1 = lambda1 if lambda1 is not None else l1
-        lambda2 = lambda2 if lambda2 is not None else l2 * ap_value ** ((p / (p - 1.0)) / p)
+        lambda1 = l1 if lambda1 is None else lambda1
+        if lambda2 is None:
+            lambda2 = l2 * ap_from_reducing(reducing, p) ** ((p / (p - 1.0)) / p)
     if lambda1 <= 1.0 or lambda2 <= 1.0:
         raise ThresholdError("stopping thresholds must exceed 1")
     d, L = grid.d, grid.L
     pp = p / (p - 1.0)
-    n = W.n
-    # ancestor bookkeeping per level: for each cube at the current level, the
-    # flattened index (at its own level) of its stopping ancestor and that
-    # ancestor's level and generation
-    side0 = 1 << root.level
-    anc_level = {root.offset: root.level}
     V = reducing["V"]
     Vinv = [linalg.powm_spd(v, -1.0) for v in V]
+    root = grid.root()
     gens = [[root]]
-    # arrays over the subtree of root, level by level
-    def subtree_slice(k):
-        return tuple(slice(m << (k - root.level), (m + 1) << (k - root.level))
-                     for m in root.offset)
-
-    anc_ptr = np.zeros((1,) * d, dtype=int)        # index into stoppers list
-    stoppers = [(root.level, root.offset)]
-    gen_of = [0]
-    for k in range(root.level + 1, L + 1):
-        sl = subtree_slice(k)
-        Vk = V[k][sl].reshape(-1, n, n)
-        anc_ptr = refine(anc_ptr, d)
-        flat_anc = anc_ptr.reshape(-1)
-        anc_V = np.stack([V[lev][off] for lev, off in stoppers])
-        anc_Vinv = np.stack([Vinv[lev][off] for lev, off in stoppers])
-        Vk_inv = Vinv[k][sl].reshape(-1, n, n)
-        t1 = linalg.opnorm(Vk @ anc_Vinv[flat_anc]) ** p
-        t2 = linalg.opnorm(Vk_inv @ anc_V[flat_anc]) ** pp
+    # per cube of the current level: V and V^{-1} of its stopping ancestor and
+    # that ancestor's generation, refined from the parent level
+    anc_V, anc_Vinv, gen = V[0], Vinv[0], np.zeros((1,) * d, dtype=int)
+    for k in range(1, L + 1):
+        anc_V, anc_Vinv, gen = refine(anc_V, d), refine(anc_Vinv, d), refine(gen, d)
+        t1 = linalg.opnorm(V[k] @ anc_Vinv) ** p
+        t2 = linalg.opnorm(Vinv[k] @ anc_V) ** pp
         stop = (t1 > lambda1) | (t2 > lambda2)
-        if stop.any():
-            side = 1 << (k - root.level)
-            new_gen_cubes = {}
-            stop_grid = stop.reshape((side,) * d)
-            idxs = np.argwhere(stop_grid)
-            for idx in idxs:
-                off = tuple(int(i) + (m << (k - root.level)) for i, m in zip(idx, root.offset))
-                g_parent = gen_of[int(flat_anc[np.ravel_multi_index(tuple(idx), (side,) * d)])]
-                cube = Cube(grid, k, off)
-                new_gen_cubes.setdefault(g_parent + 1, []).append(cube)
-                stoppers.append((k, off))
-                gen_of.append(g_parent + 1)
-                anc_ptr[tuple(idx)] = len(stoppers) - 1
-            for gj, cubes in sorted(new_gen_cubes.items()):
-                while len(gens) <= gj:
-                    gens.append([])
-                gens[gj].extend(cubes)
-    measures = [float(sum(c.measure for c in gen)) for gen in gens]
-    tree = StoppingTree(root, p, float(lambda1), float(lambda2), gens)
-    tree.generation_measures = measures
-    return tree
+        anc_V[stop], anc_Vinv[stop] = V[k][stop], Vinv[k][stop]
+        gen[stop] += 1
+        # new stoppers by generation, each generation in C order of the cubes
+        for j, idx in sorted(zip(gen[stop].tolist(), np.argwhere(stop).tolist())):
+            if j == len(gens):
+                gens.append([])
+            gens[j].append(Cube(grid, k, tuple(idx)))
+    return StoppingTree(root, p, float(lambda1), float(lambda2), gens,
+                        [float(sum(c.measure for c in cubes)) for cubes in gens])
 
 
 # ---------------------------------------------------------------------------

@@ -275,75 +275,90 @@ def _conjugated_sequence(g, red, core):
     return MatrixSequence(g, levels)
 
 
-def _sweep_instruments(g, W, red, ap, seed, names):
-    """Measured norms and bound curves of ``names`` for one weight, plus what
-    their bounds read; returns {name: (measured, bound)}.  The ensembles pair
-    the counterexample symbol/sequence (which drives growth) with
-    criterion-normalized variants (which exercise the curves near their sharp
-    regime)."""
+def _sweep_instruments(g, weights, seed, names):
+    """Measured norms and bound curves of ``names`` for each (W, reducing
+    pyramid, A2) in ``weights``: {name: [(measured, bound) per weight]}.  Each
+    operator is built once and normed against every weight, so at most one
+    dense matrix is alive at a time.  The ensembles pair the counterexample
+    symbol/sequence (which drives growth) with criterion-normalized variants
+    (which exercise the curves near their sharp regime)."""
     need = set(names) | ({"paraproduct", "shift"} if "commutator" in names else set())
+    Ws, aps = [W for W, _, _ in weights], [ap for _, _, ap in weights]
+
+    def norms(op, against=Ws):
+        return [weighted_operator_norm(op, W, 2.0).value for W in against]
+
     out = {}
     B = log_swap_symbol(g)
     if "paraproduct" in need:
-        bstar = carleson_b_sup(MatrixSequence.from_symbol(B), W, 2.0, reducing=red).value
-        pi_w = weighted_operator_norm(paraproduct_op(B), W, 2.0).value
-        out["paraproduct"] = (pi_w, ap ** 1.5 * _logp(ap) ** 0.5 * np.sqrt(bstar))
+        bstar = [carleson_b_sup(MatrixSequence.from_symbol(B), W, 2.0, reducing=red).value
+                 for W, red, _ in weights]
+        pi_w = norms(paraproduct_op(B))
+        out["paraproduct"] = [(pw, ap ** 1.5 * _logp(ap) ** 0.5 * np.sqrt(bs))
+                              for pw, ap, bs in zip(pi_w, aps, bstar)]
     if "shift" in need:
-        q_norm = weighted_operator_norm(shift_op(ShiftMap.left_child(g)), W, 2.0).value
-        out["shift"] = (q_norm, ap ** 1.5 * _logp(ap))
+        q_norm = norms(shift_op(ShiftMap.left_child(g)))
+        out["shift"] = [(q, ap ** 1.5 * _logp(ap)) for q, ap in zip(q_norm, aps)]
     if "haar-multiplier" in need:
         # the constant swap sequence (counterexample family) and its
-        # criterion-normalized conjugate V^{-1} swap V
-        best = (0.0, 1.0)
-        for A in (MatrixSequence.constant(g, SWAP), _conjugated_sequence(g, red, SWAP)):
-            crit = _multiplier_criterion(A, red)
-            ta = weighted_operator_norm(haar_multiplier_op(A), W, 2.0).value
-            bound = ap ** 1.5 * _logp(ap) * crit
-            if ta / bound > best[0] / best[1]:
-                best = (ta, bound)
-        out["haar-multiplier"] = best
+        # criterion-normalized conjugate V^{-1} swap V, built per weight
+        swap = MatrixSequence.constant(g, SWAP)
+        out["haar-multiplier"] = []
+        for (W, red, ap), t_swap in zip(weights, norms(haar_multiplier_op(swap))):
+            conj = _conjugated_sequence(g, red, SWAP)
+            t_conj = weighted_operator_norm(haar_multiplier_op(conj), W, 2.0).value
+            best = (0.0, 1.0)
+            for A, ta in ((swap, t_swap), (conj, t_conj)):
+                bound = ap ** 1.5 * _logp(ap) * _multiplier_criterion(A, red)
+                if ta / bound > best[0] / best[1]:
+                    best = (ta, bound)
+            out["haar-multiplier"].append(best)
     if "commutator" in need:
         # termwise accounting (reuses pi_w and q_norm)
-        comm = weighted_operator_norm(commutator_op(B, ShiftMap.left_child(g)), W, 2.0).value
-        pi_dual = weighted_operator_norm(paraproduct_op(B.transpose()), power_of(W, -1.0),
-                                         2.0).value
-        comm_bound = q_norm * max(pi_w, pi_dual) + ap ** 1.5 * _logp(ap) * np.sqrt(bstar)
-        out["commutator"] = (comm, comm_bound)
+        comm = norms(commutator_op(B, ShiftMap.left_child(g)))
+        pi_dual = norms(paraproduct_op(B.transpose()), [power_of(W, -1.0) for W in Ws])
+        out["commutator"] = [
+            (c, q * max(pw, pd) + ap ** 1.5 * _logp(ap) * np.sqrt(bs))
+            for c, q, pw, pd, ap, bs in zip(comm, q_norm, pi_w, pi_dual, aps, bstar)]
     if need & {"maximal-mw", "maximal-mw-prime-sq"}:
-        # adapted + random probes
-        rng = np.random.default_rng(seed)
-        mw_best, mwp_best = 0.0, 0.0
-        probes = []
+        out["maximal-mw"], out["maximal-mw-prime-sq"] = [], []
         e2 = np.array([0.0, 1.0])
-        reps = W.leaf_reps(g, 0.5)
-        for j in (0, 2, 4, 6, 8):
-            mask = np.zeros(g.leaf_shape)
-            mask[: max(1, g.n_leaves >> j)] = 1.0
-            probes.append(mask[:, None] * (reps @ e2))
-            probes.append(mask[:, None] * e2)
-        probes.append(rng.standard_normal(g.leaf_shape + (2,)))
-        for vals in probes:
-            f = StepFunction(g, vals)
-            nf = f.norm_l2()
-            if nf <= 0:
-                continue
-            mw_best = max(mw_best, float(np.sqrt((maximal_mw(W, f) ** 2).mean())) / nf)
-            mwp_best = max(mwp_best, float(np.sqrt((maximal_mw_prime(W, f) ** 2).mean())) / nf)
-        out["maximal-mw"] = (mw_best, ap)
-        out["maximal-mw-prime-sq"] = (mwp_best ** 2, ap)
+        for W, ap in zip(Ws, aps):
+            # adapted + random probes
+            rng = np.random.default_rng(seed)
+            mw_best, mwp_best = 0.0, 0.0
+            probes = []
+            reps = W.leaf_reps(g, 0.5)
+            for j in (0, 2, 4, 6, 8):
+                mask = np.zeros(g.leaf_shape)
+                mask[: max(1, g.n_leaves >> j)] = 1.0
+                probes.append(mask[:, None] * (reps @ e2))
+                probes.append(mask[:, None] * e2)
+            probes.append(rng.standard_normal(g.leaf_shape + (2,)))
+            for vals in probes:
+                f = StepFunction(g, vals)
+                nf = f.norm_l2()
+                if nf <= 0:
+                    continue
+                mw_best = max(mw_best, float(np.sqrt((maximal_mw(W, f) ** 2).mean())) / nf)
+                mwp_best = max(mwp_best,
+                               float(np.sqrt((maximal_mw_prime(W, f) ** 2).mean())) / nf)
+            out["maximal-mw"].append((mw_best, ap))
+            out["maximal-mw-prime-sq"].append((mwp_best ** 2, ap))
     if "sparse" in need:
-        fam = sparse_generate(g, seed=seed, density=0.5)
-        s_norm = weighted_operator_norm(sparse_op(fam), W, 2.0).value
-        out["sparse"] = (s_norm, ap ** 1.5)
+        s_norm = norms(sparse_op(sparse_generate(g, seed=seed, density=0.5)))
+        out["sparse"] = [(s, ap ** 1.5) for s, ap in zip(s_norm, aps)]
     return out
 
 
 def run_sweep(kind, cfg, out_dir=None):
     alphas = cfg.get("alphas", [round(0.1 * i, 1) for i in range(1, 10)])
-    if not isinstance(alphas, list) or not alphas:
-        raise ConfigError(f"config field 'alphas' must be a non-empty list, got {alphas!r}")
+    if not isinstance(alphas, list):
+        raise ConfigError(f"config field 'alphas' must be a list, got {alphas!r}")
     for a in alphas:   # diag(x^a, x^-a) is cell-integrable for |a| < 1
         _read_number({"alphas": a}, "alphas", None, lambda v: abs(v) < 1.0, "numbers in (-1, 1)")
+    if len(alphas) < 2:   # one point is its own fit, so the sweep could not fail
+        raise ConfigError(f"config field 'alphas' needs at least 2 exponents, got {alphas!r}")
     L = _read_int(cfg, "L", 10, lo=1)
     seed = _read_int(cfg, "seed", 0)
     g = Grid(1, L)
@@ -356,15 +371,17 @@ def run_sweep(kind, cfg, out_dir=None):
     if kind not in kinds:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     wanted = kinds[kind]
-    rows = []
-    ratios = {name: [] for name in wanted}
+    weights = []
     for alpha in alphas:
         W = MatrixWeight.diagonal_power([alpha, -alpha])
         red = reducing_pyramid(W, g, 2.0)
-        ap = ap_from_reducing(red, 2.0)
-        table = _sweep_instruments(g, W, red, ap, seed, wanted)
+        weights.append((W, red, ap_from_reducing(red, 2.0)))
+    table = _sweep_instruments(g, weights, seed, wanted)
+    rows = []
+    ratios = {name: [] for name in wanted}
+    for i, (alpha, (_, _, ap)) in enumerate(zip(alphas, weights)):
         for name in wanted:
-            measured, bound = table[name]
+            measured, bound = table[name][i]
             rows.append([name, float(alpha), float(ap), float(measured),
                          float(bound), float(measured / bound)])
             ratios[name].append(measured / bound)

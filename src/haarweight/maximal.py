@@ -134,18 +134,13 @@ def weak_type_check(W: MatrixWeight, f, p=2.0):
     grid = f.grid
     m = maximal_mw_prime(W, f, p).ravel()
     norm2 = float((f.values ** 2).sum() * grid.leaf_measure)
-    order = np.argsort(m)
-    sorted_vals = m[order]
-    N = m.size
-    worst, worst_lam = 0.0, 0.0
-    uniq = np.unique(sorted_vals)
-    for lam in uniq:
-        count = N - np.searchsorted(sorted_vals, lam, side="right")
-        meas = count * grid.leaf_measure
-        val = lam ** 2 * meas / norm2
-        if val > worst:
-            worst, worst_lam = float(val), float(lam)
-    return worst, worst_lam
+    lams = np.unique(m)
+    counts = m.size - np.searchsorted(np.sort(m), lams, side="right")
+    vals = lams ** 2 * (counts * grid.leaf_measure) / norm2
+    best = int(np.argmax(vals))          # the first maximizer on ties
+    if not vals[best] > 0.0:
+        return 0.0, 0.0
+    return float(vals[best]), float(lams[best])
 
 
 def mw_proof_certificate(W: MatrixWeight, f):

@@ -315,6 +315,7 @@ class Operator:
     kernel: object
     kernel_T: object = None
     name: str = "operator"
+    _dense: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, f: StepFunction) -> StepFunction:
         if f.grid != self.grid:
@@ -443,29 +444,17 @@ class NormReport:
 
 
 def dense_matrix(op: Operator):
-    """Dense matrix of op in the leaf-value basis (leaf-major, component-minor)."""
-    grid, n = op.grid, op.n
-    dim = grid.n_leaves * n
-    if dim > DENSE_DIM_CAP:
-        raise ShapeError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
-    basis = np.eye(dim).reshape(grid.leaf_shape + (n, dim))
-    out = op.kernel(basis)
-    return out.reshape(dim, dim)
-
-
-def whitened_op(op: Operator, W: MatrixWeight):
-    """x -> m_leaf(W)^{1/2} op(m_leaf(W)^{-1/2} x); on the uniform grid this is
-    the leaf-basis matrix of the L^2(W) action (cell measures cancel).
-
-    Both halves come from the same Gram block m_leaf(W), so the conjugation is
-    exactly the weighted quadratic form's whitening."""
-    gram = W.leaf_averages(op.grid, 1.0)
-    half = linalg.powm_spd(gram, 0.5)
-    half_inv = linalg.powm_spd(gram, -0.5)
-    return Operator(op.grid, op.n,
-                    lambda v: _mv(half, op.kernel(_mv(half_inv, v))),
-                    lambda v: _mv(half_inv, op.kernel_T(_mv(half, v))),
-                    f"whitened-{op.name}")
+    """Dense matrix of op in the leaf-value basis (leaf-major, component-minor).
+    It is assembled on the first call and kept on op, read-only."""
+    if op._dense is None:
+        grid, n = op.grid, op.n
+        dim = grid.n_leaves * n
+        if dim > DENSE_DIM_CAP:
+            raise ShapeError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+        basis = np.eye(dim).reshape(grid.leaf_shape + (n, dim))
+        op._dense = op.kernel(basis).reshape(dim, dim)
+        op._dense.flags.writeable = False
+    return op._dense
 
 
 # p != 2 ascent budget: this many restarts from random inputs, each at most
@@ -477,12 +466,12 @@ ASCENT_ITERS = 200
 def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> NormReport:
     """Weighted operator norm of ``op`` on L^p(W).
 
-    p = 2, dimension up to DENSE_DIM_CAP: the dense matrix of
-    W^{1/2} op W^{-1/2} in the leaf basis is assembled and its largest
-    singular value taken from a symmetric eigensolve of its Gram matrix
-    (``exact``, to round-off); this path returns no witness.
-    p = 2 above the cap: Golub-Kahan-Lanczos on the matrix-free whitened
-    operator and its adjoint kernel; the value is ||T x|| of its unit
+    p = 2, dimension up to DENSE_DIM_CAP: op's dense matrix (assembled once
+    per operator by ``dense_matrix``) is whitened by the leaf blocks
+    m_leaf(W)^{+-1/2} and its largest singular value taken from a symmetric
+    eigensolve of its Gram matrix (``exact``, to round-off); no witness.
+    p = 2 above the cap: Golub-Kahan-Lanczos on the same whitening around
+    op's kernel and its adjoint kernel; the value is ||T x|| of its unit
     witness x, hence a ``lower-bound``, and ``details`` carries the
     iteration count, the relative Ritz residual and whether it converged.
     p != 2: lower bound via normalized gradient ascent on the Rayleigh
@@ -493,20 +482,26 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
     """
     grid, n = op.grid, op.n
     dim = grid.n_leaves * n
-    if p == 2.0:
-        conj = whitened_op(op, W)
-        if dim <= DENSE_DIM_CAP:
-            return NormReport(linalg.spectral_norm(dense_matrix(conj)), "exact",
-                              details={"dim": dim, "method": "dense eigensolve"})
-        shape = grid.leaf_shape + (n,)
-        val, wit, diag = linalg.matfree_spectral_norm(
-            lambda x: conj.kernel(x.reshape(shape)).reshape(-1),
-            lambda y: conj.kernel_T(y.reshape(shape)).reshape(-1),
-            dim, seed=seed)
-        f = _mv(linalg.powm_spd(W.leaf_averages(grid, 1.0), -0.5), wit.reshape(shape))
-        return NormReport(val, "lower-bound", f,
-                          {"dim": dim, "method": "Golub-Kahan-Lanczos", **diag})
-    return _ascent_lower_bound(op, W, p, seed)
+    if p != 2.0:
+        return _ascent_lower_bound(op, W, p, seed)
+    # ||op||_{L^2(W)} = ||H op H^{-1}||, H = m_leaf(W)^{1/2} leafwise (cell measures cancel)
+    gram = W.leaf_averages(grid, 1.0)
+    half, half_inv = linalg.powm_spd(gram, 0.5), linalg.powm_spd(gram, -0.5)
+    if dim <= DENSE_DIM_CAP:
+        N = grid.n_leaves
+        M = half.reshape(N, n, n) @ dense_matrix(op).reshape(N, n, dim)
+        # the right factor as a batched left product: (M H^{-1})^T = H^{-T} M^T
+        M = (_transpose(half_inv).reshape(N, n, n)
+             @ M.reshape(dim, dim).T.reshape(N, n, dim)).reshape(dim, dim).T
+        return NormReport(linalg.spectral_norm(M), "exact",
+                          details={"dim": dim, "method": "dense eigensolve"})
+    shape = grid.leaf_shape + (n,)
+    val, wit, diag = linalg.matfree_spectral_norm(
+        lambda x: _mv(half, op.kernel(_mv(half_inv, x.reshape(shape)))).reshape(-1),
+        lambda y: _mv(half_inv, op.kernel_T(_mv(half, y.reshape(shape)))).reshape(-1),
+        dim, seed=seed)
+    return NormReport(val, "lower-bound", _mv(half_inv, wit.reshape(shape)),
+                      {"dim": dim, "method": "Golub-Kahan-Lanczos", **diag})
 
 
 def _ascent_lower_bound(op, W, p, seed):

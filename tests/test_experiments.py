@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from haarweight import experiments as ex
+from haarweight import operators
 from haarweight.cli import main as cli_main
 from haarweight.errors import ConfigError
 
@@ -103,12 +104,36 @@ class TestSweepSmall:
 
     @pytest.mark.parametrize("kind, norms", [("maximal", 0), ("sparse", 1)])
     def test_sweep_computes_only_named_quantities(self, monkeypatch, kind, norms):
+        # norms: weighted norms taken per alpha
         calls = []
         real = ex.weighted_operator_norm
         monkeypatch.setattr(ex, "weighted_operator_norm",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
-        ex.run_sweep(kind, {"L": 5, "alphas": [0.5]})
-        assert len(calls) == norms
+        ex.run_sweep(kind, {"L": 5, "alphas": [0.3, 0.6]})
+        assert len(calls) == 2 * norms
+
+    def test_one_dense_assembly_per_operator(self, monkeypatch):
+        # six operators do not depend on alpha and one is built per alpha, so
+        # the sweep pushes the identity through a kernel 6 + 3 times, not
+        # 7 times per alpha
+        pushes = []
+        real_init = operators.Operator.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            kernel, dim = self.kernel, self.grid.n_leaves * self.n
+
+            def counted(v):
+                if (v.shape == self.grid.leaf_shape + (self.n, dim)
+                        and np.array_equal(v.reshape(dim, dim), np.eye(dim))):
+                    pushes.append(self.name)
+                return kernel(v)
+
+            self.kernel = counted
+
+        monkeypatch.setattr(operators.Operator, "__init__", init)
+        ex.run_sweep("all", {"L": 5, "alphas": [0.2, 0.5, 0.8]})
+        assert len(pushes) == 9, pushes
 
     def test_comm_quant_rows_match_all(self, tmp_path):
         cfg = {"L": 5, "alphas": [0.3, 0.6]}
@@ -163,6 +188,7 @@ class TestCLI:
                                  "symbol": {"kind": "random", "scale": "x"}}}),
         ("sweep", {"L": "x"}),
         ("sweep", {"alphas": [1.0]}),
+        ("sweep", {"alphas": [0.5]}),
         ("counterexample", {"kind": "commutator", "alpha": 0.5, "l_range": [4]}),
         ("counterexample", {"kind": "paraproduct", "alpha": 0.5, "n_range": [4, 12], "L": 5}),
         ("counterexample", {"kind": "paraproduct", "alpha": 0.5, "n_range": [8, 8]}),
@@ -170,7 +196,8 @@ class TestCLI:
         ("stopping", {"lambda1": 0.5}),
     ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
             "stopping-p<1", "sparse-p=1", "bmo-variant", "sparse-density",
-            "shift-seed", "symbol-scale", "sweep-L", "sweep-alpha=1", "l_range-length",
+            "shift-seed", "symbol-scale", "sweep-L", "sweep-alpha=1", "sweep-one-alpha",
+            "l_range-length",
             "paraproduct-L<n_range", "paraproduct-one-depth", "equivalence-instances",
             "lambda1<1"])
     def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):

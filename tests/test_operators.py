@@ -14,7 +14,7 @@ from haarweight.operators import (
     adjoint_paraproduct_op, big_pi_op, commutator_case_sum, commutator_op,
     dense_matrix, haar_multiplier_op, multiplication_op, paraproduct_op,
     product_decomposition_values, shift_op, square_function,
-    weighted_operator_norm, whitened_op,
+    weighted_operator_norm,
 )
 from haarweight.maximal import sparse_generate, sparse_op
 from haarweight.weights import MatrixWeight, lp_norm
@@ -27,6 +27,15 @@ def random_symbol(grid, rng, scale=1.0):
 
 def random_vector(grid, rng):
     return StepFunction(grid, rng.standard_normal(grid.leaf_shape + (2,)))
+
+
+def leaf_blocks(grid, W, s):
+    """Explicit block-diagonal matrix of m_leaf(W)^s, one 2x2 block per leaf."""
+    blocks = linalg.powm_spd(W.leaf_averages(grid, 1.0), s).reshape(-1, 2, 2)
+    out = np.zeros((2 * len(blocks),) * 2)
+    for l, b in enumerate(blocks):
+        out[2 * l:2 * l + 2, 2 * l:2 * l + 2] = b
+    return out
 
 
 class TestParaproduct:
@@ -336,16 +345,18 @@ class TestWeightedNorms:
         g = Grid(1, 5)
         W = MatrixWeight.diagonal_power([0.3, -0.3])
         B = random_symbol(g, rng)
-        conj = whitened_op(commutator_op(B, ShiftMap.left_child(g)), W)
-        dense = linalg.spectral_norm(dense_matrix(conj))
+        op = commutator_op(B, ShiftMap.left_child(g))
+        H, H_inv = leaf_blocks(g, W, 0.5), leaf_blocks(g, W, -0.5)
+        dense = np.linalg.svd(H @ dense_matrix(op) @ H_inv, compute_uv=False)[0]
         shape = g.leaf_shape + (2,)
+        matvec = lambda x: H @ op.kernel((H_inv @ x).reshape(shape)).reshape(-1)
         free, witness, diag = linalg.matfree_spectral_norm(
-            lambda x: conj.kernel(x.reshape(shape)).reshape(-1),
-            lambda y: conj.kernel_T(y.reshape(shape)).reshape(-1), 2 * g.n_leaves)
+            matvec, lambda y: H_inv.T @ op.kernel_T((H.T @ y).reshape(shape)).reshape(-1),
+            2 * g.n_leaves)
         assert diag["converged"]
         assert free == pytest.approx(dense, rel=1e-10)
         assert free <= dense * (1 + 1e-12)      # a lower bound, up to round-off
-        achieved = np.linalg.norm(conj.kernel(witness.reshape(shape))) / np.linalg.norm(witness)
+        achieved = np.linalg.norm(matvec(witness)) / np.linalg.norm(witness)
         assert free == pytest.approx(achieved, rel=1e-14)
         # above the dense cap the dispatch runs Lanczos and labels it honestly
         g = Grid(1, 11)                          # dim 4096
@@ -380,7 +391,8 @@ class TestWeightedNorms:
         W = MatrixWeight.diagonal_power([0.1, -0.1])
         op = sparse_op(sparse_generate(g, seed=0, density=0.5))
         rep = weighted_operator_norm(op, W, 2.0)
-        want = np.linalg.svd(dense_matrix(whitened_op(op, W)), compute_uv=False)[0]
+        white = leaf_blocks(g, W, 0.5) @ dense_matrix(op) @ leaf_blocks(g, W, -0.5)
+        want = np.linalg.svd(white, compute_uv=False)[0]
         assert rep.kind == "exact"
         assert rep.details["method"] == "dense eigensolve"
         assert rep.value == pytest.approx(want, rel=1e-12)
