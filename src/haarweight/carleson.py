@@ -23,7 +23,7 @@ from .dyadic import (
 )
 from .errors import ThresholdError
 from .operators import MatrixSequence, MatrixSymbol, _mv
-from .weights import MatrixWeight, ap_from_reducing, reducing_pyramid
+from .weights import MatrixWeight, _leaf_overlaps, ap_from_reducing, reducing_pyramid
 
 
 @dataclass
@@ -70,14 +70,14 @@ def carleson_c_constant(A: MatrixSequence, W: MatrixWeight, p, reducing=None) ->
     grid = A.grid
     if reducing is None:
         reducing = reducing_pyramid(W, grid, p)
-    reports = []
-    forms = []
+    forms = {}
     if p >= 2.0:
-        forms.append(("primal", "V", False))
+        forms["primal"] = ("V", False)
     if p <= 2.0:
-        forms.append(("dual", "V_prime", True))
+        forms["dual"] = ("V_prime", True)
     d = grid.d
-    for name, vkey, transpose in forms:
+    per_form = {}
+    for name, (vkey, transpose) in forms.items():
         per_cube = []
         for k in range(grid.L):
             Vsq = reducing[vkey][k] @ reducing[vkey][k]
@@ -89,23 +89,18 @@ def carleson_c_constant(A: MatrixSequence, W: MatrixWeight, p, reducing=None) ->
             per_cube.append(G.sum(axis=d))
         per_cube.append(np.zeros((1 << grid.L,) * d + (A.n, A.n)))
         sums = subtree_sums(per_cube, d)
-        per_level = []
+        per_form[name] = []
         for k, s in enumerate(sums):
             Vinv = linalg.powm_spd(reducing[vkey][k], -1.0)
             conj = Vinv @ (s * (2.0 ** (k * d))) @ Vinv
-            per_level.append(linalg.lambda_max(conj))
-        value, cube = sup_over_cubes(per_level, grid)
-        reports.append((name, CarlesonReport(value, cube, p, f"condition-c-{name}", per_level)))
-    by_name = dict(reports)
-    best = max((rep for _, rep in reports), key=lambda r: r.value)
-    if len(reports) == 2:
-        best.per_level = [np.maximum(a, b) for a, b in
-                          zip(reports[0][1].per_level, reports[1][1].per_level)]
-        best.value = max(rep.value for _, rep in reports)
-        best.kind = "condition-c-both"
-    best.primal_value = by_name["primal"].value if "primal" in by_name else None
-    best.dual_value = by_name["dual"].value if "dual" in by_name else None
-    return best
+            per_form[name].append(linalg.lambda_max(conj))
+    sups = {name: sup_over_cubes(lv, grid) for name, lv in per_form.items()}
+    # the larger form's supremum and cube; ties go to the primal form
+    value, cube = max(sups.values(), key=lambda sup: sup[0])
+    kind = "condition-c-" + ("both" if len(sups) == 2 else next(iter(sups)))
+    per_level = [np.maximum.reduce(arrs) for arrs in zip(*per_form.values())]
+    primal, dual = (sups[name][0] if name in sups else None for name in ("primal", "dual"))
+    return CarlesonReport(value, cube, p, kind, per_level, primal, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +138,7 @@ def bmo_norm(B: MatrixSymbol, W: MatrixWeight, p, variant="primal", reducing=Non
     if reducing is None:
         reducing = reducing_pyramid(W, grid, p)
     pprime = p / (p - 1.0)
-    if variant in ("primal", "dyadic"):
+    if variant == "primal":
         reps = W.leaf_reps(grid, 1.0 / p)
         Vinv = [linalg.powm_spd(v, -1.0) for v in reducing["V"]]
         return _oscillation_sup(B, reps, Vinv, p, grid)
@@ -163,17 +158,7 @@ def mean_oscillation(B: MatrixSymbol, W: MatrixWeight, p, lo, hi, center=None):
     if grid.d != 1:
         raise ValueError("arbitrary-cube oscillation implemented for d=1")
     lo, hi = Fraction(lo), Fraction(hi)
-    nleaf = 1 << grid.L
-    step = Fraction(1, nleaf)
-    i0 = int(lo / step)
-    i1 = int(-((-hi) // step))
-    weights = []
-    idxs = []
-    for i in range(max(i0, 0), min(i1, nleaf)):
-        a, b = max(lo, step * i), min(hi, step * (i + 1))
-        if b > a:
-            idxs.append(i)
-            weights.append(float(b - a))
+    idxs, weights = _leaf_overlaps(lo, hi, grid.L)
     weights = np.array(weights)
     total = float(hi - lo)
     vals = B.step.values[idxs]

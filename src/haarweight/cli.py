@@ -159,7 +159,7 @@ def cmd_bmo(cfg, out_dir):
     p = read_p(cfg)
     B = build_symbol(cfg.get("symbol", {}), grid)
     variant = cfg.get("variant", "primal")
-    if variant not in ("primal", "dyadic", "dual", "unweighted"):
+    if variant not in ("primal", "dual", "unweighted"):
         raise ConfigError(f"unknown BMO variant {variant!r}")
     val, cube = bmo_norm(B, W, p, variant)
     payload = {"value": val, "variant": variant,

@@ -16,10 +16,12 @@ import json
 import numpy as np
 
 from . import linalg
-from .dyadic import Cube, Grid, coarsen_levels, mean_pyramid, refine_to_leaves
+from .dyadic import (
+    Cube, Grid, coarsen_levels, mean_pyramid, refine_to_leaves, sequence_maximal,
+)
 from .errors import SparsenessError
 from .operators import Operator, _mv
-from .weights import MatrixWeight
+from .weights import MatrixWeight, reducing_pyramid
 
 
 def _cube_averages(outer_levels, t_leaf, grid):
@@ -41,6 +43,16 @@ def _chain_averages(outer_levels, t_leaf, grid):
             for k, a in enumerate(_cube_averages(outer_levels, t_leaf, grid))]
 
 
+def _prime_levels(W: MatrixWeight, f, p):
+    """Per-level leaf arrays of the averages whose chain maximum is M'f."""
+    grid = f.grid
+    if p == 2.0:
+        outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -1.0)]
+    else:
+        outer = reducing_pyramid(W, grid, p)["V"]
+    return _chain_averages(outer, _mv(W.leaf_reps(grid, -1.0 / p), f.values), grid)
+
+
 def maximal_mw_prime(W: MatrixWeight, f, p=2.0):
     """Christ/Goldberg-type auxiliary maximal function.
 
@@ -48,17 +60,7 @@ def maximal_mw_prime(W: MatrixWeight, f, p=2.0):
     p != 2: the reducing-operator form sup_I m_I |V_I W^{-1/p} f|.
     Returns a scalar leaf array.
     """
-    grid = f.grid
-    if p == 2.0:
-        outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -1.0)]
-        t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
-    else:
-        from .weights import reducing_pyramid
-        red = reducing_pyramid(W, grid, p)
-        outer = red["V"]
-        t_leaf = _mv(W.leaf_reps(grid, -1.0 / p), f.values)
-    levels = _chain_averages(outer, t_leaf, grid)
-    return np.maximum.reduce(levels)
+    return np.maximum.reduce(_prime_levels(W, f, p))
 
 
 def half_power_maximal(W: MatrixWeight, f):
@@ -152,44 +154,29 @@ def mw_proof_certificate(W: MatrixWeight, f):
     grid = f.grid
     L = grid.L
     N = 1 << L
+    x = np.arange(N)
     mw_avgs = _mw_ancestor_averages(W, f)
     k_star = mw_avgs.argmax(axis=0)
     mw_val = mw_avgs.max(axis=0)
-
-    t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
-    outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -1.0)]
-    prime_avgs = np.stack(_chain_averages(outer, t_leaf, grid))  # (L+1, N)
-    D = prime_avgs[k_star, np.arange(N)]
+    D = np.stack(_prime_levels(W, f, 2.0))[k_star, x]
     j = np.floor(np.log2(np.maximum(D, 1e-300))).astype(int)
 
-    # group R_x by class j, keep maximal cubes (d=1: intervals by level/offset)
-    r_cubes = {}
-    for x in range(N):
-        lev = int(k_star[x])
-        off = x >> (L - lev)
-        r_cubes.setdefault(int(j[x]), set()).add((lev, off))
-    maximal = {}
-    for jj, cubes in r_cubes.items():
-        keep = []
-        for lev, off in sorted(cubes):
-            contained = any(l2 < lev and (off >> (lev - l2)) == o2 for l2, o2 in cubes
-                            if l2 != lev or o2 != off)
-            if not contained:
-                keep.append((lev, off))
-        maximal[jj] = keep
+    # S_x is the coarsest cube on x's chain that is R_y for a leaf y of x's
+    # class: key each level-k ancestor by (class, offset) and look it up
+    # among the level-k cubes R_y
+    r_key = j * N + (x >> (L - k_star))
+    hits = np.stack([np.isin(j * N + (x >> (L - k)), r_key[k_star == k])
+                     for k in range(L + 1)])
+    s_lev = hits.argmax(axis=0)
+    s_off = x >> (L - s_lev)
 
     reps, halves = _nq_factors(W, grid)
-    nq_of = {}                 # N_S for each distinct maximal cube S
     ratios = np.zeros(N)
-    for x in range(N):
-        lev, off = int(k_star[x]), x >> (L - int(k_star[x]))
-        S = next((lv, o) for lv, o in maximal[int(j[x])]
-                 if lv <= lev and (off >> (lev - lv)) == o)
-        if S not in nq_of:
-            nq_of[S] = _nq_on_cube(reps, halves, S[0], (S[1],), grid)
-        nq = nq_of[S]
-        pos = x - (S[1] << (L - S[0]))
-        ratios[x] = mw_val[x] / (2.0 ** (j[x] + 1) * nq[pos]) if nq[pos] > 0 else 0.0
+    for lev, off in set(zip(s_lev.tolist(), s_off.tolist())):
+        xs = x[(s_lev == lev) & (s_off == off)]
+        nq = _nq_on_cube(reps, halves, lev, (off,), grid)[xs - (off << (L - lev))]
+        den = 2.0 ** (j[xs] + 1) * nq
+        ratios[xs] = np.divide(mw_val[xs], den, out=np.zeros(xs.size), where=nq > 0)
     return ratios, mw_val
 
 
@@ -198,63 +185,38 @@ def mw_proof_certificate(W: MatrixWeight, f):
 # ---------------------------------------------------------------------------
 
 class SparseFamily:
-    """A set of cubes whose in-family children occupy at most half of each
-    member, with the exceptional sets E_I = I minus the in-family children."""
+    """A set of cubes, ``masks[k]`` marking those of level k, whose exceptional
+    sets E_I = I minus the family cubes strictly inside I hold at least half
+    of each member I (the same as in-family children covering at most half).
+    Each leaf lies in E_I of the smallest member I containing it."""
 
-    def __init__(self, grid: Grid, cubes, check=True):
+    def __init__(self, grid: Grid, cubes):
         self.grid = grid
         self.cubes = sorted(set((c.level, c.offset) for c in cubes))
-        if check:
-            self.certify()
+        self.masks = [np.zeros((1 << k,) * grid.d, dtype=bool) for k in range(grid.L + 1)]
+        for lev, off in self.cubes:
+            self.masks[lev][off] = True
+        for (lev, off), mask in self.exceptional_sets().items():
+            if 2 * int(mask.sum()) < 1 << ((grid.L - lev) * grid.d):
+                raise SparsenessError(
+                    f"exceptional set of (level {lev}, offset {off}) is too small")
 
     def __len__(self):
         return len(self.cubes)
 
-    def _leaf_mask(self, lev, off):
-        L, d = self.grid.L, self.grid.d
-        mask = np.zeros(self.grid.leaf_shape, dtype=bool)
-        sl = tuple(slice(m << (L - lev), (m + 1) << (L - lev)) for m in off)
-        mask[sl] = True
-        return mask
-
-    def family_children(self, lev, off):
-        """Maximal family cubes strictly inside (lev, off)."""
-        kids = [(l2, o2) for l2, o2 in self.cubes
-                if l2 > lev and all((o >> (l2 - lev)) == m for o, m in zip(o2, off))]
-        return [(l2, o2) for l2, o2 in kids
-                if not any(l3 < l2 and all((o >> (l2 - l3)) == oo for o, oo in zip(o2, o3))
-                           for l3, o3 in kids)]
-
     def exceptional_sets(self):
         """E_I per family cube as exact leaf masks."""
+        L = self.grid.L
+        # level of the smallest member containing each leaf (-1: none)
+        owner = sequence_maximal([np.where(m, k, -1) for k, m in enumerate(self.masks)],
+                                 self.grid.d)
         out = {}
         for lev, off in self.cubes:
-            mask = self._leaf_mask(lev, off)
-            for l2, o2 in self.family_children(lev, off):
-                mask &= ~self._leaf_mask(l2, o2)
+            sl = tuple(slice(m << (L - lev), (m + 1) << (L - lev)) for m in off)
+            mask = np.zeros(self.grid.leaf_shape, dtype=bool)
+            mask[sl] = owner[sl] == lev
             out[(lev, off)] = mask
         return out
-
-    def certify(self):
-        """Child-measure constraint, E_I disjointness and 2|E_I| >= |I|, all in
-        exact integer leaf counts."""
-        L, d = self.grid.L, self.grid.d
-        exc = self.exceptional_sets()
-        used = np.zeros(self.grid.leaf_shape, dtype=int)
-        for (lev, off), mask in exc.items():
-            cube_leaves = 1 << ((L - lev) * d)
-            kids = self.family_children(lev, off)
-            kid_leaves = sum(1 << ((L - l2) * d) for l2, _ in kids)
-            if 2 * kid_leaves > cube_leaves:
-                raise SparsenessError(
-                    f"children of cube (level {lev}, offset {off}) cover more than half")
-            if 2 * int(mask.sum()) < cube_leaves:
-                raise SparsenessError(
-                    f"exceptional set of (level {lev}, offset {off}) is too small")
-            used += mask.astype(int)
-        if used.max() > 1:
-            raise SparsenessError("exceptional sets overlap")
-        return True
 
     def to_json(self):
         return json.dumps([{"level": lev, "offset": list(off)} for lev, off in self.cubes])
@@ -292,20 +254,12 @@ def sparse_op(G: SparseFamily, n=2) -> Operator:
     unweighted L^2)."""
     grid = G.grid
     d, L = grid.d, grid.L
-    by_level = {}
-    for lev, off in G.cubes:
-        by_level.setdefault(lev, []).append(off)
-    masks = {}
-    for lev, offs in by_level.items():
-        mask = np.zeros((1 << lev,) * d)
-        for off in offs:
-            mask[off] = 1.0
-        masks[lev] = mask
+    masks = [(k, m.astype(float)) for k, m in enumerate(G.masks) if m.any()]
 
     def kernel(vals):
         means = mean_pyramid(vals, d, L)
         out = np.zeros_like(vals)
-        for lev, mask in masks.items():
+        for lev, mask in masks:
             contrib = means[lev] * mask.reshape(mask.shape + (1,) * (vals.ndim - d))
             out = out + refine_to_leaves(contrib, d, L - lev)
         return out
@@ -323,7 +277,8 @@ def sparse_proof_chain(W: MatrixWeight, G: SparseFamily, f, g, ap_value):
       q3 = 2 A2^{1/2} sum_I |E_I| alpha_I beta_I        (q2 <= q3, constant 2)
       q4 = 2 A2^{1/2} int M~'_W f  M~'_{W^{-1}} g       (q3 <= q4, exact)
     with alpha, beta the half-power averaged quantities and M~' their chain
-    suprema.  Each inequality holds termwise for the computed numbers.
+    suprema (M~'_{W^{-1}} g is ``half_power_maximal(power_of(W, -1), g)``,
+    bit for bit).  Each inequality holds termwise for the computed numbers.
     """
     grid = f.grid
     d, L = grid.d, grid.L
@@ -348,8 +303,6 @@ def sparse_proof_chain(W: MatrixWeight, G: SparseFamily, f, g, ap_value):
         q2 += np.sqrt(ap_value) * meas * al * be
         emeas = float(exc[(lev, off)].sum()) * grid.leaf_measure
         q3 += 2.0 * np.sqrt(ap_value) * emeas * al * be
-    mf = half_power_maximal(W, f)
-    from .weights import power_of
-    mg = half_power_maximal(power_of(W, -1.0), g)
+    mf, mg = sequence_maximal(alpha_lv, d), sequence_maximal(beta_lv, d)
     q4 = 2.0 * np.sqrt(ap_value) * float((mf * mg).sum()) * grid.leaf_measure
     return [abs(q0_sum), q1, q2, q3, q4]

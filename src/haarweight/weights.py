@@ -20,8 +20,6 @@ from . import linalg
 from .dyadic import Cube, Grid, coarsen_levels, mean_pyramid, refine, sup_over_cubes
 from .errors import IntegrabilityError, ShapeError
 
-POWER_KINDS = ("identity", "scalar-power", "diagonal-power", "rotated")
-
 
 class MatrixWeight:
     """Generator of SPD matrix values with exact cell averaging of W^s.
@@ -105,17 +103,6 @@ class MatrixWeight:
         if kind == "random-spd":
             return cls.random_spd(spec["seed"], spec.get("cond", 16.0), spec.get("n", 2))
         raise ValueError(f"unknown weight kind {kind!r}")
-
-    def to_json(self):
-        out = {"kind": self.kind, "n": self.n}
-        if self.alphas is not None:
-            out["alphas"] = list(self.alphas)
-        if self.kind == "rotated":
-            out["theta"] = float(np.arctan2(self.rotation[1, 0], self.rotation[0, 0]))
-        if self.kind == "random-spd":
-            out["seed"] = self.seed
-            out["cond"] = self.cond
-        return json.dumps(out)
 
     # -- averaging core -----------------------------------------------------
 
@@ -230,17 +217,23 @@ class MatrixWeight:
         if lo < 0 or hi > 1:
             raise ValueError("leaf-constant weights live on [0,1)")
         leaf_vals = self.leaf_averages(grid, s)
-        nleaf = 1 << grid.L
-        step = Fraction(1, nleaf)
-        i0 = int(lo / step)
-        i1 = int(-((-hi) // step))  # ceil
         acc = np.zeros((self.n, self.n))
-        for i in range(i0, min(i1, nleaf)):
-            a = max(lo, step * i)
-            b = min(hi, step * (i + 1))
-            if b > a:
-                acc += float(b - a) * leaf_vals[i]
+        for i, length in zip(*_leaf_overlaps(lo, hi, grid.L)):
+            acc += length * leaf_vals[i]
         return acc / float(hi - lo)
+
+
+def _leaf_overlaps(lo, hi, L):
+    """The leaves i of the level-L partition of [0, 1) that meet the rational
+    interval [lo, hi), with their exact overlap lengths as floats."""
+    step = Fraction(1, 1 << L)
+    idxs, lengths = [], []
+    for i in range(max(int(lo / step), 0), min(-((-hi) // step), 1 << L)):
+        a, b = max(lo, step * i), min(hi, step * (i + 1))
+        if b > a:
+            idxs.append(i)
+            lengths.append(float(b - a))
+    return idxs, lengths
 
 
 def _abs_power_integral(lo, hi, beta):

@@ -182,6 +182,7 @@ class TestCLI:
         ("stopping", {"p": 0.9}),
         ("sparse", {"p": 1, "weight": {"kind": "identity"}}),
         ("bmo", {"variant": "bogus"}),
+        ("bmo", {"variant": "dyadic"}),
         ("sparse", {"density": 0.9}),
         ("opnorm", {"operator": {"op": "shift", "sigma": {"kind": "random", "seed": "x"}}}),
         ("opnorm", {"operator": {"op": "paraproduct",
@@ -195,7 +196,7 @@ class TestCLI:
         ("equivalence", {"instances": "x"}),
         ("stopping", {"lambda1": 0.5}),
     ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
-            "stopping-p<1", "sparse-p=1", "bmo-variant", "sparse-density",
+            "stopping-p<1", "sparse-p=1", "bmo-variant", "bmo-dyadic", "sparse-density",
             "shift-seed", "symbol-scale", "sweep-L", "sweep-alpha=1", "sweep-one-alpha",
             "l_range-length",
             "paraproduct-L<n_range", "paraproduct-one-depth", "equivalence-instances",

@@ -158,6 +158,45 @@ class TestMW:
         assert len({S for S in r_cubes}) > 1
         assert np.array_equal(ratios, want)
 
+    @pytest.mark.parametrize("L", [5, 8])
+    def test_proof_certificate_matches_selection_oracle(self, L):
+        # per-leaf reference of the selection: the R cubes of each class, the
+        # maximal ones by explicit containment, and the one containing R_x
+        from haarweight.maximal import _chain_averages, _mw_ancestor_averages
+        from haarweight import linalg
+        from haarweight.operators import _mv
+        N = 1 << L
+        g = Grid(1, L)
+        rng = np.random.default_rng(L)
+        for W in [MatrixWeight.random_spd(31, cond=40.0),
+                  MatrixWeight.diagonal_power([0.6, -0.3]),
+                  MatrixWeight.rotated_power([0.5, -0.4], 1.1)]:
+            f = StepFunction(g, rng.standard_normal((N, 2)) * rng.uniform(0.1, 10))
+            ratios, mw_val = mw_proof_certificate(W, f)
+            avgs = _mw_ancestor_averages(W, f)
+            k_star = avgs.argmax(axis=0)
+            outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(g, -1.0)]
+            prime = np.stack(_chain_averages(outer, _mv(W.leaf_reps(g, -0.5), f.values), g))
+            D = np.maximum(prime[k_star, np.arange(N)], 1e-300)
+            j = np.floor(np.log2(D)).astype(int)
+            R = [(int(k), x >> (L - int(k))) for x, k in enumerate(k_star)]
+
+            def inside(a, b):                 # cube a strictly inside cube b
+                return a[0] > b[0] and a[1] >> (a[0] - b[0]) == b[1]
+
+            nq_of, want = {}, np.zeros(N)
+            for x in range(N):
+                same = {R[y] for y in range(N) if j[y] == j[x]}
+                maximal = [c for c in same if not any(inside(c, o) for o in same)]
+                S, = [c for c in maximal if c == R[x] or inside(R[x], c)]
+                if S not in nq_of:
+                    nq_of[S] = local_nq(W, g.cube(S[0], (S[1],)), g)[0]
+                nq = nq_of[S][x - (S[1] << (L - S[0]))]
+                want[x] = mw_val[x] / (2.0 ** (j[x] + 1) * nq) if nq > 0 else 0.0
+            assert len(nq_of) > 1
+            assert np.array_equal(ratios, want)
+            assert np.array_equal(mw_val, avgs.max(axis=0))
+
 
 class TestNQ:
     def test_identity(self):
@@ -227,6 +266,42 @@ class TestSparse:
                     used += mask
                 assert used.max() <= 1
 
+    @pytest.mark.parametrize("d, L", [(1, 5), (2, 3)])
+    def test_arbitrary_families_match_bruteforce(self, d, L):
+        # E_I = I minus every family cube strictly inside I, by brute force;
+        # a family is accepted exactly when every 2|E_I| >= |I|
+        g = Grid(d, L)
+        cubes = g.all_cubes()
+        rng = np.random.default_rng(10 * d + L)
+        accepted = rejected = 0
+        for _ in range(150):
+            q = rng.uniform(0.02, 0.5)
+            pick = [c for c in cubes if rng.random() < q]
+            want = {}
+            for c in sorted(set(pick), key=lambda c: (c.level, c.offset)):
+                lo, hi = zip(*c.bounds())
+                mask = np.zeros(g.leaf_shape, dtype=bool)
+                mask[tuple(slice(int(a * (1 << L)), int(b * (1 << L)))
+                           for a, b in zip(lo, hi))] = True
+                for o in pick:
+                    if o.level > c.level and c.contains(o):
+                        olo, ohi = zip(*o.bounds())
+                        mask[tuple(slice(int(a * (1 << L)), int(b * (1 << L)))
+                                   for a, b in zip(olo, ohi))] = False
+                want[(c.level, c.offset)] = mask
+            sparse = all(2 * int(m.sum()) >= 1 << ((L - lev) * d)
+                         for (lev, _), m in want.items())
+            if not sparse:
+                with pytest.raises(SparsenessError):
+                    SparseFamily(g, pick)
+                rejected += 1
+                continue
+            exc = SparseFamily(g, pick).exceptional_sets()
+            assert list(exc) == list(want)
+            assert all(np.array_equal(exc[key], want[key]) for key in want)
+            accepted += 1
+        assert accepted > 10 and rejected > 10
+
     def test_density_zero_limit(self):
         g = Grid(1, 5)
         fam = sparse_generate(g, seed=0, density=1e-9)
@@ -264,6 +339,23 @@ class TestSparse:
             chain = sparse_proof_chain(W, fam, f, h, ap)
             for a, b in zip(chain, chain[1:]):
                 assert a <= b * (1 + 1e-12)
+
+    def test_proof_chain_averages_each_side_once(self, monkeypatch):
+        # q4's maximal functions are the chain maxima of the averages behind
+        # q2 and q3: one _cube_averages call for f's side and one for g's
+        import haarweight.maximal as mx
+        calls = []
+        orig = mx._cube_averages
+        monkeypatch.setattr(mx, "_cube_averages",
+                            lambda *args: calls.append(1) or orig(*args))
+        rng = np.random.default_rng(12)
+        g = Grid(1, 5)
+        W = MatrixWeight.random_spd(5, cond=20.0)
+        f = StepFunction(g, rng.standard_normal((32, 2)))
+        h = StepFunction(g, rng.standard_normal((32, 2)))
+        chain = sparse_proof_chain(W, sparse_generate(g, seed=2, density=0.5), f, h, 1.0)
+        assert len(calls) == 2
+        assert all(np.isfinite(chain))
 
     def test_weighted_norm_below_a2_32_curve(self):
         # ||S||_{L^2(W)} <= C A_2^{3/2} with a modest fitted constant
