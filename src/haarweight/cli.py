@@ -118,17 +118,20 @@ def _dump(out_dir, name, payload):
     return path
 
 
-# The A_p double integral holds up to about this many leaf-pair arrays of
-# N^2 n x n values at once (the products W^{1/p}(x) W^{-1/p}(t), then the SVD's
-# work); peak RSS grew by 1.5 such arrays at d=1, L=11.
-APCHAR_LIVE_ARRAYS = 2
+# The A_p double integral holds up to about this many N x N tables of scalars
+# at once.  For 2x2 weights they are three of the four sums that
+# linalg.pair_opnorms turns into ||W^{1/p}(x) W^{-1/p}(t)||: peak RSS of
+# apchar grew by 3.4 tables at d=1, L=11.  Other n form the N^2 n x n products
+# for the SVD, which grew by 1.5 n^2 tables (n=3, L=10), so they count 2 n^2.
+APCHAR_PAIR_TABLES = 4
 
 
 def cmd_apchar(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
     if grid.d > 2:
         raise ConfigError(f"apchar supports d <= 2, got d = {grid.d}")
-    need = grid.n_leaves ** 2 * W.n ** 2 * 8 * APCHAR_LIVE_ARRAYS
+    tables = APCHAR_PAIR_TABLES if W.n == 2 else 2 * W.n ** 2
+    need = grid.n_leaves ** 2 * 8 * tables
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(

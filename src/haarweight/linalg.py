@@ -1,5 +1,6 @@
-"""Batched small-matrix helpers and spectral norms: an exact dense eigensolve
-and a matrix-free Golub-Kahan-Lanczos lower bound."""
+"""Batched small-matrix helpers and spectral norms: a closed form for 2x2
+matrices, an exact dense eigensolve and a matrix-free Golub-Kahan-Lanczos
+lower bound."""
 
 from __future__ import annotations
 
@@ -23,8 +24,52 @@ def sqrtm_spd(a):
 
 
 def opnorm(a):
-    """Batched spectral (largest singular value) norm."""
-    return np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)[..., 0]
+    """Batched spectral norm (largest singular value).
+
+    For 2x2 matrices [[a, b], [c, d]] it is the exact closed form
+    sigma_1 = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2; the two hypots
+    are sigma_1 + sigma_2 and sigma_1 - sigma_2.  Other sizes fall back to
+    the SVD.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-2:] != (2, 2):
+        return np.linalg.svd(a, compute_uv=False)[..., 0]
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    return _sigma1_2x2(np.asarray(v) for v in (a00 + a11, a01 - a10, a00 - a11, a01 + a10))
+
+
+def _sigma1_2x2(sums):
+    """(hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 from an iterator over
+    fresh arrays a + d, b - c, a - d, b + c.  They are taken in turn and the
+    hypots are written over them, so at most three are alive at once."""
+    s = next(sums)
+    np.hypot(s, next(sums), out=s)
+    t = next(sums)
+    s += np.hypot(t, next(sums), out=t)
+    s *= 0.5
+    return s
+
+
+def pair_opnorms(P, N):
+    """||P_x N_t|| for every pair of matrices P_x (x < len(P)) and N_t, as a
+    (len(P), len(N)) table; P and N are stacks of n x n matrices.
+
+    For n = 2 the table comes from the closed form of ``opnorm`` without
+    forming the products: with F = P_x flattened to (p00, p01, p10, p11),
+    each of a + d, b - c, a - d and b + c of M = P_x N_t is the bilinear form
+    F . H with H a signed rearrangement of N_t's entries, so the four sums
+    are four (len(P) x 4) @ (4 x len(N)) GEMMs.  Other n fall back to the
+    formed products and the SVD.
+    """
+    P = np.asarray(P, dtype=float)
+    N = np.asarray(N, dtype=float)
+    if P.shape[-2:] != (2, 2):
+        return opnorm(P[:, None] @ N[None, :])
+    F = P.reshape(-1, 4)
+    n00, n01, n10, n11 = N[:, 0, 0], N[:, 0, 1], N[:, 1, 0], N[:, 1, 1]
+    H = ((n00, n10, n01, n11), (n01, n11, -n00, -n10),
+         (n00, n10, -n01, -n11), (n01, n11, n00, n10))
+    return _sigma1_2x2(F @ np.stack(h) for h in H)
 
 
 def lambda_max(a):

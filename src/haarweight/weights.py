@@ -452,13 +452,14 @@ def _reducing_from_gauge(rho, dirs, n, max_iter, tol, u0=None):
 
     rho: (K, m) gauge values on the net.  Returns (V, eta, design, gap) with
     the certified sandwich rho(e) <= |V e| <= sqrt(n)(1 + eta) rho(e) on the
-    net and the Lowner solve's per-row duality gap.
+    net and the Lowner solve's per-row duality gap.  The ratios |V_k e_m| /
+    rho_km come from one product V @ dirs^T, shaped (K, n, m), and a norm over
+    its middle axis.
     """
     # boundary points of the gauge ball sit at distance 1/rho along each direction
     U, design, gap = lowner_batched(1.0 / rho, dirs, max_iter=max_iter, tol=tol, u0=u0)
     V = np.sqrt(n) * U
-    ratios = np.einsum("kij,mj->kmi", V, dirs)
-    ratios = np.linalg.norm(ratios, axis=-1) / rho
+    ratios = np.linalg.norm(V @ dirs.T, axis=1) / rho
     c_lo = ratios.min(axis=1)
     V = V / c_lo[:, None, None]
     eta = ratios.max(axis=1) / (c_lo * np.sqrt(n)) - 1.0
@@ -534,28 +535,12 @@ def _cube_diagonal(arr, d, k):
     return arr[i, j, i, j]
 
 
-def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport:
-    """Both forms of the A_p characteristic over all grid cubes.
-
-    value_reducing  = sup_I ||V_I V_I'||^p  (primary; all bounds use this one);
-    value_integral  = the defining double average, leafwise with the weight's
-    leaf representatives for W^{+-1/p}.
-    """
-    d, L, n = grid.d, grid.L, W.n
-    if d > 2:
-        raise ShapeError("A_p double integral implemented for d <= 2")
-    if reducing is None:
-        reducing = reducing_pyramid(W, grid, p)
-    per_level = [linalg.opnorm(V @ Vp) ** p
-                 for V, Vp in zip(reducing["V"], reducing["V_prime"])]
-    best_val, best_cube = sup_over_cubes(per_level, grid)
-    # defining double average
+def _double_average_levels(G, grid, p):
+    """Per-level cube values of the A_p double average from the leaf-pair
+    table G[x, t] = ||W^{1/p}(x) W^{-1/p}(t)||, which is overwritten."""
+    d, L = grid.d, grid.L
     pprime = p / (p - 1.0)
-    P = W.leaf_reps(grid, 1.0 / p)       # W^{1/p}(x) leaf representative
-    N = W.leaf_reps(grid, -1.0 / p)      # W^{-1/p}(t) leaf representative
-    flatP = P.reshape(-1, n, n)
-    flatN = N.reshape(-1, n, n)
-    G = linalg.opnorm(flatP[:, None] @ flatN[None, :]) ** pprime
+    G **= pprime
     G = G.reshape(grid.leaf_shape + grid.leaf_shape)
     # inner averages over t go up one level at a time; the outer average over
     # x follows the power, so it starts from the leaves at each level
@@ -565,5 +550,33 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport
         if k < L:
             inner = coarsen_levels(inner, d, 1, axis=d)
         diags[k] = _cube_diagonal(coarsen_levels(inner ** (p / pprime), d, L - k), d, k)
+    return diags
+
+
+def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport:
+    """Both forms of the A_p characteristic over all grid cubes.
+
+    value_reducing  = sup_I ||V_I V_I'||^p  (primary; all bounds use this one);
+    value_integral  = the defining double average, leafwise with the weight's
+    leaf representatives for W^{+-1/p}.
+
+    For 2x2 weights every norm here is the closed form of ``linalg.opnorm``,
+    and the N x N leaf-pair table of the double average comes from
+    ``linalg.pair_opnorms`` in four rank-4 GEMMs, without forming the
+    products; other n fall back to the SVD.
+    """
+    d, n = grid.d, W.n
+    if d > 2:
+        raise ShapeError("A_p double integral implemented for d <= 2")
+    if reducing is None:
+        reducing = reducing_pyramid(W, grid, p)
+    per_level = [linalg.opnorm(V @ Vp) ** p
+                 for V, Vp in zip(reducing["V"], reducing["V_prime"])]
+    best_val, best_cube = sup_over_cubes(per_level, grid)
+    # defining double average
+    P = W.leaf_reps(grid, 1.0 / p)       # W^{1/p}(x) leaf representative
+    N = W.leaf_reps(grid, -1.0 / p)      # W^{-1/p}(t) leaf representative
+    G = linalg.pair_opnorms(P.reshape(-1, n, n), N.reshape(-1, n, n))
+    diags = _double_average_levels(G, grid, p)
     best_int, best_int_cube = sup_over_cubes(diags, grid)
     return ApReport(p, best_val, best_cube, best_int, best_int_cube, per_level)

@@ -1,0 +1,99 @@
+"""Closed-form 2x2 spectral norms against LAPACK's SVD.
+
+``opnorm`` takes sigma_1 = (hypot(a+d, b-c) + hypot(a-d, b+c)) / 2 for 2x2
+input, and ``pair_opnorms`` builds the leaf-pair table of the A_p double
+average from the same four sums as GEMMs, without forming the products.
+The oracle is ``np.linalg.svd`` of the formed matrices.
+"""
+
+import numpy as np
+import pytest
+
+from haarweight import linalg, weights
+from haarweight.dyadic import Grid
+from haarweight.weights import MatrixWeight, ap_characteristic, reducing_pyramid
+
+CLOSED_FORM_RTOL = 4e-15
+PAIR_RTOL = 1e-13
+
+
+def svd_norm(a):
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def adversarial_sets():
+    rng = np.random.default_rng(8)
+    u, v = rng.standard_normal((2, 500, 2))
+    rank1 = u[:, :, None] * v[:, None, :]
+    theta = rng.uniform(0.0, 2.0 * np.pi, 500)
+    c, s = np.cos(theta), np.sin(theta)
+    general = rng.standard_normal((500, 2, 2))
+    return {
+        "near-rank-1": rank1 + 1e-9 * rng.standard_normal((500, 2, 2)),
+        "singular": np.concatenate([rank1, [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 3.0]],
+                                            [[0.0, -7.0], [0.0, 0.0]]]]),
+        "non-symmetric": general,
+        "rotations": np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2),
+        "reflections": np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2),
+        "scaled-1e8": 1e8 * general,
+        "scaled-1e-8": 1e-8 * general,
+        "mixed-scales": np.array([1e8, 1e-8])[:, None] * general,
+    }
+
+
+@pytest.mark.parametrize("name", list(adversarial_sets()))
+def test_opnorm_closed_form_matches_svd(name):
+    mats = adversarial_sets()[name]
+    got, want = linalg.opnorm(mats), svd_norm(mats)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= CLOSED_FORM_RTOL * want)
+
+
+def test_opnorm_exact_cases():
+    assert linalg.opnorm(np.zeros((2, 2))) == 0.0
+    assert float(linalg.opnorm(np.array([[3.0, 0.0], [0.0, -5.0]]))) == 5.0
+    assert linalg.opnorm(np.zeros((3, 4, 2, 2))).shape == (3, 4)
+
+
+def test_only_other_sizes_take_the_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rng = np.random.default_rng(3)
+    linalg.opnorm(rng.standard_normal((10, 2, 2)))
+    linalg.pair_opnorms(rng.standard_normal((4, 2, 2)), rng.standard_normal((5, 2, 2)))
+    assert calls == []
+    m3 = rng.standard_normal((10, 3, 3))
+    assert np.array_equal(linalg.opnorm(m3), svd(m3, compute_uv=False)[..., 0])
+    P, N = rng.standard_normal((2, 6, 3, 3))
+    table = linalg.pair_opnorms(P, N)
+    assert table.shape == (6, 6)
+    assert np.array_equal(table, svd(P[:, None] @ N[None], compute_uv=False)[..., 0])
+    assert calls == [(10, 3, 3), (6, 6, 3, 3)]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("d,L", [(1, 6), (2, 5)])
+@pytest.mark.parametrize("kind", ["rotated", "random-spd"])
+def test_leaf_pair_norms_match_formed_products(kind, d, L, p):
+    W = (MatrixWeight.rotated_power([0.4, -0.3], 0.7) if kind == "rotated"
+         else MatrixWeight.random_spd(5, cond=16.0))
+    g = Grid(d, L)
+    P = W.leaf_reps(g, 1.0 / p).reshape(-1, 2, 2)
+    N = W.leaf_reps(g, -1.0 / p).reshape(-1, 2, 2)
+    table = linalg.pair_opnorms(P, N)
+    want = svd_norm(P[:, None] @ N[None])
+    np.testing.assert_allclose(table, want, rtol=PAIR_RTOL, atol=0)
+    diags = weights._double_average_levels(table, g, p)
+    for got_k, want_k in zip(diags, weights._double_average_levels(want, g, p)):
+        np.testing.assert_allclose(got_k, want_k, rtol=PAIR_RTOL, atol=0)
+    red = reducing_pyramid(W, g, p, net_size=16, max_iter=40, tol=1e-4, eta_target=1.0)
+    rep = ap_characteristic(W, p, g, reducing=red)
+    for got_k, V, Vp in zip(rep.per_level, red["V"], red["V_prime"]):
+        np.testing.assert_allclose(got_k, svd_norm(V @ Vp) ** p, rtol=PAIR_RTOL, atol=0)
+    assert rep.value_integral == max(float(a.max()) for a in diags)
