@@ -157,6 +157,8 @@ def mean_oscillation(B: MatrixSymbol, W: MatrixWeight, p, lo, hi, center=None):
     grid = B.grid
     if grid.d != 1:
         raise ValueError("arbitrary-cube oscillation implemented for d=1")
+    if p != 2.0:
+        raise ValueError("arbitrary-cube oscillation uses the p=2 closed form")
     lo, hi = Fraction(lo), Fraction(hi)
     idxs, weights = _leaf_overlaps(lo, hi, grid.L)
     weights = np.array(weights)
@@ -165,10 +167,7 @@ def mean_oscillation(B: MatrixSymbol, W: MatrixWeight, p, lo, hi, center=None):
     if center is None:
         center = (weights[:, None, None] * vals).sum(axis=0) / total
     avgW = W.average_over_interval(lo, hi, 1.0, grid=grid)
-    VQ = linalg.sqrtm_spd(avgW) if p == 2.0 else None
-    if VQ is None:
-        raise ValueError("arbitrary-cube oscillation uses the p=2 closed form")
-    VQinv = linalg.powm_spd(VQ, -1.0)
+    VQinv = linalg.powm_spd(linalg.sqrtm_spd(avgW), -1.0)
     reps = W.leaf_reps(grid, 0.5)[idxs]
     X = reps @ (vals - center) @ VQinv
     osc = (linalg.opnorm(X) ** 2 * weights).sum() / total

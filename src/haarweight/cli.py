@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .experiments import _read_int, _read_number
+from .experiments import _read_int, _read_number, _write_json
 from .carleson import bmo_norm, carleson_b_sup, carleson_c_constant, stopping_time_tree
 from .dyadic import Grid
 from .errors import ConfigError, HaarweightError, SparsenessError
@@ -39,12 +39,39 @@ def build_grid(cfg):
         raise ConfigError(f"bad grid spec: {exc}")
 
 
+def _read_finite(cfg, key):
+    return _read_number(cfg, key, None, np.isfinite, "a finite number")
+
+
 def build_weight(cfg):
+    """The weight of the spec {"kind": ..., ...}: identity (n), scalar-power
+    (alpha, n), diagonal-power (alphas), rotated (2 alphas, theta) or
+    random-spd (seed, cond, n)."""
     spec = cfg.get("weight", {"kind": "identity"})
-    try:
-        return MatrixWeight.from_json(spec)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad weight spec: {exc}")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"weight spec must be an object, got {spec!r}")
+    kind = spec.get("kind")
+    if kind in ("identity", "scalar-power", "random-spd"):
+        n = _read_int(spec, "n", 2, lo=1)
+    if kind == "identity":
+        return MatrixWeight.identity(n)
+    if kind == "scalar-power":
+        return MatrixWeight.scalar_power(_read_finite(spec, "alpha"), n)
+    if kind == "random-spd":
+        cond = _read_number(spec, "cond", 16.0, lambda v: np.isfinite(v) and v >= 1.0,
+                            "a finite number >= 1")
+        return MatrixWeight.random_spd(_read_int(spec, "seed", None), cond, n)
+    if kind in ("diagonal-power", "rotated"):
+        alphas = spec.get("alphas")
+        if not isinstance(alphas, list) or not alphas or (kind == "rotated" and len(alphas) != 2):
+            size = "2" if kind == "rotated" else "at least 1"
+            raise ConfigError(f"a {kind} weight needs 'alphas', a list of {size} numbers, "
+                              f"got {alphas!r}")
+        alphas = [_read_finite({"alphas": a}, "alphas") for a in alphas]
+        if kind == "diagonal-power":
+            return MatrixWeight.diagonal_power(alphas)
+        return MatrixWeight.rotated_power(alphas, _read_finite(spec, "theta"))
+    raise ConfigError(f"unknown weight kind {kind!r}")
 
 
 def read_p(cfg):
@@ -110,14 +137,6 @@ def build_operator(spec, grid, weight, p):
     raise ConfigError(f"unknown operator spec {spec!r}")
 
 
-def _dump(out_dir, name, payload):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    return path
-
-
 # The A_p double integral holds up to about this many N x N tables of scalars
 # at once.  For 2x2 weights they are three of the four sums that
 # linalg.pair_opnorms turns into ||W^{1/p}(x) W^{-1/p}(t)||: peak RSS of
@@ -141,7 +160,7 @@ def cmd_apchar(cfg, out_dir):
     p = read_p(cfg)
     rep = ap_characteristic(W, p, grid)
     payload = json.loads(rep.to_json())
-    _dump(out_dir, "apchar.json", payload)
+    _write_json(os.path.join(out_dir, "apchar.json"), payload)
     rep.to_csv(os.path.join(out_dir, "apchar.csv"))
     return {"passed": True, **payload}
 
@@ -153,7 +172,7 @@ def cmd_opnorm(cfg, out_dir):
     rep = weighted_operator_norm(op, W, p, seed=_read_int(cfg, "seed", 0))
     payload = json.loads(rep.to_json())
     payload["operator"] = op.name
-    _dump(out_dir, "opnorm.json", payload)
+    _write_json(os.path.join(out_dir, "opnorm.json"), payload)
     return {"passed": True, **payload}
 
 
@@ -167,7 +186,7 @@ def cmd_bmo(cfg, out_dir):
     val, cube = bmo_norm(B, W, p, variant)
     payload = {"value": val, "variant": variant,
                "supremizing_cube": {"level": cube.level, "offset": list(cube.offset)}}
-    _dump(out_dir, "bmo.json", payload)
+    _write_json(os.path.join(out_dir, "bmo.json"), payload)
     return {"passed": True, **payload}
 
 
@@ -180,7 +199,7 @@ def cmd_carleson(cfg, out_dir):
     rc = carleson_c_constant(A, W, p, reducing=red)
     payload = {"condition_b": json.loads(rb.to_json()),
                "condition_c": json.loads(rc.to_json())}
-    _dump(out_dir, "carleson.json", payload)
+    _write_json(os.path.join(out_dir, "carleson.json"), payload)
     return {"passed": True, **payload}
 
 
@@ -199,7 +218,7 @@ def cmd_stopping(cfg, out_dir):
     payload = {"passed": bool(decay_ok),
                "lambda1": tree.lambda1, "lambda2": tree.lambda2,
                "generation_measures": tree.generation_measures}
-    _dump(out_dir, "stopping.json", payload)
+    _write_json(os.path.join(out_dir, "stopping.json"), payload)
     return payload
 
 
@@ -220,7 +239,7 @@ def cmd_sparse(cfg, out_dir):
     if cfg.get("weight") is not None:
         rep = weighted_operator_norm(sparse_op(fam), W, read_p(cfg))
         payload["weighted_norm"] = rep.value
-    _dump(out_dir, "sparse.json", payload)
+    _write_json(os.path.join(out_dir, "sparse.json"), payload)
     return payload
 
 
@@ -270,10 +289,11 @@ def main(argv=None):
         return 1
     except HaarweightError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _dump(args.out, "diagnostics.json", {"passed": False, "error": str(exc)})
+        _write_json(os.path.join(args.out, "diagnostics.json"),
+                    {"passed": False, "error": str(exc)})
         return 2
     if not report.get("passed", True):
-        _dump(args.out, "diagnostics.json", report)
+        _write_json(os.path.join(args.out, "diagnostics.json"), report)
         print("assertion failure; diagnostics written", file=sys.stderr)
         return 2
     print(json.dumps({"command": args.command, "passed": True}))

@@ -25,7 +25,7 @@ from .dyadic import (
     refine, signature_product, signatures,
 )
 from .errors import ShapeError, ShiftMapError
-from .weights import MatrixWeight, reducing_pyramid
+from .weights import MatrixWeight, _lp_power, reducing_pyramid
 
 
 def _mv(mats, vecs):
@@ -511,8 +511,7 @@ def _ascent_lower_bound(op, W, p, seed):
     rng = np.random.default_rng(seed)
 
     def norm_p(vals):
-        q = np.einsum("...i,...ij,...j->...", vals, M_in, vals)
-        return float((np.maximum(q, 0.0) ** (p / 2.0)).sum() * meas)
+        return _lp_power(vals, M_in, p, meas)
 
     def grad_norm_p(vals):
         q = np.einsum("...i,...ij,...j->...", vals, M_in, vals)

@@ -1,15 +1,15 @@
 """Matrix weights: exact cell averages, A_p characteristics, reducing operators.
 
-A weight is a generator of a.e. positive definite matrix values.  Power kinds
-(|x|^alpha laws, d=1) average exactly through closed-form integrals; every
-other kind is constant on leaf cells by definition, so its averages are exact
-too.  Reducing operators are closed-form symmetric square roots at p=2 and
-certified maximal-volume ellipsoids for general p.
+A weight is a generator of a.e. positive definite matrix values, held in one
+of two representations.  Power laws (|x|^alpha, the identity among them)
+average exactly through closed-form integrals; leaf values are constant on
+leaf cells by definition, so their averages are exact too.  Reducing
+operators are closed-form symmetric square roots at p=2 and certified
+maximal-volume ellipsoids for general p.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,50 +24,40 @@ from .errors import IntegrabilityError, ShapeError
 class MatrixWeight:
     """Generator of SPD matrix values with exact cell averaging of W^s.
 
-    kinds:
-      identity        -- the n x n identity;
-      scalar-power    -- |x|^alpha Id;
-      diagonal-power  -- diag(|x|^{alpha_1}, ..., |x|^{alpha_n});
-      rotated         -- R diag(|x|^{alpha_i}) R^T for a fixed rotation R;
-      random-spd      -- per-leaf random SPD values, realized deterministically
-                         from (seed, grid) with condition number <= cond;
-      leaf            -- explicit per-leaf SPD values bound to one grid;
-      truncated       -- eigenvalue clamp of a base weight onto [1/n_cut, n_cut];
-      power-of        -- pointwise power W0^{s0} of a leaf-constant base.
+    Exactly one representation is given:
+      alphas       -- the power law R diag(|x|^{alpha_1}, ..., |x|^{alpha_n}) R^T,
+                      with R = ``rotation`` (the identity when None); every
+                      alpha = 0 is the identity weight;
+      leaf_values  -- a callable grid -> SPD values constant on its leaves,
+                      leaf_shape + (n, n); the weight is their pointwise power
+                      ``exponent``.
     """
 
-    def __init__(self, kind, n=2, alphas=None, rotation=None, seed=0, cond=16.0,
-                 values=None, grid=None, base=None, n_cut=None, exponent=None):
-        self.kind = kind
+    def __init__(self, n, alphas=None, rotation=None, leaf_values=None, exponent=1.0):
+        if (alphas is None) == (leaf_values is None):
+            raise ValueError("a weight needs exactly one of alphas and leaf_values")
         self.n = int(n)
         self.alphas = None if alphas is None else tuple(float(a) for a in alphas)
         self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
-        self.seed = seed
-        self.cond = float(cond)
-        self.values = None if values is None else np.asarray(values, dtype=float)
-        self.grid = grid
-        self.base = base
-        self.n_cut = n_cut
-        self.exponent = exponent
+        self.leaf_values = leaf_values
+        self.exponent = float(exponent)
         self._cache = {}
-        if kind in ("scalar-power", "diagonal-power", "rotated") and self.alphas is None:
-            raise ValueError(f"{kind} weight needs exponents")
-        if kind == "rotated" and self.rotation is None:
-            raise ValueError("rotated weight needs a rotation matrix")
+        if self.alphas is not None and len(self.alphas) != self.n:
+            raise ShapeError(f"{len(self.alphas)} exponents for an n={self.n} weight")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, n=2):
-        return cls("identity", n=n)
+        return cls(n, alphas=(0.0,) * n)
 
     @classmethod
     def scalar_power(cls, alpha, n=2):
-        return cls("scalar-power", n=n, alphas=(float(alpha),) * n)
+        return cls(n, alphas=(float(alpha),) * n)
 
     @classmethod
     def diagonal_power(cls, alphas):
-        return cls("diagonal-power", n=len(alphas), alphas=alphas)
+        return cls(len(alphas), alphas=alphas)
 
     @classmethod
     def rotated_power(cls, alphas, theta):
@@ -75,114 +65,85 @@ class MatrixWeight:
         R = np.array([[c, -s], [s, c]])
         if len(alphas) != 2:
             raise ShapeError("rotated weight with a scalar angle needs n=2")
-        return cls("rotated", n=2, alphas=alphas, rotation=R)
+        return cls(2, alphas=alphas, rotation=R)
 
     @classmethod
     def random_spd(cls, seed, cond=16.0, n=2):
+        """Per-leaf random SPD values, realized deterministically from
+        (seed, grid), with condition number <= cond."""
         if not cond >= 1.0:
             raise ValueError(f"condition number bound must be >= 1, got {cond}")
-        return cls("random-spd", n=n, seed=seed, cond=cond)
+        n, logc = int(n), np.log(float(cond))
+
+        def leaf_values(grid):
+            rng = np.random.default_rng(seed)
+            shape = grid.leaf_shape
+            nleaf = int(np.prod(shape))
+            q, _ = np.linalg.qr(rng.standard_normal((nleaf, n, n)))
+            eig = np.exp(rng.uniform(-0.5 * logc, 0.5 * logc, size=(nleaf, n)))
+            vals = (q * eig[:, None, :]) @ np.swapaxes(q, -1, -2)
+            return linalg.symmetrize(vals).reshape(shape + (n, n))
+
+        return cls(n, leaf_values=leaf_values)
 
     @classmethod
     def from_leaf_values(cls, grid, values):
-        values = np.asarray(values, dtype=float)
-        return cls("leaf", n=values.shape[-1], values=values, grid=grid)
+        """Explicit per-leaf SPD values, bound to ``grid``."""
+        values = np.array(values, dtype=float)
 
-    @classmethod
-    def from_json(cls, spec):
-        spec = json.loads(spec) if isinstance(spec, str) else dict(spec)
-        kind = spec["kind"]
-        if kind == "identity":
-            return cls.identity(spec.get("n", 2))
-        if kind == "scalar-power":
-            return cls.scalar_power(spec["alpha"], spec.get("n", 2))
-        if kind == "diagonal-power":
-            return cls.diagonal_power(spec["alphas"])
-        if kind == "rotated":
-            return cls.rotated_power(spec["alphas"], spec["theta"])
-        if kind == "random-spd":
-            return cls.random_spd(spec["seed"], spec.get("cond", 16.0), spec.get("n", 2))
-        raise ValueError(f"unknown weight kind {kind!r}")
+        def leaf_values(g):
+            if g != grid:
+                raise ShapeError("leaf-valued weight is bound to a different grid")
+            return values
+
+        return cls(values.shape[-1], leaf_values=leaf_values)
 
     # -- averaging core -----------------------------------------------------
 
-    def _check_power(self, s):
-        if self.alphas is None:
-            return
+    def _power_law(self, s, means):
+        """R diag(means(s alpha_i)) R^T, where means(beta) averages |x|^beta
+        over each cell; refused unless every |x|^{s alpha_i} is integrable."""
         for a in self.alphas:
             if abs(s * a) >= 1.0:
                 raise IntegrabilityError(
                     f"|x|^{s * a:g} is not cell-integrable (|s*alpha| >= 1)")
+        diag = np.stack([means(s * a) for a in self.alphas], axis=-1)
+        vals = np.zeros(diag.shape + (self.n,))
+        idx = np.arange(self.n)
+        vals[..., idx, idx] = diag
+        if self.rotation is not None:
+            vals = self.rotation @ vals @ self.rotation.T
+        return vals
 
     def leaf_averages(self, grid, s=1.0):
         """m_leaf(W^s) on every leaf, shape leaf_shape + (n, n).  Exact."""
-        key = (grid.d, grid.L, grid.shift, float(s))
+        return self._leaf_power(grid, self.exponent * float(s))
+
+    def _leaf_power(self, grid, e):
+        """m_leaf of the power law to the power e, or of leaf_values(grid)^e,
+        cached by e; ``power_of`` of leaf values shares the cache."""
+        key = (grid.d, grid.L, grid.shift, e)
         if key in self._cache:
             return self._cache[key]
-        out = self._leaf_averages(grid, float(s))
+        if self.leaf_values is not None:
+            out = (self.leaf_values(grid) if e == 1.0
+                   else linalg.powm_spd(self._leaf_power(grid, 1.0), e))
+        elif grid.d == 1:
+            edges = np.arange((1 << grid.L) + 1) / (1 << grid.L)
+            out = self._power_law(e, lambda beta: _interval_power_means(edges, beta))
+        else:
+            # no closed form off the line: midpoint value, exactly constant on leaves
+            side = 1 << grid.L
+            axes = np.meshgrid(*[(np.arange(side) + 0.5) / side] * grid.d, indexing="ij")
+            r = np.sqrt(sum(ax ** 2 for ax in axes))
+            out = self._power_law(e, lambda beta: r ** beta)
         self._cache[key] = out
         return out
-
-    def _leaf_averages(self, grid, s):
-        n, d, L = self.n, grid.d, grid.L
-        if self.kind == "identity":
-            return np.broadcast_to(np.eye(n), grid.leaf_shape + (n, n)).copy()
-        if self.kind in ("scalar-power", "diagonal-power", "rotated"):
-            self._check_power(s)
-            if d == 1:
-                edges = np.arange((1 << L) + 1) / (1 << L)
-                diag = np.stack(
-                    [_interval_power_means(edges, s * a) for a in self.alphas], axis=-1)
-            else:
-                # no closed form off the line: midpoint value, exactly constant on leaves
-                side = 1 << L
-                axes = np.meshgrid(*[(np.arange(side) + 0.5) / side] * d, indexing="ij")
-                r = np.sqrt(sum(ax ** 2 for ax in axes))
-                diag = np.stack([r ** (s * a) for a in self.alphas], axis=-1)
-            vals = np.zeros(grid.leaf_shape + (n, n))
-            idx = np.arange(n)
-            vals[..., idx, idx] = diag
-            if self.kind == "rotated":
-                vals = self.rotation @ vals @ self.rotation.T
-            return vals
-        if self.kind == "random-spd":
-            vals = self._realize_random(grid)
-            return linalg.powm_spd(vals, s) if s != 1.0 else vals
-        if self.kind == "leaf":
-            if grid != self.grid:
-                raise ShapeError("leaf-valued weight is bound to a different grid")
-            return linalg.powm_spd(self.values, s) if s != 1.0 else self.values.copy()
-        if self.kind == "truncated":
-            base_vals = self.base.leaf_averages(grid, 1.0)
-            w, v = np.linalg.eigh(linalg.symmetrize(base_vals))
-            w = np.clip(w, 1.0 / self.n_cut, self.n_cut)
-            vals = (v * (w ** s)[..., None, :]) @ np.swapaxes(v, -1, -2)
-            return vals
-        if self.kind == "power-of":
-            return self.base.leaf_averages(grid, self.exponent * s)
-        raise ValueError(f"unknown weight kind {self.kind!r}")
-
-    def _realize_random(self, grid):
-        key = ("realize", grid.d, grid.L, grid.shift)
-        if key in self._cache:
-            return self._cache[key]
-        rng = np.random.default_rng(self.seed)
-        n = self.n
-        shape = grid.leaf_shape
-        nleaf = int(np.prod(shape))
-        gauss = rng.standard_normal((nleaf, n, n))
-        q, _ = np.linalg.qr(gauss)
-        logc = np.log(self.cond)
-        eig = np.exp(rng.uniform(-0.5 * logc, 0.5 * logc, size=(nleaf, n)))
-        vals = (q * eig[:, None, :]) @ np.swapaxes(q, -1, -2)
-        vals = linalg.symmetrize(vals).reshape(shape + (n, n))
-        self._cache[key] = vals
-        return vals
 
     def leaf_reps(self, grid, r):
         """Leaf representative of the pointwise power W^r: m_leaf(W^{2r})^{1/2}.
 
-        Exact for leaf-constant kinds; the within-leaf L^2 average otherwise
+        Exact for leaf values; the within-leaf L^2 average for power laws
         (and exactly m_leaf(W)^{1/2}-consistent at r = 1/2).
         """
         return linalg.sqrtm_spd(self.leaf_averages(grid, 2.0 * r))
@@ -194,28 +155,20 @@ class MatrixWeight:
     def average_over_interval(self, lo, hi, s=1.0, grid=None):
         """Exact (1/|I|) int_I W^s over an arbitrary rational interval (d=1).
 
-        Power kinds integrate in closed form; leaf-constant kinds weight leaf
-        values by the exact overlap measure with the grid's leaf partition.
+        Power laws integrate in closed form; leaf values are weighted by the
+        exact overlap measure with ``grid``'s leaf partition.
         """
         lo, hi = Fraction(lo), Fraction(hi)
         if hi <= lo:
             raise ValueError("empty interval")
-        if self.kind == "identity":
-            return np.eye(self.n)
-        if self.kind in ("scalar-power", "diagonal-power", "rotated"):
-            self._check_power(s)
-            diag = np.array([_abs_power_integral(lo, hi, s * a) / float(hi - lo)
-                             for a in self.alphas])
-            vals = np.diag(diag)
-            if self.kind == "rotated":
-                vals = self.rotation @ vals @ self.rotation.T
-            return vals
-        if grid is None:
-            grid = self.grid
+        if self.leaf_values is None:
+            width = float(hi - lo)
+            return self._power_law(self.exponent * s,
+                                   lambda beta: _abs_power_integral(lo, hi, beta) / width)
         if grid is None or grid.d != 1:
-            raise ShapeError("leaf-constant weights need a d=1 grid for interval averages")
+            raise ShapeError("leaf-valued weights need a d=1 grid for interval averages")
         if lo < 0 or hi > 1:
-            raise ValueError("leaf-constant weights live on [0,1)")
+            raise ValueError("leaf-valued weights live on [0,1)")
         leaf_vals = self.leaf_averages(grid, s)
         acc = np.zeros((self.n, self.n))
         for i, length in zip(*_leaf_overlaps(lo, hi, grid.L)):
@@ -264,18 +217,23 @@ def truncate_weight(W: MatrixWeight, n_cut) -> MatrixWeight:
     projection formula, applied to the weight's leaf values."""
     if n_cut <= 0:
         raise ValueError("truncation level must be positive")
-    out = MatrixWeight("truncated", n=W.n, base=W, n_cut=float(n_cut))
-    return out
+    n_cut = float(n_cut)
+
+    def leaf_values(grid):
+        w, v = np.linalg.eigh(linalg.symmetrize(W.leaf_averages(grid, 1.0)))
+        w = np.clip(w, 1.0 / n_cut, n_cut)
+        return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+    return MatrixWeight(W.n, leaf_values=leaf_values)
 
 
 def power_of(W: MatrixWeight, s0) -> MatrixWeight:
     """The pointwise power W^{s0} as a weight."""
-    if W.kind == "identity":
-        return W
-    if W.kind in ("scalar-power", "diagonal-power", "rotated"):
-        scaled = tuple(a * s0 for a in W.alphas)
-        return MatrixWeight(W.kind, n=W.n, alphas=scaled, rotation=W.rotation)
-    return MatrixWeight("power-of", n=W.n, base=W, exponent=float(s0))
+    if W.leaf_values is None:
+        return MatrixWeight(W.n, alphas=[a * s0 for a in W.alphas], rotation=W.rotation)
+    out = MatrixWeight(W.n, leaf_values=W.leaf_values, exponent=W.exponent * s0)
+    out._cache = W._cache
+    return out
 
 
 def dual_weight(W: MatrixWeight, p):
@@ -289,9 +247,9 @@ def dual_weight(W: MatrixWeight, p):
 # ---------------------------------------------------------------------------
 
 def cell_average(W: MatrixWeight, cube: Cube, s=1.0, grid=None):
-    """(1/|I|) int_I W^s: closed form for power kinds in d=1, leaf-summed otherwise."""
+    """(1/|I|) int_I W^s: closed form for power laws in d=1, leaf-summed otherwise."""
     grid = grid or cube.grid
-    if grid.d == 1 and W.kind in ("scalar-power", "diagonal-power", "rotated", "identity"):
+    if grid.d == 1 and W.leaf_values is None:
         (lo, hi), = cube.bounds()
         return W.average_over_interval(lo, hi, s)
     leaf_vals = W.leaf_averages(grid, s)
@@ -301,15 +259,19 @@ def cell_average(W: MatrixWeight, cube: Cube, s=1.0, grid=None):
     return block.reshape(-1, W.n, W.n).mean(axis=0)
 
 
+def _lp_power(vals, M, p, meas):
+    """sum over leaves of (f^T M f)_+^{p/2} |leaf| for leaf values ``vals`` of
+    f and M = m_leaf(W^{2/p}): ||f||_{L^p(W)}^p in the leaf gauge."""
+    q = np.einsum("...i,...ij,...j->...", vals, M, vals)
+    return float((np.maximum(q, 0.0) ** (p / 2.0)).sum() * meas)
+
+
 def lp_norm(f, W: MatrixWeight, p=2.0):
     """||f||_{L^p(W)}; exact at p=2, leaf L^2-representative gauge otherwise."""
     grid = f.grid
     if f.kind != "vector":
         raise ShapeError("weighted norms act on vector step functions")
-    M = W.leaf_averages(grid, 2.0 / p)
-    quad = np.einsum("...i,...ij,...j->...", f.values, M, f.values)
-    quad = np.maximum(quad, 0.0)
-    return float((quad ** (p / 2.0)).sum() * grid.leaf_measure) ** (1.0 / p)
+    return _lp_power(f.values, W.leaf_averages(grid, 2.0 / p), p, grid.leaf_measure) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,16 @@ class TestBMO:
                 best = min(best, mean_oscillation(B, W, 2.0, lo, hi, center=center))
             assert np.sqrt(base) <= (1 + np.sqrt(ap)) * np.sqrt(best) * (1 + 1e-9)
 
+    def test_oscillation_refuses_p_not_2_before_any_work(self):
+        g = Grid(1, 4)
+        W = MatrixWeight.random_spd(2)
+        calls = []
+        W.average_over_interval = lambda *args, **kw: calls.append(args)
+        B = MatrixSymbol.from_values(g, np.ones((16, 2, 2)))
+        with pytest.raises(ValueError):
+            mean_oscillation(B, W, 3.0, 0, 1)
+        assert calls == []
+
     def test_covering_comparability_sampled(self):
         # oscillation over arbitrary rational cubes is controlled by the
         # oscillation over a covering third-shifted cube, with the constant

@@ -195,12 +195,20 @@ class TestCLI:
         ("counterexample", {"kind": "paraproduct", "alpha": 0.5, "n_range": [8, 8]}),
         ("equivalence", {"instances": "x"}),
         ("stopping", {"lambda1": 0.5}),
+        ("apchar", {"weight": {"kind": "identity", "n": 0}}),
+        ("apchar", {"weight": {"kind": "diagonal-power", "alphas": []}}),
+        ("apchar", {"weight": {"kind": "random-spd", "seed": -1}}),
+        ("apchar", {"weight": {"kind": "random-spd", "seed": 1.5}}),
+        ("apchar", {"weight": {"kind": "rotated", "alphas": [0.1, 0.2, 0.3], "theta": 0.5}}),
+        ("apchar", {"weight": {"kind": "random-spd", "seed": 0, "n": 2.5}}),
+        ("apchar", {"weight": {"kind": "identity", "n": True}}),
     ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
             "stopping-p<1", "sparse-p=1", "bmo-variant", "bmo-dyadic", "sparse-density",
             "shift-seed", "symbol-scale", "sweep-L", "sweep-alpha=1", "sweep-one-alpha",
             "l_range-length",
             "paraproduct-L<n_range", "paraproduct-one-depth", "equivalence-instances",
-            "lambda1<1"])
+            "lambda1<1", "weight-n=0", "weight-no-alphas", "weight-seed<0",
+            "weight-seed-1.5", "rotated-3-alphas", "weight-n=2.5", "weight-n-true"])
     def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": {"d": 1, "L": 3}, **cfg}))

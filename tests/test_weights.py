@@ -85,12 +85,32 @@ class TestCellAverage:
     def test_average_over_interval_partial_leaves(self):
         W = MatrixWeight.random_spd(1, cond=4.0)
         g = Grid(1, 3)
-        W.grid = g
         vals = W.leaf_averages(g, 1.0)
         from fractions import Fraction
         avg = W.average_over_interval(Fraction(1, 16), Fraction(5, 16), grid=g)
         want = (0.5 * vals[0] + vals[1] + 0.5 * vals[2]) / 2.0
         np.testing.assert_allclose(avg, want, rtol=1e-12)
+
+
+class TestRepresentations:
+    @pytest.mark.parametrize("d, L", [(1, 5), (2, 3)])
+    def test_identity_is_the_zero_power_law(self, d, L):
+        # every alpha = 0: each cell mean of |x|^0 is exactly 1 and nothing rotates
+        g = Grid(d, L)
+        want = np.broadcast_to(np.eye(2), g.leaf_shape + (2, 2))
+        for s in (1.0, -1.0, 0.5, 2.0 / 3.0, 4.0 / 3.0):
+            assert np.array_equal(MatrixWeight.identity().leaf_averages(g, s), want)
+
+    def test_power_of_leaf_values_shares_the_cache(self):
+        W = MatrixWeight.random_spd(3, cond=9.0)
+        calls = []
+        realize = W.leaf_values
+        W.leaf_values = lambda grid: calls.append(grid) or realize(grid)
+        g = Grid(1, 4)
+        inv = W.leaf_averages(g, -1.0)
+        assert power_of(W, -1.0).leaf_averages(g, 1.0) is inv
+        assert power_of(W, -1.0).leaf_averages(g, -1.0) is W.leaf_averages(g, 1.0)
+        assert len(calls) == 1
 
 
 class TestReducingOperators:
