@@ -36,16 +36,14 @@ class CarlesonReport:
     primal_value: float = None    # condition (c) forms, where computed
     dual_value: float = None
 
-    def to_json(self):
-        payload = {
-            "value": self.value, "p": self.p, "kind": self.kind,
-            "supremizing_cube": {"level": self.cube.level, "offset": list(self.cube.offset)},
-        }
+    def record(self):
+        payload = {"value": self.value, "p": self.p, "kind": self.kind,
+                   "supremizing_cube": self.cube.record()}
         if self.primal_value is not None:
             payload["primal_value"] = self.primal_value
         if self.dual_value is not None:
             payload["dual_value"] = self.dual_value
-        return json.dumps(payload)
+        return payload
 
 
 def carleson_b_sup(A: MatrixSequence, W: MatrixWeight, p, reducing=None) -> CarlesonReport:
@@ -59,7 +57,7 @@ def carleson_b_sup(A: MatrixSequence, W: MatrixWeight, p, reducing=None) -> Carl
         Vinv = linalg.powm_spd(reducing["V"][k], -1.0)[..., None, :, :]
         lam.append(linalg.opnorm(V @ A.levels[k] @ Vinv) ** 2)
     _, normalized = carleson_intensity(lam, grid.d)
-    value, cube = sup_over_cubes(normalized, grid)
+    value, cube = sup_over_cubes(normalized)
     return CarlesonReport(value, cube, p, "condition-b", normalized)
 
 
@@ -94,7 +92,7 @@ def carleson_c_constant(A: MatrixSequence, W: MatrixWeight, p, reducing=None) ->
             Vinv = linalg.powm_spd(reducing[vkey][k], -1.0)
             conj = Vinv @ (s * (2.0 ** (k * d))) @ Vinv
             per_form[name].append(linalg.lambda_max(conj))
-    sups = {name: sup_over_cubes(lv, grid) for name, lv in per_form.items()}
+    sups = {name: sup_over_cubes(lv) for name, lv in per_form.items()}
     # the larger form's supremum and cube; ties go to the primal form
     value, cube = max(sups.values(), key=lambda sup: sup[0])
     kind = "condition-c-" + ("both" if len(sups) == 2 else next(iter(sups)))
@@ -118,7 +116,7 @@ def _oscillation_sup(B: MatrixSymbol, weight_reps, V_inv, power, grid):
         X = X @ refine_to_leaves(V_inv[k], d, L - k)
         contrib = linalg.opnorm(X) ** power
         per_level.append(coarsen_levels(contrib, d, L - k))
-    return sup_over_cubes(per_level, grid)
+    return sup_over_cubes(per_level)
 
 
 def bmo_norm(B: MatrixSymbol, W: MatrixWeight, p, variant="primal", reducing=None):
@@ -192,7 +190,7 @@ class StoppingTree:
             for j, gen in enumerate(self.generations):
                 fh.write(json.dumps({
                     "generation": j,
-                    "cubes": [{"level": c.level, "offset": list(c.offset)} for c in gen],
+                    "cubes": [c.record() for c in gen],
                     "measure": self.generation_measures[j],
                 }) + "\n")
 
@@ -246,7 +244,7 @@ def stopping_time_tree(W: MatrixWeight, p, grid: Grid, lambda1=None, lambda2=Non
         for j, idx in sorted(zip(gen[stop].tolist(), np.argwhere(stop).tolist())):
             if j == len(gens):
                 gens.append([])
-            gens[j].append(Cube(grid, k, tuple(idx)))
+            gens[j].append(Cube(k, tuple(idx)))
     return StoppingTree(root, p, float(lambda1), float(lambda2), gens,
                         [float(sum(c.measure for c in cubes)) for cubes in gens])
 

@@ -32,11 +32,11 @@ from .weights import MatrixWeight, ap_characteristic, reducing_pyramid
 
 
 def build_grid(cfg):
-    spec = cfg.get("grid", {"d": 1, "L": 8, "shift": "standard"})
-    try:
-        return Grid.from_json(spec)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad grid spec: {exc}")
+    """The standard grid of the spec {"d": ..., "L": ...} (default d=1, L=8)."""
+    spec = cfg.get("grid", {"d": 1, "L": 8})
+    if not isinstance(spec, dict) or set(spec) - {"d", "L"}:
+        raise ConfigError(f"a grid spec is an object with the fields 'd' and 'L', got {spec!r}")
+    return Grid(_read_int(spec, "d", None, lo=1), _read_int(spec, "L", None, lo=1))
 
 
 def _read_finite(cfg, key):
@@ -159,7 +159,7 @@ def cmd_apchar(cfg, out_dir):
             f"physical memory")
     p = read_p(cfg)
     rep = ap_characteristic(W, p, grid)
-    payload = json.loads(rep.to_json())
+    payload = rep.record()
     _write_json(os.path.join(out_dir, "apchar.json"), payload)
     rep.to_csv(os.path.join(out_dir, "apchar.csv"))
     return {"passed": True, **payload}
@@ -170,8 +170,7 @@ def cmd_opnorm(cfg, out_dir):
     p = read_p(cfg)
     op = build_operator(cfg.get("operator", {}), grid, W, p)
     rep = weighted_operator_norm(op, W, p, seed=_read_int(cfg, "seed", 0))
-    payload = json.loads(rep.to_json())
-    payload["operator"] = op.name
+    payload = {**rep.record(), "operator": op.name}
     _write_json(os.path.join(out_dir, "opnorm.json"), payload)
     return {"passed": True, **payload}
 
@@ -185,7 +184,7 @@ def cmd_bmo(cfg, out_dir):
         raise ConfigError(f"unknown BMO variant {variant!r}")
     val, cube = bmo_norm(B, W, p, variant)
     payload = {"value": val, "variant": variant,
-               "supremizing_cube": {"level": cube.level, "offset": list(cube.offset)}}
+               "supremizing_cube": cube.record()}
     _write_json(os.path.join(out_dir, "bmo.json"), payload)
     return {"passed": True, **payload}
 
@@ -197,8 +196,7 @@ def cmd_carleson(cfg, out_dir):
     red = reducing_pyramid(W, grid, p)
     rb = carleson_b_sup(A, W, p, reducing=red)
     rc = carleson_c_constant(A, W, p, reducing=red)
-    payload = {"condition_b": json.loads(rb.to_json()),
-               "condition_c": json.loads(rc.to_json())}
+    payload = {"condition_b": rb.record(), "condition_c": rc.record()}
     _write_json(os.path.join(out_dir, "carleson.json"), payload)
     return {"passed": True, **payload}
 
@@ -234,8 +232,7 @@ def cmd_sparse(cfg, out_dir):
         fam = sparse_generate(grid, seed=_read_int(cfg, "seed", 0), density=density)
     except SparsenessError as exc:
         return {"passed": False, "error": str(exc)}
-    payload = {"passed": True, "cubes": json.loads(fam.to_json()),
-               "size": len(fam)}
+    payload = {"passed": True, "cubes": fam.record(), "size": len(fam)}
     if cfg.get("weight") is not None:
         rep = weighted_operator_norm(sparse_op(fam), W, read_p(cfg))
         payload["weighted_norm"] = rep.value
@@ -276,10 +273,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default="haarweight-out", help="output directory")
     args = parser.parse_args(argv)
+    # json.load raises ValueError on bad JSON and on an integer over 4300 digits
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,23 +26,23 @@ from .errors import CompletenessError, ShapeError
 # Grids and cubes
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Grid:
-    """A truncated dyadic grid on [0,1)^d with leaves at level L.
+    """The standard truncated dyadic grid on [0,1)^d with leaves at level L.
 
-    ``shift`` is either "standard" or an index t in {1..2^d} selecting the
-    third-shifted grid whose level-k cubes are 2^{-k}([0,1)^d + m + (-1)^k s)
-    with s = (bits of t-1)/3.  The standard truncated grid is the one used
-    for computation; shifted grids matter for covering arbitrary cubes.
+    All computation runs on this grid; third-shifted cubes appear only in the
+    covering search (``find_covering_cube``).
     """
 
-    def __init__(self, d, L, shift="standard"):
-        if d < 1 or L < 1:
-            raise ValueError("dimension and depth must be positive")
-        if shift != "standard" and not (1 <= int(shift) <= 2 ** d):
-            raise ValueError(f"shift index must be in 1..{2 ** d}")
-        self.d = int(d)
-        self.L = int(L)
-        self.shift = shift if shift == "standard" else int(shift)
+    d: int
+    L: int
+
+    def __post_init__(self):
+        for name in ("d", "L"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"grid {name} must be an integer >= 1, got {v!r}")
+            object.__setattr__(self, name, int(v))
 
     @property
     def n_leaves(self):
@@ -56,56 +56,29 @@ class Grid:
     def leaf_measure(self):
         return 2.0 ** (-self.L * self.d)
 
-    def shift_vector(self):
-        """Per-coordinate shift numerators over 3 (0 for the standard grid)."""
-        if self.shift == "standard":
-            return (0,) * self.d
-        bits = [(self.shift - 1) >> (self.d - 1 - i) & 1 for i in range(self.d)]
-        return tuple(bits)
-
     def root(self):
-        return Cube(self, 0, (0,) * self.d)
-
-    def cube(self, level, offset):
-        return Cube(self, level, tuple(offset))
+        return Cube(0, (0,) * self.d)
 
     def cubes_at_level(self, k):
-        side = 1 << k
-        return [Cube(self, k, m) for m in itertools.product(range(side), repeat=self.d)]
+        return [Cube(k, m) for m in itertools.product(range(1 << k), repeat=self.d)]
 
     def all_cubes(self, max_level=None):
         top = self.L if max_level is None else max_level
-        out = []
-        for k in range(top + 1):
-            out.extend(self.cubes_at_level(k))
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, Grid) and self.d == other.d
-                and self.L == other.L and self.shift == other.shift)
-
-    def __hash__(self):
-        return hash((self.d, self.L, self.shift))
-
-    def __repr__(self):
-        return f"Grid(d={self.d}, L={self.L}, shift={self.shift!r})"
-
-    def to_json(self):
-        return json.dumps({"d": self.d, "L": self.L, "shift": self.shift})
-
-    @classmethod
-    def from_json(cls, text):
-        spec = json.loads(text) if isinstance(text, str) else text
-        return cls(spec["d"], spec["L"], spec.get("shift", "standard"))
+        return [c for k in range(top + 1) for c in self.cubes_at_level(k)]
 
 
 @dataclass(frozen=True)
 class Cube:
-    """Dyadic cube 2^{-k}([0,1)^d + m + (-1)^k s) identified by (level, offset)."""
+    """Dyadic cube 2^{-k}([0,1)^d + m + (-1)^k s) with level k and offset m.
 
-    grid: Grid
+    ``shift`` t in 1..2^d selects the third-shifted grid with s = (bits of
+    t-1)/3; t = 1 is the standard grid, the only one computation runs on.
+    d is ``len(offset)``.
+    """
+
     level: int
     offset: tuple
+    shift: int = 1
 
     @property
     def side(self):
@@ -113,37 +86,38 @@ class Cube:
 
     @property
     def measure(self):
-        return 2.0 ** (-self.level * self.grid.d)
+        return 2.0 ** (-self.level * len(self.offset))
+
+    def record(self):
+        """The JSON record {"level", "offset"} every report writes for a cube."""
+        return {"level": self.level, "offset": list(self.offset)}
+
+    def _shift_bits(self):
+        d = len(self.offset)
+        return [(self.shift - 1) >> (d - 1 - i) & 1 for i in range(d)]
 
     def bounds(self):
         """Exact per-coordinate (lo, hi) as Fractions."""
-        s = self.grid.shift_vector()
         sgn = -1 if self.level % 2 else 1
-        lo = tuple(Fraction(3 * m + sgn * t, 3 * (1 << self.level)) if self.level >= 0
-                   else Fraction(3 * m + sgn * t, 3) * (1 << -self.level)
-                   for m, t in zip(self.offset, s))
-        step = Fraction(1, 1 << self.level) if self.level >= 0 else Fraction(1 << -self.level)
-        return [(a, a + step) for a in lo]
+        step = _pow2(-self.level)
+        los = [(m + Fraction(sgn * t, 3)) * step for m, t in zip(self.offset, self._shift_bits())]
+        return [(lo, lo + step) for lo in los]
 
     def children(self):
         # child offsets follow the (-1)^k alternation so nesting is exact
         sgn = -1 if self.level % 2 else 1
-        shift = self.grid.shift_vector()
-        base = tuple(2 * m + (sgn if t else 0) for m, t in zip(self.offset, shift))
-        kids = []
-        for corner in itertools.product((0, 1), repeat=self.grid.d):
-            kids.append(Cube(self.grid, self.level + 1,
-                             tuple(b + c for b, c in zip(base, corner))))
-        return kids
+        base = tuple(2 * m + (sgn if t else 0) for m, t in zip(self.offset, self._shift_bits()))
+        return [Cube(self.level + 1, tuple(b + c for b, c in zip(base, corner)), self.shift)
+                for corner in itertools.product((0, 1), repeat=len(self.offset))]
 
     def parent(self):
         if self.level == 0:
             raise ValueError("root cube has no parent")
         # invert children(): m_child = 2*m_parent + sgn_parent*tau + corner
         sgn_parent = -1 if (self.level - 1) % 2 else 1
-        shift = self.grid.shift_vector()
-        par = tuple((m - (sgn_parent if t else 0)) // 2 for m, t in zip(self.offset, shift))
-        return Cube(self.grid, self.level - 1, par)
+        par = tuple((m - (sgn_parent if t else 0)) // 2
+                    for m, t in zip(self.offset, self._shift_bits()))
+        return Cube(self.level - 1, par, self.shift)
 
     def contains(self, other):
         """Exact containment check via rational bounds."""
@@ -176,18 +150,16 @@ def haar_sign_table(d):
 
 
 def signature_product(eps, eps_prime):
-    """Pointwise product rule |I|^{1/2} h^eps h^{eps'} = sign * h^{psi}.
+    """The signature psi of the pointwise product rule |I|^{1/2} h^eps h^{eps'} = h^{psi}.
 
-    Coordinatewise psi_i = XNOR(eps_i, eps'_i); the global sign is +1 in every
-    coordinate (products of one-dimensional Haar values never flip sign), but
-    it is tracked explicitly and validated leafwise in the tests.  The result
-    is cancellative iff eps != eps'.
+    Coordinatewise psi_i = XNOR(eps_i, eps'_i); there is no sign, since
+    products of one-dimensional Haar values never flip one (the tests check
+    the rule leafwise).  The result is cancellative iff eps != eps'.
     """
     eps, eps_prime = tuple(eps), tuple(eps_prime)
     if len(eps) != len(eps_prime):
         raise ShapeError("signatures must share a dimension")
-    psi = tuple(1 - (a ^ b) for a, b in zip(eps, eps_prime))
-    return psi, 1
+    return tuple(1 - (a ^ b) for a, b in zip(eps, eps_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -280,33 +252,37 @@ def subtree_sums(per_level, d):
 VALUE_KINDS = ("scalar", "vector", "matrix")
 
 
+def _value_kind(vshape):
+    """The kind ("scalar", "vector" or "matrix") of values shaped (), (n,) or (n, n)."""
+    if len(vshape) > 2:
+        raise ShapeError(f"value shape {vshape} is not scalar, vector or matrix")
+    if len(vshape) == 2 and vshape[0] != vshape[1]:
+        raise ShapeError("matrix values must be square")
+    return VALUE_KINDS[len(vshape)]
+
+
 class StepFunction:
     """Function constant on depth-L leaf cells, with scalar/vector/matrix values.
 
     values has shape (2^L,)*d + value_shape; value_shape is () for scalars,
-    (n,) for vectors and (n, n) for matrices.
+    (n,) for vectors and (n, n) for matrices, and ``kind`` names which.
     """
 
-    def __init__(self, grid, values, kind=None):
+    def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
         if values.shape[:grid.d] != grid.leaf_shape:
             raise ShapeError(f"leaf axes {values.shape[:grid.d]} do not match grid {grid.leaf_shape}")
-        vshape = values.shape[grid.d:]
-        if kind is None:
-            kind = VALUE_KINDS[len(vshape)]
-        if kind not in VALUE_KINDS:
-            raise ShapeError(f"unknown value kind {kind!r}")
-        if len(vshape) != VALUE_KINDS.index(kind):
-            raise ShapeError(f"value shape {vshape} inconsistent with kind {kind!r}")
-        if kind == "matrix" and vshape[0] != vshape[1]:
-            raise ShapeError("matrix values must be square")
+        _value_kind(values.shape[grid.d:])
         self.grid = grid
         self.values = values
-        self.kind = kind
 
     @property
     def value_shape(self):
         return self.values.shape[self.grid.d:]
+
+    @property
+    def kind(self):
+        return _value_kind(self.value_shape)
 
     def norm_l2(self):
         """Unweighted L^2 norm; for matrix values the Hilbert-Schmidt norm is used."""
@@ -325,13 +301,11 @@ class HaarExpansion:
     coeffs[k] has shape (2^k,)*d + (2^d - 1,) + value_shape for k in 0..L-1.
     """
 
-    def __init__(self, grid, mean, coeffs, kind=None):
+    def __init__(self, grid, mean, coeffs):
         mean = np.asarray(mean, dtype=float)
-        if kind is None:
-            kind = VALUE_KINDS[mean.ndim]
+        _value_kind(mean.shape)
         self.grid = grid
         self.mean = mean
-        self.kind = kind
         if len(coeffs) != grid.L:
             raise CompletenessError(f"expected {grid.L} coefficient levels, got {len(coeffs)}")
         nsig = (1 << grid.d) - 1
@@ -344,6 +318,10 @@ class HaarExpansion:
     @property
     def value_shape(self):
         return self.mean.shape
+
+    @property
+    def kind(self):
+        return _value_kind(self.value_shape)
 
     def coefficient(self, cube, eps):
         """Single coefficient f_I^eps (cube from the expansion's grid)."""
@@ -409,13 +387,13 @@ def haar_synthesize(mean, coeffs, d, L):
 def haar_transform(f: StepFunction) -> HaarExpansion:
     """Forward transform: exact coefficients f_I^eps = int f h_I^eps from leaf values."""
     mean, coeffs, _ = haar_analyze(f.values, f.grid.d, f.grid.L)
-    return HaarExpansion(f.grid, mean, coeffs, f.kind)
+    return HaarExpansion(f.grid, mean, coeffs)
 
 
 def inverse_haar(e: HaarExpansion) -> StepFunction:
     """Reconstruct leaf values; exact inverse of haar_transform."""
     vals = haar_synthesize(e.mean, e.coeffs, e.grid.d, e.grid.L)
-    return StepFunction(e.grid, vals, e.kind)
+    return StepFunction(e.grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +437,7 @@ def find_covering_cube(lo, hi, max_ratio=6):
                     break
                 offs.append(mi)
             if ok:
-                grid = Grid(d, 1, shift="standard" if t == 1 else t)
-                return t, Cube(grid, kk, tuple(offs))
+                return t, Cube(kk, tuple(offs), t)
     raise AssertionError("covering lemma failed; should be unreachable")
 
 
@@ -493,7 +470,7 @@ def chain_sum(per_level, d) -> np.ndarray:
     return cur
 
 
-def sup_over_cubes(per_level, grid):
+def sup_over_cubes(per_level):
     """(max, a Cube attaining it) over per-level arrays shaped (2^k,)*d; ties
     go to the coarsest level, then to the first cube in C order."""
     best, cube = -np.inf, None
@@ -502,17 +479,8 @@ def sup_over_cubes(per_level, grid):
         if mx > best:
             best = mx
             idx = np.unravel_index(int(arr.argmax()), arr.shape)
-            cube = Cube(grid, k, tuple(int(i) for i in idx))
+            cube = Cube(k, tuple(int(i) for i in idx))
     return best, cube
-
-
-def levels_from_cube_map(grid, mapping, default=0.0, max_level=None):
-    """Per-level arrays from a {Cube: value} map (missing cubes get ``default``)."""
-    top = grid.L if max_level is None else max_level
-    out = [np.full((1 << k,) * grid.d, float(default)) for k in range(top + 1)]
-    for cube, val in mapping.items():
-        out[cube.level][cube.offset] = val
-    return out
 
 
 def carleson_intensity(lam_levels, d):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -57,7 +58,9 @@ def _read_number(cfg, key, default, ok, want):
     """Config number (``default`` when absent, required when that is None)
     for which ok(value) holds; ``want`` says which values do."""
     val = cfg.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not ok(val):
+    # JSON integers are unbounded: one beyond the float range would make ok() raise
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or (isinstance(val, int) and abs(val) > sys.float_info.max) or not ok(val)):
         raise ConfigError(f"config field {key!r} must be {want}, got {val!r}")
     return val
 
@@ -494,7 +497,9 @@ def run_equivalence(cfg, out_dir=None):
                    {"instance": "random (A, W) index",
                     "A2": "characteristic", "cond_b": "condition (b) supremum",
                     "cond_c": "least condition (c) constant",
-                    "embedding_norm_sq": "dense-SVD norm squared of the embedding operator",
+                    "embedding_norm_sq": "norm squared of the embedding operator, 'exact' "
+                                         f"(dense Gram eigensolve) up to dimension {DENSE_DIM_CAP}, "
+                                         "a Lanczos lower bound above",
                     "c_le_norm": "1 if c <= norm^2", "c_le_n_b": "1 if c <= n*b"})
         _write_json(os.path.join(out_dir, "equivalence.json"), summary)
     return summary

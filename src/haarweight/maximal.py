@@ -11,7 +11,6 @@ verified here are exact statements about computed numbers.
 from __future__ import annotations
 
 import itertools
-import json
 
 import numpy as np
 
@@ -118,10 +117,10 @@ def _nq_on_cube(reps, halves, level, offset, grid):
     return best
 
 
-def local_nq(W: MatrixWeight, Q: Cube, grid: Grid = None):
-    """N_Q(x) = sup_{R: x in R, R in Q} ||W^{1/2}(x) (m_R W^{-1})^{1/2}|| on Q's
-    leaves, plus its normalized square integral (1/|Q|) int_Q N_Q^2."""
-    grid = grid or Q.grid
+def local_nq(W: MatrixWeight, Q: Cube, grid: Grid):
+    """N_Q(x) = sup_{R: x in R, R in Q} ||W^{1/2}(x) (m_R W^{-1})^{1/2}|| on the
+    leaves of the grid cube Q, plus its normalized square integral
+    (1/|Q|) int_Q N_Q^2."""
     best = _nq_on_cube(*_nq_factors(W, grid), Q.level, Q.offset, grid)
     return best, float((best ** 2).mean())
 
@@ -218,8 +217,8 @@ class SparseFamily:
             out[(lev, off)] = mask
         return out
 
-    def to_json(self):
-        return json.dumps([{"level": lev, "offset": list(off)} for lev, off in self.cubes])
+    def record(self):
+        return [Cube(lev, off).record() for lev, off in self.cubes]
 
 
 def sparse_generate(grid: Grid, seed=0, density=0.5) -> SparseFamily:
@@ -246,7 +245,7 @@ def sparse_generate(grid: Grid, seed=0, density=0.5) -> SparseFamily:
             child = (lev + 1, tuple(2 * m + c for m, c in zip(off, corner)))
             cubes.append(child)
             frontier.append(child)
-    return SparseFamily(grid, [Cube(grid, lev, off) for lev, off in cubes])
+    return SparseFamily(grid, [Cube(lev, off) for lev, off in cubes])
 
 
 def sparse_op(G: SparseFamily, n=2) -> Operator:

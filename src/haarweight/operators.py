@@ -14,7 +14,6 @@ transpose), which makes matrix-free norm iterations possible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +59,10 @@ class MatrixSymbol:
 
     @classmethod
     def from_values(cls, grid, values):
-        return cls(StepFunction(grid, values, "matrix"))
+        return cls(StepFunction(grid, values))
 
     def transpose(self):
-        return MatrixSymbol(StepFunction(self.grid, _transpose(self.step.values), "matrix"))
+        return MatrixSymbol(StepFunction(self.grid, _transpose(self.step.values)))
 
     def hs_parseval_gap(self):
         """Parseval defect of the cached coefficients against int ||B||_HS^2."""
@@ -234,14 +233,14 @@ def _mixer_levels(B: MatrixSymbol, fc):
     sum_I sum_{eps != eps'} |I|^{-1/2} B_I^{eps'} f_I^eps h_I^{psi(eps',eps)}."""
     d = B.grid.d
     sigs = signatures(d)
-    pairs = [(sp, s, *signature_product(ep, e)) for sp, ep in enumerate(sigs)
+    pairs = [(sp, s, signature_product(ep, e)) for sp, ep in enumerate(sigs)
              for s, e in enumerate(sigs) if sp != s]
     out = [np.zeros_like(c) for c in fc]
     for k, (b, f, o) in enumerate(zip(B.coeffs, fc, out)):
         scale = 2.0 ** (k * d / 2.0)   # |I|^{-1/2}
         bs, fs, os = _sig_first(b, d), _sig_first(f, d), _sig_first(o, d)
-        for sp, s, psi, sign in pairs:
-            os[sigs.index(psi)] += sign * scale * _mv(bs[sp], fs[s])
+        for sp, s, psi in pairs:
+            os[sigs.index(psi)] += scale * _mv(bs[sp], fs[s])
     return out
 
 
@@ -322,7 +321,7 @@ class Operator:
             raise ShapeError("operator and argument live on different grids")
         if f.kind != "vector" or f.value_shape != (self.n,):
             raise ShapeError(f"expected vector values of dimension {self.n}")
-        return StepFunction(self.grid, self.kernel(f.values), "vector")
+        return StepFunction(self.grid, self.kernel(f.values))
 
 
 def paraproduct_op(B: MatrixSymbol):
@@ -436,11 +435,11 @@ class NormReport:
     witness: np.ndarray = None
     details: dict = field(default_factory=dict)
 
-    def to_json(self):
+    def record(self):
         out = {"value": self.value, "kind": self.kind, "details": self.details}
         if self.witness is not None:
             out["witness"] = np.asarray(self.witness).ravel().tolist()
-        return json.dumps(out)
+        return out
 
 
 def dense_matrix(op: Operator):

@@ -10,7 +10,6 @@ maximal-volume ellipsoids for general p.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,7 +121,7 @@ class MatrixWeight:
     def _leaf_power(self, grid, e):
         """m_leaf of the power law to the power e, or of leaf_values(grid)^e,
         cached by e; ``power_of`` of leaf values shares the cache."""
-        key = (grid.d, grid.L, grid.shift, e)
+        key = (grid, e)
         if key in self._cache:
             return self._cache[key]
         if self.leaf_values is not None:
@@ -246,9 +245,11 @@ def dual_weight(W: MatrixWeight, p):
 # Cell averages and weighted norms
 # ---------------------------------------------------------------------------
 
-def cell_average(W: MatrixWeight, cube: Cube, s=1.0, grid=None):
-    """(1/|I|) int_I W^s: closed form for power laws in d=1, leaf-summed otherwise."""
-    grid = grid or cube.grid
+def cell_average(W: MatrixWeight, cube: Cube, grid: Grid, s=1.0):
+    """(1/|I|) int_I W^s over a cube of the standard grid: closed form for
+    power laws in d=1, leaf-summed otherwise."""
+    if cube.shift != 1:
+        raise ValueError("cell averages are taken over cubes of the standard grid")
     if grid.d == 1 and W.leaf_values is None:
         (lo, hi), = cube.bounds()
         return W.average_over_interval(lo, hi, s)
@@ -287,16 +288,14 @@ class ApReport:
     cube_integral: Cube
     per_level: list
 
-    def to_json(self):
-        return json.dumps({
+    def record(self):
+        return {
             "p": self.p,
             "characteristic_reducing": self.value_reducing,
-            "supremizing_cube_reducing": {"level": self.cube_reducing.level,
-                                          "offset": list(self.cube_reducing.offset)},
+            "supremizing_cube_reducing": self.cube_reducing.record(),
             "characteristic_integral": self.value_integral,
-            "supremizing_cube_integral": {"level": self.cube_integral.level,
-                                          "offset": list(self.cube_integral.offset)},
-        })
+            "supremizing_cube_integral": self.cube_integral.record(),
+        }
 
     def to_csv(self, path):
         import csv as _csv
@@ -534,11 +533,11 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport
         reducing = reducing_pyramid(W, grid, p)
     per_level = [linalg.opnorm(V @ Vp) ** p
                  for V, Vp in zip(reducing["V"], reducing["V_prime"])]
-    best_val, best_cube = sup_over_cubes(per_level, grid)
+    best_val, best_cube = sup_over_cubes(per_level)
     # defining double average
     P = W.leaf_reps(grid, 1.0 / p)       # W^{1/p}(x) leaf representative
     N = W.leaf_reps(grid, -1.0 / p)      # W^{-1/p}(t) leaf representative
     G = linalg.pair_opnorms(P.reshape(-1, n, n), N.reshape(-1, n, n))
     diags = _double_average_levels(G, grid, p)
-    best_int, best_int_cube = sup_over_cubes(diags, grid)
+    best_int, best_int_cube = sup_over_cubes(diags)
     return ApReport(p, best_val, best_cube, best_int, best_int_cube, per_level)

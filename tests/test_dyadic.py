@@ -6,6 +6,7 @@ pointwise products for the signature rule, and explicit chain walks for the
 sequence maximal function.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import pytest
 from haarweight import dyadic as dy
 from haarweight.dyadic import (
     Cube, Grid, HaarExpansion, StepFunction, carleson_intensity, chain_sum,
-    find_covering_cube, haar_transform, inverse_haar, levels_from_cube_map,
+    find_covering_cube, haar_transform, inverse_haar,
     sequence_maximal, signature_product, signatures,
 )
 from haarweight.errors import CompletenessError, ShapeError
@@ -43,9 +44,10 @@ def haar_leaf_values(grid, cube_offset, level, eps):
 
 class TestGrid:
     def test_children_partition_and_parent(self):
-        for shift in ["standard", 1, 2]:
-            g = Grid(1, 3, shift=shift)
-            for cube in g.all_cubes(2):
+        # shift 1 is the standard grid, shift 2 the third-shifted one
+        for shift in (1, 2):
+            for c in Grid(1, 3).all_cubes(2):
+                cube = Cube(c.level, c.offset, shift)
                 kids = cube.children()
                 assert len(kids) == 2
                 # exact partition via rational bounds
@@ -58,8 +60,8 @@ class TestGrid:
                     assert cube.contains(k)
 
     def test_children_partition_d2_shifted(self):
-        g = Grid(2, 2, shift=3)
-        for cube in g.all_cubes(1):
+        for c in Grid(2, 2).all_cubes(1):
+            cube = Cube(c.level, c.offset, 3)
             kids = cube.children()
             assert len(kids) == 4
             total = sum(Fraction(1) for _ in kids)
@@ -80,14 +82,19 @@ class TestGrid:
         assert len(covered) == 16
 
     def test_measure_exact(self):
-        g = Grid(2, 3)
-        c = g.cube(2, (1, 3))
+        c = Cube(2, (1, 3))
         assert c.measure == 2.0 ** (-4)
         assert c.side == 0.25
 
-    def test_json_roundtrip(self):
-        g = Grid(1, 8, shift=2)
-        assert Grid.from_json(g.to_json()) == g
+    def test_fields_and_bad_values(self):
+        # a grid is its dimension and depth; a cube knows no grid
+        assert [f.name for f in dataclasses.fields(Grid)] == ["d", "L"]
+        assert [f.name for f in dataclasses.fields(Cube)] == ["level", "offset", "shift"]
+        assert Grid(np.int64(2), 3) == Grid(2, 3)
+        assert hash(Grid(np.int64(2), 3)) == hash(Grid(2, 3))
+        for d, L in [(1.5, 8), (True, 3), (1, 0), (0, 2), (1, "3")]:
+            with pytest.raises(ValueError):
+                Grid(d, L)
 
 
 class TestSignatures:
@@ -96,25 +103,22 @@ class TestSignatures:
             assert len(signatures(d)) == 2 ** d - 1
 
     def test_product_rule_examples(self):
-        psi, sign = signature_product((0,), (0,))
-        assert psi == (1,) and sign == 1
-        psi, _ = signature_product((0, 1), (0, 1))
-        assert psi == (1, 1)
-        psi, _ = signature_product((0, 1), (1, 0))
-        assert psi == (0, 0)
+        assert signature_product((0,), (0,)) == (1,)
+        assert signature_product((0, 1), (0, 1)) == (1, 1)
+        assert signature_product((0, 1), (1, 0)) == (0, 0)
 
     def test_product_rule_pointwise_oracle(self):
-        # |I|^{1/2} h^eps h^{eps'} = sign * h^{psi} at every leaf
+        # |I|^{1/2} h^eps h^{eps'} = h^{psi} at every leaf
         g = Grid(2, 2)
         all_sigs = list(itertools.product((0, 1), repeat=2))
         for eps, eps_p in itertools.product(signatures(2), repeat=2):
-            psi, sign = signature_product(eps, eps_p)
+            psi = signature_product(eps, eps_p)
             for cube in g.cubes_at_level(1):
                 ha = haar_leaf_values(g, cube.offset, 1, eps)
                 hb = haar_leaf_values(g, cube.offset, 1, eps_p)
                 hpsi = haar_leaf_values(g, cube.offset, 1, psi)
                 meas_sqrt = cube.measure ** 0.5
-                np.testing.assert_allclose(meas_sqrt * ha * hb, sign * hpsi, atol=1e-12)
+                np.testing.assert_allclose(meas_sqrt * ha * hb, hpsi, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -214,6 +218,15 @@ class TestHaarTransform:
         with pytest.raises(ShapeError):
             StepFunction(g, np.zeros(7))
 
+    def test_kind_follows_value_shape(self):
+        g = Grid(2, 1)
+        for vshape, kind in [((), "scalar"), ((3,), "vector"), ((3, 3), "matrix")]:
+            f = StepFunction(g, np.zeros(g.leaf_shape + vshape))
+            assert f.kind == kind and haar_transform(f).kind == kind
+        for vshape in [(2, 3), (2, 2, 2)]:
+            with pytest.raises(ShapeError):
+                StepFunction(g, np.zeros(g.leaf_shape + vshape))
+
     def test_csv_export(self, tmp_path):
         g = Grid(1, 2)
         f = StepFunction(g, np.arange(4.0))
@@ -293,10 +306,9 @@ class TestSequenceMaximal:
                 chain = [levels[k][i >> (3 - k), j >> (3 - k)] for k in range(4)]
                 assert out[i, j] == pytest.approx(sum(chain), rel=1e-14)
 
-    def test_cube_map_adapter(self):
-        g = Grid(1, 2)
-        mapping = {g.root(): 2.0, g.cube(2, (3,)): 5.0}
-        levels = levels_from_cube_map(g, mapping)
+    def test_per_level_input(self):
+        # the root carries 2 and the last leaf 5; every other cube 0
+        levels = [np.array([2.0]), np.zeros(2), np.array([0.0, 0.0, 0.0, 5.0])]
         out = sequence_maximal(levels, 1)
         np.testing.assert_allclose(out, [2.0, 2.0, 2.0, 5.0])
 

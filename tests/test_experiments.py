@@ -166,6 +166,9 @@ class TestCLI:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert self.run("apchar", "--config", str(cfg), "--out", str(tmp_path)) == 1
+        # an integer too long for Python's int parser is not a JSONDecodeError
+        cfg.write_text('{"L": 1' + "0" * 5000 + "}")
+        assert self.run("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 1
 
     def test_unknown_operator_exit_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -202,13 +205,23 @@ class TestCLI:
         ("apchar", {"weight": {"kind": "rotated", "alphas": [0.1, 0.2, 0.3], "theta": 0.5}}),
         ("apchar", {"weight": {"kind": "random-spd", "seed": 0, "n": 2.5}}),
         ("apchar", {"weight": {"kind": "identity", "n": True}}),
+        ("apchar", {"grid": {"d": 1, "L": 6.5}}),
+        ("apchar", {"grid": {"d": True, "L": 6}}),
+        ("apchar", {"grid": {"d": 1, "L": 6, "shift": 2}}),
+        ("apchar", {"grid": {"d": 1, "L": 6, "shft": 2}}),
+        ("apchar", {"grid": {"d": 1}}),
+        ("apchar", {"weight": {"kind": "random-spd", "seed": 10 ** 330}}),
+        ("apchar", {"weight": {"kind": "scalar-power", "alpha": 10 ** 330}}),
+        ("sweep", {"L": 10 ** 330}),
     ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
             "stopping-p<1", "sparse-p=1", "bmo-variant", "bmo-dyadic", "sparse-density",
             "shift-seed", "symbol-scale", "sweep-L", "sweep-alpha=1", "sweep-one-alpha",
             "l_range-length",
             "paraproduct-L<n_range", "paraproduct-one-depth", "equivalence-instances",
             "lambda1<1", "weight-n=0", "weight-no-alphas", "weight-seed<0",
-            "weight-seed-1.5", "rotated-3-alphas", "weight-n=2.5", "weight-n-true"])
+            "weight-seed-1.5", "rotated-3-alphas", "weight-n=2.5", "weight-n-true",
+            "grid-L=6.5", "grid-d-true", "grid-shift", "grid-typo", "grid-no-L",
+            "seed-1e330", "alpha-1e330", "sweep-L-1e330"])
     def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": {"d": 1, "L": 3}, **cfg}))
@@ -216,6 +229,49 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid, weight, lam, want", [
+        ({"d": 1, "L": 5}, {"kind": "random-spd", "seed": 5}, 3.0, {
+            "bmo": [(0, 0)], "carleson": [(0, 0), (4, 11)], "apchar": [(4, 7), (4, 7)],
+            "stopping": [[(0, 0)], [(5, 22)]],
+            "sparse": [(0, 0), (1, 0), (2, 1), (3, 2), (4, 4), (5, 9)]}),
+        ({"d": 2, "L": 3}, {"kind": "random-spd", "seed": 3}, 2.5, {
+            "bmo": [(2, 3, 3)], "carleson": [(0, 0, 0), (2, 1, 0)],
+            "apchar": [(2, 3, 0), (2, 3, 0)],
+            "stopping": [[(0, 0, 0)], [(3, 1, 3), (3, 2, 4), (3, 3, 3), (3, 5, 4),
+                                       (3, 6, 0), (3, 6, 1)]],
+            "sparse": [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 2, 0), (2, 2, 3), (2, 3, 1),
+                       (2, 3, 3), (3, 4, 7), (3, 5, 0), (3, 5, 1), (3, 5, 7), (3, 6, 2),
+                       (3, 6, 7), (3, 7, 3), (3, 7, 7)]}),
+    ], ids=["d=1", "d=2"])
+    def test_cube_records(self, tmp_path, grid, weight, lam, want):
+        # every command writes a cube as {"level", "offset"}; the expected cubes
+        # were recorded before cubes lost their grid
+        def rec(level, *offset):
+            return {"level": level, "offset": list(offset)}
+
+        def run(command, **cfg):
+            out = tmp_path / command
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps({"grid": grid, "p": 3, **cfg}))
+            assert self.run(command, "--config", str(path), "--out", str(out)) == 0
+            return out
+
+        got = json.loads((run("bmo", weight=weight, symbol={"kind": "random", "seed": 1})
+                          / "bmo.json").read_text())
+        assert got["supremizing_cube"] == rec(*want["bmo"][0])
+        got = json.loads((run("carleson", weight=weight, p=2, sequence={"kind": "random", "seed": 2})
+                          / "carleson.json").read_text())
+        assert [got[c]["supremizing_cube"] for c in ("condition_b", "condition_c")] == [
+            rec(*c) for c in want["carleson"]]
+        got = json.loads((run("apchar", weight=weight, p=1.5) / "apchar.json").read_text())
+        assert [got[f"supremizing_cube_{f}"] for f in ("reducing", "integral")] == [
+            rec(*c) for c in want["apchar"]]
+        lines = (run("stopping", weight=weight, lambda1=lam, lambda2=lam) / "stopping.ndjson").read_text()
+        assert [json.loads(line)["cubes"] for line in lines.splitlines()] == [
+            [rec(*c) for c in gen] for gen in want["stopping"]]
+        got = json.loads((run("sparse", seed=4) / "sparse.json").read_text())
+        assert got["cubes"] == [rec(*c) for c in want["sparse"]]
 
     def test_apchar_oversized_grid_refused(self, tmp_path, capsys):
         # L=16 needs hundreds of GiB of leaf-pair arrays: refused before any work

@@ -153,7 +153,7 @@ class TestMW:
             lev, off = r_cubes[x]
             same = [c for y, c in enumerate(r_cubes) if j[y] == j[x]]
             S = min((lv, o) for lv, o in same if lv <= lev and (off >> (lev - lv)) == o)
-            nq, _ = local_nq(W, g.cube(S[0], (S[1],)), g)
+            nq, _ = local_nq(W, Cube(S[0], (S[1],)), g)
             want[x] = mw_val[x] / (2.0 ** (j[x] + 1) * nq[x - (S[1] << (L - S[0]))])
         assert len({S for S in r_cubes}) > 1
         assert np.array_equal(ratios, want)
@@ -190,7 +190,7 @@ class TestMW:
                 maximal = [c for c in same if not any(inside(c, o) for o in same)]
                 S, = [c for c in maximal if c == R[x] or inside(R[x], c)]
                 if S not in nq_of:
-                    nq_of[S] = local_nq(W, g.cube(S[0], (S[1],)), g)[0]
+                    nq_of[S] = local_nq(W, Cube(S[0], (S[1],)), g)[0]
                 nq = nq_of[S][x - (S[1] << (L - S[0]))]
                 want[x] = mw_val[x] / (2.0 ** (j[x] + 1) * nq) if nq > 0 else 0.0
             assert len(nq_of) > 1
@@ -201,14 +201,14 @@ class TestMW:
 class TestNQ:
     def test_identity(self):
         g = Grid(1, 5)
-        nq, avg = local_nq(MatrixWeight.identity(), g.root())
+        nq, avg = local_nq(MatrixWeight.identity(), g.root(), g)
         np.testing.assert_allclose(nq, 1.0)
         assert avg == pytest.approx(1.0)
 
     def test_constant_diagonal(self):
         g = Grid(1, 4)
         W = MatrixWeight.from_leaf_values(g, np.broadcast_to(np.diag([4.0, 0.25]), (16, 2, 2)).copy())
-        nq, avg = local_nq(W, g.root())
+        nq, avg = local_nq(W, g.root(), g)
         np.testing.assert_allclose(nq, 1.0, rtol=1e-12)
 
     def test_power_weight_bound_with_a2(self):

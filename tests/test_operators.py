@@ -7,7 +7,7 @@ kernel must match the transpose of its dense leaf-basis matrix exactly.
 import numpy as np
 import pytest
 
-from haarweight.dyadic import Grid, StepFunction, haar_analyze, haar_transform
+from haarweight.dyadic import Cube, Grid, StepFunction, haar_analyze, haar_transform
 from haarweight.errors import ShapeError, ShiftMapError
 from haarweight.operators import (
     MatrixSequence, MatrixSymbol, NormReport, Operator, ShiftMap,
@@ -307,7 +307,7 @@ class TestSquareFunction:
         _, agg = square_function(W, f)
         from haarweight.weights import cell_average
         from haarweight import linalg
-        V = linalg.sqrtm_spd(cell_average(W, g.cube(1, (1,))))
+        V = linalg.sqrtm_spd(cell_average(W, Cube(1, (1,)), g))
         assert agg == pytest.approx(((V @ e) ** 2).sum(), rel=1e-10)
 
 
@@ -418,7 +418,7 @@ class TestWeightedNorms:
         A = MatrixSequence.constant(g, np.eye(2))
         rep = weighted_operator_norm(haar_multiplier_op(A), MatrixWeight.identity(), 2.0)
         import json
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.record()))
         assert data["kind"] == "exact"
 
 

@@ -5,11 +5,13 @@ m_{[0,h)}(|x|^a) = h^a/(1+a), and the product m(x^a) m(x^{-a}) = 1/(1-a^2)
 on cubes touching the origin.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from haarweight import linalg
-from haarweight.dyadic import Cube, Grid
+from haarweight.dyadic import Cube, Grid, find_covering_cube
 from haarweight.errors import IntegrabilityError, ShapeError
 from haarweight.weights import (
     MatrixWeight, ap_characteristic, cell_average, dual_weight, gauge_pyramid,
@@ -33,19 +35,19 @@ class TestCellAverage:
     def test_identity(self):
         g = Grid(1, 4)
         for s in (1.0, -1.0, 0.5):
-            np.testing.assert_allclose(cell_average(MatrixWeight.identity(), g.root(), s), np.eye(2))
+            np.testing.assert_allclose(cell_average(MatrixWeight.identity(), g.root(), g, s), np.eye(2))
 
     def test_closed_form_unit_interval(self):
         W = MatrixWeight.diagonal_power([0.5, -0.5])
         g = Grid(1, 6)
-        avg = cell_average(W, g.root(), 1.0)
+        avg = cell_average(W, g.root(), g, 1.0)
         np.testing.assert_allclose(np.diag(avg), [2.0 / 3.0, 2.0], rtol=1e-12)
 
     def test_closed_form_scaling(self):
         W = MatrixWeight.diagonal_power([0.5, -0.5])
         g = Grid(1, 8)
         for N in (2, 5, 8):
-            avg = cell_average(W, g.cube(N, (0,)), 1.0)
+            avg = cell_average(W, Cube(N, (0,)), g, 1.0)
             want = [2.0 ** (-N / 2) * 2.0 / 3.0, 2.0 ** (N / 2) * 2.0]
             np.testing.assert_allclose(np.diag(avg), want, rtol=1e-12)
 
@@ -57,22 +59,30 @@ class TestCellAverage:
         for k in (0, 2, 5):
             for cube in g.cubes_at_level(k):
                 np.testing.assert_allclose(
-                    pyr[k][cube.offset], cell_average(W, cube, 1.0), rtol=1e-12)
+                    pyr[k][cube.offset], cell_average(W, cube, g, 1.0), rtol=1e-12)
 
     def test_rotation_conjugates(self):
         Wd = MatrixWeight.diagonal_power([0.4, -0.3])
         Wr = MatrixWeight.rotated_power([0.4, -0.3], 0.7)
         g = Grid(1, 4)
         R = Wr.rotation
-        a = cell_average(Wd, g.cube(2, (1,)), -1.0)
-        b = cell_average(Wr, g.cube(2, (1,)), -1.0)
+        a = cell_average(Wd, Cube(2, (1,)), g, -1.0)
+        b = cell_average(Wr, Cube(2, (1,)), g, -1.0)
         np.testing.assert_allclose(b, R @ a @ R.T, rtol=1e-12)
 
     def test_integrability_error(self):
         W = MatrixWeight.diagonal_power([0.6, -0.6])
         g = Grid(1, 3)
         with pytest.raises(IntegrabilityError):
-            cell_average(W, g.root(), 2.0)
+            cell_average(W, g.root(), g, 2.0)
+
+    def test_shifted_cube_refused(self):
+        # a third-shifted cube from the covering search is no cube of the grid
+        g = Grid(1, 6)
+        _, cover = find_covering_cube([Fraction(5, 12)], [Fraction(7, 12)])
+        assert cover.shift != 1
+        with pytest.raises(ValueError):
+            cell_average(MatrixWeight.diagonal_power([0.5, -0.5]), cover, g)
 
     def test_leaf_constant_spd(self):
         W = MatrixWeight.random_spd(4, cond=25.0)
@@ -380,7 +390,7 @@ class TestApCharacteristic:
     def test_report_json(self):
         import json
         rep = ap_characteristic(MatrixWeight.identity(), 2.0, Grid(1, 2))
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.record()))
         assert data["p"] == 2.0
         assert data["characteristic_reducing"] == pytest.approx(1.0)
 
