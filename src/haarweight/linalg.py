@@ -12,8 +12,14 @@ def symmetrize(a):
 
 
 def powm_spd(a, s):
-    """Batched symmetric power A^s via eigendecomposition (A must be SPD)."""
-    w, v = np.linalg.eigh(symmetrize(np.asarray(a, dtype=float)))
+    """Batched symmetric power A^s via eigendecomposition (A must be SPD);
+    the 2x2 inverse takes the closed form of ``_inv_small``."""
+    a = symmetrize(np.asarray(a, dtype=float))
+    if s == -1 and a.shape[-2:] == (2, 2):
+        if np.any(a[..., 0, 0] <= 0) or np.any(a[..., 0, 0] * a[..., 1, 1] <= a[..., 0, 1] ** 2):
+            raise np.linalg.LinAlgError("matrix power of a non positive definite matrix")
+        return _inv_small(a)
+    w, v = np.linalg.eigh(a)
     if np.any(w <= 0):
         raise np.linalg.LinAlgError("matrix power of a non positive definite matrix")
     return (v * (w ** s)[..., None, :]) @ np.swapaxes(v, -1, -2)
@@ -48,6 +54,35 @@ def _sigma1_2x2(sums):
     s += np.hypot(t, next(sums), out=t)
     s *= 0.5
     return s
+
+
+def _inv_small(S):
+    """Batched inverse; closed form for the symmetric 2x2 case."""
+    if S.shape[-1] != 2:
+        return np.linalg.inv(S)
+    a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+    det = a * c - b * b
+    out = np.empty_like(S)
+    out[..., 0, 0] = c
+    out[..., 1, 1] = a
+    out[..., 0, 1] = -b
+    out[..., 1, 0] = -b
+    return out / det[..., None, None]
+
+
+def _sqrtm_2x2(A):
+    """Batched square root of symmetric positive definite 2x2 matrices in
+    closed form: sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)),
+    by Cayley-Hamilton for the root, whose trace is that denominator and whose
+    determinant is sqrt(det A)."""
+    a, b, c = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+    r = np.sqrt(a * c - b * b)
+    t = np.sqrt(a + c + 2.0 * r)
+    out = np.empty_like(A)
+    out[..., 0, 0] = (a + r) / t
+    out[..., 1, 1] = (c + r) / t
+    out[..., 0, 1] = out[..., 1, 0] = b / t
+    return out
 
 
 def pair_opnorms(P, N):

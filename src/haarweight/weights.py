@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .dyadic import Cube, Grid, coarsen_levels, mean_pyramid, refine, sup_over_cubes
+from .dyadic import Cube, Grid, coarsen_levels, mean_pyramid, sup_over_cubes
 from .errors import IntegrabilityError, ShapeError
 
 
@@ -337,94 +337,237 @@ def gauge_pyramid(W, grid, p, dirs, dual=False):
     return [mk ** (1.0 / power) for mk in means]
 
 
-def lowner_batched(radii, dirs, max_iter=400, tol=1e-8, u0=None):
+# the n=2 active-set solve stops once no point lies outside the ellipse by
+# more than LOWNER_OUTSIDE (q^T M q <= 1 + LOWNER_OUTSIDE); a candidate
+# ellipse of a round is feasible when that round's other points are inside
+# it to CANDIDATE_SLACK, which is tighter, so an accepted point never
+# reappears as the worst violator
+LOWNER_OUTSIDE = 1e-10
+CANDIDATE_SLACK = 1e-11
+# the six candidates of a round over the slots (b0, b1, b2, new) of the basis
+# and the new point, as the basis each would become: the new point with one
+# basis point (a conjugate pair, written (new, b, new)) or with two (the
+# ellipse through a triple).  A pair basis is written (b0, b1, b0), and only
+# the first three candidates are open to it.  Each candidate is checked for
+# feasibility on the basis slots off it.
+_CANDIDATES = np.array([[3, 0, 3], [3, 1, 3], [3, 0, 1], [3, 2, 3], [3, 0, 2], [3, 1, 2]])
+_OFF = ((1, 2), (0, 2), (2,), (0, 1), (1,), (0,))
+
+
+def lowner_batched(radii, dirs, max_iter=400, tol=1e-8):
     """Minimum-volume origin-centered enclosing ellipsoids of the point sets
-    {+-radii[k, m] * dirs[m]} via the multiplicative D-optimal-design update
-    u_km <- u_km g_km / n (Titterington 1976; Todd & Yildirim 2007).
+    {+-radii[k, m] * dirs[m]}, one per row.
 
-    The net is fixed, so each iteration is two GEMMs against the flattened
-    outer products D[m] = d_m d_m^T, built once: the moment matrices
-    S_k = sum_m u_km |q_km|^2 d_m d_m^T are ``(u |q|^2) @ D`` and the
-    leverages g_km = |q_km|^2 d_m^T S_k^{-1} d_m are ``|q|^2 (S^{-1} @ D^T)``.
-    Each row stops on its own: once its duality gap max_m g_km / n - 1 is at
-    most ``tol`` it is frozen at that iterate and later iterations update
-    only the remaining rows; rows still open after ``max_iter`` updates stop
-    there.  In reducing pyramids of rotated power weights at L=10, every
-    cube of the four coarsest levels and about two thirds of those at level 7
-    (128 cubes) stop at ``max_iter=400`` with gaps of up to 2e-2, so ``tol``
-    is met mostly on the finer levels.
+    For n = 2 the solve is exact (``_lowner_active_set``): the optimal design
+    is supported on at most n(n+1)/2 = 3 points, and an active-set walk over
+    such bases stops when no point lies outside by more than
+    ``LOWNER_OUTSIDE``, so a row's gap is of that order unless round-off
+    stops it early; ``max_iter`` and ``tol`` are not used.  Other n run the
+    multiplicative D-optimal-design update (``_lowner_multiplicative``) until
+    a row's gap is at most ``tol`` or it has made ``max_iter`` updates.
 
-    Returns (U, design, gap): the ellipsoids {x : |U_k x| <= 1}, the final
-    design weights and each row's gap when it stopped.  Every point satisfies
-    |U_k q| <= 1 exactly (the iterate is rescaled by its own g_max).  ``u0``
-    warm-starts the design weights (e.g. from a parent cube).
+    Returns (U, design, gap): the ellipsoids {x : |U_k x| <= 1}, the design
+    weights u (nonnegative, summing to 1) and the duality gap
+    max_m g_km / n - 1 of that design, where g_km = |q_km|^2 d_m^T S_k^{-1} d_m
+    are the leverages of the moment matrix S_k = sum_m u_km |q_km|^2 d_m d_m^T.
+    Every point satisfies |U_k q| <= 1 exactly: U_k^T U_k = S_k^{-1} / max_m g_km.
     """
     radii = np.asarray(radii, dtype=float)
     K, m = radii.shape
     n = dirs.shape[1]
     scale = radii.max(axis=1, keepdims=True)
-    w = (radii / scale) ** 2                          # |q_km|^2
+    w = radii / scale
+    w *= w                                            # |q_km|^2
     D = (dirs[:, :, None] * dirs[:, None, :]).reshape(m, n * n)
-    if u0 is None:
-        u = np.full((K, m), 1.0 / m)
+    if n == 2:
+        u = _lowner_active_set(w, dirs)
     else:
-        u = np.maximum(u0, 1e-12 / m)
-        u = u / u.sum(axis=1, keepdims=True)
-    Sinv = np.empty((K, n, n))
-    g = np.empty((K, m))
+        u = _lowner_multiplicative(w, D, n, max_iter, tol)
+    Sinv = linalg._inv_small(((u * w) @ D).reshape(K, n, n))
+    g = Sinv.reshape(K, n * n) @ D.T
+    g *= w
+    gmax = g.max(axis=1)
+    M = Sinv / gmax[:, None, None]           # q^T M q <= 1 for all points
+    U = linalg._sqrtm_2x2(M) if n == 2 else linalg.sqrtm_spd(M)
+    # sum_m u_km g_km = n, so the gap is >= 0 up to round-off
+    return U / scale[..., None], u, np.maximum(gmax / n - 1.0, 0.0)
+
+
+def _lowner_multiplicative(w, D, n, max_iter, tol):
+    """Design weights from the multiplicative update u_km <- u_km g_km / n
+    (Titterington 1976; Todd & Yildirim 2007) from the uniform design.
+
+    The net is fixed, so each iteration is two GEMMs against the flattened
+    outer products D[m] = d_m d_m^T: the moment matrices are ``(u w) @ D`` and
+    the leverages ``w (S^{-1} @ D^T)``.  Each row stops on its own once its gap
+    is at most ``tol`` and later iterations update only the remaining rows;
+    rows still open after ``max_iter`` updates stop there.  The update is
+    sublinear on nearly elliptic point sets, so such rows can keep gaps well
+    above ``tol``.
+    """
+    K, m = w.shape
+    u = np.full((K, m), 1.0 / m)
     rows, ua, wa = np.arange(K), u, w                 # the rows still iterating
     for it in range(max_iter + 1):
-        Sa = _inv_small(((ua * wa) @ D).reshape(-1, n, n))
+        Sa = linalg._inv_small(((ua * wa) @ D).reshape(-1, n, n))
         ga = wa * (Sa.reshape(-1, n * n) @ D.T)
         stop = ga.max(axis=1) <= n * (1.0 + tol)
         if it == max_iter:
             stop[:] = True
         if stop.any():
-            done = rows[stop]
-            u[done], Sinv[done], g[done] = ua[stop], Sa[stop], ga[stop]
+            u[rows[stop]] = ua[stop]
             keep = ~stop
             rows, ua, wa, ga = rows[keep], ua[keep], wa[keep], ga[keep]
             if rows.size == 0:
                 break
         ua = ua * (ga / n)
         ua /= ua.sum(axis=1, keepdims=True)
-    gmax = g.max(axis=1)
-    M = Sinv / gmax[:, None, None]           # q^T M q <= 1 for all points
-    U = linalg.sqrtm_spd(M) / scale[..., None]
-    return U, u, gmax / n - 1.0
+    return u
 
 
-def _inv_small(S):
-    """Batched inverse; closed form for the symmetric 2x2 case."""
-    if S.shape[-1] != 2:
-        return np.linalg.inv(S)
-    a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
-    det = a * c - b * b
-    out = np.empty_like(S)
-    out[..., 0, 0] = c
-    out[..., 1, 1] = a
-    out[..., 0, 1] = -b
-    out[..., 1, 0] = -b
-    return out / det[..., None, None]
+def _conic_features(x, y):
+    """(x^2, 2xy, y^2) on the first axis for plane points (x, y): q^T M q is
+    their dot product with the entries (a, b, c) of M = [[a, b], [b, c]]."""
+    return np.stack([x * x, 2.0 * x * y, y * y])
 
 
-def _reducing_from_gauge(rho, dirs, n, max_iter, tol, u0=None):
+def _cross(u, v):
+    """u x v for 3-vectors given by their components u[0], u[1], u[2]."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _triple_conic(f0, f1, f2):
+    """Entries (a, b, c) of M for the ellipses q_i^T M q_i = 1 through three
+    plane points, from their conic features f_i (first axis), and the design
+    weights u_i with sum_i u_i q_i q_i^T = M^{-1} / 2, both by Cramer's rule.
+    The 3x3 system with the rows f_i has the inverse with the columns
+    c0 = f1 x f2, c1 = f2 x f0, c2 = f0 x f1 over det = f0 . c0, so
+    M = (c0 + c1 + c2) / det; the weights solve the transposed system, so
+    u_i = c_i . s / det for the features s of M^{-1} / 2."""
+    c = (_cross(f1, f2), _cross(f2, f0), _cross(f0, f1))
+    det = _dot(f0, c[0])
+    a, b, cc = [(c[0][z] + c[1][z] + c[2][z]) / det for z in range(3)]
+    h = 2.0 * (a * cc - b * b)
+    s = (cc / h, -2.0 * b / h, a / h)
+    return np.stack([a, b, cc]), np.stack([_dot(ci, s) for ci in c]) / det
+
+
+def _pair_conic(x1, y1, x2, y2):
+    """Entries (a, b, c) of M = (Q Q^T)^{-1}, Q = [q1 q2], on the first axis:
+    the ellipse with conjugate semi-axes q1 = (x1, y1) and q2 = (x2, y2)."""
+    det2 = (x1 * y2 - x2 * y1) ** 2
+    return np.stack([y1 * y1 + y2 * y2, -(x1 * y1 + x2 * y2), x1 * x1 + x2 * x2]) / det2
+
+
+def _lowner_active_set(w, dirs):
+    """Exact design of the minimum-area ellipses {q : q^T M q <= 1} around
+    the plane point sets {+-q_kj}, q_kj = sqrt(w[k, j]) dirs[j], batched over
+    rows.
+
+    The problem is LP-type (Welzl 1991): the optimum is the ellipse of a
+    basis of at most three points, either a conjugate pair q1, q2, with
+    M = (Q Q^T)^{-1} for Q = [q1 q2] and design (1/2, 1/2), or a triple on the
+    ellipse, with M from the 3x3 system q_i^T M q_i = 1.  A row starts from
+    the pair of its farthest point and the point that spans the largest
+    parallelogram with it.  Each round adds the point with the largest
+    q^T M q; the optimum of basis + {new} has the new point in its basis, so
+    it is the largest-determinant one of the candidates (three for a pair
+    basis, six for a triple) that contain the new point, are feasible on the
+    basis and, for a triple, have a design u >= 0.  det M falls strictly, so no basis repeats.  A row stops when no
+    point is outside by more than ``LOWNER_OUTSIDE``, after at most m rounds,
+    or when no candidate is feasible, which only round-off can cause; its gap
+    reports how far it got.  Arrays of a round hold the batch on their last
+    axis.  Returns the (K, m) design weights, nonzero on the basis.
+    """
+    K, m = w.shape
+    F = _conic_features(dirs[:, 0], dirs[:, 1])       # (3, m)
+
+    def points(rows, idx):
+        r = np.sqrt(w.take(rows * m + idx))
+        return r * dirs[idx, 0], r * dirs[idx, 1]
+
+    rows = np.arange(K)
+    j0 = w.argmax(axis=1)
+    cross2 = (dirs[:, None, 0] * dirs[:, 1] - dirs[:, None, 1] * dirs[:, 0]) ** 2
+    basis = np.stack([j0, (w * cross2[j0]).argmax(axis=1), j0])   # (3, K)
+    tri = np.zeros(K, dtype=bool)                     # the basis is a triple
+    x, y = points(rows, basis[:2])
+    coef = _pair_conic(x[0], y[0], x[1], y[1]).T      # (K, 3)
+    live, wl = rows, w                                # the open rows, their w
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(m):
+            val = coef[live] @ F
+            val *= wl
+            j = val.argmax(axis=1)
+            out = np.take_along_axis(val, j[:, None], axis=1)[:, 0] > 1.0 + LOWNER_OUTSIDE
+            live, j, wl = live[out], j[out], wl[out]
+            if live.size == 0:
+                break
+            slots = np.concatenate([basis[:, live], j[None]])   # (4, k)
+            x, y = points(live, slots)
+            f = _conic_features(x, y)                 # (3, 4, k)
+            has_b2 = tri[live]
+            n_cand = 6 if has_b2.any() else 3
+            cand = np.empty((n_cand, 3, live.size))
+            score = np.empty((n_cand, live.size))
+            for i, (c, off) in enumerate(zip(_CANDIDATES, _OFF[:n_cand])):
+                if c[2] == 3:
+                    cand[i] = _pair_conic(x[3], y[3], x[c[1]], y[c[1]])
+                    ok = has_b2.copy() if i >= 3 else np.ones(live.size, dtype=bool)
+                else:
+                    # a triple's ellipse is the optimum of its points only
+                    # with a design u >= 0; a fourth point on the optimum
+                    # ties two triples in det, and only one has such a design
+                    cand[i], u = _triple_conic(f[:, 3], f[:, c[1]], f[:, c[2]])
+                    ok = np.all(u >= 0.0, axis=0) & (has_b2 if i >= 3 else True)
+                for slot in off:
+                    inside = _dot(cand[i], f[:, slot]) <= 1.0 + CANDIDATE_SLACK
+                    # a pair basis has no point of its own in slot b2
+                    ok &= (inside | ~has_b2) if slot == 2 else inside
+                a, b, cc = cand[i]
+                det = a * cc - b * b
+                score[i] = np.where(ok & (a > 0) & (det > 0), det, -np.inf)
+            best = score.argmax(axis=0)
+            cols = np.arange(live.size)
+            found = score[best, cols] > -np.inf
+            if not found.all():
+                live, wl, best, slots, cand = (
+                    live[found], wl[found], best[found], slots[:, found], cand[..., found])
+                cols = np.arange(live.size)
+            coef[live] = cand[best, :, cols]
+            basis[:, live] = slots[_CANDIDATES[best].T, cols]
+            tri[live] = _CANDIDATES[best, 2] != 3
+        f = _conic_features(*points(rows, basis))     # (3 features, 3 points, K)
+        u3 = np.where(tri, _triple_conic(f[:, 0], f[:, 1], f[:, 2])[1],
+                      [[0.5], [0.5], [0.0]])
+    u3 /= u3.sum(axis=0)
+    return np.bincount((rows * m + basis).ravel(), weights=u3.ravel(),
+                       minlength=K * m).reshape(K, m)
+
+
+def _reducing_from_gauge(rho, dirs, n, max_iter, tol):
     """V = sqrt(n) * Lowner(U) rescaled so rho <= |V e| on the whole net.
 
-    rho: (K, m) gauge values on the net.  Returns (V, eta, design, gap) with
-    the certified sandwich rho(e) <= |V e| <= sqrt(n)(1 + eta) rho(e) on the
-    net and the Lowner solve's per-row duality gap.  The ratios |V_k e_m| /
-    rho_km come from one product V @ dirs^T, shaped (K, n, m), and a norm over
-    its middle axis.
+    rho: (K, m) gauge values on the net.  Returns (V, eta, gap) with the
+    certified sandwich rho(e) <= |V e| <= sqrt(n)(1 + eta) rho(e) on the net
+    and the Lowner solve's per-row duality gap.  The ratios |V_k e_m| / rho_km
+    come from one GEMM: |V e|^2 = e^T V^T V e is the flattened V^T V against
+    the flattened outer products e e^T.
     """
     # boundary points of the gauge ball sit at distance 1/rho along each direction
-    U, design, gap = lowner_batched(1.0 / rho, dirs, max_iter=max_iter, tol=tol, u0=u0)
+    U, _, gap = lowner_batched(1.0 / rho, dirs, max_iter=max_iter, tol=tol)
     V = np.sqrt(n) * U
-    ratios = np.linalg.norm(V @ dirs.T, axis=1) / rho
+    D = (dirs[:, :, None] * dirs[:, None, :]).reshape(-1, n * n)
+    ratios = np.sqrt((np.swapaxes(V, 1, 2) @ V).reshape(-1, n * n) @ D.T)
+    ratios /= rho
     c_lo = ratios.min(axis=1)
     V = V / c_lo[:, None, None]
     eta = ratios.max(axis=1) / (c_lo * np.sqrt(n)) - 1.0
-    return V, np.maximum(eta, 0.0), design, gap
+    return V, np.maximum(eta, 0.0), gap
 
 
 def reducing_pyramid(W: MatrixWeight, grid: Grid, p, net_size=64, max_iter=400,
@@ -435,8 +578,11 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p, net_size=64, max_iter=400,
     per-level 'eta', 'eta_prime' sandwich certificates, per-level 'gap',
     'gap_prime' Lowner duality gaps (see ``lowner_batched``), and the
     direction net used.  At p=2 the closed forms (m_I W)^{1/2},
-    (m_I W^{-1})^{1/2} are used and eta = gap = 0.  The net is doubled until
-    the worst certificate meets eta_target (default 1e-3 for p != 2).
+    (m_I W^{-1})^{1/2} are used and eta = gap = 0.  Otherwise each side is
+    one ``lowner_batched`` call over the cubes of all levels: exact for n=2,
+    with gaps of order 1e-10; for other n, ``max_iter`` and ``tol`` bound
+    the multiplicative update.  The net is doubled until the worst
+    certificate meets eta_target (default 1e-3 for p != 2).
     """
     n = W.n
     if p == 2.0:
@@ -450,24 +596,15 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p, net_size=64, max_iter=400,
     m = net_size
     while True:
         dirs = sphere_net(n, m)
-        rho = gauge_pyramid(W, grid, p, dirs, dual=False)
-        rho_d = gauge_pyramid(W, grid, p, dirs, dual=True)
-        keys = ("V", "V_prime", "eta", "eta_prime", "gap", "gap_prime")
-        out = {key: [] for key in keys}
-        design = design_d = None
-        for k in range(grid.L + 1):
-            shape = rho[k].shape[:-1]
-            r = rho[k].reshape(-1, m)
-            rd = rho_d[k].reshape(-1, m)
-            vk, ek, design, gk = _reducing_from_gauge(r, dirs, n, max_iter, tol, u0=design)
-            vpk, epk, design_d, gpk = _reducing_from_gauge(rd, dirs, n, max_iter, tol,
-                                                           u0=design_d)
-            for key, val in zip(keys, (vk, vpk, ek, epk, gk, gpk)):
-                out[key].append(val.reshape(shape + val.shape[1:]))
-            if k < grid.L:
-                # warm-start the children's designs from their parents
-                design = refine(design.reshape(shape + (m,)), grid.d).reshape(-1, m)
-                design_d = refine(design_d.reshape(shape + (m,)), grid.d).reshape(-1, m)
+        out = {}
+        for dual, keys in ((False, ("V", "eta", "gap")),
+                           (True, ("V_prime", "eta_prime", "gap_prime"))):
+            rho = gauge_pyramid(W, grid, p, dirs, dual=dual)
+            flat = np.concatenate([a.reshape(-1, m) for a in rho])
+            cuts = np.cumsum([a.size // m for a in rho])[:-1]
+            for key, val in zip(keys, _reducing_from_gauge(flat, dirs, n, max_iter, tol)):
+                out[key] = [v.reshape(a.shape[:-1] + val.shape[1:])
+                            for v, a in zip(np.split(val, cuts), rho)]
         worst = max(e.max() for e in out["eta"] + out["eta_prime"])
         if worst <= eta_target or m >= 8 * net_size:
             return {**out, "net": dirs, "p": p}

@@ -143,7 +143,7 @@ def test_criterion_4_stopping_time_decay():
     for i in range(20):
         a1, a2 = rng.uniform(0.1, 0.45, size=2) * rng.choice([-1, 1], size=2)
         weights.append((f"rotated{i}", MatrixWeight.rotated_power([a1, a2], rng.uniform(0, np.pi)), max(abs(a1), abs(a2))))
-    opts = dict(net_size=32, max_iter=60, tol=2e-3, eta_target=0.08)
+    opts = dict(net_size=32, eta_target=0.08)
     for p in (1.5, 2.0, 3.0):
         pprime = p / (p - 1.0)
         for name, W, amax in weights:

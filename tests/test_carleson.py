@@ -14,6 +14,10 @@ from haarweight.operators import (
 )
 from haarweight.weights import MatrixWeight, ap_characteristic, dual_weight, reducing_pyramid
 
+# np.linalg.eigh calls that test_2x2_runs_avoid_eigh's run made before the
+# 2x2 closed forms
+EIGH_CALLS_BEFORE = 189
+
 
 class TestConditionB:
     def test_scalar_sequence_identity_weight(self):
@@ -263,6 +267,34 @@ class TestStoppingTree:
             tree = stopping_time_tree(W, 3.0, grid=g)
             for j, meas in enumerate(tree.generation_measures):
                 assert meas <= 2.0 ** (-j) * (1 + 1e-12)
+
+    def test_2x2_runs_avoid_eigh(self, monkeypatch):
+        # a criterion-4-style run: reducing pyramids and stopping trees of
+        # 2x2 weights at p = 1.5, 2, 3.  Before the 2x2 closed forms it made
+        # EIGH_CALLS_BEFORE eigh calls, three per level and run (the square
+        # roots of both Lowner solves and the inverses of V in the tree); now
+        # only the p = 2 square roots take eigh, and every Lowner gap is at
+        # most 1e-8
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        g = Grid(1, 6)
+        weights = [MatrixWeight.diagonal_power([0.3, -0.3]),
+                   MatrixWeight.rotated_power([0.35, -0.2], 0.9),
+                   MatrixWeight.rotated_power([-0.25, -0.4], 2.2)]
+        for p in (1.5, 2.0, 3.0):
+            for W in weights:
+                before = len(calls)
+                red = reducing_pyramid(W, g, p, net_size=32, eta_target=0.08)
+                stopping_time_tree(W, p, grid=g, reducing=red)
+                assert max(float(a.max()) for a in red["gap"] + red["gap_prime"]) <= 1e-8
+                assert len(calls) - before == (2 * (g.L + 1) if p == 2.0 else 0)
+        assert 3 * len(calls) <= EIGH_CALLS_BEFORE
 
 
 class TestNTV:

@@ -1,4 +1,5 @@
-"""Closed-form 2x2 spectral norms against LAPACK's SVD.
+"""Closed-form 2x2 spectral norms against LAPACK's SVD, and the 2x2 square
+root and inverse against the eigendecomposition.
 
 ``opnorm`` takes sigma_1 = (hypot(a+d, b-c) + hypot(a-d, b+c)) / 2 for 2x2
 input, and ``pair_opnorms`` builds the leaf-pair table of the A_p double
@@ -92,8 +93,36 @@ def test_leaf_pair_norms_match_formed_products(kind, d, L, p):
     diags = weights._double_average_levels(table, g, p)
     for got_k, want_k in zip(diags, weights._double_average_levels(want, g, p)):
         np.testing.assert_allclose(got_k, want_k, rtol=PAIR_RTOL, atol=0)
-    red = reducing_pyramid(W, g, p, net_size=16, max_iter=40, tol=1e-4, eta_target=1.0)
+    red = reducing_pyramid(W, g, p, net_size=16, eta_target=1.0)
     rep = ap_characteristic(W, p, g, reducing=red)
     for got_k, V, Vp in zip(rep.per_level, red["V"], red["V_prime"]):
         np.testing.assert_allclose(got_k, svd_norm(V @ Vp) ** p, rtol=PAIR_RTOL, atol=0)
     assert rep.value_integral == max(float(a.max()) for a in diags)
+
+
+def spd_2x2(seed, count=500, cond=1e6):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, np.pi, count)
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    lam = np.exp(rng.uniform(-0.5, 0.5, (count, 2)) * np.log(cond))
+    return (R * lam[:, None, :]) @ np.swapaxes(R, 1, 2)
+
+
+def test_sqrtm_2x2_closed_form_matches_eigh():
+    A = spd_2x2(1)
+    root = linalg._sqrtm_2x2(A)
+    want = linalg.powm_spd(A, 0.5)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(root - want).max(axis=(1, 2)) <= 1e-12 * scale)
+    np.testing.assert_allclose(root @ root, A, rtol=0,
+                               atol=1e-12 * np.abs(A).max())
+
+
+def test_2x2_inverse_takes_no_eigh(monkeypatch):
+    A = spd_2x2(2, cond=1e4)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh called"))
+    inv = linalg.powm_spd(A, -1.0)
+    np.testing.assert_allclose(inv @ A, np.broadcast_to(np.eye(2), A.shape), rtol=0, atol=1e-11)
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.powm_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), -1.0)

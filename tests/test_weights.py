@@ -5,6 +5,7 @@ m_{[0,h)}(|x|^a) = h^a/(1+a), and the product m(x^a) m(x^{-a}) = 1/(1-a^2)
 on cubes touching the origin.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -203,18 +204,23 @@ class TestReducingOperators:
                     assert np.all(b <= C_dim * ap * a * slack), f"BigSmall p={p} k={k}"
 
 
-def lowner_radii(seed, n_round, n_spiky, m=64):
-    """Net radii of point sets that are hard for the Lowner iteration (jittered
-    ellipses: every point is nearly on the boundary) and easy ones (two
-    orthogonal points on the unit circle, every other point well inside it)."""
+def lowner_radii(seed, n_round, n_spiky, m=64, n=2):
+    """Net radii of point sets that are hard for the multiplicative Lowner
+    update (jittered ellipsoids: every point is nearly on the boundary) and
+    easy ones (n orthogonal points on the unit sphere, every other point well
+    inside it).  For n > 2 the first n directions of the net are the axes."""
     rng = np.random.default_rng(seed)
-    dirs = sphere_net(2, m)
-    A = rng.standard_normal((n_round, 2, 2))
-    A = A @ np.swapaxes(A, 1, 2) + 0.5 * np.eye(2)
+    dirs = sphere_net(n, m)
+    axes = [0, m // 2]
+    if n != 2:
+        dirs[:n] = np.eye(n)
+        axes = list(range(n))
+    A = rng.standard_normal((n_round, n, n))
+    A = A @ np.swapaxes(A, 1, 2) + 0.5 * np.eye(n)
     round_ = 1.0 / np.linalg.norm(np.einsum("kij,mj->kmi", A, dirs), axis=-1)
     round_ *= 1.0 + 0.01 * rng.random((n_round, m))
     spiky = rng.uniform(0.3, 0.9, (n_spiky, m))
-    spiky[:, [0, m // 2]] = 1.0
+    spiky[:, axes] = 1.0
     return round_, spiky, dirs
 
 
@@ -241,10 +247,78 @@ def lowner_reference(radii, dirs, max_iter, tol):
     return U, u, gmax / n - 1.0
 
 
+def design_gap(radii, dirs, design):
+    """max_m g_m / n - 1 of a design, from its moment matrix."""
+    n = dirs.shape[1]
+    w = (radii / radii.max(axis=1, keepdims=True)) ** 2
+    S = np.einsum("km,mi,mj->kij", design * w, dirs, dirs)
+    g = w * np.einsum("mi,kij,mj->km", dirs, np.linalg.inv(S), dirs)
+    return g.max(axis=1) / n - 1.0
+
+
+def max_area_ellipse(radii, dirs):
+    """det M of the minimum-area ellipse {q^T M q <= 1} around the points
+    +-radii[j] dirs[j], by enumeration: every pair as conjugate semi-axes and
+    the ellipse through every triple, each shrunk onto the whole point set."""
+    q = radii[:, None] * dirs
+    best = 0.0
+    for idx in itertools.chain(itertools.combinations(range(len(q)), 2),
+                               itertools.combinations(range(len(q)), 3)):
+        Q = q[list(idx)]
+        if len(idx) == 2:
+            M = np.linalg.inv(Q.T @ Q)
+        else:
+            a, b, c = np.linalg.solve(np.stack([Q[:, 0] ** 2, 2 * Q[:, 0] * Q[:, 1],
+                                                Q[:, 1] ** 2], axis=1), np.ones(3))
+            M = np.array([[a, b], [b, c]])
+            if a <= 0 or np.linalg.det(M) <= 0:
+                continue
+        t = max(float(np.einsum("mi,ij,mj->m", q, M, q).max()), 1.0)
+        best = max(best, float(np.linalg.det(M)) / t ** 2)
+    return best
+
+
 class TestLowner:
+    @pytest.mark.parametrize("m", [8, 12, 16])
+    def test_planar_solve_matches_enumeration(self, m):
+        hard, easy, dirs = lowner_radii(m, 6, 4, m=m)
+        rng = np.random.default_rng(m)
+        radii = np.vstack([hard, easy, rng.uniform(0.2, 1.0, (6, m))])
+        U, u, gap = lowner_batched(radii, dirs)
+        for k in range(len(radii)):
+            want = max_area_ellipse(radii[k], dirs)
+            assert abs(np.linalg.det(U[k]) ** 2 / want - 1.0) <= 1e-12
+        assert np.all(u >= 0.0)
+        np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.all((u > 0).sum(axis=1) <= 3)
+        np.testing.assert_allclose(gap, design_gap(radii, dirs, u), rtol=0, atol=1e-13)
+        assert np.all(gap <= 1e-8)
+
+    def test_certificate_touches_one(self):
+        # the exact planar solve, and the multiplicative update cut early
+        for n in (2, 3):
+            hard, easy, dirs = lowner_radii(13, 4, 4, n=n)
+            radii = np.vstack([hard, easy])
+            U, _, _ = lowner_batched(radii, dirs, max_iter=50)
+            q = radii[..., None] * dirs[None]
+            worst = np.linalg.norm(np.einsum("kij,kmj->kmi", U, q), axis=-1).max(axis=1)
+            np.testing.assert_allclose(worst, 1.0, rtol=0, atol=1e-12)
+
+    def test_scalar_weight_gives_circles(self):
+        # the gauge of |x|^a I is rotation invariant, so its ellipse is a circle
+        W = MatrixWeight.scalar_power(0.6)
+        red = reducing_pyramid(W, Grid(1, 6), 3.0)
+        for key in ("V", "V_prime"):
+            for V in red[key]:
+                np.testing.assert_allclose(V, V[..., :1, :1] * np.eye(2), rtol=0,
+                                           atol=1e-13 * np.abs(V).max())
+        assert max(float(g.max()) for g in red["gap"] + red["gap_prime"]) <= 1e-8
+
+    # the multiplicative update, which n = 3 takes
+
     def test_batch_invariance(self):
         # a row that converges is frozen: harder rows in its batch do not move it
-        hard, easy, dirs = lowner_radii(5, 3, 1)
+        hard, easy, dirs = lowner_radii(5, 3, 1, n=3)
         U1, u1, gap1 = lowner_batched(easy, dirs)
         assert gap1[0] <= 1e-8
         Ub, ub, gapb = lowner_batched(np.vstack([hard[:2], easy, hard[2:]]), dirs)
@@ -256,7 +330,7 @@ class TestLowner:
         np.testing.assert_allclose(gapb[2], gap1[0], rtol=1e-6)
 
     def test_agrees_with_batched_matmul_update(self):
-        hard, easy, dirs = lowner_radii(11, 3, 5)
+        hard, easy, dirs = lowner_radii(11, 3, 5, n=3)
         radii = np.vstack([hard, easy])
         U, u, gap = lowner_batched(radii, dirs)
         U_ref, u_ref, gap_ref = lowner_reference(radii, dirs, 400, 1e-8)
@@ -265,16 +339,8 @@ class TestLowner:
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(gap, gap_ref, rtol=1e-6, atol=1e-15)
 
-    def test_certificate_touches_one(self):
-        hard, easy, dirs = lowner_radii(13, 4, 4)
-        radii = np.vstack([hard, easy])
-        U, _, _ = lowner_batched(radii, dirs, max_iter=50)
-        q = radii[..., None] * dirs[None]
-        worst = np.linalg.norm(np.einsum("kij,kmj->kmi", U, q), axis=-1).max(axis=1)
-        np.testing.assert_allclose(worst, 1.0, rtol=0, atol=1e-12)
-
     def test_gap_reported(self):
-        hard, easy, dirs = lowner_radii(5, 1, 1)
+        hard, easy, dirs = lowner_radii(5, 1, 1, n=3)
         radii = np.vstack([hard, easy])
         tol = 1e-8
         _, u, gap = lowner_batched(radii, dirs, tol=tol)
@@ -283,10 +349,8 @@ class TestLowner:
         assert np.all(gap_cut > tol)
         # the reported gap is the gap of the returned design
         for design, reported in ((u, gap), (u_cut, gap_cut)):
-            w = (radii / radii.max(axis=1, keepdims=True)) ** 2
-            S = np.einsum("km,mi,mj->kij", design * w, dirs, dirs)
-            g = w * np.einsum("mi,kij,mj->km", dirs, np.linalg.inv(S), dirs)
-            np.testing.assert_allclose(g.max(axis=1) / 2 - 1.0, reported, rtol=1e-6, atol=1e-13)
+            np.testing.assert_allclose(design_gap(radii, dirs, design), reported,
+                                       rtol=1e-6, atol=1e-13)
 
     def test_pyramid_reports_gaps(self):
         g = Grid(1, 5)
