@@ -1,6 +1,7 @@
 """Batched small-matrix helpers and spectral norms: a closed form for 2x2
-matrices, an exact dense eigensolve and a matrix-free Golub-Kahan-Lanczos
-lower bound."""
+matrices, a certified bracket for dense matrices (a Lanczos or eigensolve
+lower bound and an upper bound proved by a floating-point Cholesky) and a
+matrix-free Golub-Kahan-Lanczos lower bound."""
 
 from __future__ import annotations
 
@@ -112,11 +113,136 @@ def lambda_max(a):
     return np.linalg.eigvalsh(symmetrize(a))[..., -1]
 
 
-def spectral_norm(mat):
-    """Largest singular value of a dense matrix, exact to round-off: the top
-    eigenvalue of the Gram matrix M^T M from a symmetric eigensolve."""
+# unit round-off, and the smallest normal number (2^-1022) that stands in for
+# the smallest subnormal in the underflow allowance of ``_rounding_bound``
+_U = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _rounding_bound(gdiag, c, rows):
+    """e such that a completed floating-point Cholesky of A^ = (c - e) I - G^
+    proves lambda_max(G) <= c, where G^ = fl(M^T M) (diagonal ``gdiag``) is
+    the computed Gram matrix of an (rows x n) matrix M and G = M^T M exactly.
+
+    With b = c - e and D the rounding of the diagonal update,
+    c I - G = A^ + (c - b) I + (G^ - G) - D, so lambda_max(G) <= c follows
+    from lambda_min(A^) >= -(e - ||G^ - G||_2 - ||D||_2).  e is the sum of:
+
+    * the Gram product: |G^ - G| <= gamma_rows |M|^T |M| entrywise (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Ch. 3), so
+      ||G^ - G||_2 <= gamma_rows ||M||_F^2, and ||M||_F^2 is tr(G^) up to a
+      factor 1 + gamma_rows;
+    * the diagonal update: each fl(b - g^_ii) is off by at most
+      u |b - g^_ii| <= u max(c, max_i g^_ii), which bounds ||D||_2;
+    * the Cholesky itself: if it completes, R^T R = A^ + dA with
+      |dA| <= gamma_{n+1} |R^T| |R| (Higham, Thm 10.3), for any order of the
+      inner products and so for blocked LAPACK.  Since tr(R^T R) <= tr(A^) +
+      gamma_{n+1} ||R||_F^2 and || |R^T| |R| ||_2 <= ||R||_F^2, this gives
+      lambda_min(A^) >= -gamma_{n+1} / (1 - gamma_{n+1}) tr(A^) (S. M. Rump,
+      "Verification of positive definiteness", BIT 46, 2006); a completed
+      Cholesky has a positive diagonal, so tr(A^) <= n c;
+    * underflow, which the relative bounds above do not cover: Rump bounds it
+      by a small multiple of n (n + max a^_ii) eta, with eta = 2^-1074 the
+      smallest subnormal.  The allowance here, (n + rows + 8)^2 (1 + c)
+      2^-1022, exceeds n (n + max a^_ii) eta by a factor above 2^52, which
+      leaves room for that multiple and for the Gram product's underflow of
+      at most rows * n * eta.
+
+    Each term is a sum of at most n + rows positive floating-point numbers,
+    whose relative rounding is far below the factor 1.01 that e carries.  The
+    Cholesky reads one triangle of A^, and every entry of either triangle
+    obeys these bounds.
+    """
+    n = len(gdiag)
+    chol = _gamma(n + 1) / (1.0 - _gamma(n + 1)) * n * c
+    return 1.01 * (chol + _gamma(rows) * float(gdiag.sum()) + _U * max(c, float(gdiag.max()))
+                   + (n + rows + 8) ** 2 * (1.0 + c) * _TINY)
+
+
+def _certify_upper(gram, c, rows):
+    """True when a floating-point Cholesky proves lambda_max(M^T M) <= c (see
+    ``_rounding_bound``).  ``gram`` is the computed M^T M of an (rows x n)
+    matrix M; it is overwritten by the shifted matrix (negation is exact, so
+    only the diagonal is rounded) and restored bit for bit when the check
+    fails."""
+    n = gram.shape[0]
+    gdiag = gram.diagonal().copy()
+    e = _rounding_bound(gdiag, c, rows)
+    b = c - e
+    while c - b < e:                          # c - b is exact (Sterbenz)
+        b = np.nextafter(b, -np.inf)
+    np.negative(gram, out=gram)
+    gram.flat[::n + 1] += b
+    try:
+        # the transposed view is the same symmetric matrix, and numpy copies
+        # it to LAPACK's column-major layout with unit strides
+        certified = bool(np.isfinite(np.linalg.cholesky(gram.T).diagonal()).all())
+    except np.linalg.LinAlgError:
+        certified = False
+    if not certified:
+        np.negative(gram, out=gram)
+        gram.flat[::n + 1] = gdiag
+    return certified
+
+
+# dimension above which the lower bound of ``spectral_norm`` comes from
+# Golub-Kahan-Lanczos on the dense matrix instead of a symmetric eigensolve of
+# its Gram matrix.  On the sweep's whitened operators (2 vCPUs, OpenBLAS) the
+# two tie at 128, Lanczos takes 0.6-1.5x the eigensolve's time at 256 and
+# about half of it from 512 up
+LANCZOS_MIN_DIM = 256
+
+
+def spectral_norm(mat, seed=0):
+    """Largest singular value of a dense matrix M with a certified bracket.
+
+    The lower bound theta is Golub-Kahan-Lanczos on M (above LANCZOS_MIN_DIM
+    columns, from the seeded start vector of ``matfree_spectral_norm``) or
+    sqrt(lambda_max) of the Gram matrix G^ = M^T M from ``eigvalsh``.  The
+    upper bound sqrt(c), c = theta^2 + s with s twice the rounding bound at
+    theta^2, is proved by a Cholesky (``_certify_upper``), which then runs
+    about s/2 above theta^2 when theta is sharp.  When it fails, theta was not
+    sharp (Lanczos converged to another singular value): theta is taken again
+    from ``eigvalsh`` and certified again, and ``fallback`` is true.
+
+    Returns (theta, details) with ``lower``, ``upper`` and ``shift`` s (both
+    None when even the fallback could not be certified), ``certified``,
+    ``fallback`` and ``lanczos_steps`` or ``lower_from``.
+    """
     mat = np.asarray(mat, dtype=float)
-    return float(np.sqrt(max(np.linalg.eigvalsh(mat.T @ mat)[-1], 0.0)))
+    rows, n = mat.shape
+    gram = mat.T @ mat
+
+    def certify(theta):
+        c = theta * theta + 2.0 * _rounding_bound(gram.diagonal(), theta * theta, rows)
+        return c if _certify_upper(gram, c, rows) else None
+
+    details = {}
+    if n > LANCZOS_MIN_DIM:
+        theta, _, diag = matfree_spectral_norm(lambda v: mat @ v, lambda u: mat.T @ u, n, seed)
+        details["lanczos_steps"] = diag["iterations"]
+    else:
+        theta = _top_singular_value(gram)
+        details["lower_from"] = "eigvalsh"
+    c = certify(theta)
+    details["fallback"] = c is None and n > LANCZOS_MIN_DIM
+    if details["fallback"]:
+        theta = _top_singular_value(gram)
+        details["lower_from"] = "eigvalsh"
+        c = certify(theta)
+    details.update(lower=theta, certified=c is not None,
+                   upper=None if c is None else float(np.nextafter(np.sqrt(c), np.inf)),
+                   shift=None if c is None else float(c - theta * theta))
+    return theta, details
+
+
+def _top_singular_value(gram):
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 # Golub-Kahan-Lanczos budget: at most this many bidiagonalization steps, and

@@ -79,10 +79,11 @@ def _mw_ancestor_averages(W: MatrixWeight, f):
     grid = f.grid
     if grid.d != 1:
         raise ValueError("the two-sided maximal function is implemented for d=1")
-    L, x = grid.L, np.arange(grid.n_leaves)
+    L, N, x = grid.L, grid.n_leaves, np.arange(grid.n_leaves)
     Mw = W.leaf_averages(grid, 1.0)
     t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
-    quad = np.einsum("lij,mi,mj->lm", Mw, t_leaf, t_leaf)
+    # quad[l, m] = t_m^T Mw_l t_m as one GEMM of flattened Mw_l against t_m t_m^T
+    quad = Mw.reshape(N, -1) @ (t_leaf[:, :, None] * t_leaf[:, None, :]).reshape(N, -1).T
     avg = np.sqrt(np.maximum(quad, 0.0))      # P[x-leaf, y-leaf] = |W^{1/2}(x)-rep t_y|
     out = np.empty((L + 1, grid.n_leaves))
     out[L] = avg[x, x]
@@ -206,12 +207,15 @@ class SparseFamily:
     def exceptional_sets(self):
         """E_I per family cube as exact leaf masks."""
         L = self.grid.L
-        # level of the smallest member containing each leaf (-1: none)
-        owner = sequence_maximal([np.where(m, k, -1) for k, m in enumerate(self.masks)],
-                                 self.grid.d)
+        slices = [tuple(slice(m << (L - lev), (m + 1) << (L - lev)) for m in off)
+                  for lev, off in self.cubes]
+        # level of the smallest member containing each leaf (-1: none): the
+        # members are sorted coarse to fine, so finer ones overwrite
+        owner = np.full(self.grid.leaf_shape, -1)
+        for (lev, _), sl in zip(self.cubes, slices):
+            owner[sl] = lev
         out = {}
-        for lev, off in self.cubes:
-            sl = tuple(slice(m << (L - lev), (m + 1) << (L - lev)) for m in off)
+        for (lev, off), sl in zip(self.cubes, slices):
             mask = np.zeros(self.grid.leaf_shape, dtype=bool)
             mask[sl] = owner[sl] == lev
             out[(lev, off)] = mask

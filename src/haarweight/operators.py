@@ -421,10 +421,11 @@ def square_function(W: MatrixWeight, f: StepFunction):
 # Dense matrices and weighted operator norms
 # ---------------------------------------------------------------------------
 
-# largest dimension whose p=2 norm is assembled densely and labelled exact.
-# For the commutator on 2 vCPUs with OpenBLAS, assembly and the Gram
-# eigensolve take about 1 s each at 2048, and 4 s and 9 s at 4096, where
-# Lanczos needs 0.1 s
+# largest dimension whose p=2 norm is assembled densely and certified exact.
+# For the commutator on 2 vCPUs with OpenBLAS, assembly takes about 1 s at
+# 2048 and 4 s at 4096, where matrix-free Lanczos needs 0.1 s; the certified
+# bracket of ``linalg.spectral_norm`` takes 0.33-0.42 s at 2048 (the Gram
+# product and eigensolve it replaces took about 0.9 s)
 DENSE_DIM_CAP = 2048
 
 
@@ -467,8 +468,13 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
 
     p = 2, dimension up to DENSE_DIM_CAP: op's dense matrix (assembled once
     per operator by ``dense_matrix``) is whitened by the leaf blocks
-    m_leaf(W)^{+-1/2} and its largest singular value taken from a symmetric
-    eigensolve of its Gram matrix (``exact``, to round-off); no witness.
+    m_leaf(W)^{+-1/2}, and ``linalg.spectral_norm`` brackets its largest
+    singular value: the value is the lower end (Lanczos, or an eigensolve of
+    the Gram matrix at small dimension), and a Cholesky proves the upper end.
+    ``details`` carries ``lower``, ``upper``, ``shift``, ``fallback`` and
+    ``lanczos_steps`` or ``lower_from``.  The label is ``exact`` (the bracket
+    is about n^2 u wide) only when the Cholesky succeeded; otherwise it is
+    ``lower-bound`` with ``certified`` false.  No witness.
     p = 2 above the cap: Golub-Kahan-Lanczos on the same whitening around
     op's kernel and its adjoint kernel; the value is ||T x|| of its unit
     witness x, hence a ``lower-bound``, and ``details`` carries the
@@ -492,8 +498,9 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
         # the right factor as a batched left product: (M H^{-1})^T = H^{-T} M^T
         M = (_transpose(half_inv).reshape(N, n, n)
              @ M.reshape(dim, dim).T.reshape(N, n, dim)).reshape(dim, dim).T
-        return NormReport(linalg.spectral_norm(M), "exact",
-                          details={"dim": dim, "method": "dense eigensolve"})
+        val, cert = linalg.spectral_norm(M, seed)
+        return NormReport(val, "exact" if cert["certified"] else "lower-bound",
+                          details={"dim": dim, "method": "certified Gram bracket", **cert})
     shape = grid.leaf_shape + (n,)
     val, wit, diag = linalg.matfree_spectral_norm(
         lambda x: _mv(half, op.kernel(_mv(half_inv, x.reshape(shape)))).reshape(-1),

@@ -51,6 +51,19 @@ class TestCounterexamples:
         assert rep["uncertified_pairs"] == [[11, 12]]
         assert rep["passed"]
 
+    def test_commutator_growth_from_brackets(self, tmp_path):
+        # a pair proves growth when upper(L) < lower(L+1); the report keeps
+        # the upper bounds and the smallest relative margin
+        rep = ex.run_counterexample("commutator", {"alpha": 0.1, "l_range": [4, 8]},
+                                    str(tmp_path))
+        norms, uppers = rep["norms"], rep["upper_bounds"]
+        assert all(n <= u <= n * (1 + 1e-9) for n, u in zip(norms, uppers))
+        margins = [b / u - 1.0 for u, b in zip(uppers, norms[1:])]
+        assert rep["certified_pairs"] == [[L, L + 1] for L in range(4, 8)]
+        assert rep["min_certified_margin"] == min(margins) > 0
+        saved = json.loads((tmp_path / "counterexample_commutator_alpha0.1.json").read_text())
+        assert saved["min_certified_margin"] == rep["min_certified_margin"]
+
     def test_bad_alpha_rejected(self):
         with pytest.raises(ConfigError):
             ex.run_counterexample("haar-multiplier", {"alpha": 1.5})

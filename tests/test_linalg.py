@@ -5,6 +5,11 @@ root and inverse against the eigendecomposition.
 input, and ``pair_opnorms`` builds the leaf-pair table of the A_p double
 average from the same four sums as GEMMs, without forming the products.
 The oracle is ``np.linalg.svd`` of the formed matrices.
+
+``spectral_norm`` brackets the largest singular value of a dense matrix; its
+tests check the bracket against the SVD, that the Cholesky rejects a value
+below lambda_max, and that a Lanczos value below sigma_1 falls back to the
+eigensolve.
 """
 
 import numpy as np
@@ -126,3 +131,63 @@ def test_2x2_inverse_takes_no_eigh(monkeypatch):
     np.testing.assert_allclose(inv @ A, np.broadcast_to(np.eye(2), A.shape), rtol=0, atol=1e-11)
     with pytest.raises(np.linalg.LinAlgError):
         linalg.powm_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Certified dense spectral norms: a lower bound and a Cholesky-proved upper
+# bound, with ``eigvalsh`` as the fallback
+# ---------------------------------------------------------------------------
+
+def known_svd(sigma, v1, seed):
+    """Random U diag(sigma) V^T whose first right singular vector is v1."""
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(np.column_stack([v1, rng.standard_normal((n, n - 1))]))
+    return (U * sigma) @ V.T
+
+
+def test_fallback_when_lanczos_misses_the_top(monkeypatch):
+    # the top right singular vector is orthogonal to the seeded start vector
+    # of Golub-Kahan-Lanczos, which therefore converges to sigma_2; only the
+    # failed Cholesky at sigma_2^2 can reveal that
+    monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 8)
+    n, seed = 64, 3
+    start = np.random.default_rng(seed).standard_normal(n)
+    v1 = np.random.default_rng(99).standard_normal(n)
+    v1 -= (v1 @ start) / (start @ start) * start
+    sigma = np.concatenate([[2.01, 2.0], np.linspace(1.0, 0.1, n - 2)])
+    M = known_svd(sigma, v1 / np.linalg.norm(v1), seed=5)
+    missed, _, diag = linalg.matfree_spectral_norm(lambda v: M @ v, lambda u: M.T @ u, n, seed)
+    assert diag["converged"] and missed == pytest.approx(sigma[1], rel=1e-12)
+    value, det = linalg.spectral_norm(M, seed)
+    assert det["fallback"] and det["certified"]
+    assert det["lower_from"] == "eigvalsh" and det["lanczos_steps"] == diag["iterations"]
+    assert value == pytest.approx(sigma[0], rel=1e-13)
+    assert det["lower"] == value <= det["upper"]
+    assert sigma[0] <= det["upper"] <= sigma[0] * (1 + 1e-9)
+
+
+def test_cholesky_rejects_c_below_lambda_max():
+    M = known_svd(np.linspace(3.0, 0.5, 40), np.eye(40)[0], seed=7)
+    gram = M.T @ M
+    before = gram.copy()
+    theta2 = np.linalg.eigvalsh(gram)[-1]
+    assert not linalg._certify_upper(gram, theta2 * (1 - 1e-8), 40)
+    assert np.array_equal(gram, before)           # restored bit for bit
+    _, det = linalg.spectral_norm(M)
+    assert linalg._certify_upper(gram, det["upper"] ** 2, 40)
+
+
+@pytest.mark.parametrize("n", [30, 300])
+def test_bracket_holds_the_svd_value(n):
+    # n = 30 takes its lower end from eigvalsh, n = 300 from Lanczos
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n)) * np.logspace(0, -3, n)
+    value, det = linalg.spectral_norm(M)
+    want = svd_norm(M)
+    assert det["certified"] and not det["fallback"]
+    assert ("lanczos_steps" in det) == (n > linalg.LANCZOS_MIN_DIM)
+    assert value == det["lower"] == pytest.approx(want, rel=1e-13)
+    assert want <= det["upper"] <= want * (1 + 1e-9)
+    assert det["shift"] == pytest.approx(det["upper"] ** 2 - value ** 2, rel=1e-3)

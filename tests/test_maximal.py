@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from haarweight.dyadic import Cube, Grid, StepFunction
+from haarweight.dyadic import Cube, Grid, StepFunction, sequence_maximal
 from haarweight.errors import SparsenessError
 from haarweight.maximal import (
     SparseFamily, half_power_maximal, local_nq, maximal_mw, maximal_mw_prime,
@@ -301,6 +301,33 @@ class TestSparse:
             assert all(np.array_equal(exc[key], want[key]) for key in want)
             accepted += 1
         assert accepted > 10 and rejected > 10
+
+    def test_exceptional_sets_match_chain_walk(self):
+        # reference: the owner array as the chain maximum over all L+1 levels
+        # of each member's level (-1 off the family)
+        def chain_walk(fam):
+            L, d = fam.grid.L, fam.grid.d
+            owner = sequence_maximal([np.where(m, k, -1) for k, m in enumerate(fam.masks)], d)
+            out = {}
+            for lev, off in fam.cubes:
+                sl = tuple(slice(m << (L - lev), (m + 1) << (L - lev)) for m in off)
+                mask = np.zeros(fam.grid.leaf_shape, dtype=bool)
+                mask[sl] = owner[sl] == lev
+                out[(lev, off)] = mask
+            return out
+
+        # the benchmark's small-instance families (L = 3..6 in turn, density
+        # in [0.05, 0.5]), the sweeps' families at L = 9, 10 and some in d = 2
+        rng = np.random.default_rng(256)
+        families = [sparse_generate(Grid(1, 3 + i % 4), seed=int(rng.integers(1 << 31)),
+                                    density=float(rng.uniform(0.05, 0.5)))
+                    for i in range(256)]
+        families += [sparse_generate(Grid(1, L), seed=0, density=0.5) for L in (9, 10)]
+        families += [sparse_generate(Grid(2, 4), seed=s, density=0.5) for s in range(20)]
+        for fam in families:
+            got, want = fam.exceptional_sets(), chain_walk(fam)
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[key], want[key]) for key in want)
 
     def test_density_zero_limit(self):
         g = Grid(1, 5)

@@ -394,8 +394,11 @@ class TestWeightedNorms:
         white = leaf_blocks(g, W, 0.5) @ dense_matrix(op) @ leaf_blocks(g, W, -0.5)
         want = np.linalg.svd(white, compute_uv=False)[0]
         assert rep.kind == "exact"
-        assert rep.details["method"] == "dense eigensolve"
+        assert rep.details["method"] == "certified Gram bracket"
         assert rep.value == pytest.approx(want, rel=1e-12)
+        # the lower end is a computed ||M x||, so it may sit an ulp or two
+        # above the SVD value; the upper end is proved
+        assert rep.details["lower"] <= want * (1 + 4e-16) and want <= rep.details["upper"]
 
     def test_p_not_2_lower_bound(self):
         rng = np.random.default_rng(21)
