@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .experiments import _read_int, _read_number, _write_json
+from .experiments import _read_int, _read_number, _write_json, refuse_beyond_memory
 from .carleson import bmo_norm, carleson_b_sup, carleson_c_constant, stopping_time_tree
 from .dyadic import Grid
 from .errors import ConfigError, HaarweightError, SparsenessError
@@ -150,13 +150,8 @@ def cmd_apchar(cfg, out_dir):
     if grid.d > 2:
         raise ConfigError(f"apchar supports d <= 2, got d = {grid.d}")
     tables = APCHAR_PAIR_TABLES if W.n == 2 else 2 * W.n ** 2
-    need = grid.n_leaves ** 2 * 8 * tables
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(
-            f"apchar at d = {grid.d}, L = {grid.L} needs about {need / 2**30:.3g} GiB "
-            f"for its leaf-pair arrays, more than the {have / 2**30:.3g} GiB of "
-            f"physical memory")
+    refuse_beyond_memory(grid.n_leaves ** 2 * 8 * tables,
+                         f"apchar at d = {grid.d}, L = {grid.L}", "its leaf-pair arrays")
     p = read_p(cfg)
     rep = ap_characteristic(W, p, grid)
     payload = rep.record()

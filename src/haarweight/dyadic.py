@@ -136,19 +136,6 @@ def signatures(d):
     return [eps for eps in itertools.product((0, 1), repeat=d) if eps != (1,) * d]
 
 
-def haar_sign_table(d):
-    """Signs of h^eps on the 2^d child corners: S[sig, corner] = (-1)^{sum of
-    corner bits where eps is 0}.  Corners are flattened in lex (first axis
-    major) order, matching split_children."""
-    sigs = signatures(d)
-    corners = list(itertools.product((0, 1), repeat=d))
-    S = np.empty((len(sigs), len(corners)))
-    for i, eps in enumerate(sigs):
-        for j, c in enumerate(corners):
-            S[i, j] = (-1.0) ** sum(cb for eb, cb in zip(eps, c) if eb == 0)
-    return S
-
-
 def signature_product(eps, eps_prime):
     """The signature psi of the pointwise product rule |I|^{1/2} h^eps h^{eps'} = h^{psi}.
 
@@ -166,23 +153,28 @@ def signature_product(eps, eps_prime):
 # Per-level array plumbing
 # ---------------------------------------------------------------------------
 
-def coarsen_levels(a, d, steps, axis=0):
-    """Cube means ``steps`` levels up: average sibling blocks ``steps`` times on
-    the d cube axes that start at ``axis``, (2^steps m,)*d -> (m,)*d there."""
-    for _ in range(steps):
-        for ax in range(axis, axis + d):
-            n = a.shape[ax]
-            a = a.reshape(a.shape[:ax] + (n // 2, 2) + a.shape[ax + 1:])
-            a = a.mean(axis=ax + 1)
+def _halves(a, ax):
+    """Sibling halves of axis ``ax`` as strided views: (.., 2m, ..) -> two (.., m, ..)."""
+    a = a.reshape(a.shape[:ax] + (a.shape[ax] // 2, 2) + a.shape[ax + 1:])
+    pre = (slice(None),) * (ax + 1)
+    return a[pre + (0,)], a[pre + (1,)]
+
+
+def coarsen_sum(a, d, axis=0):
+    """Sum sibling blocks on the d cube axes that start at ``axis``:
+    (2m,)*d -> (m,)*d there, one x0 + x1 per axis."""
+    for ax in range(axis, axis + d):
+        a0, a1 = _halves(a, ax)
+        a = a0 + a1
     return a
 
 
-def coarsen_sum(a, d):
-    """Sum sibling blocks: (2m,)*d + rest -> (m,)*d + rest."""
-    for ax in range(d):
-        n = a.shape[ax]
-        a = a.reshape(a.shape[:ax] + (n // 2, 2) + a.shape[ax + 1:])
-        a = a.sum(axis=ax + 1)
+def coarsen_levels(a, d, steps, axis=0):
+    """Cube means ``steps`` levels up: sibling sums times 2^-d, ``steps`` times,
+    on the d cube axes that start at ``axis``, (2^steps m,)*d -> (m,)*d there."""
+    for _ in range(steps):
+        a = coarsen_sum(a, d, axis)
+        a *= 0.5 ** d
     return a
 
 
@@ -197,32 +189,6 @@ def refine_to_leaves(a, d, steps):
     """Broadcast cube values ``steps`` levels down (``refine`` applied ``steps`` times)."""
     for _ in range(steps):
         a = refine(a, d)
-    return a
-
-
-def split_children(a, d):
-    """(2m,)*d + rest -> (m,)*d + rest + (2^d,) with sibling corners trailing.
-
-    Corner index is lex over coordinates (first coordinate major), matching
-    haar_sign_table.
-    """
-    for ax in range(d):
-        n = a.shape[ax]
-        a = a.reshape(a.shape[:ax] + (n // 2, 2) + a.shape[ax + 1:])
-        a = np.moveaxis(a, ax + 1, -1)
-    if d > 1:
-        a = a.reshape(a.shape[:-d] + ((1 << d),))
-    return a
-
-
-def merge_children(a, d):
-    """Inverse of split_children."""
-    if d > 1:
-        a = a.reshape(a.shape[:-1] + (2,) * d)
-    for ax in reversed(range(d)):
-        a = np.moveaxis(a, -1, ax + 1)
-        sh = a.shape
-        a = a.reshape(sh[:ax] + (sh[ax] * 2,) + sh[ax + 2:])
     return a
 
 
@@ -359,28 +325,60 @@ def haar_analyze(values, d, L):
     with coeffs[k] shaped (2^k,)*d + (2^d - 1,) + value_shape; the signature
     axis sits right after the spatial axes.  Value axes are arbitrary, so a
     trailing batch axis rides along for free.
+
+    Each level is a separable butterfly on strided views: per child axis the
+    sibling halves x0, x1 give x0 - x1 and x0 + x1, so after d axes the 2^d
+    parts are indexed by signature bits (0 = difference, 1 = sum) in lex
+    order.  The 2^d - 1 cancellative parts, scaled, are the coefficients and
+    are written in place; the all-sum part times 2^-d is the parent mean.
     """
-    sign = haar_sign_table(d)
-    means = mean_pyramid(values, d, L)
-    coeffs = []
-    for k in range(L):
-        ch = split_children(means[k + 1], d)          # (2^k,)*d + vshape + (2^d,)
-        co = ch @ sign.T                              # -> ... + (2^d - 1,)
-        co = np.moveaxis(co, -1, d)                   # signature axis after spatial
-        scale = 2.0 ** (-k * d / 2.0) / (1 << d)
-        coeffs.append(co * scale)
+    nsig = (1 << d) - 1
+    means = [None] * (L + 1)
+    means[L] = np.asarray(values, dtype=float)
+    coeffs = [None] * L
+    for k in range(L - 1, -1, -1):
+        rest = means[k + 1].shape[d:]
+        co = np.empty((1 << k,) * d + (nsig,) + rest)
+        mean = np.empty((1 << k,) * d + rest)
+        parts = [means[k + 1]]
+        for ax in range(d):
+            outs = ([co[(slice(None),) * d + (s,)] for s in range(nsig)] + [mean]
+                    if ax == d - 1 else [None] * (2 * len(parts)))
+            nxt = []
+            for p, o_dif, o_sum in zip(parts, outs[0::2], outs[1::2]):
+                x0, x1 = _halves(p, ax)
+                nxt += [np.subtract(x0, x1, out=o_dif), np.add(x0, x1, out=o_sum)]
+            parts = nxt
+        co *= 2.0 ** (-k * d / 2.0) / (1 << d)
+        mean *= 0.5 ** d
+        coeffs[k], means[k] = co, mean
     return means[0][(0,) * d], coeffs, means
 
 
+def _merge(dif, tot, ax):
+    """Inverse butterfly on axis ``ax``: tot + dif and tot - dif become the
+    sibling halves of a new array, (.., m, ..) -> (.., 2m, ..)."""
+    out = np.empty(tot.shape[:ax] + (2 * tot.shape[ax],) + tot.shape[ax + 1:])
+    y0, y1 = _halves(out, ax)
+    np.add(tot, dif, out=y0)
+    np.subtract(tot, dif, out=y1)
+    return out
+
+
 def haar_synthesize(mean, coeffs, d, L):
-    """Array-level inverse transform: leaf values of mean + sum f_I^eps h_I^eps."""
-    sign = haar_sign_table(d)
+    """Array-level inverse transform: leaf values of mean + sum f_I^eps h_I^eps.
+
+    Per level the scaled coefficients and the current cube values (the
+    all-sum part) run the butterflies of ``haar_analyze`` backwards, last
+    child axis first."""
+    nsig = (1 << d) - 1
     cur = np.broadcast_to(mean, (1,) * d + np.shape(mean)).copy()
     for k in range(L):
-        contrib = np.moveaxis(coeffs[k], d, -1) @ sign       # ... + (2^d,)
-        scale = 2.0 ** (k * d / 2.0)
-        ch = contrib * scale + cur[..., None]
-        cur = merge_children(ch, d)
+        v = coeffs[k] * 2.0 ** (k * d / 2.0)
+        parts = [v[(slice(None),) * d + (s,)] for s in range(nsig)] + [cur]
+        for ax in reversed(range(d)):
+            parts = [_merge(dif, tot, ax) for dif, tot in zip(parts[0::2], parts[1::2])]
+        cur = parts[0]
     return cur
 
 

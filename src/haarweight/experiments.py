@@ -80,6 +80,15 @@ def _read_range(cfg, key, default, lo):
     return val
 
 
+def refuse_beyond_memory(need, who, what):
+    """Raise ConfigError when ``need`` bytes for ``what`` exceed the physical
+    memory, so that an oversized run stops before any work."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"{who} needs about {need / 2**30:.3g} GiB for {what}, "
+                          f"more than the {have / 2**30:.3g} GiB of physical memory")
+
+
 def _write_csv(path, header, rows, schema=None):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -213,6 +222,10 @@ def _counterexample_paraproduct(alpha, cfg, out_dir):
 
 def _counterexample_commutator(alpha, cfg, out_dir):
     l_lo, l_hi = _read_range(cfg, "l_range", [4, 12], lo=1)
+    # the top level's two Golub-Kahan-Lanczos bases, (steps + 1) x 2^L x n
+    # each with n = 2, are the largest arrays; past 2^62 leaves nothing fits
+    refuse_beyond_memory(2 * (linalg.LANCZOS_MAX_STEPS + 1) * (1 << min(l_hi, 62)) * 2 * 8,
+                         f"counterexample commutator at L = {l_hi}", "its Lanczos bases")
     W = MatrixWeight.diagonal_power([alpha, -alpha])
     rows, norms, uppers = [], [], []
     for L in range(l_lo, l_hi + 1):

@@ -151,6 +151,12 @@ class ShiftMap:
         self.sig_map = np.asarray(sig_map, dtype=int)
         if self.sig_map.shape != (nsig,) or self.sig_map.min() < 0 or self.sig_map.max() >= nsig:
             raise ShiftMapError("signature map must send cancellative signatures to themselves")
+        # targets[k]: flattened level-(k+1) indices of sigma(I) over the cubes
+        # I at level k, for k < L - 1 (sigma of a level L - 1 cube is a leaf)
+        self.targets = []
+        for c in self.corners[:-1]:
+            child = 2 * np.indices(c.shape[:-1]) + np.moveaxis(c, -1, 0)
+            self.targets.append(np.ravel_multi_index(tuple(child), (2 * c.shape[0],) * d).ravel())
 
     @classmethod
     def left_child(cls, grid, sig_map=None):
@@ -163,18 +169,6 @@ class ShiftMap:
         corners = [rng.integers(0, 2, size=(1 << k,) * grid.d + (grid.d,))
                    for k in range(grid.L)]
         return cls(grid, corners, sig_map)
-
-    def flat_targets(self, level):
-        """Flattened child-level indices of sigma over all cubes at ``level``."""
-        d = self.grid.d
-        side = 1 << level
-        grids = np.meshgrid(*[np.arange(side)] * d, indexing="ij")
-        corner = self.corners[level]
-        tgt = np.zeros((side,) * d, dtype=int)
-        for ax in range(d):
-            comp = 2 * grids[ax] + corner[..., ax]
-            tgt = tgt * (2 * side) + comp
-        return tgt.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +201,20 @@ def _paraproduct_levels(coeffs, means, d):
 def _shift_levels(sigma: ShiftMap, fc, adjoint=False):
     """Q_sigma on coefficient levels: f_I^eps moves to (sigma(I), sigma(eps))
     (scatter), and what moves below the leaf level is dropped.  With
-    ``adjoint``, (Q^T g)_I^eps = g_{sigma(I)}^{sigma(eps)} (gather)."""
+    ``adjoint``, (Q^T g)_I^eps = g_{sigma(I)}^{sigma(eps)} (gather).  sigma
+    sends the cubes of a level to distinct children, so a fancy-index ``+=``
+    is a complete scatter."""
     d = sigma.grid.d
     flat = lambda a: a.reshape((-1,) + a.shape[d:])
-    out = [np.zeros_like(c) for c in fc]
-    for k in range(len(fc) - 1):
-        if adjoint:
-            src = _sig_first(flat(fc[k + 1])[sigma.flat_targets(k)].reshape(fc[k].shape), d)
-            dst = _sig_first(out[k], d)
-            for s, t in enumerate(sigma.sig_map):
-                dst[s] += src[t]
-            continue
-        relabeled = np.zeros_like(fc[k])
-        src, dst = _sig_first(fc[k], d), _sig_first(relabeled, d)
+    out = [np.zeros(c.shape) for c in fc]
+    for k, tg in enumerate(sigma.targets):
+        coarse = flat(out[k] if adjoint else fc[k])
+        fine = flat(fc[k + 1] if adjoint else out[k + 1])
         for s, t in enumerate(sigma.sig_map):
-            dst[t] += src[s]
-        flat_out = flat(out[k + 1])
-        np.add.at(flat_out, sigma.flat_targets(k), flat(relabeled))
-        out[k + 1] = flat_out.reshape(out[k + 1].shape)
+            if adjoint:
+                coarse[:, s] += fine[tg, t]
+            else:
+                fine[tg, t] += coarse[:, s]
     return out
 
 
@@ -422,10 +412,10 @@ def square_function(W: MatrixWeight, f: StepFunction):
 # ---------------------------------------------------------------------------
 
 # largest dimension whose p=2 norm is assembled densely and certified exact.
-# For the commutator on 2 vCPUs with OpenBLAS, assembly takes about 1 s at
-# 2048 and 4 s at 4096, where matrix-free Lanczos needs 0.1 s; the certified
-# bracket of ``linalg.spectral_norm`` takes 0.33-0.42 s at 2048 (the Gram
-# product and eigensolve it replaces took about 0.9 s)
+# For the commutator on 2 vCPUs with OpenBLAS, assembly takes about 0.3 s at
+# 2048 and 1.2-1.6 s at 4096, where matrix-free Lanczos needs 0.06-0.07 s;
+# the certified bracket of ``linalg.spectral_norm`` takes 0.33-0.42 s at 2048
+# (the Gram product and eigensolve it replaces took about 0.9 s)
 DENSE_DIM_CAP = 2048
 
 

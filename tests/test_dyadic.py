@@ -237,6 +237,103 @@ class TestHaarTransform:
         assert len(lines) == 1 + 1 + 2
 
 
+def sign_table(d):
+    """Oracle: signs of h^eps on the 2^d child corners, S[sig, corner] =
+    (-1)^(sum of the corner bits where eps is 0), corners flattened in lex
+    (first axis major) order."""
+    corners = list(itertools.product((0, 1), repeat=d))
+    return np.array([[(-1.0) ** sum(c for e, c in zip(eps, corner) if e == 0)
+                      for corner in corners] for eps in signatures(d)])
+
+
+def split_children(a, d):
+    """Oracle layout: (2m,)*d + rest -> (m,)*d + rest + (2^d,), corners trailing."""
+    for ax in range(d):
+        a = a.reshape(a.shape[:ax] + (a.shape[ax] // 2, 2) + a.shape[ax + 1:])
+        a = np.moveaxis(a, ax + 1, -1)
+    return a.reshape(a.shape[:-d] + (1 << d,))
+
+
+def merge_children(a, d):
+    """Inverse of split_children."""
+    a = a.reshape(a.shape[:-1] + (2,) * d)
+    for ax in reversed(range(d)):
+        a = np.moveaxis(a, -1, ax + 1)
+        a = a.reshape(a.shape[:ax] + (a.shape[ax] * 2,) + a.shape[ax + 2:])
+    return a
+
+
+def mean_oracle(a, d):
+    """One level of cube means by np.mean over each child axis in turn."""
+    for ax in range(d):
+        a = a.reshape(a.shape[:ax] + (a.shape[ax] // 2, 2) + a.shape[ax + 1:]).mean(axis=ax + 1)
+    return a
+
+
+def analyze_oracle(values, d, L):
+    """The sign-table transform: np.mean pyramid, then children @ sign table."""
+    means = [None] * L + [np.asarray(values, dtype=float)]
+    for k in range(L - 1, -1, -1):
+        means[k] = mean_oracle(means[k + 1], d)
+    coeffs = [np.moveaxis(split_children(means[k + 1], d) @ sign_table(d).T, -1, d)
+              * (2.0 ** (-k * d / 2.0) / (1 << d)) for k in range(L)]
+    return means[0][(0,) * d], coeffs, means
+
+
+def synthesize_oracle(mean, coeffs, d, L):
+    cur = np.broadcast_to(mean, (1,) * d + np.shape(mean))
+    for k in range(L):
+        contrib = np.moveaxis(coeffs[k], d, -1) @ sign_table(d)
+        cur = merge_children(contrib * 2.0 ** (k * d / 2.0) + cur[..., None], d)
+    return cur
+
+
+class TestButterflyKernels:
+    """The per-axis butterflies against the sign-table transform they replace."""
+
+    @pytest.mark.parametrize("rest", [(), (2,), (2, 2), (2, 2 << 7)])
+    def test_d1_bit_identical_to_sign_table(self, rest):
+        # vector, matrix and dense-assembly (2^L, n, dim) shapes
+        L = 7
+        x = np.random.default_rng(31).standard_normal((1 << L,) + rest)
+        mean, coeffs, means = dy.haar_analyze(x, 1, L)
+        o_mean, o_coeffs, o_means = analyze_oracle(x, 1, L)
+        assert np.array_equal(mean, o_mean)
+        assert all(np.array_equal(a, b) for a, b in zip(coeffs, o_coeffs))
+        assert all(np.array_equal(a, b) for a, b in zip(means, o_means))
+        assert np.array_equal(dy.haar_synthesize(mean, coeffs, 1, L),
+                              synthesize_oracle(mean, coeffs, 1, L))
+
+    @pytest.mark.parametrize("d,L,rest", [(2, 4, ()), (2, 3, (2, 3)), (3, 3, (2,)), (3, 2, (2, 2))])
+    def test_d2_d3_agree_with_sign_table(self, d, L, rest):
+        x = np.random.default_rng(32 + d).standard_normal((1 << L,) * d + rest)
+        tol = 8 * np.finfo(float).eps * np.abs(x).max()
+        mean, coeffs, means = dy.haar_analyze(x, d, L)
+        o_mean, o_coeffs, o_means = analyze_oracle(x, d, L)
+        assert np.abs(mean - o_mean).max() <= tol
+        assert max(np.abs(a - b).max() for a, b in zip(coeffs, o_coeffs)) <= tol
+        assert max(np.abs(a - b).max() for a, b in zip(means, o_means)) <= tol
+        back = dy.haar_synthesize(mean, coeffs, d, L)
+        assert np.abs(back - synthesize_oracle(mean, coeffs, d, L)).max() <= tol
+        assert np.abs(back - x).max() <= tol
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_coarsening_bit_identical_to_numpy(self, d):
+        x = np.random.default_rng(33).standard_normal((16,) * d + (3,))
+        assert np.array_equal(dy.coarsen_levels(x, d, 1), mean_oracle(x, d))
+        assert np.array_equal(dy.coarsen_levels(x, d, 3),
+                              mean_oracle(mean_oracle(mean_oracle(x, d), d), d))
+        summed = x
+        for ax in range(d):
+            summed = summed.reshape(summed.shape[:ax] + (summed.shape[ax] // 2, 2)
+                                    + summed.shape[ax + 1:]).sum(axis=ax + 1)
+        assert np.array_equal(dy.coarsen_sum(x, d), summed)
+        # the cube axes may start after leading value axes
+        y = np.moveaxis(x, -1, 0)
+        assert np.array_equal(dy.coarsen_levels(y, d, 2, axis=1),
+                              np.moveaxis(dy.coarsen_levels(x, d, 2), -1, 0))
+
+
 class TestCovering:
     def test_dyadic_input(self):
         t, cube = find_covering_cube([Fraction(0)], [Fraction(1, 4)])

@@ -300,6 +300,24 @@ class TestCLI:
         assert "Traceback" not in err
         assert not (tmp_path / "apchar.json").exists()
 
+    def test_commutator_oversized_range_refused(self, tmp_path, capsys, monkeypatch):
+        # L=40's Lanczos bases need petabytes: refused before any operator is built
+        import time
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the refusal must come before any work")
+        monkeypatch.setattr(ex, "log_swap_symbol", no_work)
+        monkeypatch.setattr(ex, "weighted_operator_norm", no_work)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "commutator", "alpha": 0.1, "l_range": [4, 40]}))
+        start = time.perf_counter()
+        assert self.run("counterexample", "--config", str(path), "--out", str(tmp_path)) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "GiB" in err and "Lanczos" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("counterexample_*"))
+
     def test_apchar_roundtrip(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

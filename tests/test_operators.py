@@ -159,6 +159,53 @@ class TestShift:
         out2 = shift_op(sigma)(f2)
         assert out2.norm_l2() == pytest.approx(f2.norm_l2(), rel=1e-12)
 
+    @staticmethod
+    def shift_levels_oracle(sigma, fc, adjoint=False):
+        """Q_sigma on coefficient levels with targets from a meshgrid and the
+        forward scatter by np.add.at."""
+        d = sigma.grid.d
+        flat = lambda a: a.reshape((-1,) + a.shape[d:])
+        out = [np.zeros_like(c) for c in fc]
+        for k in range(len(fc) - 1):
+            side = 1 << k
+            grids = np.meshgrid(*[np.arange(side)] * d, indexing="ij")
+            tgt = np.zeros((side,) * d, dtype=int)
+            for ax in range(d):
+                tgt = tgt * (2 * side) + 2 * grids[ax] + sigma.corners[k][..., ax]
+            tgt = tgt.reshape(-1)
+            if adjoint:
+                src = np.moveaxis(flat(fc[k + 1])[tgt].reshape(fc[k].shape), d, 0)
+                dst = np.moveaxis(out[k], d, 0)
+                for s, t in enumerate(sigma.sig_map):
+                    dst[s] += src[t]
+                continue
+            relabeled = np.zeros_like(fc[k])
+            src, dst = np.moveaxis(fc[k], d, 0), np.moveaxis(relabeled, d, 0)
+            for s, t in enumerate(sigma.sig_map):
+                dst[t] += src[s]
+            np.add.at(flat(out[k + 1]), tgt, flat(relabeled))
+        return out
+
+    @pytest.mark.parametrize("d,L,sig_map", [(1, 6, None), (2, 4, None), (2, 4, [2, 0, 1]),
+                                             (2, 4, [1, 1, 0])])
+    def test_scatter_and_gather_match_add_at_oracle(self, d, L, sig_map):
+        from haarweight.operators import _shift_levels
+        rng = np.random.default_rng(45)
+        g = Grid(d, L)
+        sigma = ShiftMap.random_child(g, seed=46, sig_map=sig_map)
+        nsig = (1 << d) - 1
+        fc = [rng.standard_normal((1 << k,) * d + (nsig, 2, 3)) for k in range(L)]
+        gc = [rng.standard_normal(c.shape) for c in fc]
+        qf = _shift_levels(sigma, fc)
+        qtg = _shift_levels(sigma, gc, adjoint=True)
+        for got, want in [(qf, self.shift_levels_oracle(sigma, fc)),
+                          (qtg, self.shift_levels_oracle(sigma, gc, adjoint=True))]:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # <Q f, g> = <f, Q^T g> on the coefficient levels
+        lhs = sum(float((a * b).sum()) for a, b in zip(qf, gc))
+        rhs = sum(float((a * b).sum()) for a, b in zip(fc, qtg))
+        assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+
     def test_invalid_corner_shape(self):
         g = Grid(1, 2)
         with pytest.raises(ShiftMapError):
