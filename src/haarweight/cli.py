@@ -43,14 +43,22 @@ def _read_finite(cfg, key):
     return _read_number(cfg, key, None, np.isfinite, "a finite number")
 
 
+def _read_kind(spec, what, default):
+    """The string ``kind`` of an object spec (``default`` when absent)."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a {what} spec must be an object, got {spec!r}")
+    kind = spec.get("kind", default)
+    if not isinstance(kind, str):
+        raise ConfigError(f"the {what} 'kind' must be a string, got {kind!r}")
+    return kind
+
+
 def build_weight(cfg):
     """The weight of the spec {"kind": ..., ...}: identity (n), scalar-power
     (alpha, n), diagonal-power (alphas), rotated (2 alphas, theta) or
     random-spd (seed, cond, n)."""
     spec = cfg.get("weight", {"kind": "identity"})
-    if not isinstance(spec, dict):
-        raise ConfigError(f"weight spec must be an object, got {spec!r}")
-    kind = spec.get("kind")
+    kind = _read_kind(spec, "weight", None)
     if kind in ("identity", "scalar-power", "random-spd"):
         n = _read_int(spec, "n", 2, lo=1)
     if kind == "identity":
@@ -86,7 +94,7 @@ def read_p(cfg):
 
 
 def build_symbol(spec, grid):
-    kind = spec.get("kind", "log-swap")
+    kind = _read_kind(spec, "symbol", "log-swap")
     if kind == "log-swap":
         return experiments.log_swap_symbol(grid)
     if kind == "scalar-log":
@@ -101,7 +109,7 @@ def build_symbol(spec, grid):
 
 
 def build_sequence(spec, grid):
-    kind = spec.get("kind", "random")
+    kind = _read_kind(spec, "sequence", "random")
     if kind == "constant-swap":
         return MatrixSequence.constant(grid, experiments.SWAP)
     if kind == "random":
@@ -120,6 +128,8 @@ def build_sigma(spec, grid):
 
 
 def build_operator(spec, grid, weight, p):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"an operator spec must be an object, got {spec!r}")
     op_name = spec.get("op")
     if op_name == "paraproduct":
         return paraproduct_op(build_symbol(spec.get("symbol", {}), grid))
@@ -236,12 +246,12 @@ def cmd_sparse(cfg, out_dir):
 
 
 def cmd_counterexample(cfg, out_dir):
-    kind = cfg.get("kind", "haar-multiplier")
-    return experiments.run_counterexample(kind, cfg, out_dir)
+    return experiments.run_counterexample(_read_kind(cfg, "counterexample", "haar-multiplier"),
+                                          cfg, out_dir)
 
 
 def cmd_sweep(cfg, out_dir):
-    return experiments.run_sweep(cfg.get("kind", "all"), cfg, out_dir)
+    return experiments.run_sweep(_read_kind(cfg, "sweep", "all"), cfg, out_dir)
 
 
 def cmd_equivalence(cfg, out_dir):
@@ -276,6 +286,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"a config must be a JSON object, got {cfg!r}")
         report = COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

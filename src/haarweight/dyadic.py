@@ -1,9 +1,9 @@
 """Dyadic grids, tensor Haar systems, and transforms on truncated trees.
 
 Functions live on the leaves (depth ``L``) of a dyadic grid over the unit
-cube [0,1)^d.  A Haar expansion carries the coarse mean on the root plus one
+cube [0,1)^d.  ``haar_analyze`` returns the coarse mean on the root plus one
 coefficient per (cube, cancellative signature) pair for levels 0..L-1, so
-Parseval closes exactly on the finite tree.
+Parseval closes exactly on the finite tree, and ``haar_synthesize`` inverts it.
 
 Everything here is a pure function of immutable inputs; per-level arrays keep
 the spatial axes first and value axes last, so all tree walks are vectorized.
@@ -11,7 +11,6 @@ the spatial axes first and value axes last, so all tree walks are vectorized.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CompletenessError, ShapeError
+from .errors import ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +57,6 @@ class Grid:
 
     def root(self):
         return Cube(0, (0,) * self.d)
-
-    def cubes_at_level(self, k):
-        return [Cube(k, m) for m in itertools.product(range(1 << k), repeat=self.d)]
-
-    def all_cubes(self, max_level=None):
-        top = self.L if max_level is None else max_level
-        return [c for k in range(top + 1) for c in self.cubes_at_level(k)]
 
 
 @dataclass(frozen=True)
@@ -212,7 +204,7 @@ def subtree_sums(per_level, d):
 
 
 # ---------------------------------------------------------------------------
-# Step functions and Haar expansions
+# Step functions and Haar transforms
 # ---------------------------------------------------------------------------
 
 VALUE_KINDS = ("scalar", "vector", "matrix")
@@ -253,69 +245,6 @@ class StepFunction:
     def norm_l2(self):
         """Unweighted L^2 norm; for matrix values the Hilbert-Schmidt norm is used."""
         return float(np.sqrt((self.values ** 2).sum() * self.grid.leaf_measure))
-
-    @classmethod
-    def constant(cls, grid, value):
-        value = np.asarray(value, dtype=float)
-        values = np.broadcast_to(value, grid.leaf_shape + value.shape).copy()
-        return cls(grid, values)
-
-
-class HaarExpansion:
-    """Coarse mean plus coefficients over (cube, cancellative signature) pairs.
-
-    coeffs[k] has shape (2^k,)*d + (2^d - 1,) + value_shape for k in 0..L-1.
-    """
-
-    def __init__(self, grid, mean, coeffs):
-        mean = np.asarray(mean, dtype=float)
-        _value_kind(mean.shape)
-        self.grid = grid
-        self.mean = mean
-        if len(coeffs) != grid.L:
-            raise CompletenessError(f"expected {grid.L} coefficient levels, got {len(coeffs)}")
-        nsig = (1 << grid.d) - 1
-        for k, c in enumerate(coeffs):
-            want = (1 << k,) * grid.d + (nsig,) + mean.shape
-            if c.shape != want:
-                raise CompletenessError(f"level {k} coefficients have shape {c.shape}, want {want}")
-        self.coeffs = list(coeffs)
-
-    @property
-    def value_shape(self):
-        return self.mean.shape
-
-    @property
-    def kind(self):
-        return _value_kind(self.value_shape)
-
-    def coefficient(self, cube, eps):
-        """Single coefficient f_I^eps (cube from the expansion's grid)."""
-        sig_index = signatures(self.grid.d).index(tuple(eps))
-        return self.coeffs[cube.level][cube.offset + (sig_index,)]
-
-    def parseval_total(self):
-        """|Q0| |mean|^2 + sum of squared coefficients (equals the squared L^2 norm)."""
-        total = float((self.mean ** 2).sum())
-        for c in self.coeffs:
-            total += float((c ** 2).sum())
-        return total
-
-    def to_csv(self, path):
-        """Rows: level, offset coordinates, signature bits, coefficient entries."""
-        sigs = signatures(self.grid.d)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            off_cols = [f"m{i}" for i in range(self.grid.d)]
-            sig_cols = [f"eps{i}" for i in range(self.grid.d)]
-            val_cols = [f"c{i}" for i in range(int(np.prod(self.value_shape, dtype=int)) or 1)]
-            writer.writerow(["level", *off_cols, *sig_cols, *val_cols])
-            for k, arr in enumerate(self.coeffs):
-                side = 1 << k
-                for off in itertools.product(range(side), repeat=self.grid.d):
-                    for s, eps in enumerate(sigs):
-                        vals = np.ravel(arr[off + (s,)])
-                        writer.writerow([k, *off, *eps, *(repr(float(v)) for v in vals)])
 
 
 def haar_analyze(values, d, L):
@@ -382,25 +311,17 @@ def haar_synthesize(mean, coeffs, d, L):
     return cur
 
 
-def haar_transform(f: StepFunction) -> HaarExpansion:
-    """Forward transform: exact coefficients f_I^eps = int f h_I^eps from leaf values."""
-    mean, coeffs, _ = haar_analyze(f.values, f.grid.d, f.grid.L)
-    return HaarExpansion(f.grid, mean, coeffs)
-
-
-def inverse_haar(e: HaarExpansion) -> StepFunction:
-    """Reconstruct leaf values; exact inverse of haar_transform."""
-    vals = haar_synthesize(e.mean, e.coeffs, e.grid.d, e.grid.L)
-    return StepFunction(e.grid, vals)
-
-
 # ---------------------------------------------------------------------------
 # Covering of arbitrary cubes by shifted-grid cubes
 # ---------------------------------------------------------------------------
 
-def find_covering_cube(lo, hi, max_ratio=6):
+# the covering cube's side is at most this many times the covered cube's
+COVERING_RATIO = 6
+
+
+def find_covering_cube(lo, hi):
     """Find (t, cube) with cube in the t-th shifted grid, [lo,hi) inside it and
-    side length at most ``max_ratio`` times the input's.
+    side length at most ``COVERING_RATIO`` times the input's.
 
     lo, hi are per-coordinate rationals (anything Fraction accepts).  The
     search scans the at most three candidate levels and all 2^d shifts; a
@@ -412,13 +333,13 @@ def find_covering_cube(lo, hi, max_ratio=6):
     h = max(b - a for a, b in zip(lo, hi))
     if h <= 0:
         raise ValueError("degenerate cube")
-    # candidate levels: 2^{-k} in [h, max_ratio*h], largest k (smallest cube) first
+    # candidate levels: 2^{-k} in [h, COVERING_RATIO*h], largest k (smallest cube) first
     k = 0
     while _pow2(-(k + 1)) >= h:
         k += 1
     while _pow2(-k) < h:
         k -= 1
-    candidates = [kk for kk in (k, k - 1, k - 2) if _pow2(-kk) <= max_ratio * h]
+    candidates = [kk for kk in (k, k - 1, k - 2) if _pow2(-kk) <= COVERING_RATIO * h]
     for kk in sorted(candidates, reverse=True):
         step = _pow2(-kk)
         sgn = -1 if kk % 2 else 1

@@ -9,10 +9,6 @@ class ShapeError(HaarweightError):
     """Grid or value-shape mismatch between operands."""
 
 
-class CompletenessError(HaarweightError):
-    """A Haar expansion is missing coefficient entries for its grid."""
-
-
 class IntegrabilityError(HaarweightError):
     """A requested weight power is not integrable on the cell."""
 

@@ -89,6 +89,13 @@ def refuse_beyond_memory(need, who, what):
                           f"more than the {have / 2**30:.3g} GiB of physical memory")
 
 
+def _lanczos_bytes(L):
+    """Bytes of the two Golub-Kahan-Lanczos bases of a matrix-free norm at depth
+    L (d = 1, n = 2), (steps + 1) x 2^L x n floats each; past 2^62 leaves
+    nothing fits, so larger L count as 62."""
+    return 2 * (linalg.LANCZOS_MAX_STEPS + 1) * (1 << min(L, 62)) * 2 * 8
+
+
 def _write_csv(path, header, rows, schema=None):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -222,10 +229,9 @@ def _counterexample_paraproduct(alpha, cfg, out_dir):
 
 def _counterexample_commutator(alpha, cfg, out_dir):
     l_lo, l_hi = _read_range(cfg, "l_range", [4, 12], lo=1)
-    # the top level's two Golub-Kahan-Lanczos bases, (steps + 1) x 2^L x n
-    # each with n = 2, are the largest arrays; past 2^62 leaves nothing fits
-    refuse_beyond_memory(2 * (linalg.LANCZOS_MAX_STEPS + 1) * (1 << min(l_hi, 62)) * 2 * 8,
-                         f"counterexample commutator at L = {l_hi}", "its Lanczos bases")
+    # the top level's Lanczos bases are the largest arrays
+    refuse_beyond_memory(_lanczos_bytes(l_hi), f"counterexample commutator at L = {l_hi}",
+                         "its Lanczos bases")
     W = MatrixWeight.diagonal_power([alpha, -alpha])
     rows, norms, uppers = [], [], []
     for L in range(l_lo, l_hi + 1):
@@ -272,6 +278,10 @@ def _counterexample_commutator(alpha, cfg, out_dir):
 # ---------------------------------------------------------------------------
 
 SWEEP_STABILITY_FACTOR = 4.0
+# maximal_mw holds up to about this many N x N leaf-pair tables of floats at
+# once: peak RSS of a maximal sweep grew by 3.0, 3.8 and 3.2 tables at L = 10,
+# 11 and 12
+MW_PAIR_TABLES = 4
 
 
 def _multiplier_criterion(A, red):
@@ -392,6 +402,14 @@ def run_sweep(kind, cfg, out_dir=None):
     if kind not in kinds:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     wanted = kinds[kind]
+    # norms above the dense cap hold Lanczos bases and maximal_mw its leaf-pair
+    # tables; they run one after the other, so the larger sets the peak
+    leaves = 1 << min(L, 62)
+    norms = kind != "maximal" and 2 * leaves > DENSE_DIM_CAP
+    need = {"its Lanczos bases": _lanczos_bytes(L) if norms else 0,
+            "its leaf-pair tables": MW_PAIR_TABLES * leaves ** 2 * 8 if "maximal-mw" in wanted else 0}
+    what = max(need, key=need.get)
+    refuse_beyond_memory(need[what], f"sweep {kind} at L = {L}", what)
     weights = []
     for alpha in alphas:
         W = MatrixWeight.diagonal_power([alpha, -alpha])

@@ -20,7 +20,7 @@ from .dyadic import (
 )
 from .errors import SparsenessError
 from .operators import Operator, _mv
-from .weights import MatrixWeight, reducing_pyramid
+from .weights import MatrixWeight
 
 
 def _cube_averages(outer_levels, t_leaf, grid):
@@ -42,24 +42,19 @@ def _chain_averages(outer_levels, t_leaf, grid):
             for k, a in enumerate(_cube_averages(outer_levels, t_leaf, grid))]
 
 
-def _prime_levels(W: MatrixWeight, f, p):
+def _prime_levels(W: MatrixWeight, f):
     """Per-level leaf arrays of the averages whose chain maximum is M'f."""
     grid = f.grid
-    if p == 2.0:
-        outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -1.0)]
-    else:
-        outer = reducing_pyramid(W, grid, p)["V"]
-    return _chain_averages(outer, _mv(W.leaf_reps(grid, -1.0 / p), f.values), grid)
+    outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -1.0)]
+    return _chain_averages(outer, _mv(W.leaf_reps(grid, -0.5), f.values), grid)
 
 
-def maximal_mw_prime(W: MatrixWeight, f, p=2.0):
-    """Christ/Goldberg-type auxiliary maximal function.
-
-    p = 2: M'f(x) = sup_{I: x in I} (1/|I|) int_I |(m_I W^{-1})^{-1/2} W^{-1/2}(y) f(y)| dy.
-    p != 2: the reducing-operator form sup_I m_I |V_I W^{-1/p} f|.
-    Returns a scalar leaf array.
+def maximal_mw_prime(W: MatrixWeight, f):
+    """Christ/Goldberg-type auxiliary maximal function at p = 2,
+    M'f(x) = sup_{I: x in I} (1/|I|) int_I |(m_I W^{-1})^{-1/2} W^{-1/2}(y) f(y)| dy,
+    as a scalar leaf array.
     """
-    return np.maximum.reduce(_prime_levels(W, f, p))
+    return np.maximum.reduce(_prime_levels(W, f))
 
 
 def half_power_maximal(W: MatrixWeight, f):
@@ -126,7 +121,7 @@ def local_nq(W: MatrixWeight, Q: Cube, grid: Grid):
     return best, float((best ** 2).mean())
 
 
-def weak_type_check(W: MatrixWeight, f, p=2.0):
+def weak_type_check(W: MatrixWeight, f):
     """Exhaustive weak (2,2) check for M' with the explicit constant n.
 
     Returns (max over attained thresholds of lam^2 |{M' > lam}| / ||f||_2^2,
@@ -134,7 +129,7 @@ def weak_type_check(W: MatrixWeight, f, p=2.0):
     the bound lam^2 |{M' > lam}| <= n ||f||^2 exact in this discretization.
     """
     grid = f.grid
-    m = maximal_mw_prime(W, f, p).ravel()
+    m = maximal_mw_prime(W, f).ravel()
     norm2 = float((f.values ** 2).sum() * grid.leaf_measure)
     lams = np.unique(m)
     counts = m.size - np.searchsorted(np.sort(m), lams, side="right")
@@ -158,7 +153,7 @@ def mw_proof_certificate(W: MatrixWeight, f):
     mw_avgs = _mw_ancestor_averages(W, f)
     k_star = mw_avgs.argmax(axis=0)
     mw_val = mw_avgs.max(axis=0)
-    D = np.stack(_prime_levels(W, f, 2.0))[k_star, x]
+    D = np.stack(_prime_levels(W, f))[k_star, x]
     j = np.floor(np.log2(np.maximum(D, 1e-300))).astype(int)
 
     # S_x is the coarsest cube on x's chain that is R_y for a leaf y of x's

@@ -1,5 +1,5 @@
 """Finite linear operators: paraproducts, Haar multipliers, shifts, commutators,
-the weighted embedding operator, square functions, and operator norms.
+the weighted embedding operator, and operator norms.
 
 Every operator acts on vector step functions.  The array-level kernels accept
 leaf values shaped grid + (n,) or grid + (n, B); the trailing batch axis is
@@ -64,14 +64,6 @@ class MatrixSymbol:
     def transpose(self):
         return MatrixSymbol(StepFunction(self.grid, _transpose(self.step.values)))
 
-    def hs_parseval_gap(self):
-        """Parseval defect of the cached coefficients against int ||B||_HS^2."""
-        total = float((self.mean ** 2).sum())
-        for c in self.coeffs:
-            total += float((c ** 2).sum())
-        norm2 = float((self.step.values ** 2).sum()) * self.grid.leaf_measure
-        return abs(total - norm2)
-
 
 class MatrixSequence:
     """Coefficient sequence A_I^eps: per-level arrays (2^k,)*d + (S, n, n)."""
@@ -89,11 +81,6 @@ class MatrixSequence:
                 raise ShapeError(f"level {k} has shape {a.shape}, want {want}")
 
     @classmethod
-    def zeros(cls, grid, n=2):
-        nsig = (1 << grid.d) - 1
-        return cls(grid, [np.zeros((1 << k,) * grid.d + (nsig, n, n)) for k in range(grid.L)])
-
-    @classmethod
     def constant(cls, grid, mat):
         mat = np.asarray(mat, dtype=float)
         nsig = (1 << grid.d) - 1
@@ -106,25 +93,16 @@ class MatrixSequence:
         return cls(B.grid, [c.copy() for c in B.coeffs])
 
     @classmethod
-    def random(cls, grid, n=2, rng=None, haar_normalized=True):
-        """Random sequence; with haar_normalized the size of A_I^eps shrinks like
-        |I|^{1/2}, mimicking Haar coefficients of a bounded-oscillation symbol."""
+    def random(cls, grid, n=2, rng=None):
+        """Random sequence whose A_I^eps shrink like |I|^{1/2}, mimicking Haar
+        coefficients of a bounded-oscillation symbol."""
         rng = np.random.default_rng(rng)
         nsig = (1 << grid.d) - 1
-        levels = []
-        for k in range(grid.L):
-            size = 2.0 ** (-k * grid.d / 2.0) if haar_normalized else 1.0
-            levels.append(rng.standard_normal((1 << k,) * grid.d + (nsig, n, n)) * size)
-        return cls(grid, levels)
+        return cls(grid, [rng.standard_normal((1 << k,) * grid.d + (nsig, n, n))
+                          * 2.0 ** (-k * grid.d / 2.0) for k in range(grid.L)])
 
     def transpose(self):
         return MatrixSequence(self.grid, [_transpose(a) for a in self.levels])
-
-    def with_entry(self, level, offset, sig_index, mat):
-        """Copy with one coefficient overwritten (test utility)."""
-        levels = [a.copy() for a in self.levels]
-        levels[level][tuple(offset) + (sig_index,)] = np.asarray(mat, dtype=float)
-        return MatrixSequence(self.grid, levels)
 
 
 class ShiftMap:
@@ -345,15 +323,6 @@ def shift_op(sigma: ShiftMap, n=2):
                     "haar-shift")
 
 
-def multiplication_op(B: MatrixSymbol):
-    vals = B.step.values
-    valsT = _transpose(vals)
-    return Operator(B.grid, B.n,
-                    lambda v: _mv(vals, v),
-                    lambda v: _mv(valsT, v),
-                    "multiplication")
-
-
 def commutator_op(B: MatrixSymbol, sigma: ShiftMap):
     """[B, Q_sigma] f = B Q f - Q(B f); ``commutator_case_sum`` is the same
     operator split into the paper's cases."""
@@ -384,27 +353,6 @@ def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
                     lambda v: _paraproduct_values(g, VA, _mv(inv, v)),
                     lambda v: _mv(invT, _adjoint_paraproduct_values(g, VAT, v)),
                     "embedding")
-
-
-def square_function(W: MatrixWeight, f: StepFunction):
-    """Weighted dyadic square function at p=2.
-
-    Returns (scalar step values S(x), aggregate) with
-    S(x)^2 = sum_{I contains x, eps} |(m_I W)^{1/2} f_I^eps|^2 / |I| and
-    aggregate = sum_{I,eps} |(m_I W)^{1/2} f_I^eps|^2.
-    """
-    grid = f.grid
-    d, L = grid.d, grid.L
-    _, fc, _ = haar_analyze(f.values, d, L)
-    Vhalf = [linalg.sqrtm_spd(a) for a in W.average_pyramid(grid, 1.0)]
-    terms = []
-    aggregate = 0.0
-    for k in range(L):
-        term = _mv(Vhalf[k][..., None, :, :], fc[k])
-        q = (term ** 2).sum(axis=(d, d + 1))
-        aggregate += float(q.sum())
-        terms.append(q * (2.0 ** (k * d)))
-    return np.sqrt(refine(chain_sum(terms, d), d)), aggregate
 
 
 # ---------------------------------------------------------------------------

@@ -85,18 +85,6 @@ class MatrixWeight:
 
         return cls(n, leaf_values=leaf_values)
 
-    @classmethod
-    def from_leaf_values(cls, grid, values):
-        """Explicit per-leaf SPD values, bound to ``grid``."""
-        values = np.array(values, dtype=float)
-
-        def leaf_values(g):
-            if g != grid:
-                raise ShapeError("leaf-valued weight is bound to a different grid")
-            return values
-
-        return cls(values.shape[-1], leaf_values=leaf_values)
-
     # -- averaging core -----------------------------------------------------
 
     def _power_law(self, s, means):
@@ -211,21 +199,6 @@ def _interval_power_means(edges, beta):
     return np.diff(prim) / widths
 
 
-def truncate_weight(W: MatrixWeight, n_cut) -> MatrixWeight:
-    """Eigenvalue truncation onto [1/n_cut, n_cut] via the three-band
-    projection formula, applied to the weight's leaf values."""
-    if n_cut <= 0:
-        raise ValueError("truncation level must be positive")
-    n_cut = float(n_cut)
-
-    def leaf_values(grid):
-        w, v = np.linalg.eigh(linalg.symmetrize(W.leaf_averages(grid, 1.0)))
-        w = np.clip(w, 1.0 / n_cut, n_cut)
-        return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-    return MatrixWeight(W.n, leaf_values=leaf_values)
-
-
 def power_of(W: MatrixWeight, s0) -> MatrixWeight:
     """The pointwise power W^{s0} as a weight."""
     if W.leaf_values is None:
@@ -235,30 +208,9 @@ def power_of(W: MatrixWeight, s0) -> MatrixWeight:
     return out
 
 
-def dual_weight(W: MatrixWeight, p):
-    """(W^{1-p'}, p'); the A_p dual pairing."""
-    pprime = p / (p - 1.0)
-    return power_of(W, 1.0 - pprime), pprime
-
-
 # ---------------------------------------------------------------------------
-# Cell averages and weighted norms
+# Weighted norms
 # ---------------------------------------------------------------------------
-
-def cell_average(W: MatrixWeight, cube: Cube, grid: Grid, s=1.0):
-    """(1/|I|) int_I W^s over a cube of the standard grid: closed form for
-    power laws in d=1, leaf-summed otherwise."""
-    if cube.shift != 1:
-        raise ValueError("cell averages are taken over cubes of the standard grid")
-    if grid.d == 1 and W.leaf_values is None:
-        (lo, hi), = cube.bounds()
-        return W.average_over_interval(lo, hi, s)
-    leaf_vals = W.leaf_averages(grid, s)
-    sl = tuple(slice(m << (grid.L - cube.level), (m + 1) << (grid.L - cube.level))
-               for m in cube.offset)
-    block = leaf_vals[sl]
-    return block.reshape(-1, W.n, W.n).mean(axis=0)
-
 
 def _lp_power(vals, M, p, meas):
     """sum over leaves of (f^T M f)_+^{p/2} |leaf| for leaf values ``vals`` of
@@ -352,9 +304,13 @@ CANDIDATE_SLACK = 1e-11
 # feasibility on the basis slots off it.
 _CANDIDATES = np.array([[3, 0, 3], [3, 1, 3], [3, 0, 1], [3, 2, 3], [3, 0, 2], [3, 1, 2]])
 _OFF = ((1, 2), (0, 2), (2,), (0, 1), (1,), (0,))
+# the multiplicative update for n != 2 stops a row once its gap is at most
+# LOWNER_TOL, or after LOWNER_MAX_ITER updates
+LOWNER_MAX_ITER = 400
+LOWNER_TOL = 1e-8
 
 
-def lowner_batched(radii, dirs, max_iter=400, tol=1e-8):
+def lowner_batched(radii, dirs):
     """Minimum-volume origin-centered enclosing ellipsoids of the point sets
     {+-radii[k, m] * dirs[m]}, one per row.
 
@@ -362,9 +318,9 @@ def lowner_batched(radii, dirs, max_iter=400, tol=1e-8):
     is supported on at most n(n+1)/2 = 3 points, and an active-set walk over
     such bases stops when no point lies outside by more than
     ``LOWNER_OUTSIDE``, so a row's gap is of that order unless round-off
-    stops it early; ``max_iter`` and ``tol`` are not used.  Other n run the
-    multiplicative D-optimal-design update (``_lowner_multiplicative``) until
-    a row's gap is at most ``tol`` or it has made ``max_iter`` updates.
+    stops it early.  Other n run the multiplicative D-optimal-design update
+    (``_lowner_multiplicative``) until a row's gap is at most ``LOWNER_TOL``
+    or it has made ``LOWNER_MAX_ITER`` updates.
 
     Returns (U, design, gap): the ellipsoids {x : |U_k x| <= 1}, the design
     weights u (nonnegative, summing to 1) and the duality gap
@@ -382,7 +338,7 @@ def lowner_batched(radii, dirs, max_iter=400, tol=1e-8):
     if n == 2:
         u = _lowner_active_set(w, dirs)
     else:
-        u = _lowner_multiplicative(w, D, n, max_iter, tol)
+        u = _lowner_multiplicative(w, D, n)
     Sinv = linalg._inv_small(((u * w) @ D).reshape(K, n, n))
     g = Sinv.reshape(K, n * n) @ D.T
     g *= w
@@ -393,26 +349,26 @@ def lowner_batched(radii, dirs, max_iter=400, tol=1e-8):
     return U / scale[..., None], u, np.maximum(gmax / n - 1.0, 0.0)
 
 
-def _lowner_multiplicative(w, D, n, max_iter, tol):
+def _lowner_multiplicative(w, D, n):
     """Design weights from the multiplicative update u_km <- u_km g_km / n
     (Titterington 1976; Todd & Yildirim 2007) from the uniform design.
 
     The net is fixed, so each iteration is two GEMMs against the flattened
     outer products D[m] = d_m d_m^T: the moment matrices are ``(u w) @ D`` and
     the leverages ``w (S^{-1} @ D^T)``.  Each row stops on its own once its gap
-    is at most ``tol`` and later iterations update only the remaining rows;
-    rows still open after ``max_iter`` updates stop there.  The update is
-    sublinear on nearly elliptic point sets, so such rows can keep gaps well
-    above ``tol``.
+    is at most ``LOWNER_TOL`` and later iterations update only the remaining
+    rows; rows still open after ``LOWNER_MAX_ITER`` updates stop there.  The
+    update is sublinear on nearly elliptic point sets, so such rows can keep
+    gaps well above ``LOWNER_TOL``.
     """
     K, m = w.shape
     u = np.full((K, m), 1.0 / m)
     rows, ua, wa = np.arange(K), u, w                 # the rows still iterating
-    for it in range(max_iter + 1):
+    for it in range(LOWNER_MAX_ITER + 1):
         Sa = linalg._inv_small(((ua * wa) @ D).reshape(-1, n, n))
         ga = wa * (Sa.reshape(-1, n * n) @ D.T)
-        stop = ga.max(axis=1) <= n * (1.0 + tol)
-        if it == max_iter:
+        stop = ga.max(axis=1) <= n * (1.0 + LOWNER_TOL)
+        if it == LOWNER_MAX_ITER:
             stop[:] = True
         if stop.any():
             u[rows[stop]] = ua[stop]
@@ -549,7 +505,7 @@ def _lowner_active_set(w, dirs):
                        minlength=K * m).reshape(K, m)
 
 
-def _reducing_from_gauge(rho, dirs, n, max_iter, tol):
+def _reducing_from_gauge(rho, dirs, n):
     """V = sqrt(n) * Lowner(U) rescaled so rho <= |V e| on the whole net.
 
     rho: (K, m) gauge values on the net.  Returns (V, eta, gap) with the
@@ -559,7 +515,7 @@ def _reducing_from_gauge(rho, dirs, n, max_iter, tol):
     the flattened outer products e e^T.
     """
     # boundary points of the gauge ball sit at distance 1/rho along each direction
-    U, _, gap = lowner_batched(1.0 / rho, dirs, max_iter=max_iter, tol=tol)
+    U, _, gap = lowner_batched(1.0 / rho, dirs)
     V = np.sqrt(n) * U
     D = (dirs[:, :, None] * dirs[:, None, :]).reshape(-1, n * n)
     ratios = np.sqrt((np.swapaxes(V, 1, 2) @ V).reshape(-1, n * n) @ D.T)
@@ -570,8 +526,14 @@ def _reducing_from_gauge(rho, dirs, n, max_iter, tol):
     return V, np.maximum(eta, 0.0), gap
 
 
-def reducing_pyramid(W: MatrixWeight, grid: Grid, p, net_size=64, max_iter=400,
-                     tol=1e-8, eta_target=None):
+# reducing_pyramid's direction net for p != 2: REDUCING_NET directions,
+# doubled until the worst sandwich certificate eta is at most
+# REDUCING_ETA_TARGET or the net has 8 times REDUCING_NET directions
+REDUCING_NET = 64
+REDUCING_ETA_TARGET = 1e-3
+
+
+def reducing_pyramid(W: MatrixWeight, grid: Grid, p):
     """Reducing pairs (V_I, V_I') for every cube of the grid.
 
     Returns dict with per-level arrays 'V', 'V_prime' shaped (2^k,)*d + (n,n),
@@ -580,9 +542,8 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p, net_size=64, max_iter=400,
     direction net used.  At p=2 the closed forms (m_I W)^{1/2},
     (m_I W^{-1})^{1/2} are used and eta = gap = 0.  Otherwise each side is
     one ``lowner_batched`` call over the cubes of all levels: exact for n=2,
-    with gaps of order 1e-10; for other n, ``max_iter`` and ``tol`` bound
-    the multiplicative update.  The net is doubled until the worst
-    certificate meets eta_target (default 1e-3 for p != 2).
+    with gaps of order 1e-10; for other n, ``LOWNER_MAX_ITER`` and
+    ``LOWNER_TOL`` bound the multiplicative update.
     """
     n = W.n
     if p == 2.0:
@@ -590,10 +551,8 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p, net_size=64, max_iter=400,
         Vp = [linalg.sqrtm_spd(a) for a in W.average_pyramid(grid, -1.0)]
         zeros = [np.zeros(a.shape[:-2]) for a in V]
         return {"V": V, "V_prime": Vp, "eta": zeros, "eta_prime": zeros,
-                "gap": zeros, "gap_prime": zeros, "net": sphere_net(n, net_size), "p": p}
-    if eta_target is None:
-        eta_target = 1e-3
-    m = net_size
+                "gap": zeros, "gap_prime": zeros, "net": sphere_net(n, REDUCING_NET), "p": p}
+    m = REDUCING_NET
     while True:
         dirs = sphere_net(n, m)
         out = {}
@@ -602,11 +561,11 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p, net_size=64, max_iter=400,
             rho = gauge_pyramid(W, grid, p, dirs, dual=dual)
             flat = np.concatenate([a.reshape(-1, m) for a in rho])
             cuts = np.cumsum([a.size // m for a in rho])[:-1]
-            for key, val in zip(keys, _reducing_from_gauge(flat, dirs, n, max_iter, tol)):
+            for key, val in zip(keys, _reducing_from_gauge(flat, dirs, n)):
                 out[key] = [v.reshape(a.shape[:-1] + val.shape[1:])
                             for v, a in zip(np.split(val, cuts), rho)]
         worst = max(e.max() for e in out["eta"] + out["eta_prime"])
-        if worst <= eta_target or m >= 8 * net_size:
+        if worst <= REDUCING_ETA_TARGET or m >= 8 * REDUCING_NET:
             return {**out, "net": dirs, "p": p}
         m *= 2
 

@@ -13,15 +13,16 @@ import pytest
 from haarweight import experiments as ex
 from haarweight.carleson import carleson_b_sup, carleson_c_constant, stopping_time_tree
 from haarweight.dyadic import (
-    Grid, StepFunction, find_covering_cube, haar_analyze, haar_transform,
+    Grid, StepFunction, find_covering_cube, haar_analyze, haar_synthesize,
     sequence_maximal, carleson_intensity,
 )
 from haarweight.errors import IntegrabilityError
 from haarweight.maximal import sparse_generate, sparse_proof_chain, weak_type_check
 from haarweight.operators import (
     MatrixSequence, MatrixSymbol, ShiftMap, big_pi_op, commutator_case_sum,
-    commutator_op, weighted_operator_norm,
+    commutator_op, product_decomposition_values, weighted_operator_norm,
 )
+from haarweight import weights as weights_module
 from haarweight.weights import (
     MatrixWeight, ap_from_reducing, reducing_pyramid, sphere_net,
 )
@@ -50,7 +51,7 @@ def _line(num, ok, text):
 
 def test_criterion_1_exactness_core():
     rng = np.random.default_rng(101)
-    worst_parseval = worst_roundtrip = worst_comm = 0.0
+    worst_parseval = worst_roundtrip = worst_comm = worst_product = 0.0
     # orthonormality by leaf summation on depth-3 grids
     worst_gram = 0.0
     for d in (1, 2):
@@ -62,7 +63,6 @@ def test_criterion_1_exactness_core():
                     mean = np.zeros(())
                     coeffs = [np.zeros((1 << kk,) * d + ((1 << d) - 1,)) for kk in range(3)]
                     coeffs[k][off + (s,)] = 1.0
-                    from haarweight.dyadic import haar_synthesize
                     basis.append(haar_synthesize(mean, coeffs, d, 3).ravel())
         Bmat = np.stack(basis)
         gram = Bmat @ Bmat.T * 2.0 ** (-3 * d)
@@ -72,21 +72,29 @@ def test_criterion_1_exactness_core():
         L = int(rng.integers(2, 6 if d == 1 else 5))
         g = Grid(d, L)
         f = StepFunction(g, rng.standard_normal(g.leaf_shape + (2,)))
-        e = haar_transform(f)
+        mean, coeffs, _ = haar_analyze(f.values, d, L)
+        total = sum((float((c ** 2).sum()) for c in coeffs), float((mean ** 2).sum()))
         norm2 = (f.values ** 2).sum() * g.leaf_measure
-        worst_parseval = max(worst_parseval, abs(e.parseval_total() - norm2) / norm2)
-        from haarweight.dyadic import inverse_haar
-        back = inverse_haar(e)
-        worst_roundtrip = max(worst_roundtrip, float(np.abs(back.values - f.values).max()))
+        worst_parseval = max(worst_parseval, abs(total - norm2) / norm2)
+        back = haar_synthesize(mean, coeffs, d, L)
+        worst_roundtrip = max(worst_roundtrip, float(np.abs(back - f.values).max()))
         B = MatrixSymbol.from_values(g, rng.standard_normal(g.leaf_shape + (2, 2)))
+        # B g = pi_B g + (means multiplier) g + (adjoint paraproduct) g
+        #       + (signature mixer) g + m(B) m(g)
+        direct = np.einsum("...ij,...j->...i", B.step.values, f.values)
+        worst_product = max(worst_product, float(
+            np.abs(product_decomposition_values(B, f.values) - direct).max()
+            / max(1.0, np.abs(direct).max())))
         sigma = ShiftMap.random_child(g, seed=trial)
         a = commutator_op(B, sigma)(f).values
         b = commutator_case_sum(B, sigma, f.values)
         worst_comm = max(worst_comm, float(np.abs(a - b).max() / max(1.0, np.abs(a).max())))
     ok = (worst_parseval <= PARSEVAL_TOL and worst_roundtrip <= PARSEVAL_TOL
-          and worst_gram <= PARSEVAL_TOL and worst_comm <= EXACT_CORE_TOL)
+          and worst_gram <= PARSEVAL_TOL and worst_product <= EXACT_CORE_TOL
+          and worst_comm <= EXACT_CORE_TOL)
     _line(1, ok, f"exactness core: parseval {worst_parseval:.2e}, roundtrip "
-                 f"{worst_roundtrip:.2e}, gram {worst_gram:.2e}, commutator {worst_comm:.2e}")
+                 f"{worst_roundtrip:.2e}, gram {worst_gram:.2e}, product rule "
+                 f"{worst_product:.2e}, commutator {worst_comm:.2e}")
 
 
 def test_criterion_2_counterexample_rates(tmp_path):
@@ -134,7 +142,7 @@ def test_criterion_3_exact_p2_necessity():
                  f"violations in 200, max ratio {worst_margin:.6f}")
 
 
-def test_criterion_4_stopping_time_decay():
+def test_criterion_4_stopping_time_decay(monkeypatch):
     rng = np.random.default_rng(104)
     g = Grid(1, 14)
     failures = []
@@ -143,7 +151,10 @@ def test_criterion_4_stopping_time_decay():
     for i in range(20):
         a1, a2 = rng.uniform(0.1, 0.45, size=2) * rng.choice([-1, 1], size=2)
         weights.append((f"rotated{i}", MatrixWeight.rotated_power([a1, a2], rng.uniform(0, np.pi)), max(abs(a1), abs(a2))))
-    opts = dict(net_size=32, eta_target=0.08)
+    # a coarse net and a loose sandwich target: the decay proof needs only
+    # the certified eta, not a small one
+    monkeypatch.setattr(weights_module, "REDUCING_NET", 32)
+    monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", 0.08)
     for p in (1.5, 2.0, 3.0):
         pprime = p / (p - 1.0)
         for name, W, amax in weights:
@@ -152,7 +163,7 @@ def test_criterion_4_stopping_time_decay():
                     W.leaf_averages(g, -pprime / p)
                 excluded += 1
                 continue
-            red = reducing_pyramid(W, g, p, **opts) if p != 2.0 else reducing_pyramid(W, g, p)
+            red = reducing_pyramid(W, g, p)
             tree = stopping_time_tree(W, p, grid=g, reducing=red)
             for j, meas in enumerate(tree.generation_measures):
                 if meas > 2.0 ** (-j) * (1 + 1e-12):
@@ -163,7 +174,7 @@ def test_criterion_4_stopping_time_decay():
                  f"violations: {failures[:3]}")
 
 
-def test_criterion_5_reducing_operator_calculus():
+def test_criterion_5_reducing_operator_calculus(monkeypatch):
     g = Grid(1, 6)
     n = 2
     dirs = sphere_net(n, 64)
@@ -174,9 +185,11 @@ def test_criterion_5_reducing_operator_calculus():
     worst_rev = {2.0: 1.0, 1.5: 1.0, 3.0: 1.0}
     worst_eta = 0.0
     redop_ok = True
+    monkeypatch.setattr(weights_module, "REDUCING_NET", 128)
+    monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", SANDWICH_ETA)
     for p in (1.5, 2.0, 3.0):
         for W in weights:
-            red = reducing_pyramid(W, g, p, net_size=128, eta_target=SANDWICH_ETA)
+            red = reducing_pyramid(W, g, p)
             ap = ap_from_reducing(red, p)
             factor = ap ** (n / p)
             avg = W.average_pyramid(g, -1.0 / p)

@@ -12,11 +12,20 @@ from haarweight.errors import ThresholdError
 from haarweight.operators import (
     MatrixSequence, MatrixSymbol, big_pi_op, weighted_operator_norm,
 )
-from haarweight.weights import MatrixWeight, ap_characteristic, dual_weight, reducing_pyramid
+from haarweight import weights as weights_module
+from haarweight.weights import MatrixWeight, ap_characteristic, power_of, reducing_pyramid
 
 # np.linalg.eigh calls that test_2x2_runs_avoid_eigh's run made before the
 # 2x2 closed forms
 EIGH_CALLS_BEFORE = 189
+
+
+def root_sequence(grid, mat):
+    """The sequence whose only nonzero coefficient is A_root^{eps_0} = mat."""
+    nsig = (1 << grid.d) - 1
+    levels = [np.zeros((1 << k,) * grid.d + (nsig, 2, 2)) for k in range(grid.L)]
+    levels[0][(0,) * grid.d + (0,)] = mat
+    return MatrixSequence(grid, levels)
 
 
 class TestConditionB:
@@ -41,7 +50,7 @@ class TestConditionB:
 
     def test_single_root_identity(self):
         g = Grid(1, 4)
-        A = MatrixSequence.zeros(g).with_entry(0, (0,), 0, np.eye(2))
+        A = root_sequence(g, np.eye(2))
         rep = carleson_b_sup(A, MatrixWeight.identity(), 2.0)
         assert rep.value == pytest.approx(1.0)
         assert rep.cube.level == 0
@@ -74,13 +83,12 @@ class TestConditionC:
     def test_zero_and_single(self):
         g = Grid(1, 3)
         W = MatrixWeight.identity()
-        assert carleson_c_constant(MatrixSequence.zeros(g), W, 2.0).value == 0.0
-        A = MatrixSequence.zeros(g).with_entry(0, (0,), 0, np.eye(2))
+        assert carleson_c_constant(root_sequence(g, np.zeros((2, 2))), W, 2.0).value == 0.0
+        A = root_sequence(g, np.eye(2))
         assert carleson_c_constant(A, W, 2.0).value == pytest.approx(1.0)
 
     def test_p2_necessity_dense_svd(self):
         # each (c) form <= the squared dense-SVD norm of its embedding operator
-        from haarweight.weights import power_of
         rng = np.random.default_rng(7)
         g = Grid(1, 5)
         for t in range(30):
@@ -141,8 +149,8 @@ class TestBMO:
         W = MatrixWeight.diagonal_power([0.5, -0.3])
         B = MatrixSymbol.from_values(g, rng.standard_normal((16, 2, 2)))
         vd, _ = bmo_norm(B, W, 2.0, "dual")
-        Wd, pp = dual_weight(W, 2.0)
-        vp, _ = bmo_norm(B.transpose(), Wd, pp, "primal")
+        # the dual weight W^{1-p'} at p = p' = 2
+        vp, _ = bmo_norm(B.transpose(), power_of(W, -1.0), 2.0, "primal")
         assert vd == pytest.approx(vp, rel=1e-12)
 
     def test_oscillation_about_mean_vs_infimum(self):
@@ -283,6 +291,8 @@ class TestStoppingTree:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(weights_module, "REDUCING_NET", 32)
+        monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", 0.08)
         g = Grid(1, 6)
         weights = [MatrixWeight.diagonal_power([0.3, -0.3]),
                    MatrixWeight.rotated_power([0.35, -0.2], 0.9),
@@ -290,7 +300,7 @@ class TestStoppingTree:
         for p in (1.5, 2.0, 3.0):
             for W in weights:
                 before = len(calls)
-                red = reducing_pyramid(W, g, p, net_size=32, eta_target=0.08)
+                red = reducing_pyramid(W, g, p)
                 stopping_time_tree(W, p, grid=g, reducing=red)
                 assert max(float(a.max()) for a in red["gap"] + red["gap_prime"]) <= 1e-8
                 assert len(calls) - before == (2 * (g.L + 1) if p == 2.0 else 0)

@@ -15,11 +15,25 @@ import pytest
 
 from haarweight import dyadic as dy
 from haarweight.dyadic import (
-    Cube, Grid, HaarExpansion, StepFunction, carleson_intensity, chain_sum,
-    find_covering_cube, haar_transform, inverse_haar,
-    sequence_maximal, signature_product, signatures,
+    Cube, Grid, StepFunction, carleson_intensity, chain_sum, find_covering_cube,
+    haar_analyze, haar_synthesize, sequence_maximal, signature_product, signatures,
 )
-from haarweight.errors import CompletenessError, ShapeError
+from haarweight.errors import ShapeError
+
+
+def cubes_at_level(grid, k):
+    """The standard-grid cubes of level k in C order of their offsets."""
+    return [Cube(k, m) for m in itertools.product(range(1 << k), repeat=grid.d)]
+
+
+def all_cubes(grid, max_level=None):
+    top = grid.L if max_level is None else max_level
+    return [c for k in range(top + 1) for c in cubes_at_level(grid, k)]
+
+
+def coefficient(coeffs, grid, cube, eps):
+    """The single coefficient f_I^eps of ``haar_analyze``'s levels."""
+    return coeffs[cube.level][cube.offset + (signatures(grid.d).index(tuple(eps)),)]
 
 
 def haar_leaf_values(grid, cube_offset, level, eps):
@@ -46,7 +60,7 @@ class TestGrid:
     def test_children_partition_and_parent(self):
         # shift 1 is the standard grid, shift 2 the third-shifted one
         for shift in (1, 2):
-            for c in Grid(1, 3).all_cubes(2):
+            for c in all_cubes(Grid(1, 3), 2):
                 cube = Cube(c.level, c.offset, shift)
                 kids = cube.children()
                 assert len(kids) == 2
@@ -60,7 +74,7 @@ class TestGrid:
                     assert cube.contains(k)
 
     def test_children_partition_d2_shifted(self):
-        for c in Grid(2, 2).all_cubes(1):
+        for c in all_cubes(Grid(2, 2), 1):
             cube = Cube(c.level, c.offset, 3)
             kids = cube.children()
             assert len(kids) == 4
@@ -72,7 +86,7 @@ class TestGrid:
 
     def test_leaves_partition_base_cube(self):
         g = Grid(2, 2)
-        leaves = g.cubes_at_level(2)
+        leaves = cubes_at_level(g, 2)
         assert len(leaves) == 16
         covered = set()
         for leaf in leaves:
@@ -113,7 +127,7 @@ class TestSignatures:
         all_sigs = list(itertools.product((0, 1), repeat=2))
         for eps, eps_p in itertools.product(signatures(2), repeat=2):
             psi = signature_product(eps, eps_p)
-            for cube in g.cubes_at_level(1):
+            for cube in cubes_at_level(g, 1):
                 ha = haar_leaf_values(g, cube.offset, 1, eps)
                 hb = haar_leaf_values(g, cube.offset, 1, eps_p)
                 hpsi = haar_leaf_values(g, cube.offset, 1, psi)
@@ -128,28 +142,26 @@ class TestSignatures:
 class TestHaarTransform:
     def test_two_cell_oracle(self):
         g = Grid(1, 1)
-        f = StepFunction(g, np.array([1.0, 0.0]))
-        e = haar_transform(f)
-        assert e.mean == pytest.approx(0.5)
-        assert e.coefficient(g.root(), (0,)) == pytest.approx(0.5)
+        mean, coeffs, _ = haar_analyze(np.array([1.0, 0.0]), 1, 1)
+        assert mean == pytest.approx(0.5)
+        assert coefficient(coeffs, g, g.root(), (0,)) == pytest.approx(0.5)
 
     def test_constant_is_cancellative(self):
         g = Grid(2, 3)
-        f = StepFunction.constant(g, np.array(3.7))
-        e = haar_transform(f)
-        assert e.mean == pytest.approx(3.7)
-        for c in e.coeffs:
+        mean, coeffs, _ = haar_analyze(np.full(g.leaf_shape, 3.7), 2, 3)
+        assert mean == pytest.approx(3.7)
+        for c in coeffs:
             np.testing.assert_allclose(c, 0.0)
 
     def test_four_cell_oracle(self):
         g = Grid(2, 1)
         vals = np.zeros((2, 2))
         vals[0, 0] = 1.0
-        e = haar_transform(StepFunction(g, vals))
+        mean, coeffs, _ = haar_analyze(vals, 2, 1)
         for eps in signatures(2):
-            assert abs(e.coefficient(g.root(), eps)) == pytest.approx(0.25)
-        assert e.coefficient(g.root(), (0, 0)) == pytest.approx(0.25)
-        assert e.mean == pytest.approx(0.25)
+            assert abs(coefficient(coeffs, g, g.root(), eps)) == pytest.approx(0.25)
+        assert coefficient(coeffs, g, g.root(), (0, 0)) == pytest.approx(0.25)
+        assert mean == pytest.approx(0.25)
 
     def test_coefficients_against_leaf_integration(self):
         # brute-force oracle: f_I^eps = sum over leaves of f * h_I^eps * leaf measure
@@ -157,20 +169,20 @@ class TestHaarTransform:
         for d, L in [(1, 3), (2, 2)]:
             g = Grid(d, L)
             f = StepFunction(g, rng.standard_normal(g.leaf_shape))
-            e = haar_transform(f)
+            _, coeffs, _ = haar_analyze(f.values, d, L)
             for k in range(L):
-                for cube in g.cubes_at_level(k):
+                for cube in cubes_at_level(g, k):
                     for eps in signatures(d):
                         h = haar_leaf_values(g, cube.offset, k, eps)
                         want = (f.values * h).sum() * g.leaf_measure
-                        got = e.coefficient(cube, eps)
+                        got = coefficient(coeffs, g, cube, eps)
                         assert got == pytest.approx(want, abs=1e-12)
 
     def test_orthonormality_by_leaf_summation(self):
         g = Grid(1, 3)
         systems = []
         for k in range(3):
-            for cube in g.cubes_at_level(k):
+            for cube in cubes_at_level(g, k):
                 for eps in signatures(1):
                     systems.append(haar_leaf_values(g, cube.offset, k, eps))
         gram = np.array([[(a * b).sum() * g.leaf_measure for b in systems] for a in systems])
@@ -180,7 +192,7 @@ class TestHaarTransform:
         g = Grid(2, 2)
         systems = []
         for k in range(2):
-            for cube in g.cubes_at_level(k):
+            for cube in cubes_at_level(g, k):
                 for eps in signatures(2):
                     systems.append(haar_leaf_values(g, cube.offset, k, eps))
         gram = np.array([[(a * b).sum() * g.leaf_measure for b in systems] for a in systems])
@@ -191,27 +203,20 @@ class TestHaarTransform:
         rng = np.random.default_rng(11 + d + L)
         g = Grid(d, L)
         f = StepFunction(g, rng.standard_normal(g.leaf_shape + (2,)))
-        e = haar_transform(f)
+        mean, coeffs, _ = haar_analyze(f.values, d, L)
         norm2 = (f.values ** 2).sum() * g.leaf_measure
-        assert abs(e.parseval_total() - norm2) <= 1e-12 * norm2
-        back = inverse_haar(e)
-        np.testing.assert_allclose(back.values, f.values, atol=1e-12)
+        total = sum((float((c ** 2).sum()) for c in coeffs), float((mean ** 2).sum()))
+        assert abs(total - norm2) <= 1e-12 * norm2
+        back = haar_synthesize(mean, coeffs, d, L)
+        np.testing.assert_allclose(back, f.values, atol=1e-12)
 
     def test_single_coefficient_reconstruction(self):
-        g = Grid(1, 1)
-        e = HaarExpansion(g, np.array(0.0), [np.array([[1.0]])])
-        out = inverse_haar(e)
-        np.testing.assert_allclose(out.values, [1.0, -1.0])
+        out = haar_synthesize(np.array(0.0), [np.array([[1.0]])], 1, 1)
+        np.testing.assert_allclose(out, [1.0, -1.0])
 
     def test_zero_coefficients_give_constant(self):
-        g = Grid(2, 2)
-        e = HaarExpansion(g, np.array(2.5), [np.zeros((1, 1, 3)), np.zeros((2, 2, 3))])
-        np.testing.assert_allclose(inverse_haar(e).values, 2.5)
-
-    def test_missing_level_raises(self):
-        g = Grid(1, 2)
-        with pytest.raises(CompletenessError):
-            HaarExpansion(g, np.array(0.0), [np.zeros((1, 1))])
+        out = haar_synthesize(np.array(2.5), [np.zeros((1, 1, 3)), np.zeros((2, 2, 3))], 2, 2)
+        np.testing.assert_allclose(out, 2.5)
 
     def test_shape_mismatch_raises(self):
         g = Grid(1, 2)
@@ -221,20 +226,10 @@ class TestHaarTransform:
     def test_kind_follows_value_shape(self):
         g = Grid(2, 1)
         for vshape, kind in [((), "scalar"), ((3,), "vector"), ((3, 3), "matrix")]:
-            f = StepFunction(g, np.zeros(g.leaf_shape + vshape))
-            assert f.kind == kind and haar_transform(f).kind == kind
+            assert StepFunction(g, np.zeros(g.leaf_shape + vshape)).kind == kind
         for vshape in [(2, 3), (2, 2, 2)]:
             with pytest.raises(ShapeError):
                 StepFunction(g, np.zeros(g.leaf_shape + vshape))
-
-    def test_csv_export(self, tmp_path):
-        g = Grid(1, 2)
-        f = StepFunction(g, np.arange(4.0))
-        path = tmp_path / "coeffs.csv"
-        haar_transform(f).to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "level,m0,eps0,c0"
-        assert len(lines) == 1 + 1 + 2
 
 
 def sign_table(d):

@@ -243,6 +243,25 @@ class TestCLI:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("apchar", [1, 2]),
+        ("bmo", {"symbol": "log-swap"}),
+        ("opnorm", {"operator": "paraproduct"}),
+        ("opnorm", {"operator": {"op": "haar-multiplier", "sequence": 3}}),
+        ("carleson", {"sequence": "random"}),
+        ("sweep", {"kind": [1], "L": 3, "alphas": [0.1, 0.5]}),
+    ], ids=["top-level-array", "symbol-string", "operator-string", "sequence-number",
+            "sequence-string", "sweep-kind-list"])
+    def test_malformed_section_exit_1(self, tmp_path, capsys, command, cfg):
+        # a section that is not an object, or a kind that is not a string, is
+        # a config error, not an AttributeError or TypeError
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("grid, weight, lam, want", [
         ({"d": 1, "L": 5}, {"kind": "random-spd", "seed": 5}, 3.0, {
             "bmo": [(0, 0)], "carleson": [(0, 0), (4, 11)], "apchar": [(4, 7), (4, 7)],
@@ -317,6 +336,29 @@ class TestCLI:
         assert err.startswith("config error: ") and "GiB" in err and "Lanczos" in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("counterexample_*"))
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("maximal", {"L": 40}),
+        ("sweep", {"kind": "all", "L": 40}),
+        ("sweep", {"kind": "sparse", "L": 40}),
+    ], ids=["maximal", "sweep-all", "sweep-norms-only"])
+    def test_sweep_oversized_grid_refused(self, tmp_path, capsys, monkeypatch, command, cfg):
+        # L=40's leaf-pair tables and Lanczos bases need petabytes: refused
+        # before any reducing pyramid is built
+        import time
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the refusal must come before any work")
+        monkeypatch.setattr(ex, "reducing_pyramid", no_work)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alphas": [0.1, 0.5], **cfg}))
+        start = time.perf_counter()
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "GiB" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("sweep_*"))
 
     def test_apchar_roundtrip(self, tmp_path):
         cfg = tmp_path / "cfg.json"

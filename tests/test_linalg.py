@@ -86,7 +86,7 @@ def test_only_other_sizes_take_the_svd(monkeypatch):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("d,L", [(1, 6), (2, 5)])
 @pytest.mark.parametrize("kind", ["rotated", "random-spd"])
-def test_leaf_pair_norms_match_formed_products(kind, d, L, p):
+def test_leaf_pair_norms_match_formed_products(kind, d, L, p, monkeypatch):
     W = (MatrixWeight.rotated_power([0.4, -0.3], 0.7) if kind == "rotated"
          else MatrixWeight.random_spd(5, cond=16.0))
     g = Grid(d, L)
@@ -98,7 +98,9 @@ def test_leaf_pair_norms_match_formed_products(kind, d, L, p):
     diags = weights._double_average_levels(table, g, p)
     for got_k, want_k in zip(diags, weights._double_average_levels(want, g, p)):
         np.testing.assert_allclose(got_k, want_k, rtol=PAIR_RTOL, atol=0)
-    red = reducing_pyramid(W, g, p, net_size=16, eta_target=1.0)
+    monkeypatch.setattr(weights, "REDUCING_NET", 16)
+    monkeypatch.setattr(weights, "REDUCING_ETA_TARGET", 1.0)
+    red = reducing_pyramid(W, g, p)
     rep = ap_characteristic(W, p, g, reducing=red)
     for got_k, V, Vp in zip(rep.per_level, red["V"], red["V_prime"]):
         np.testing.assert_allclose(got_k, svd_norm(V @ Vp) ** p, rtol=PAIR_RTOL, atol=0)

@@ -7,14 +7,13 @@ kernel must match the transpose of its dense leaf-basis matrix exactly.
 import numpy as np
 import pytest
 
-from haarweight.dyadic import Cube, Grid, StepFunction, haar_analyze, haar_transform
+from haarweight.dyadic import Grid, StepFunction, haar_analyze
 from haarweight.errors import ShapeError, ShiftMapError
 from haarweight.operators import (
     MatrixSequence, MatrixSymbol, NormReport, Operator, ShiftMap,
     adjoint_paraproduct_op, big_pi_op, commutator_case_sum, commutator_op,
-    dense_matrix, haar_multiplier_op, multiplication_op, paraproduct_op,
-    product_decomposition_values, shift_op, square_function,
-    weighted_operator_norm,
+    dense_matrix, haar_multiplier_op, paraproduct_op,
+    product_decomposition_values, shift_op, weighted_operator_norm,
 )
 from haarweight.maximal import sparse_generate, sparse_op
 from haarweight.weights import MatrixWeight, lp_norm
@@ -27,6 +26,15 @@ def random_symbol(grid, rng, scale=1.0):
 
 def random_vector(grid, rng):
     return StepFunction(grid, rng.standard_normal(grid.leaf_shape + (2,)))
+
+
+def constant_vector(grid, e):
+    return StepFunction(grid, np.broadcast_to(e, grid.leaf_shape + (len(e),)))
+
+
+def zero_sequence(grid, n=2):
+    nsig = (1 << grid.d) - 1
+    return [np.zeros((1 << k,) * grid.d + (nsig, n, n)) for k in range(grid.L)]
 
 
 def leaf_blocks(grid, W, s):
@@ -51,7 +59,7 @@ class TestParaproduct:
         h_root = np.repeat([1.0, -1.0], 4)          # h^0 on [0,1)
         B = MatrixSymbol.from_values(g, h_root[:, None, None] * np.eye(2))
         e = np.array([1.0, 2.0])
-        f = StepFunction.constant(g, e)
+        f = constant_vector(g, e)
         out = paraproduct_op(B)(f)
         np.testing.assert_allclose(out.values, h_root[:, None] * e, atol=1e-12)
 
@@ -108,7 +116,8 @@ class TestHaarMultiplier:
     def test_unweighted_norm_is_max_block_norm(self):
         rng = np.random.default_rng(6)
         g = Grid(1, 4)
-        A = MatrixSequence.random(g, rng=7, haar_normalized=False)
+        # blocks of one size on every level
+        A = MatrixSequence(g, [rng.standard_normal((1 << k, 1, 2, 2)) for k in range(g.L)])
         got = weighted_operator_norm(haar_multiplier_op(A), MatrixWeight.identity(), 2.0)
         want = max(np.linalg.svd(a.reshape(-1, 2, 2), compute_uv=False)[..., 0].max()
                    for a in A.levels)
@@ -117,15 +126,21 @@ class TestHaarMultiplier:
 
     def test_single_block_norm(self):
         g = Grid(1, 3)
-        A = MatrixSequence.zeros(g).with_entry(1, (0,), 0, np.diag([3.0, 0.0]))
+        levels = zero_sequence(g)
+        levels[1][0, 0] = np.diag([3.0, 0.0])
+        A = MatrixSequence(g, levels)
         got = weighted_operator_norm(haar_multiplier_op(A), MatrixWeight.identity(), 2.0)
         assert got.value == pytest.approx(3.0, rel=1e-12)
+
+    def test_missing_level_raises(self):
+        with pytest.raises(ShapeError):
+            MatrixSequence(Grid(1, 2), [np.zeros((1, 1, 2, 2))])
 
 
 class TestShift:
     def test_mean_only_input_gives_zero(self):
         g = Grid(1, 4)
-        f = StepFunction.constant(g, np.array([1.0, 2.0]))
+        f = constant_vector(g, np.array([1.0, 2.0]))
         out = shift_op(ShiftMap.left_child(g))(f)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-14)
 
@@ -289,7 +304,7 @@ class TestCommutator:
 class TestBigPi:
     def test_zero_sequence(self):
         g = Grid(1, 3)
-        A = MatrixSequence.zeros(g)
+        A = MatrixSequence(g, zero_sequence(g))
         f = random_vector(g, np.random.default_rng(15))
         out = big_pi_op(A, MatrixWeight.identity(), 2.0)(f)
         np.testing.assert_allclose(out.values, 0.0)
@@ -330,32 +345,6 @@ class TestBigPi:
             VJ = red["V"][level][off]
             rhs = norm ** 2 * ((VJ @ e) ** 2).sum()
             assert lhs <= rhs * (1 + 1e-9)
-
-
-class TestSquareFunction:
-    def test_identity_weight_parseval(self):
-        rng = np.random.default_rng(18)
-        g = Grid(1, 5)
-        vals = rng.standard_normal(g.leaf_shape + (2,))
-        vals -= vals.mean(axis=0)
-        f = StepFunction(g, vals)
-        _, agg = square_function(MatrixWeight.identity(), f)
-        assert agg == pytest.approx(f.norm_l2() ** 2, rel=1e-12)
-
-    def test_single_coefficient(self):
-        g = Grid(1, 3)
-        W = MatrixWeight.random_spd(31)
-        mean = np.zeros(2)
-        _, coeffs, _ = haar_analyze(np.zeros((8, 2)), 1, 3)
-        e = np.array([0.6, -0.8])
-        coeffs[1][1, 0] = e
-        from haarweight.dyadic import haar_synthesize
-        f = StepFunction(g, haar_synthesize(mean, coeffs, 1, 3))
-        _, agg = square_function(W, f)
-        from haarweight.weights import cell_average
-        from haarweight import linalg
-        V = linalg.sqrtm_spd(cell_average(W, Cube(1, (1,)), g))
-        assert agg == pytest.approx(((V @ e) ** 2).sum(), rel=1e-10)
 
 
 class TestWeightedNorms:
@@ -480,7 +469,7 @@ class TestAdjointKernels:
         A = MatrixSequence.random(g, rng=33)
         sigma = ShiftMap.random_child(g, seed=44, sig_map=[0])
         ops = [paraproduct_op(B), adjoint_paraproduct_op(B), haar_multiplier_op(A),
-               shift_op(sigma), multiplication_op(B), commutator_op(B, sigma),
+               shift_op(sigma), commutator_op(B, sigma),
                big_pi_op(A, MatrixWeight.random_spd(23, cond=9.0), 2.0)]
         for op in ops:
             M = dense_matrix(op)
@@ -503,7 +492,10 @@ class TestSymbolInvariants:
         for d, L in [(1, 5), (2, 3)]:
             g = Grid(d, L)
             B = MatrixSymbol.from_values(g, rng.standard_normal(g.leaf_shape + (2, 2)))
-            assert B.hs_parseval_gap() <= 1e-12 * (np.abs(B.step.values) ** 2).sum()
+            # the cached coefficients against int ||B||_HS^2
+            total = sum((float((c ** 2).sum()) for c in B.coeffs), float((B.mean ** 2).sum()))
+            norm2 = float((B.step.values ** 2).sum()) * g.leaf_measure
+            assert abs(total - norm2) <= 1e-12 * (np.abs(B.step.values) ** 2).sum()
 
     def test_grid_mismatch_raises(self):
         g1, g2 = Grid(1, 3), Grid(1, 4)

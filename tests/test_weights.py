@@ -1,4 +1,4 @@
-"""Matrix weight tests: exact averages, reducing operators, A_p, truncation.
+"""Matrix weight tests: exact averages, reducing operators, A_p, dual weights.
 
 Closed-form oracles: int_0^1 x^{+-1/2} dx = 2/3 and 2, the scale law
 m_{[0,h)}(|x|^a) = h^a/(1+a), and the product m(x^a) m(x^{-a}) = 1/(1-a^2)
@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from haarweight import linalg
-from haarweight.dyadic import Cube, Grid, find_covering_cube
+from haarweight import weights as weights_module
+from haarweight.dyadic import Grid
 from haarweight.errors import IntegrabilityError, ShapeError
 from haarweight.weights import (
-    MatrixWeight, ap_characteristic, cell_average, dual_weight, gauge_pyramid,
-    lowner_batched, lp_norm, power_of, reducing_pyramid, sphere_net,
-    truncate_weight,
+    MatrixWeight, ap_characteristic, gauge_pyramid, lowner_batched, lp_norm, power_of,
+    reducing_pyramid, sphere_net,
 )
 
 
@@ -33,24 +33,28 @@ def sample_weights(seed=0, n_random=3):
 
 
 class TestCellAverage:
+    # the cube averages are the levels of ``average_pyramid``; level k, offset m
+    # is the cube [m 2^-k, (m + 1) 2^-k)
+
     def test_identity(self):
         g = Grid(1, 4)
         for s in (1.0, -1.0, 0.5):
-            np.testing.assert_allclose(cell_average(MatrixWeight.identity(), g.root(), g, s), np.eye(2))
+            np.testing.assert_allclose(MatrixWeight.identity().average_pyramid(g, s)[0][0],
+                                       np.eye(2))
 
     def test_closed_form_unit_interval(self):
         W = MatrixWeight.diagonal_power([0.5, -0.5])
         g = Grid(1, 6)
-        avg = cell_average(W, g.root(), g, 1.0)
+        avg = W.average_pyramid(g, 1.0)[0][0]
         np.testing.assert_allclose(np.diag(avg), [2.0 / 3.0, 2.0], rtol=1e-12)
 
     def test_closed_form_scaling(self):
         W = MatrixWeight.diagonal_power([0.5, -0.5])
         g = Grid(1, 8)
+        pyr = W.average_pyramid(g, 1.0)
         for N in (2, 5, 8):
-            avg = cell_average(W, Cube(N, (0,)), g, 1.0)
             want = [2.0 ** (-N / 2) * 2.0 / 3.0, 2.0 ** (N / 2) * 2.0]
-            np.testing.assert_allclose(np.diag(avg), want, rtol=1e-12)
+            np.testing.assert_allclose(np.diag(pyr[N][0]), want, rtol=1e-12)
 
     def test_pyramid_matches_cell_average(self):
         # leaf-summed pyramid equals closed-form averages on every cube
@@ -58,32 +62,24 @@ class TestCellAverage:
         g = Grid(1, 5)
         pyr = W.average_pyramid(g, 1.0)
         for k in (0, 2, 5):
-            for cube in g.cubes_at_level(k):
-                np.testing.assert_allclose(
-                    pyr[k][cube.offset], cell_average(W, cube, g, 1.0), rtol=1e-12)
+            for m in range(1 << k):
+                want = W.average_over_interval(Fraction(m, 1 << k), Fraction(m + 1, 1 << k))
+                np.testing.assert_allclose(pyr[k][m], want, rtol=1e-12)
 
     def test_rotation_conjugates(self):
         Wd = MatrixWeight.diagonal_power([0.4, -0.3])
         Wr = MatrixWeight.rotated_power([0.4, -0.3], 0.7)
         g = Grid(1, 4)
         R = Wr.rotation
-        a = cell_average(Wd, Cube(2, (1,)), g, -1.0)
-        b = cell_average(Wr, Cube(2, (1,)), g, -1.0)
+        a = Wd.average_pyramid(g, -1.0)[2][1]
+        b = Wr.average_pyramid(g, -1.0)[2][1]
         np.testing.assert_allclose(b, R @ a @ R.T, rtol=1e-12)
 
     def test_integrability_error(self):
         W = MatrixWeight.diagonal_power([0.6, -0.6])
         g = Grid(1, 3)
         with pytest.raises(IntegrabilityError):
-            cell_average(W, g.root(), g, 2.0)
-
-    def test_shifted_cube_refused(self):
-        # a third-shifted cube from the covering search is no cube of the grid
-        g = Grid(1, 6)
-        _, cover = find_covering_cube([Fraction(5, 12)], [Fraction(7, 12)])
-        assert cover.shift != 1
-        with pytest.raises(ValueError):
-            cell_average(MatrixWeight.diagonal_power([0.5, -0.5]), cover, g)
+            W.average_pyramid(g, 2.0)
 
     def test_leaf_constant_spd(self):
         W = MatrixWeight.random_spd(4, cond=25.0)
@@ -97,7 +93,6 @@ class TestCellAverage:
         W = MatrixWeight.random_spd(1, cond=4.0)
         g = Grid(1, 3)
         vals = W.leaf_averages(g, 1.0)
-        from fractions import Fraction
         avg = W.average_over_interval(Fraction(1, 16), Fraction(5, 16), grid=g)
         want = (0.5 * vals[0] + vals[1] + 0.5 * vals[2]) / 2.0
         np.testing.assert_allclose(avg, want, rtol=1e-12)
@@ -142,12 +137,13 @@ class TestReducingOperators:
         np.testing.assert_allclose(np.diag(V_prime), [np.sqrt(2.0), np.sqrt(2.0 / 3.0)], rtol=1e-12)
         assert np.linalg.norm(V @ V_prime, 2) ** 2 == pytest.approx(4.0 / 3.0)
 
-    def test_general_p_sandwich_certificate(self):
+    def test_general_p_sandwich_certificate(self, monkeypatch):
         # direct quadrature of the gauge on coordinate directions sandwiches |V e_i|
         W = MatrixWeight.diagonal_power([0.5, -0.25])
         g = Grid(1, 5)
         p = 3.0
-        red = reducing_pyramid(W, g, p, net_size=128, eta_target=1e-3)
+        monkeypatch.setattr(weights_module, "REDUCING_NET", 128)
+        red = reducing_pyramid(W, g, p)
         dirs = red["net"]
         rho = gauge_pyramid(W, g, p, dirs, dual=False)
         for k in (0, 3, 5):
@@ -157,6 +153,22 @@ class TestReducingOperators:
             assert ratio.min() >= 1.0 - 1e-12
             assert ratio.max() <= np.sqrt(2.0) * (1.0 + 1e-3)
 
+    def test_coarse_net_stops_at_eight_times_its_size(self, monkeypatch):
+        # a target below every certificate (eta >= 0): the net doubles until it
+        # has 8 times the base directions, and the pyramid reports the eta it
+        # reached there instead of looping on
+        monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", -1.0)
+        sizes = []
+        net = weights_module.sphere_net
+        monkeypatch.setattr(weights_module, "sphere_net",
+                            lambda n, m: sizes.append(m) or net(n, m))
+        red = reducing_pyramid(MatrixWeight.rotated_power([0.4, -0.3], 0.7), Grid(1, 4), 3.0)
+        base = weights_module.REDUCING_NET
+        assert sizes == [base, 2 * base, 4 * base, 8 * base]
+        assert len(red["net"]) == 8 * base
+        worst = max(float(e.max()) for e in red["eta"] + red["eta_prime"])
+        assert worst > weights_module.REDUCING_ETA_TARGET
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_reverse_ap_all_weights(self, p):
         # |V' V e| >= (1 - eta') |e| for any weight kind, on the net
@@ -164,20 +176,22 @@ class TestReducingOperators:
         tol = 1e-9 if p == 2.0 else 2e-3
         dirs = sphere_net(2, 64)
         for W in sample_weights(seed=10):
-            red = reducing_pyramid(W, g, p, net_size=64)
+            red = reducing_pyramid(W, g, p)
             for k in range(g.L + 1):
                 prod = red["V_prime"][k] @ red["V"][k]
                 r = np.linalg.norm(np.einsum("...ij,mj->...mi", prod, dirs), axis=-1)
                 assert r.min() >= 1.0 - tol
 
-    def test_duality_identity(self):
+    def test_duality_identity(self, monkeypatch):
         # V(W^{1-p'}, p') matches V'(W, p) within the certification tolerance
         W = MatrixWeight.diagonal_power([0.5, -0.3])
         p = 3.0
-        Wd, pprime = dual_weight(W, p)
+        pprime = p / (p - 1.0)
+        Wd = power_of(W, 1.0 - pprime)
         g = Grid(1, 4)
-        red = reducing_pyramid(W, g, p, net_size=96)
-        red_d = reducing_pyramid(Wd, g, pprime, net_size=96)
+        monkeypatch.setattr(weights_module, "REDUCING_NET", 96)
+        red = reducing_pyramid(W, g, p)
+        red_d = reducing_pyramid(Wd, g, pprime)
         dirs = red["net"]
         for k in (0, 2, 4):
             a = np.linalg.norm(np.einsum("...ij,mj->...mi", red["V_prime"][k], dirs), axis=-1)
@@ -191,7 +205,7 @@ class TestReducingOperators:
         C_dim = n * 2 ** d
         for p in (1.5, 2.0, 3.0):
             for W in sample_weights(seed=3, n_random=2):
-                red = reducing_pyramid(W, g, p, net_size=64)
+                red = reducing_pyramid(W, g, p)
                 ap = ap_characteristic(W, p, g, reducing=red).value_reducing
                 dirs = red["net"]
                 for k in range(1, g.L + 1):
@@ -294,12 +308,13 @@ class TestLowner:
         np.testing.assert_allclose(gap, design_gap(radii, dirs, u), rtol=0, atol=1e-13)
         assert np.all(gap <= 1e-8)
 
-    def test_certificate_touches_one(self):
+    def test_certificate_touches_one(self, monkeypatch):
         # the exact planar solve, and the multiplicative update cut early
+        monkeypatch.setattr(weights_module, "LOWNER_MAX_ITER", 50)
         for n in (2, 3):
             hard, easy, dirs = lowner_radii(13, 4, 4, n=n)
             radii = np.vstack([hard, easy])
-            U, _, _ = lowner_batched(radii, dirs, max_iter=50)
+            U, _, _ = lowner_batched(radii, dirs)
             q = radii[..., None] * dirs[None]
             worst = np.linalg.norm(np.einsum("kij,kmj->kmi", U, q), axis=-1).max(axis=1)
             np.testing.assert_allclose(worst, 1.0, rtol=0, atol=1e-12)
@@ -333,19 +348,22 @@ class TestLowner:
         hard, easy, dirs = lowner_radii(11, 3, 5, n=3)
         radii = np.vstack([hard, easy])
         U, u, gap = lowner_batched(radii, dirs)
-        U_ref, u_ref, gap_ref = lowner_reference(radii, dirs, 400, 1e-8)
+        U_ref, u_ref, gap_ref = lowner_reference(radii, dirs, weights_module.LOWNER_MAX_ITER,
+                                                 weights_module.LOWNER_TOL)
         scale = np.abs(U_ref).max(axis=(1, 2), keepdims=True)
         assert np.abs(U - U_ref).max() <= 1e-12 * scale.min()
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(gap, gap_ref, rtol=1e-6, atol=1e-15)
 
-    def test_gap_reported(self):
+    def test_gap_reported(self, monkeypatch):
         hard, easy, dirs = lowner_radii(5, 1, 1, n=3)
         radii = np.vstack([hard, easy])
         tol = 1e-8
-        _, u, gap = lowner_batched(radii, dirs, tol=tol)
+        monkeypatch.setattr(weights_module, "LOWNER_TOL", tol)
+        _, u, gap = lowner_batched(radii, dirs)
         assert gap[1] <= tol < gap[0]
-        _, u_cut, gap_cut = lowner_batched(radii, dirs, max_iter=10, tol=tol)
+        monkeypatch.setattr(weights_module, "LOWNER_MAX_ITER", 10)
+        _, u_cut, gap_cut = lowner_batched(radii, dirs)
         assert np.all(gap_cut > tol)
         # the reported gap is the gap of the returned design
         for design, reported in ((u, gap), (u_cut, gap_cut)):
@@ -369,7 +387,7 @@ class TestRedOpAverageLemma:
         g = Grid(1, 4)
         dirs = sphere_net(2, 64)
         for W in sample_weights(seed=17, n_random=2):
-            red = reducing_pyramid(W, g, p, net_size=64)
+            red = reducing_pyramid(W, g, p)
             ap = ap_characteristic(W, p, g, reducing=red).value_reducing
             factor = ap ** (2.0 / p)
             avg = W.average_pyramid(g, -1.0 / p)
@@ -385,7 +403,7 @@ class TestRedOpAverageLemma:
         g = Grid(1, 4)
         for p in (2.0, 3.0):
             for W in sample_weights(seed=29, n_random=1):
-                red = reducing_pyramid(W, g, p, net_size=64)
+                red = reducing_pyramid(W, g, p)
                 ap = ap_characteristic(W, p, g, reducing=red).value_reducing
                 avg = W.average_pyramid(g, -1.0 / p)
                 for k in range(g.L + 1):
@@ -459,30 +477,10 @@ class TestApCharacteristic:
         assert data["characteristic_reducing"] == pytest.approx(1.0)
 
 
-class TestTruncation:
-    def test_identity_fixed_point(self):
-        W = truncate_weight(MatrixWeight.identity(), 4.0)
-        g = Grid(1, 3)
-        np.testing.assert_allclose(W.leaf_averages(g, 1.0), np.broadcast_to(np.eye(2), (8, 2, 2)))
-
-    def test_constant_clamp(self):
-        g = Grid(1, 2)
-        base = MatrixWeight.from_leaf_values(g, np.broadcast_to(np.diag([4.0, 0.25]), (4, 2, 2)).copy())
-        Wn = truncate_weight(base, 2.0)
-        np.testing.assert_allclose(Wn.leaf_averages(g, 1.0), np.broadcast_to(np.diag([2.0, 0.5]), (4, 2, 2)))
-
-    def test_eigen_clamp_oracle_and_convergence(self):
-        W = MatrixWeight.diagonal_power([0.8, -0.8])
-        g = Grid(1, 8)
-        leaf_vals = W.leaf_averages(g, 1.0)
-        for n_cut in (4.0, 64.0, 1e6):
-            Wn = truncate_weight(W, n_cut)
-            vals = Wn.leaf_averages(g, 1.0)
-            eig = np.linalg.eigvalsh(vals)
-            assert eig.min() >= 1.0 / n_cut - 1e-12
-            assert eig.max() <= n_cut + 1e-9
-        err = np.abs(truncate_weight(W, 1e9).leaf_averages(g, 1.0) - leaf_vals).max()
-        assert err <= 1e-9 * np.abs(leaf_vals).max()
+def dual_weight(W, p):
+    """(W^{1-p'}, p'), the A_p dual pairing, from ``power_of``."""
+    pprime = p / (p - 1.0)
+    return power_of(W, 1.0 - pprime), pprime
 
 
 class TestDualWeight:
