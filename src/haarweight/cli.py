@@ -95,6 +95,9 @@ def read_p(cfg):
 
 def build_symbol(spec, grid):
     kind = _read_kind(spec, "symbol", "log-swap")
+    if kind in ("log-swap", "scalar-log") and grid.d != 1:
+        raise ConfigError(f"the {kind} symbol is log x on [0, 1), defined for d = 1 only, "
+                          f"got d = {grid.d}")
     if kind == "log-swap":
         return experiments.log_swap_symbol(grid)
     if kind == "scalar-log":
@@ -225,7 +228,20 @@ def cmd_stopping(cfg, out_dir):
     return payload
 
 
+# the fields that experiments.run_sweep reads; the sweep runs on d = 1 power
+# weights of its own, so a grid or weight field would be silently ignored
+SWEEP_FIELDS = ("L", "alphas", "seed")
+
+
+def _refuse_unknown_fields(cfg, command, known):
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(f"{command} reads only the fields {', '.join(known)}; "
+                          f"unknown: {', '.join(map(repr, unknown))}")
+
+
 def cmd_maximal(cfg, out_dir):
+    _refuse_unknown_fields(cfg, "maximal", SWEEP_FIELDS)
     return experiments.run_sweep("maximal", cfg, out_dir)
 
 
@@ -251,6 +267,7 @@ def cmd_counterexample(cfg, out_dir):
 
 
 def cmd_sweep(cfg, out_dir):
+    _refuse_unknown_fields(cfg, "sweep", ("kind",) + SWEEP_FIELDS)
     return experiments.run_sweep(_read_kind(cfg, "sweep", "all"), cfg, out_dir)
 
 

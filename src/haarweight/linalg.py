@@ -1,7 +1,7 @@
 """Batched small-matrix helpers and spectral norms: a closed form for 2x2
-matrices, a certified bracket for dense matrices (a Lanczos or eigensolve
-lower bound and an upper bound proved by a floating-point Cholesky) and a
-matrix-free Golub-Kahan-Lanczos lower bound."""
+matrices, a certified bracket for direct sums of dense matrices (a Lanczos or
+eigensolve lower bound and an upper bound proved by one floating-point
+Cholesky per summand) and a matrix-free Golub-Kahan-Lanczos lower bound."""
 
 from __future__ import annotations
 
@@ -167,9 +167,9 @@ def _rounding_bound(gdiag, c, rows):
 def _certify_upper(gram, c, rows):
     """True when a floating-point Cholesky proves lambda_max(M^T M) <= c (see
     ``_rounding_bound``).  ``gram`` is the computed M^T M of an (rows x n)
-    matrix M; it is overwritten by the shifted matrix (negation is exact, so
-    only the diagonal is rounded) and restored bit for bit when the check
-    fails."""
+    matrix M; it is overwritten by the shifted matrix for the check (negation
+    is exact, so only the diagonal is rounded) and restored bit for bit
+    afterwards."""
     n = gram.shape[0]
     gdiag = gram.diagonal().copy()
     e = _rounding_bound(gdiag, c, rows)
@@ -184,9 +184,8 @@ def _certify_upper(gram, c, rows):
         certified = bool(np.isfinite(np.linalg.cholesky(gram.T).diagonal()).all())
     except np.linalg.LinAlgError:
         certified = False
-    if not certified:
-        np.negative(gram, out=gram)
-        gram.flat[::n + 1] = gdiag
+    np.negative(gram, out=gram)
+    gram.flat[::n + 1] = gdiag
     return certified
 
 
@@ -198,47 +197,67 @@ def _certify_upper(gram, c, rows):
 LANCZOS_MIN_DIM = 256
 
 
-def spectral_norm(mat, seed=0):
-    """Largest singular value of a dense matrix M with a certified bracket.
+def spectral_norm(mats, seed=0):
+    """Largest singular value of the direct sum of dense matrices M_1, ..., M_m
+    (the block-diagonal matrix with these blocks) with a certified bracket.
 
-    The lower bound theta is Golub-Kahan-Lanczos on M (above LANCZOS_MIN_DIM
-    columns, from the seeded start vector of ``matfree_spectral_norm``) or
-    sqrt(lambda_max) of the Gram matrix G^ = M^T M from ``eigvalsh``.  The
-    upper bound sqrt(c), c = theta^2 + s with s twice the rounding bound at
-    theta^2, is proved by a Cholesky (``_certify_upper``), which then runs
-    about s/2 above theta^2 when theta is sharp.  When it fails, theta was not
+    The lower bound theta is Golub-Kahan-Lanczos on the whole direct sum
+    (above LANCZOS_MIN_DIM columns in all, from the seeded start vector of
+    ``matfree_spectral_norm`` over the concatenated columns; each matvec
+    concatenates the block products) or else sqrt(lambda_max) of the Gram
+    matrices G^_b = M_b^T M_b from ``eigvalsh``.  The Gram matrix of the direct
+    sum is block diagonal, so its lambda_max is the largest over the G_b: the
+    upper bound sqrt(c) takes one Cholesky per summand (``_certify_upper``)
+    at a common c = max_b (theta^2 + s_b), with s_b twice the rounding bound
+    of G^_b at theta^2 and M_b's own row count.  It then runs about s_b/2
+    above theta^2 when theta is sharp.  When a Cholesky fails, theta was not
     sharp (Lanczos converged to another singular value): theta is taken again
-    from ``eigvalsh`` and certified again, and ``fallback`` is true.
+    from ``eigvalsh`` of every G^_b and certified again, and ``fallback`` is
+    true.
 
-    Returns (theta, details) with ``lower``, ``upper`` and ``shift`` s (both
-    None when even the fallback could not be certified), ``certified``,
-    ``fallback`` and ``lanczos_steps`` or ``lower_from``.
+    Returns (theta, details) with ``lower``, ``upper`` and ``shift`` c -
+    theta^2 (both None when even the fallback could not be certified),
+    ``certified``, ``fallback``, ``summands`` and ``lanczos_steps`` or
+    ``lower_from``.
     """
-    mat = np.asarray(mat, dtype=float)
-    rows, n = mat.shape
-    gram = mat.T @ mat
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    n = sum(m.shape[1] for m in mats)
+    grams = [(m.T @ m, m.shape[0]) for m in mats]
 
     def certify(theta):
-        c = theta * theta + 2.0 * _rounding_bound(gram.diagonal(), theta * theta, rows)
-        return c if _certify_upper(gram, c, rows) else None
+        t2 = theta * theta
+        c = max(t2 + 2.0 * _rounding_bound(g.diagonal(), t2, rows) for g, rows in grams)
+        return c if all(_certify_upper(g, c, rows) for g, rows in grams) else None
 
-    details = {}
+    def from_eigvalsh():
+        details["lower_from"] = "eigvalsh"
+        return max(_top_singular_value(g) for g, _ in grams)
+
+    details = {"summands": len(mats)}
     if n > LANCZOS_MIN_DIM:
-        theta, _, diag = matfree_spectral_norm(lambda v: mat @ v, lambda u: mat.T @ u, n, seed)
+        theta, _, diag = matfree_spectral_norm(*_direct_sum_maps(mats), n, seed)
         details["lanczos_steps"] = diag["iterations"]
     else:
-        theta = _top_singular_value(gram)
-        details["lower_from"] = "eigvalsh"
+        theta = from_eigvalsh()
     c = certify(theta)
     details["fallback"] = c is None and n > LANCZOS_MIN_DIM
     if details["fallback"]:
-        theta = _top_singular_value(gram)
-        details["lower_from"] = "eigvalsh"
+        theta = from_eigvalsh()
         c = certify(theta)
     details.update(lower=theta, certified=c is not None,
                    upper=None if c is None else float(np.nextafter(np.sqrt(c), np.inf)),
                    shift=None if c is None else float(c - theta * theta))
     return theta, details
+
+
+def _direct_sum_maps(mats):
+    """matvec and rmatvec of the direct sum of ``mats``: the vector is split
+    at the blocks' column (row) boundaries and the block products are
+    concatenated."""
+    cols = np.cumsum([m.shape[1] for m in mats])[:-1]
+    rows = np.cumsum([m.shape[0] for m in mats])[:-1]
+    return (lambda v: np.concatenate([m @ x for m, x in zip(mats, np.split(v, cols))]),
+            lambda u: np.concatenate([m.T @ y for m, y in zip(mats, np.split(u, rows))]))
 
 
 def _top_singular_value(gram):

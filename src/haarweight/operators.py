@@ -93,12 +93,12 @@ class MatrixSequence:
         return cls(B.grid, [c.copy() for c in B.coeffs])
 
     @classmethod
-    def random(cls, grid, n=2, rng=None):
-        """Random sequence whose A_I^eps shrink like |I|^{1/2}, mimicking Haar
-        coefficients of a bounded-oscillation symbol."""
+    def random(cls, grid, rng=None):
+        """Random 2x2 sequence whose A_I^eps shrink like |I|^{1/2}, mimicking
+        Haar coefficients of a bounded-oscillation symbol."""
         rng = np.random.default_rng(rng)
         nsig = (1 << grid.d) - 1
-        return cls(grid, [rng.standard_normal((1 << k,) * grid.d + (nsig, n, n))
+        return cls(grid, [rng.standard_normal((1 << k,) * grid.d + (nsig, 2, 2))
                           * 2.0 ** (-k * grid.d / 2.0) for k in range(grid.L)])
 
     def transpose(self):
@@ -360,10 +360,11 @@ def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
 # ---------------------------------------------------------------------------
 
 # largest dimension whose p=2 norm is assembled densely and certified exact.
-# For the commutator on 2 vCPUs with OpenBLAS, assembly takes about 0.3 s at
-# 2048 and 1.2-1.6 s at 4096, where matrix-free Lanczos needs 0.06-0.07 s;
-# the certified bracket of ``linalg.spectral_norm`` takes 0.33-0.42 s at 2048
-# (the Gram product and eigensolve it replaces took about 0.9 s)
+# For the commutator on 2 vCPUs with OpenBLAS, assembly takes 0.3-0.5 s at
+# 2048 and 1.2-1.6 s at 4096, where matrix-free Lanczos needs 0.06-0.07 s.
+# At 2048 the certified bracket of ``linalg.spectral_norm`` takes 0.14-0.16 s
+# under a diagonal power weight (two summands of 1024) and 0.37-0.39 s under
+# a rotated one (one summand)
 DENSE_DIM_CAP = 2048
 
 
@@ -395,6 +396,56 @@ def dense_matrix(op: Operator):
     return op._dense
 
 
+def _whitened_summands(D, H, H_inv):
+    """The whitened matrix M = H D H^{-1} of a dense operator matrix D, with H
+    and H^{-1} given by their (N, n, n) leaf blocks, as the list of its direct
+    summands.
+
+    Rows and columns fall into n component classes (the index mod n).  The
+    classes that D, H or H^{-1} couple by a nonzero entry form connected
+    components, each a set R of row classes and a set C of column classes.
+    An entry of M with row class in R and column class outside C is a sum of
+    products H_ia D_ab H^{-1}_bj that each have an exact zero factor, so it is
+    an exact zero: after regrouping rows and columns by class, M is the direct
+    sum of the blocks M_b = H_RR D_RC H^{-1}_CC, each whitened leafwise with
+    the same products as the whole M.  Components without rows or without
+    columns carry no nonzero entry and are left out.  When fewer than two
+    blocks remain, M is returned whole."""
+    N, n = H.shape[:2]
+    D4 = D.reshape(N, n, N, n)
+    d_pattern = D4.any(axis=0).any(axis=1)
+    # when D couples every row class to every column class there is one block
+    blocks = [] if d_pattern.all() else _coupled_classes(d_pattern, H.any(axis=0),
+                                                         H_inv.any(axis=0))
+    if len(blocks) < 2:
+        dim = N * n
+        M = H @ D.reshape(N, n, dim)
+        # the right factor as a batched left product: (M H^{-1})^T = H^{-T} M^T
+        M = _transpose(H_inv) @ M.reshape(dim, dim).T.reshape(N, n, dim)
+        return [M.reshape(dim, dim).T]
+    out = []
+    for R, C in blocks:
+        left = np.einsum("lia,lamc->limc", H[:, R[:, None], R], D4[:, R][..., C])
+        right = np.einsum("limb,mbj->limj", left, H_inv[:, C[:, None], C])
+        out.append(right.reshape(N * len(R), N * len(C)))
+    return out
+
+
+def _coupled_classes(d_pattern, h_pattern, h_inv_pattern):
+    """Connected components (R, C), both sets non-empty, of the n row classes
+    and n column classes linked by the n x n nonzero patterns of D (row class
+    to column class), of H (row classes) and of H^{-1} (column classes)."""
+    n = len(d_pattern)
+    link = np.block([[h_pattern, d_pattern], [d_pattern.T, h_inv_pattern]])
+    link |= link.T | np.eye(2 * n, dtype=bool)
+    for _ in range((2 * n).bit_length()):      # paths of up to 2^k links
+        link = link @ link
+    first = link.argmax(axis=1)               # smallest node of each component
+    parts = [(np.flatnonzero(first[:n] == c), np.flatnonzero(first[n:] == c))
+             for c in np.unique(first)]
+    return [(R, C) for R, C in parts if len(R) and len(C)]
+
+
 # p != 2 ascent budget: this many restarts from random inputs, each at most
 # this many gradient steps
 ASCENT_RESTARTS = 3
@@ -406,13 +457,18 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
 
     p = 2, dimension up to DENSE_DIM_CAP: op's dense matrix (assembled once
     per operator by ``dense_matrix``) is whitened by the leaf blocks
-    m_leaf(W)^{+-1/2}, and ``linalg.spectral_norm`` brackets its largest
-    singular value: the value is the lower end (Lanczos, or an eigensolve of
-    the Gram matrix at small dimension), and a Cholesky proves the upper end.
-    ``details`` carries ``lower``, ``upper``, ``shift``, ``fallback`` and
-    ``lanczos_steps`` or ``lower_from``.  The label is ``exact`` (the bracket
-    is about n^2 u wide) only when the Cholesky succeeded; otherwise it is
-    ``lower-bound`` with ``certified`` false.  No witness.
+    m_leaf(W)^{+-1/2}.  When neither the weight nor the operator couples some
+    components (a diagonal weight and a componentwise or swapping operator),
+    the whitened matrix is a direct sum, and it is whitened and certified one
+    summand at a time (``_whitened_summands``).  ``linalg.spectral_norm``
+    brackets the largest singular value: the value is the lower end (Lanczos
+    on the whole direct sum, or an eigensolve of the Gram matrices at small
+    dimension), and one Cholesky per summand proves the upper end.
+    ``details`` carries ``lower``, ``upper``, ``shift``, ``fallback``,
+    ``summands`` and ``lanczos_steps`` or ``lower_from``.  The label is
+    ``exact`` (the bracket is about n^2 u wide) only when every Cholesky
+    succeeded; otherwise it is ``lower-bound`` with ``certified`` false.  No
+    witness.
     p = 2 above the cap: Golub-Kahan-Lanczos on the same whitening around
     op's kernel and its adjoint kernel; the value is ||T x|| of its unit
     witness x, hence a ``lower-bound``, and ``details`` carries the
@@ -431,12 +487,9 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
     gram = W.leaf_averages(grid, 1.0)
     half, half_inv = linalg.powm_spd(gram, 0.5), linalg.powm_spd(gram, -0.5)
     if dim <= DENSE_DIM_CAP:
-        N = grid.n_leaves
-        M = half.reshape(N, n, n) @ dense_matrix(op).reshape(N, n, dim)
-        # the right factor as a batched left product: (M H^{-1})^T = H^{-T} M^T
-        M = (_transpose(half_inv).reshape(N, n, n)
-             @ M.reshape(dim, dim).T.reshape(N, n, dim)).reshape(dim, dim).T
-        val, cert = linalg.spectral_norm(M, seed)
+        summands = _whitened_summands(dense_matrix(op), half.reshape(-1, n, n),
+                                      half_inv.reshape(-1, n, n))
+        val, cert = linalg.spectral_norm(summands, seed)
         return NormReport(val, "exact" if cert["certified"] else "lower-bound",
                           details={"dim": dim, "method": "certified Gram bracket", **cert})
     shape = grid.leaf_shape + (n,)

@@ -237,11 +237,43 @@ class TestCLI:
             "seed-1e330", "alpha-1e330", "sweep-L-1e330"])
     def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"grid": {"d": 1, "L": 3}, **cfg}))
+        # sweep reads no grid, so a grid field would be refused on its own
+        grid = {} if command == "sweep" else {"grid": {"d": 1, "L": 3}}
+        path.write_text(json.dumps({**grid, **cfg}))
         assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["opnorm", "bmo"])
+    def test_log_symbols_refused_off_d1(self, tmp_path, capsys, command):
+        # log x is a symbol on [0, 1): on a d=2 grid it is a config error
+        # (exit 1), not a shape error from the operator (exit 2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 2, "L": 3}, "operator": {
+            "op": "paraproduct", "symbol": {"kind": "scalar-log"}},
+            "symbol": {"kind": "log-swap"}}))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "d = 1 only, got d = 2" in err
+        assert not (tmp_path / "diagnostics.json").exists()
+
+    @pytest.mark.parametrize("command, cfg, unknown", [
+        ("maximal", {"grid": {"d": 2, "L": 3}, "weight": {"kind": "identity"}},
+         "'grid', 'weight'"),
+        ("maximal", {"kind": "all"}, "'kind'"),
+        ("sweep", {"kind": "sparse", "L": 3, "weight": {"kind": "identity"}}, "'weight'"),
+    ], ids=["maximal-grid-weight", "maximal-kind", "sweep-weight"])
+    def test_sweep_refuses_unknown_fields(self, tmp_path, capsys, command, cfg, unknown):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alphas": [0.1, 0.5], **cfg}))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.rstrip().endswith("unknown: " + unknown)
+        assert not list(tmp_path.glob("sweep_*"))
+        # the pinned benchmark config still runs
+        path.write_text(json.dumps({"kind": "sparse", "L": 3, "alphas": [0.1, 0.5], "seed": 0}))
+        assert self.run("sweep", "--config", str(path), "--out", str(tmp_path)) == 0
 
     @pytest.mark.parametrize("command, cfg", [
         ("apchar", [1, 2]),

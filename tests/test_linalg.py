@@ -162,7 +162,7 @@ def test_fallback_when_lanczos_misses_the_top(monkeypatch):
     M = known_svd(sigma, v1 / np.linalg.norm(v1), seed=5)
     missed, _, diag = linalg.matfree_spectral_norm(lambda v: M @ v, lambda u: M.T @ u, n, seed)
     assert diag["converged"] and missed == pytest.approx(sigma[1], rel=1e-12)
-    value, det = linalg.spectral_norm(M, seed)
+    value, det = linalg.spectral_norm([M], seed)
     assert det["fallback"] and det["certified"]
     assert det["lower_from"] == "eigvalsh" and det["lanczos_steps"] == diag["iterations"]
     assert value == pytest.approx(sigma[0], rel=1e-13)
@@ -177,8 +177,9 @@ def test_cholesky_rejects_c_below_lambda_max():
     theta2 = np.linalg.eigvalsh(gram)[-1]
     assert not linalg._certify_upper(gram, theta2 * (1 - 1e-8), 40)
     assert np.array_equal(gram, before)           # restored bit for bit
-    _, det = linalg.spectral_norm(M)
+    _, det = linalg.spectral_norm([M])
     assert linalg._certify_upper(gram, det["upper"] ** 2, 40)
+    assert np.array_equal(gram, before)           # also after a success
 
 
 @pytest.mark.parametrize("n", [30, 300])
@@ -186,10 +187,85 @@ def test_bracket_holds_the_svd_value(n):
     # n = 30 takes its lower end from eigvalsh, n = 300 from Lanczos
     rng = np.random.default_rng(n)
     M = rng.standard_normal((n, n)) * np.logspace(0, -3, n)
-    value, det = linalg.spectral_norm(M)
+    value, det = linalg.spectral_norm([M])
     want = svd_norm(M)
     assert det["certified"] and not det["fallback"]
     assert ("lanczos_steps" in det) == (n > linalg.LANCZOS_MIN_DIM)
     assert value == det["lower"] == pytest.approx(want, rel=1e-13)
     assert want <= det["upper"] <= want * (1 + 1e-9)
     assert det["shift"] == pytest.approx(det["upper"] ** 2 - value ** 2, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Direct sums: one Gram matrix and one Cholesky per summand, Lanczos on the
+# whole sum
+# ---------------------------------------------------------------------------
+
+def direct_sum(blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def test_permuted_direct_sum_matches_the_svd(monkeypatch):
+    # the summands of a matrix whose rows and columns interleave two blocks
+    # (as the component classes of a leaf-major, component-minor index do)
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((300, 300)) * np.logspace(0, -2, 300)
+    M[0::2, 1::2] = M[1::2, 0::2] = 0.0
+    blocks = [M[0::2, 0::2], M[1::2, 1::2]]
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    value, det = linalg.spectral_norm(blocks)
+    want = svd_norm(M)
+    assert det["summands"] == 2 and det["certified"] and not det["fallback"]
+    assert calls == [(150, 150), (150, 150)]
+    assert "lanczos_steps" in det                # 300 columns in all
+    assert value == det["lower"] == pytest.approx(want, rel=1e-13)
+    assert want <= det["upper"] <= want * (1 + 1e-9)
+    assert max(svd_norm(b) for b in blocks) == pytest.approx(want, rel=1e-14)
+
+
+def test_fallback_when_lanczos_misses_the_larger_summand(monkeypatch):
+    # the start vector's part on the larger summand's columns is orthogonal
+    # to that summand's top right singular vector, so Lanczos on the sum
+    # converges to the smaller summand's sigma_1; only the failed Cholesky of
+    # the larger summand can reveal that
+    monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 8)
+    n, seed = 32, 3
+    start = np.random.default_rng(seed).standard_normal(2 * n)
+    v1 = np.random.default_rng(99).standard_normal(n)
+    tail = start[n:]
+    v1 -= (v1 @ tail) / (tail @ tail) * tail
+    small = known_svd(np.linspace(2.0, 0.1, n), np.eye(n)[0], seed=4)
+    large = known_svd(np.concatenate([[2.01], np.linspace(1.0, 0.1, n - 1)]),
+                      v1 / np.linalg.norm(v1), seed=5)
+    blocks = [small, large]
+    missed, _, diag = linalg.matfree_spectral_norm(
+        *linalg._direct_sum_maps(blocks), 2 * n, seed)
+    assert diag["converged"] and missed == pytest.approx(2.0, rel=1e-12)
+    value, det = linalg.spectral_norm(blocks, seed)
+    assert det["fallback"] and det["certified"] and det["summands"] == 2
+    assert det["lower_from"] == "eigvalsh" and det["lanczos_steps"] == diag["iterations"]
+    assert value == pytest.approx(2.01, rel=1e-13)
+    assert 2.01 <= det["upper"] <= 2.01 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("n", [30, 300])
+def test_all_zero_summand(n):
+    rng = np.random.default_rng(n + 1)
+    A = rng.standard_normal((n, n - 5))
+    zero = np.zeros((n + 4, n))
+    value, det = linalg.spectral_norm([zero, A])
+    want = svd_norm(direct_sum([zero, A]))
+    assert det["certified"] and det["summands"] == 2
+    assert ("lanczos_steps" in det) == (n > linalg.LANCZOS_MIN_DIM)
+    assert value == pytest.approx(want, rel=1e-13)
+    assert want <= det["upper"] <= want * (1 + 1e-9)
+    # the zero operator alone is certified at the scale of the underflow allowance
+    value, det = linalg.spectral_norm([zero, np.zeros((3, 4))])
+    assert value == 0.0 and det["certified"] and det["upper"] ** 2 < 1e-300

@@ -436,6 +436,46 @@ class TestWeightedNorms:
         # above the SVD value; the upper end is proved
         assert rep.details["lower"] <= want * (1 + 4e-16) and want <= rep.details["upper"]
 
+    def test_direct_summands_are_factored_one_at_a_time(self, monkeypatch):
+        # the commutator of log|x| SWAP under diag(x^a, x^-a) maps component 0
+        # to 1 and 1 to 0, so its whitened matrix is a direct sum of two
+        # 512 x 512 blocks; a rotated weight couples the components, and the
+        # whole 1024 x 1024 matrix is factored as before
+        from haarweight.experiments import log_swap_symbol
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        g = Grid(1, 9)
+        op = commutator_op(log_swap_symbol(g), ShiftMap.left_child(g))
+        for W, want_shapes in ((MatrixWeight.diagonal_power([0.3, -0.3]), [(512, 512)] * 2),
+                               (MatrixWeight.rotated_power([0.4, -0.3], 0.7), [(1024, 1024)])):
+            shapes.clear()
+            rep = weighted_operator_norm(op, W, 2.0)
+            assert shapes == want_shapes
+            assert rep.kind == "exact" and rep.details["summands"] == len(want_shapes)
+            white = leaf_blocks(g, W, 0.5) @ dense_matrix(op) @ leaf_blocks(g, W, -0.5)
+            want = np.linalg.svd(white, compute_uv=False)[0]
+            assert rep.value == pytest.approx(want, rel=1e-13)
+            assert want <= rep.details["upper"] <= want * (1 + 1e-9)
+
+    def test_sweep_operators_split_under_diagonal_weights(self):
+        # every operator of the quantitative sweep acts componentwise or swaps
+        # the components, so under diag(x^a, x^-a) each norm has two summands
+        from haarweight.experiments import SWAP, _conjugated_sequence, log_swap_symbol
+        from haarweight.weights import power_of, reducing_pyramid
+        g = Grid(1, 5)
+        W = MatrixWeight.diagonal_power([0.5, -0.5])
+        B = log_swap_symbol(g)
+        ops = [(paraproduct_op(B), W), (shift_op(ShiftMap.left_child(g)), W),
+               (haar_multiplier_op(MatrixSequence.constant(g, SWAP)), W),
+               (haar_multiplier_op(_conjugated_sequence(g, reducing_pyramid(W, g, 2.0), SWAP)), W),
+               (commutator_op(B, ShiftMap.left_child(g)), W),
+               (paraproduct_op(B.transpose()), power_of(W, -1.0)),
+               (sparse_op(sparse_generate(g, seed=0, density=0.5)), W)]
+        for op, weight in ops:
+            rep = weighted_operator_norm(op, weight, 2.0)
+            assert rep.kind == "exact" and rep.details["summands"] == 2, op.name
+
     def test_p_not_2_lower_bound(self):
         rng = np.random.default_rng(21)
         g = Grid(1, 3)
