@@ -38,11 +38,12 @@ def zero_sequence(grid, n=2):
 
 
 def leaf_blocks(grid, W, s):
-    """Explicit block-diagonal matrix of m_leaf(W)^s, one 2x2 block per leaf."""
-    blocks = linalg.powm_spd(W.leaf_averages(grid, 1.0), s).reshape(-1, 2, 2)
-    out = np.zeros((2 * len(blocks),) * 2)
+    """Explicit block-diagonal matrix of m_leaf(W)^s, one n x n block per leaf."""
+    n = W.n
+    blocks = linalg.powm_spd(W.leaf_averages(grid, 1.0), s).reshape(-1, n, n)
+    out = np.zeros((n * len(blocks),) * 2)
     for l, b in enumerate(blocks):
-        out[2 * l:2 * l + 2, 2 * l:2 * l + 2] = b
+        out[n * l:n * l + n, n * l:n * l + n] = b
     return out
 
 
@@ -457,6 +458,20 @@ class TestWeightedNorms:
             want = np.linalg.svd(white, compute_uv=False)[0]
             assert rep.value == pytest.approx(want, rel=1e-13)
             assert want <= rep.details["upper"] <= want * (1 + 1e-9)
+
+    def test_summands_of_several_components(self):
+        # a 3x3 multiplier that mixes components 0 and 1 and keeps 2 apart,
+        # under a diagonal weight: one 2-component and one 1-component block
+        g = Grid(1, 5)
+        W = MatrixWeight.diagonal_power([0.3, -0.2, 0.5])
+        A = MatrixSequence.constant(g, [[1.0, 2.0, 0.0], [-0.5, 0.7, 0.0], [0.0, 0.0, 3.0]])
+        op = haar_multiplier_op(A)
+        rep = weighted_operator_norm(op, W, 2.0)
+        white = leaf_blocks(g, W, 0.5) @ dense_matrix(op) @ leaf_blocks(g, W, -0.5)
+        want = np.linalg.svd(white, compute_uv=False)[0]
+        assert rep.kind == "exact" and rep.details["summands"] == 2
+        assert rep.value == pytest.approx(want, rel=1e-13)
+        assert want <= rep.details["upper"] <= want * (1 + 1e-9)
 
     def test_sweep_operators_split_under_diagonal_weights(self):
         # every operator of the quantitative sweep acts componentwise or swaps
