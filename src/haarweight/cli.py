@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import experiments
+from . import experiments, weights
 from .experiments import _read_int, _read_number, _write_json, refuse_beyond_memory
 from .carleson import bmo_norm, carleson_b_sup, carleson_c_constant, stopping_time_tree
 from .dyadic import Grid
@@ -150,21 +150,36 @@ def build_operator(spec, grid, weight, p):
     raise ConfigError(f"unknown operator spec {spec!r}")
 
 
-# The A_p double integral holds up to about this many N x N tables of scalars
-# at once.  For 2x2 weights they are three of the four sums that
-# linalg.pair_opnorms turns into ||W^{1/p}(x) W^{-1/p}(t)||: peak RSS of
-# apchar grew by 3.4 tables at d=1, L=11.  Other n form the N^2 n x n products
-# for the SVD, which grew by 1.5 n^2 tables (n=3, L=10), so they count 2 n^2.
-APCHAR_PAIR_TABLES = 4
+def _apchar_bytes(grid, n):
+    """Bytes that ``ap_characteristic`` holds at once for an n x n weight on
+    ``grid``, at the first net of ``reducing_pyramid`` (each doubling of the
+    net doubles the pyramid's share).
+
+    The double average streams over x-row blocks: for 2x2 weights about three
+    ``weights.AP_BLOCK_BYTES`` tables of ``linalg.pair_opnorms`` sums are
+    alive at once, counted as four; other n form the block's n x n products
+    for the SVD, counted as 2 n^2 tables.  Per leaf it keeps 2 (L + 1) level
+    vectors and indices, the leaf averages and representatives (8 n^2) and
+    the gauge integrand on the net (2 per direction).  The reducing pyramid
+    holds about 8.5 floats per interior cube and net direction (tracemalloc
+    at d = 1, L = 10..14, n = 2, 64 directions), counted as 9, and each
+    cube's pair, certificates and gaps.
+    """
+    m = weights.REDUCING_NET
+    leaves = grid.n_leaves
+    interior = (leaves - 1) // ((1 << grid.d) - 1)
+    tables = 4 if n == 2 else 2 * n * n
+    floats = (leaves * (2 * (grid.L + 1) + 8 * n * n + 2 * m) + interior * 9 * m
+              + (interior + leaves) * (2 * n * n + 4))
+    return tables * weights.AP_BLOCK_BYTES + 8 * floats
 
 
 def cmd_apchar(cfg, out_dir):
     grid, W = build_grid(cfg), build_weight(cfg)
     if grid.d > 2:
         raise ConfigError(f"apchar supports d <= 2, got d = {grid.d}")
-    tables = APCHAR_PAIR_TABLES if W.n == 2 else 2 * W.n ** 2
-    refuse_beyond_memory(grid.n_leaves ** 2 * 8 * tables,
-                         f"apchar at d = {grid.d}, L = {grid.L}", "its leaf-pair arrays")
+    refuse_beyond_memory(_apchar_bytes(grid, W.n), f"apchar at d = {grid.d}, L = {grid.L}",
+                         "its reducing pyramid and leaf arrays")
     p = read_p(cfg)
     rep = ap_characteristic(W, p, grid)
     payload = rep.record()

@@ -272,11 +272,16 @@ def sphere_net(n, m):
 
 
 def gauge_pyramid(W, grid, p, dirs, dual=False):
-    """rho_{W,I,p}(u) (or the dual gauge) for every cube and net direction.
+    """rho_{W,I,p}(u) (or the dual gauge) for every interior cube and net
+    direction.
 
-    Returns per-level arrays shaped (2^k,)*d + (m,).  The gauge integrand is
-    the leaf L^2 representative |m_leaf(W^{2s})^{1/2} u| with s = 1/p for the
-    primal and s = -1/p (exponent p') for the dual gauge.
+    Returns per-level arrays shaped (2^k,)*d + (m,) for the levels
+    k = 0, ..., L-1.  The gauge integrand is the leaf L^2 representative
+    |m_leaf(W^{2s})^{1/2} u| with s = 1/p for the primal and s = -1/p
+    (exponent p') for the dual gauge; its cube means are taken from the
+    leaves up, and the p-th (p'-th) roots only on the interior levels,
+    because at a leaf the gauge is that representative itself, whose
+    reducing operator ``reducing_pyramid`` takes in closed form.
     """
     pp = p / (p - 1.0)
     expo = (-2.0 / p) if dual else (2.0 / p)
@@ -286,7 +291,7 @@ def gauge_pyramid(W, grid, p, dirs, dual=False):
     quad = np.maximum(quad, 0.0)
     leaf_vals = quad ** (power / 2.0)
     means = mean_pyramid(leaf_vals, grid.d, grid.L)
-    return [mk ** (1.0 / power) for mk in means]
+    return [mk ** (1.0 / power) for mk in means[:-1]]
 
 
 # the n=2 active-set solve stops once no point lies outside the ellipse by
@@ -538,12 +543,22 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p):
 
     Returns dict with per-level arrays 'V', 'V_prime' shaped (2^k,)*d + (n,n),
     per-level 'eta', 'eta_prime' sandwich certificates, per-level 'gap',
-    'gap_prime' Lowner duality gaps (see ``lowner_batched``), and the
-    direction net used.  At p=2 the closed forms (m_I W)^{1/2},
-    (m_I W^{-1})^{1/2} are used and eta = gap = 0.  Otherwise each side is
-    one ``lowner_batched`` call over the cubes of all levels: exact for n=2,
-    with gaps of order 1e-10; for other n, ``LOWNER_MAX_ITER`` and
-    ``LOWNER_TOL`` bound the multiplicative update.
+    'gap_prime' Lowner duality gaps (see ``lowner_batched``), all for the
+    levels 0, ..., L, and the direction net used.  At p=2 the closed forms
+    (m_I W)^{1/2}, (m_I W^{-1})^{1/2} are used and eta = gap = 0.
+
+    Otherwise the leaves are closed forms too: a leaf's gauge is
+    rho(e) = |m_leaf(W^{2/p})^{1/2} e| (``gauge_pyramid``), so
+    V = m_leaf(W^{2/p})^{1/2} and V' = m_leaf(W^{-2/p})^{1/2} give
+    rho(e) = |V e| for every vector e, and their eta and gap are 0.  Each
+    side's interior cubes, levels 0, ..., L-1, are one ``lowner_batched``
+    call: exact for n=2, with gaps of order 1e-10; for other n,
+    ``LOWNER_MAX_ITER`` and ``LOWNER_TOL`` bound the multiplicative update.
+    So the finest level is exact for every vector, while an interior cube's
+    sandwich rho(e) <= |V e| <= sqrt(n)(1 + eta) rho(e) is certified on the
+    net directions only; no bound between them is derived yet, and on
+    eccentric cubes it can fail there (|V e| / rho(e) reads 0.996 at level 8
+    of rotated_power([-0.45, 0.4], 2.0), L = 10, p = 1.5, default net).
     """
     n = W.n
     if p == 2.0:
@@ -552,6 +567,11 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p):
         zeros = [np.zeros(a.shape[:-2]) for a in V]
         return {"V": V, "V_prime": Vp, "eta": zeros, "eta_prime": zeros,
                 "gap": zeros, "gap_prime": zeros, "net": sphere_net(n, REDUCING_NET), "p": p}
+    sqrtm = linalg._sqrtm_2x2 if n == 2 else linalg.sqrtm_spd
+    zero = np.zeros(grid.leaf_shape)
+    leaf = {"V": sqrtm(W.leaf_averages(grid, 2.0 / p)),
+            "V_prime": sqrtm(W.leaf_averages(grid, -2.0 / p)),
+            "eta": zero, "eta_prime": zero, "gap": zero, "gap_prime": zero}
     m = REDUCING_NET
     while True:
         dirs = sphere_net(n, m)
@@ -564,6 +584,7 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p):
             for key, val in zip(keys, _reducing_from_gauge(flat, dirs, n)):
                 out[key] = [v.reshape(a.shape[:-1] + val.shape[1:])
                             for v, a in zip(np.split(val, cuts), rho)]
+                out[key].append(leaf[key])
         worst = max(e.max() for e in out["eta"] + out["eta_prime"])
         if worst <= REDUCING_ETA_TARGET or m >= 8 * REDUCING_NET:
             return {**out, "net": dirs, "p": p}
@@ -583,31 +604,52 @@ def ap_from_reducing(reducing, p):
     return best
 
 
-def _cube_diagonal(arr, d, k):
-    """arr has x-cube axes then t-cube axes (each (2^k,)*d, d <= 2); take x == t."""
-    side = 1 << k
-    if d == 1:
-        return arr[np.arange(side), np.arange(side)]
-    i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    return arr[i, j, i, j]
+# bytes of one x-row block of the leaf-pair table in the streamed A_p double
+# average; ``linalg.pair_opnorms`` holds about three tables of this size at
+# once.  Blocks that stay in cache are faster too: at d=1, L=12 the double
+# average took 0.6-0.8 s with blocks of 0.5-4 MiB against 1.05 s for the
+# whole 128 MiB table (2 vCPUs, OpenBLAS)
+AP_BLOCK_BYTES = 1 << 20
 
 
-def _double_average_levels(G, grid, p):
-    """Per-level cube values of the A_p double average from the leaf-pair
-    table G[x, t] = ||W^{1/p}(x) W^{-1/p}(t)||, which is overwritten."""
+def _double_average_levels(P, N, grid, p):
+    """Per-level cube values of the A_p double average
+    (1/|I|) int_I ((1/|I|) int_I ||P(x) N(t)||^{p'} dt)^{p/p'} dx, from the
+    leaf representatives P of W^{1/p} and N of W^{-1/p}, flat over the leaves.
+
+    The leaf-pair table ||P_x N_t|| is streamed over blocks of x rows of about
+    ``AP_BLOCK_BYTES``.  In a block the inner t-average goes up one level at a
+    time, and at each level only the entry of the cube that contains x is
+    kept: the outer average over x in I reads that cube alone.  The outer
+    x-averages then run on L + 1 leaf vectors.  Every sum is taken in the
+    same order as over the whole N x N table, so the result does not depend
+    on the block size (for blocks of two rows or more, see below).
+    """
     d, L = grid.d, grid.L
     pprime = p / (p - 1.0)
-    G **= pprime
-    G = G.reshape(grid.leaf_shape + grid.leaf_shape)
-    # inner averages over t go up one level at a time; the outer average over
-    # x follows the power, so it starts from the leaves at each level
-    diags = [None] * (L + 1)
-    inner = G
-    for k in range(L, -1, -1):
-        if k < L:
-            inner = coarsen_levels(inner, d, 1, axis=d)
-        diags[k] = _cube_diagonal(coarsen_levels(inner ** (p / pprime), d, L - k), d, k)
-    return diags
+    count = len(P)
+    # a power of two of at least two rows, so that the blocks tile the 2^(dL)
+    # rows evenly; BLAS takes a one-row product down its matrix-vector path,
+    # which rounds otherwise than the GEMM of a whole table
+    rows = 1 << (max(2, AP_BLOCK_BYTES // (8 * count)).bit_length() - 1)
+    coords = np.unravel_index(np.arange(count), grid.leaf_shape)
+    # the flat index of the level-k cube that contains each leaf
+    owner = [np.ravel_multi_index(tuple(c >> (L - k) for c in coords), (1 << k,) * d)
+             for k in range(L + 1)]
+    inner_at_x = np.empty((L + 1, count))
+    for lo in range(0, count, rows):
+        block = slice(lo, lo + rows)
+        inner = linalg.pair_opnorms(P[block], N)
+        inner **= pprime
+        inner = inner.reshape((-1,) + grid.leaf_shape)
+        for k in range(L, -1, -1):
+            if k < L:
+                inner = coarsen_levels(inner, d, 1, axis=1)
+            flat = inner.reshape(len(inner), -1)
+            inner_at_x[k, block] = np.take_along_axis(flat, owner[k][block, None], axis=1)[:, 0]
+    inner_at_x **= p / pprime
+    return [coarsen_levels(inner_at_x[k].reshape(grid.leaf_shape), d, L - k)
+            for k in range(L + 1)]
 
 
 def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport:
@@ -618,9 +660,11 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport
     leaf representatives for W^{+-1/p}.
 
     For 2x2 weights every norm here is the closed form of ``linalg.opnorm``,
-    and the N x N leaf-pair table of the double average comes from
+    and the leaf-pair norms of the double average come from
     ``linalg.pair_opnorms`` in four rank-4 GEMMs, without forming the
-    products; other n fall back to the SVD.
+    products; other n fall back to the SVD.  The double average streams over
+    blocks of x rows (``_double_average_levels``), so besides the reducing
+    pyramid it holds O(N * block) floats for N leaves, not N x N tables.
     """
     d, n = grid.d, W.n
     if d > 2:
@@ -633,7 +677,6 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport
     # defining double average
     P = W.leaf_reps(grid, 1.0 / p)       # W^{1/p}(x) leaf representative
     N = W.leaf_reps(grid, -1.0 / p)      # W^{-1/p}(t) leaf representative
-    G = linalg.pair_opnorms(P.reshape(-1, n, n), N.reshape(-1, n, n))
-    diags = _double_average_levels(G, grid, p)
+    diags = _double_average_levels(P.reshape(-1, n, n), N.reshape(-1, n, n), grid, p)
     best_int, best_int_cube = sup_over_cubes(diags)
     return ApReport(p, best_val, best_cube, best_int, best_int_cube, per_level)

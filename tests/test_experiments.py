@@ -338,10 +338,11 @@ class TestCLI:
         assert got["cubes"] == [rec(*c) for c in want["sparse"]]
 
     def test_apchar_oversized_grid_refused(self, tmp_path, capsys):
-        # L=16 needs hundreds of GiB of leaf-pair arrays: refused before any work
+        # L=26 needs hundreds of GiB of reducing pyramid and leaf arrays:
+        # refused before any work
         import time
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"grid": {"d": 1, "L": 16}, "p": 3,
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 26}, "p": 3,
                                     "weight": {"kind": "random-spd", "seed": 0}}))
         start = time.perf_counter()
         assert self.run("apchar", "--config", str(path), "--out", str(tmp_path)) == 1

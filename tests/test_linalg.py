@@ -6,6 +6,11 @@ input, and ``pair_opnorms`` builds the leaf-pair table of the A_p double
 average from the same four sums as GEMMs, without forming the products.
 The oracle is ``np.linalg.svd`` of the formed matrices.
 
+The A_p double average streams the leaf-pair table over blocks of x rows;
+its oracle is the whole N x N table, coarsened as a two-sided array and read
+on the cube diagonal (``table_double_average``), and the two agree bit for
+bit.
+
 ``spectral_norm`` brackets the largest singular value of a dense matrix; its
 tests check the bracket against the SVD, that the Cholesky rejects a value
 below lambda_max, and that a Lanczos value below sigma_1 falls back to the
@@ -16,7 +21,7 @@ import numpy as np
 import pytest
 
 from haarweight import linalg, weights
-from haarweight.dyadic import Grid
+from haarweight.dyadic import Grid, coarsen_levels
 from haarweight.weights import MatrixWeight, ap_characteristic, reducing_pyramid
 
 CLOSED_FORM_RTOL = 4e-15
@@ -95,8 +100,8 @@ def test_leaf_pair_norms_match_formed_products(kind, d, L, p, monkeypatch):
     table = linalg.pair_opnorms(P, N)
     want = svd_norm(P[:, None] @ N[None])
     np.testing.assert_allclose(table, want, rtol=PAIR_RTOL, atol=0)
-    diags = weights._double_average_levels(table, g, p)
-    for got_k, want_k in zip(diags, weights._double_average_levels(want, g, p)):
+    diags = table_double_average(table, g, p)
+    for got_k, want_k in zip(diags, table_double_average(want, g, p)):
         np.testing.assert_allclose(got_k, want_k, rtol=PAIR_RTOL, atol=0)
     monkeypatch.setattr(weights, "REDUCING_NET", 16)
     monkeypatch.setattr(weights, "REDUCING_ETA_TARGET", 1.0)
@@ -105,6 +110,63 @@ def test_leaf_pair_norms_match_formed_products(kind, d, L, p, monkeypatch):
     for got_k, V, Vp in zip(rep.per_level, red["V"], red["V_prime"]):
         np.testing.assert_allclose(got_k, svd_norm(V @ Vp) ** p, rtol=PAIR_RTOL, atol=0)
     assert rep.value_integral == max(float(a.max()) for a in diags)
+
+
+def table_double_average(G, grid, p):
+    """Per-level cube values of the A_p double average from the whole N x N
+    leaf-pair table G[x, t] = ||W^{1/p}(x) W^{-1/p}(t)||, which is
+    overwritten: the inner t-averages go up one level at a time, and at each
+    level the outer x-average of their p/p' powers is read on the cube
+    diagonal x-cube == t-cube."""
+    d, L = grid.d, grid.L
+    pprime = p / (p - 1.0)
+    G **= pprime
+    G = G.reshape(grid.leaf_shape + grid.leaf_shape)
+    diags = [None] * (L + 1)
+    inner = G
+    for k in range(L, -1, -1):
+        if k < L:
+            inner = coarsen_levels(inner, d, 1, axis=d)
+        outer = coarsen_levels(inner ** (p / pprime), d, L - k)
+        side = np.arange(1 << k)
+        if d == 1:
+            diags[k] = outer[side, side]
+        else:
+            i, j = np.meshgrid(side, side, indexing="ij")
+            diags[k] = outer[i, j, i, j]
+    return diags
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("kind, d, L", [
+    *[("rotated", d, L) for d, L in [(1, 3), (1, 6), (1, 10), (2, 2), (2, 4)]],
+    *[("random-spd-n3", d, L) for d, L in [(1, 3), (1, 6), (2, 2), (2, 4)]],
+])
+def test_streamed_double_average_matches_the_table(kind, d, L, p, monkeypatch):
+    # x-row blocks of a quarter of the rows, of all of them and of twice as
+    # many give every level of the whole table's double average bit for bit.
+    # n = 3 takes one SVD per leaf pair, about 3.5 s per pass at L = 10, so
+    # it runs on the smaller grids only
+    W = (MatrixWeight.rotated_power([0.4, -0.3], 0.7) if kind == "rotated"
+         else MatrixWeight.random_spd(5, cond=16.0, n=3))
+    g, n = Grid(d, L), W.n
+    P = W.leaf_reps(g, 1.0 / p).reshape(-1, n, n)
+    N = W.leaf_reps(g, -1.0 / p).reshape(-1, n, n)
+    want = table_double_average(linalg.pair_opnorms(P, N), g, p)
+    calls = []
+    pair_opnorms = linalg.pair_opnorms
+    monkeypatch.setattr(linalg, "pair_opnorms",
+                        lambda A, B: calls.append(len(A)) or pair_opnorms(A, B))
+    count = g.n_leaves
+    for rows, blocks in ((count // 4, 4), (count, 1), (2 * count, 1)):
+        monkeypatch.setattr(weights, "AP_BLOCK_BYTES", 8 * count * rows)
+        calls.clear()
+        got = weights._double_average_levels(P, N, g, p)
+        assert calls == [min(rows, count)] * blocks
+        assert len(got) == L + 1
+        for k, (got_k, want_k) in enumerate(zip(got, want)):
+            assert got_k.shape == (1 << k,) * d
+            assert np.array_equal(got_k, want_k)
 
 
 def spd_2x2(seed, count=500, cond=1e6):

@@ -138,7 +138,9 @@ class TestReducingOperators:
         assert np.linalg.norm(V @ V_prime, 2) ** 2 == pytest.approx(4.0 / 3.0)
 
     def test_general_p_sandwich_certificate(self, monkeypatch):
-        # direct quadrature of the gauge on coordinate directions sandwiches |V e_i|
+        # direct quadrature of the gauge on coordinate directions sandwiches |V e_i|;
+        # gauge_pyramid gives the interior levels, and a leaf's gauge is its
+        # representative |m_leaf(W^{2/p})^{1/2} e|
         W = MatrixWeight.diagonal_power([0.5, -0.25])
         g = Grid(1, 5)
         p = 3.0
@@ -146,6 +148,9 @@ class TestReducingOperators:
         red = reducing_pyramid(W, g, p)
         dirs = red["net"]
         rho = gauge_pyramid(W, g, p, dirs, dual=False)
+        assert len(rho) == g.L
+        leaf_quad = np.einsum("...ij,mi,mj->...m", W.leaf_averages(g, 2.0 / p), dirs, dirs)
+        rho.append(np.sqrt(leaf_quad))
         for k in (0, 3, 5):
             V = red["V"][k]
             vals = np.linalg.norm(np.einsum("kij,mj->kmi", V.reshape(-1, 2, 2), dirs), axis=-1)
@@ -168,6 +173,41 @@ class TestReducingOperators:
         assert len(red["net"]) == 8 * base
         worst = max(float(e.max()) for e in red["eta"] + red["eta_prime"])
         assert worst > weights_module.REDUCING_ETA_TARGET
+
+    @pytest.mark.parametrize("alphas, theta, L, net", [
+        ([-0.45, 0.4], 2.0, 10, None),
+        ([0.3, -0.25], 0.7, 14, 32),
+    ], ids=["eccentric-leaf-L10", "criterion-4-L14"])
+    def test_leaf_sandwich_holds_off_the_net(self, monkeypatch, alphas, theta, L, net):
+        # a leaf's reducing pair is m_leaf(W^{+-2/p})^{1/2}, whose sandwich
+        # rho <= |V e| <= sqrt(n)(1 + eta) rho holds for every direction, not
+        # only on the net; at leaf 0 of the first weight a Lowner solve on the
+        # default net read |V e| / rho up to 1.957 with eta = 0, and at the
+        # coarse net of criterion 4 leaf 0 of the second read down to 0.978
+        if net is not None:
+            monkeypatch.setattr(weights_module, "REDUCING_NET", net)
+            monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", 0.08)
+        W = MatrixWeight.rotated_power(alphas, theta)
+        g, p, n = Grid(1, L), 1.5, 2
+        red = reducing_pyramid(W, g, p)
+        theta_s = np.linspace(0.0, np.pi, 20001)
+        dirs = np.stack([np.cos(theta_s), np.sin(theta_s)], axis=1)
+        D = (dirs[:, :, None] * dirs[:, None, :]).reshape(-1, n * n)
+        for key, eta_key, s in (("V", "eta", 2.0 / p), ("V_prime", "eta_prime", -2.0 / p)):
+            V = red[key][L].reshape(-1, n, n)
+            eta = red[eta_key][L].reshape(-1)
+            assert np.all(eta == 0.0)
+            gauge2 = W.leaf_averages(g, s).reshape(-1, n * n)
+            for lo in range(0, len(V), 256):
+                rows = slice(lo, lo + 256)
+                ratio2 = ((np.swapaxes(V[rows], 1, 2) @ V[rows]).reshape(-1, n * n) @ D.T
+                          / (gauge2[rows] @ D.T))
+                assert ratio2.min() >= 1.0 - 1e-12
+                assert ratio2.max() <= n * (1.0 + eta[rows].max()) ** 2 * (1.0 + 1e-12)
+        # leaf 0 = [0, 2^-L): m(|x|^b) m(|x|^-b) = 1/(1 - b^2) for b = 2 a / p
+        beta = 2.0 * max(abs(a) for a in alphas) / p
+        leaf0 = float(linalg.opnorm(red["V"][L][0] @ red["V_prime"][L][0]) ** p)
+        assert leaf0 == pytest.approx((1.0 / (1.0 - beta ** 2)) ** (p / 2.0), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_reverse_ap_all_weights(self, p):
@@ -438,6 +478,22 @@ class TestApCharacteristic:
                             lambda *args, **kwargs: pytest.fail("pyramid built for d=3"))
         with pytest.raises(ShapeError):
             ap_characteristic(MatrixWeight.identity(), 2.0, Grid(3, 2))
+
+    def test_double_average_streams_in_bounded_memory(self):
+        # one N x N table of floats is 128 MiB at d=1, L=12; the whole run,
+        # reducing pyramid included, stays below it and below the need that
+        # apchar's memory refusal counts
+        import tracemalloc
+        from haarweight.cli import _apchar_bytes
+        g = Grid(1, 12)
+        tracemalloc.start()
+        try:
+            ap_characteristic(MatrixWeight.rotated_power([0.4, -0.3], 0.7), 1.5, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.n_leaves ** 2
+        assert peak <= _apchar_bytes(g, 2)
 
     def test_power_weight_p2_value(self):
         W = MatrixWeight.diagonal_power([0.5, -0.5])
