@@ -119,7 +119,7 @@ def _oscillation_sup(B: MatrixSymbol, weight_reps, V_inv, power, grid):
     return sup_over_cubes(per_level)
 
 
-def bmo_norm(B: MatrixSymbol, W: MatrixWeight, p, variant="primal", reducing=None):
+def bmo_norm(B: MatrixSymbol, W: MatrixWeight, p, variant="primal"):
     """Weighted BMO norm of a matrix symbol over the grid's cubes.
 
     primal:   sup_I (1/|I|) int ||W^{1/p}(x)(B - m_I B) V_I^{-1}||^p
@@ -133,8 +133,7 @@ def bmo_norm(B: MatrixSymbol, W: MatrixWeight, p, variant="primal", reducing=Non
         Vinv = [np.broadcast_to(np.eye(B.n), (1 << k,) * grid.d + (B.n, B.n))
                 for k in range(grid.L + 1)]
         return _oscillation_sup(B, eye, Vinv, 2.0, grid)
-    if reducing is None:
-        reducing = reducing_pyramid(W, grid, p)
+    reducing = reducing_pyramid(W, grid, p)
     pprime = p / (p - 1.0)
     if variant == "primal":
         reps = W.leaf_reps(grid, 1.0 / p)

@@ -82,6 +82,16 @@ def build_weight(cfg):
     raise ConfigError(f"unknown weight kind {kind!r}")
 
 
+def build_2x2_weight(cfg, command):
+    """``build_weight`` for a command whose symbols, sequences and operators
+    are all 2 x 2."""
+    W = build_weight(cfg)
+    if W.n != 2:
+        raise ConfigError(f"{command} builds 2 x 2 operators, "
+                          f"so its weight must be 2 x 2, got n = {W.n}")
+    return W
+
+
 def read_p(cfg):
     """The exponent p (default 2); every command that reads it needs 1 < p < inf."""
     try:
@@ -123,11 +133,14 @@ def build_sequence(spec, grid):
 
 
 def build_sigma(spec, grid):
-    if spec in (None, "left-child"):
+    """The shift of the spec "left-child" (the default), {"kind": "left-child"}
+    or {"kind": "random", "seed": ...}."""
+    kind = _read_kind({} if spec in (None, "left-child") else spec, "shift", "left-child")
+    if kind == "left-child":
         return ShiftMap.left_child(grid)
-    if isinstance(spec, dict) and spec.get("kind") == "random":
+    if kind == "random":
         return ShiftMap.random_child(grid, seed=_read_int(spec, "seed", 0))
-    raise ConfigError(f"unknown shift spec {spec!r}")
+    raise ConfigError(f"unknown shift kind {kind!r}")
 
 
 def build_operator(spec, grid, weight, p):
@@ -189,7 +202,7 @@ def cmd_apchar(cfg, out_dir):
 
 
 def cmd_opnorm(cfg, out_dir):
-    grid, W = build_grid(cfg), build_weight(cfg)
+    grid, W = build_grid(cfg), build_2x2_weight(cfg, "opnorm")
     p = read_p(cfg)
     op = build_operator(cfg.get("operator", {}), grid, W, p)
     rep = weighted_operator_norm(op, W, p, seed=_read_int(cfg, "seed", 0))
@@ -199,12 +212,14 @@ def cmd_opnorm(cfg, out_dir):
 
 
 def cmd_bmo(cfg, out_dir):
-    grid, W = build_grid(cfg), build_weight(cfg)
-    p = read_p(cfg)
-    B = build_symbol(cfg.get("symbol", {}), grid)
     variant = cfg.get("variant", "primal")
     if variant not in ("primal", "dual", "unweighted"):
         raise ConfigError(f"unknown BMO variant {variant!r}")
+    # the unweighted variant reads no weight
+    grid = build_grid(cfg)
+    W = build_weight(cfg) if variant == "unweighted" else build_2x2_weight(cfg, "bmo")
+    p = read_p(cfg)
+    B = build_symbol(cfg.get("symbol", {}), grid)
     val, cube = bmo_norm(B, W, p, variant)
     payload = {"value": val, "variant": variant,
                "supremizing_cube": cube.record()}
@@ -213,7 +228,7 @@ def cmd_bmo(cfg, out_dir):
 
 
 def cmd_carleson(cfg, out_dir):
-    grid, W = build_grid(cfg), build_weight(cfg)
+    grid, W = build_grid(cfg), build_2x2_weight(cfg, "carleson")
     p = read_p(cfg)
     A = build_sequence(cfg.get("sequence", {"kind": "random"}), grid)
     red = reducing_pyramid(W, grid, p)
@@ -262,7 +277,7 @@ def cmd_maximal(cfg, out_dir):
 
 def cmd_sparse(cfg, out_dir):
     grid = build_grid(cfg)
-    W = build_weight(cfg)
+    W = build_2x2_weight(cfg, "sparse")
     density = _read_number(cfg, "density", 0.5, lambda v: 0.0 < v <= 0.5, "in (0, 1/2]")
     try:
         fam = sparse_generate(grid, seed=_read_int(cfg, "seed", 0), density=density)

@@ -13,10 +13,6 @@ class IntegrabilityError(HaarweightError):
     """A requested weight power is not integrable on the cell."""
 
 
-class ShiftMapError(HaarweightError):
-    """A shift map violates containment or scale constraints."""
-
-
 class SparsenessError(HaarweightError):
     """A cube family fails the sparseness certificate."""
 

@@ -238,16 +238,16 @@ def sparse_generate(grid: Grid, seed=0, density=0.5) -> SparseFamily:
         n_sel = rng.binomial(max_kids, min(1.0, 2.0 * density))
         if n_sel == 0:
             continue
-        corners = list(itertools.product((0, 1), repeat=d))
-        rng.shuffle(corners)
-        for corner in corners[:n_sel]:
-            child = (lev + 1, tuple(2 * m + c for m, c in zip(off, corner)))
+        selectors = list(itertools.product((0, 1), repeat=d))
+        rng.shuffle(selectors)
+        for bits in selectors[:n_sel]:
+            child = (lev + 1, tuple(2 * m + c for m, c in zip(off, bits)))
             cubes.append(child)
             frontier.append(child)
     return SparseFamily(grid, [Cube(lev, off) for lev, off in cubes])
 
 
-def sparse_op(G: SparseFamily, n=2) -> Operator:
+def sparse_op(G: SparseFamily) -> Operator:
     """S f = sum_{I in G} (m_I f) chi_I as a linear operator (self-adjoint on
     unweighted L^2)."""
     grid = G.grid
@@ -262,7 +262,7 @@ def sparse_op(G: SparseFamily, n=2) -> Operator:
             out = out + refine_to_leaves(contrib, d, L - lev)
         return out
 
-    return Operator(grid, n, kernel, kernel, "sparse")
+    return Operator(grid, 2, kernel, kernel, "sparse")
 
 
 def sparse_proof_chain(W: MatrixWeight, G: SparseFamily, f, g, ap_value):

@@ -23,7 +23,7 @@ from .dyadic import (
     Grid, StepFunction, chain_sum, haar_analyze, haar_synthesize, mean_pyramid,
     refine, signature_product, signatures,
 )
-from .errors import ShapeError, ShiftMapError
+from .errors import ShapeError
 from .weights import MatrixWeight, _lp_power, reducing_pyramid
 
 
@@ -106,47 +106,32 @@ class MatrixSequence:
 
 
 class ShiftMap:
-    """sigma = (sigma_cube, sigma_sig): the cube component maps each cube to one
-    of its children (2 ell(sigma(I)) = ell(I), sigma(I) inside I); the signature
-    component maps cancellative signatures to cancellative signatures (identity
-    by default, bijective or not).  The components act independently so the
-    commutator case analysis stays well defined."""
+    """The cube map of a dyadic shift: each cube I goes to one of its children
+    sigma(I) (2 ell(sigma(I)) = ell(I), sigma(I) inside I), and each
+    cancellative signature to itself.  targets[k] holds the flat level-(k+1)
+    indices of sigma(I) over the level-k cubes I, for k < L - 1 (sigma of a
+    level L - 1 cube is a leaf, below the coefficient levels).
+    ``corner_levels[k]`` picks each child by its d selector bits; they come
+    from ``left_child`` or ``random_child``."""
 
-    def __init__(self, grid: Grid, corner_levels, sig_map=None):
+    def __init__(self, grid: Grid, corner_levels):
         self.grid = grid
-        d = grid.d
-        self.corners = [np.asarray(c, dtype=int) for c in corner_levels]
-        if len(self.corners) != grid.L:
-            raise ShiftMapError(f"need corner choices for levels 0..{grid.L - 1}")
-        for k, c in enumerate(self.corners):
-            if c.shape != (1 << k,) * d + (d,):
-                raise ShiftMapError(f"level {k} corner array has shape {c.shape}")
-            if c.min() < 0 or c.max() > 1:
-                raise ShiftMapError("corner entries must be child-selector bits")
-        nsig = (1 << d) - 1
-        if sig_map is None:
-            sig_map = np.arange(nsig)
-        self.sig_map = np.asarray(sig_map, dtype=int)
-        if self.sig_map.shape != (nsig,) or self.sig_map.min() < 0 or self.sig_map.max() >= nsig:
-            raise ShiftMapError("signature map must send cancellative signatures to themselves")
-        # targets[k]: flattened level-(k+1) indices of sigma(I) over the cubes
-        # I at level k, for k < L - 1 (sigma of a level L - 1 cube is a leaf)
         self.targets = []
-        for c in self.corners[:-1]:
+        for c in corner_levels:
             child = 2 * np.indices(c.shape[:-1]) + np.moveaxis(c, -1, 0)
-            self.targets.append(np.ravel_multi_index(tuple(child), (2 * c.shape[0],) * d).ravel())
+            fine = (2 * c.shape[0],) * grid.d
+            self.targets.append(np.ravel_multi_index(tuple(child), fine).ravel())
 
     @classmethod
-    def left_child(cls, grid, sig_map=None):
-        corners = [np.zeros((1 << k,) * grid.d + (grid.d,), dtype=int) for k in range(grid.L)]
-        return cls(grid, corners, sig_map)
+    def left_child(cls, grid):
+        return cls(grid, [np.zeros((1 << k,) * grid.d + (grid.d,), dtype=int)
+                          for k in range(grid.L - 1)])
 
     @classmethod
-    def random_child(cls, grid, seed=0, sig_map=None):
+    def random_child(cls, grid, seed=0):
         rng = np.random.default_rng(seed)
-        corners = [rng.integers(0, 2, size=(1 << k,) * grid.d + (grid.d,))
-                   for k in range(grid.L)]
-        return cls(grid, corners, sig_map)
+        return cls(grid, [rng.integers(0, 2, size=(1 << k,) * grid.d + (grid.d,))
+                          for k in range(grid.L - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +162,19 @@ def _paraproduct_levels(coeffs, means, d):
 
 
 def _shift_levels(sigma: ShiftMap, fc, adjoint=False):
-    """Q_sigma on coefficient levels: f_I^eps moves to (sigma(I), sigma(eps))
+    """Q_sigma on coefficient levels: f_I^eps moves to (sigma(I), eps)
     (scatter), and what moves below the leaf level is dropped.  With
-    ``adjoint``, (Q^T g)_I^eps = g_{sigma(I)}^{sigma(eps)} (gather).  sigma
-    sends the cubes of a level to distinct children, so a fancy-index ``+=``
-    is a complete scatter."""
+    ``adjoint``, (Q^T g)_I^eps = g_{sigma(I)}^eps (gather).  sigma sends the
+    cubes of a level to distinct children, so one fancy-index assignment per
+    level is a complete scatter."""
     d = sigma.grid.d
     flat = lambda a: a.reshape((-1,) + a.shape[d:])
     out = [np.zeros(c.shape) for c in fc]
     for k, tg in enumerate(sigma.targets):
-        coarse = flat(out[k] if adjoint else fc[k])
-        fine = flat(fc[k + 1] if adjoint else out[k + 1])
-        for s, t in enumerate(sigma.sig_map):
-            if adjoint:
-                coarse[:, s] += fine[tg, t]
-            else:
-                fine[tg, t] += coarse[:, s]
+        if adjoint:
+            flat(out[k])[:] = flat(fc[k + 1])[tg]
+        else:
+            flat(out[k + 1])[tg] = flat(fc[k])
     return out
 
 
@@ -316,8 +298,8 @@ def haar_multiplier_op(A: MatrixSequence):
                     "haar-multiplier")
 
 
-def shift_op(sigma: ShiftMap, n=2):
-    return Operator(sigma.grid, n,
+def shift_op(sigma: ShiftMap):
+    return Operator(sigma.grid, 2,
                     lambda v: _shift_values(sigma, v),
                     lambda v: _shift_values(sigma, v, adjoint=True),
                     "haar-shift")

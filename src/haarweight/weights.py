@@ -652,7 +652,7 @@ def _double_average_levels(P, N, grid, p):
             for k in range(L + 1)]
 
 
-def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport:
+def ap_characteristic(W: MatrixWeight, p, grid: Grid) -> ApReport:
     """Both forms of the A_p characteristic over all grid cubes.
 
     value_reducing  = sup_I ||V_I V_I'||^p  (primary; all bounds use this one);
@@ -669,8 +669,7 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid, reducing=None) -> ApReport
     d, n = grid.d, W.n
     if d > 2:
         raise ShapeError("A_p double integral implemented for d <= 2")
-    if reducing is None:
-        reducing = reducing_pyramid(W, grid, p)
+    reducing = reducing_pyramid(W, grid, p)
     per_level = [linalg.opnorm(V @ Vp) ** p
                  for V, Vp in zip(reducing["V"], reducing["V_prime"])]
     best_val, best_cube = sup_over_cubes(per_level)

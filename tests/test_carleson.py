@@ -13,7 +13,7 @@ from haarweight.operators import (
     MatrixSequence, MatrixSymbol, big_pi_op, weighted_operator_norm,
 )
 from haarweight import weights as weights_module
-from haarweight.weights import MatrixWeight, ap_characteristic, power_of, reducing_pyramid
+from haarweight.weights import MatrixWeight, ap_from_reducing, power_of, reducing_pyramid
 
 # np.linalg.eigh calls that test_2x2_runs_avoid_eigh's run made before the
 # 2x2 closed forms
@@ -113,7 +113,7 @@ class TestConditionC:
             W = MatrixWeight.random_spd(500 + t, cond=36.0)
             A = MatrixSequence.random(g, rng=rng)
             red = reducing_pyramid(W, g, p)
-            ap = ap_characteristic(W, p, g, reducing=red).value_reducing
+            ap = ap_from_reducing(red, p)
             b = carleson_b_sup(A, W, p, reducing=red).value
             c = carleson_c_constant(A, W, p, reducing=red).value
             assert c <= n * b * (1 + 1e-9)
@@ -158,7 +158,7 @@ class TestBMO:
         rng = np.random.default_rng(11)
         g = Grid(1, 5)
         W = MatrixWeight.diagonal_power([0.5, -0.5])
-        ap = ap_characteristic(W, 2.0, g).value_reducing
+        ap = ap_from_reducing(reducing_pyramid(W, g, 2.0), 2.0)
         B = MatrixSymbol.from_values(g, rng.standard_normal((32, 2, 2)))
         from fractions import Fraction
         for (lo, hi) in [(0, 1), (Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 8), Fraction(7, 8))]:
@@ -189,7 +189,7 @@ class TestBMO:
         rng = np.random.default_rng(12)
         g = Grid(1, 6)
         W = MatrixWeight.diagonal_power([0.4, -0.4])
-        ap = ap_characteristic(W, 2.0, g).value_reducing
+        ap = ap_from_reducing(reducing_pyramid(W, g, 2.0), 2.0)
         B = MatrixSymbol.from_values(g, rng.standard_normal((64, 2, 2)))
         n, d = 2, 1
         C_dim = n * 2 ** d

@@ -201,6 +201,8 @@ class TestCLI:
         ("bmo", {"variant": "dyadic"}),
         ("sparse", {"density": 0.9}),
         ("opnorm", {"operator": {"op": "shift", "sigma": {"kind": "random", "seed": "x"}}}),
+        ("opnorm", {"operator": {"op": "shift", "sigma": {"kind": "right-child"}}}),
+        ("opnorm", {"operator": {"op": "shift", "sigma": "random"}}),
         ("opnorm", {"operator": {"op": "paraproduct",
                                  "symbol": {"kind": "random", "scale": "x"}}}),
         ("sweep", {"L": "x"}),
@@ -228,8 +230,8 @@ class TestCLI:
         ("sweep", {"L": 10 ** 330}),
     ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
             "stopping-p<1", "sparse-p=1", "bmo-variant", "bmo-dyadic", "sparse-density",
-            "shift-seed", "symbol-scale", "sweep-L", "sweep-alpha=1", "sweep-one-alpha",
-            "l_range-length",
+            "shift-seed", "shift-kind", "shift-string", "symbol-scale", "sweep-L",
+            "sweep-alpha=1", "sweep-one-alpha", "l_range-length",
             "paraproduct-L<n_range", "paraproduct-one-depth", "equivalence-instances",
             "lambda1<1", "weight-n=0", "weight-no-alphas", "weight-seed<0",
             "weight-seed-1.5", "rotated-3-alphas", "weight-n=2.5", "weight-n-true",
@@ -244,6 +246,38 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, n", [("opnorm", 3), ("carleson", 1), ("bmo", 3),
+                                            ("bmo", 1), ("sparse", 3)])
+    def test_weight_not_2x2_refused(self, tmp_path, capsys, command, n):
+        # every symbol, sequence and operator these commands build is 2 x 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 4}, "operator": {"op": "shift"},
+                                    "weight": {"kind": "random-spd", "seed": 1, "n": n}}))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"got n = {n}" in err
+        assert "Traceback" not in err
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_unweighted_bmo_reads_no_weight(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 4}, "variant": "unweighted",
+                                    "weight": {"kind": "random-spd", "seed": 1, "n": 3}}))
+        assert self.run("bmo", "--config", str(path), "--out", str(tmp_path)) == 0
+
+    def test_shift_spec_forms(self, tmp_path):
+        # a bare "left-child", its object form and an absent sigma are one shift
+        outs = []
+        for sigma in ["left-child", {"kind": "left-child"}, None, {"kind": "random", "seed": 3}]:
+            op = {"op": "commutator"} if sigma is None else {"op": "commutator", "sigma": sigma}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"grid": {"d": 1, "L": 5}, "operator": op,
+                                        "weight": {"kind": "diagonal-power",
+                                                   "alphas": [0.3, -0.3]}}))
+            assert self.run("opnorm", "--config", str(path), "--out", str(tmp_path)) == 0
+            outs.append((tmp_path / "opnorm.json").read_text())
+        assert outs[0] == outs[1] == outs[2] != outs[3]
 
     @pytest.mark.parametrize("command", ["opnorm", "bmo"])
     def test_log_symbols_refused_off_d1(self, tmp_path, capsys, command):

@@ -106,7 +106,7 @@ def test_leaf_pair_norms_match_formed_products(kind, d, L, p, monkeypatch):
     monkeypatch.setattr(weights, "REDUCING_NET", 16)
     monkeypatch.setattr(weights, "REDUCING_ETA_TARGET", 1.0)
     red = reducing_pyramid(W, g, p)
-    rep = ap_characteristic(W, p, g, reducing=red)
+    rep = ap_characteristic(W, p, g)
     for got_k, V, Vp in zip(rep.per_level, red["V"], red["V_prime"]):
         np.testing.assert_allclose(got_k, svd_norm(V @ Vp) ** p, rtol=PAIR_RTOL, atol=0)
     assert rep.value_integral == max(float(a.max()) for a in diags)

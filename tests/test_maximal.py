@@ -14,7 +14,7 @@ from haarweight.maximal import (
 )
 from haarweight import linalg
 from haarweight.operators import weighted_operator_norm
-from haarweight.weights import MatrixWeight, ap_characteristic
+from haarweight.weights import MatrixWeight, ap_from_reducing, reducing_pyramid
 
 
 def leaf_weight(values):
@@ -227,7 +227,7 @@ class TestNQ:
         for L in (6, 8, 10):
             g = Grid(1, L)
             W = MatrixWeight.scalar_power(0.5)
-            ap = ap_characteristic(W, 2.0, g).value_reducing
+            ap = ap_from_reducing(reducing_pyramid(W, g, 2.0), 2.0)
             _, avg = local_nq(W, g.root(), g)
             assert avg <= 4.0 * ap    # fitted cap, recorded across depths
 
@@ -370,7 +370,7 @@ class TestSparse:
         for t in range(8):
             W = MatrixWeight.diagonal_power([rng.uniform(0.1, 0.9) * (-1) ** t / 1.0,
                                              -rng.uniform(0.1, 0.9)])
-            ap = ap_characteristic(W, 2.0, g).value_reducing
+            ap = ap_from_reducing(reducing_pyramid(W, g, 2.0), 2.0)
             fam = sparse_generate(g, seed=t, density=0.5)
             f = StepFunction(g, rng.standard_normal((64, 2)))
             h = StepFunction(g, rng.standard_normal((64, 2)))
@@ -400,7 +400,7 @@ class TestSparse:
         g = Grid(1, 8)
         for alpha in (0.3, 0.6, 0.9):
             W = MatrixWeight.diagonal_power([alpha, -alpha])
-            ap = ap_characteristic(W, 2.0, g).value_reducing
+            ap = ap_from_reducing(reducing_pyramid(W, g, 2.0), 2.0)
             fam = sparse_generate(g, seed=1, density=0.5)
             rep = weighted_operator_norm(sparse_op(fam), W, 2.0)
             assert rep.value <= 4.0 * ap ** 1.5

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from haarweight.dyadic import Grid, StepFunction, haar_analyze
-from haarweight.errors import ShapeError, ShiftMapError
+from haarweight.errors import ShapeError
 from haarweight.operators import (
     MatrixSequence, MatrixSymbol, NormReport, Operator, ShiftMap,
     adjoint_paraproduct_op, big_pi_op, commutator_case_sum, commutator_op,
@@ -177,38 +177,26 @@ class TestShift:
 
     @staticmethod
     def shift_levels_oracle(sigma, fc, adjoint=False):
-        """Q_sigma on coefficient levels with targets from a meshgrid and the
-        forward scatter by np.add.at."""
+        """Q_sigma on coefficient levels, cube by cube from sigma.targets: the
+        forward scatter accumulates by np.add.at, the adjoint reads each
+        cube's target."""
         d = sigma.grid.d
         flat = lambda a: a.reshape((-1,) + a.shape[d:])
         out = [np.zeros_like(c) for c in fc]
-        for k in range(len(fc) - 1):
-            side = 1 << k
-            grids = np.meshgrid(*[np.arange(side)] * d, indexing="ij")
-            tgt = np.zeros((side,) * d, dtype=int)
-            for ax in range(d):
-                tgt = tgt * (2 * side) + 2 * grids[ax] + sigma.corners[k][..., ax]
-            tgt = tgt.reshape(-1)
+        for k, tg in enumerate(sigma.targets):
             if adjoint:
-                src = np.moveaxis(flat(fc[k + 1])[tgt].reshape(fc[k].shape), d, 0)
-                dst = np.moveaxis(out[k], d, 0)
-                for s, t in enumerate(sigma.sig_map):
-                    dst[s] += src[t]
-                continue
-            relabeled = np.zeros_like(fc[k])
-            src, dst = np.moveaxis(fc[k], d, 0), np.moveaxis(relabeled, d, 0)
-            for s, t in enumerate(sigma.sig_map):
-                dst[t] += src[s]
-            np.add.at(flat(out[k + 1]), tgt, flat(relabeled))
+                for i, t in enumerate(tg):
+                    flat(out[k])[i] = flat(fc[k + 1])[t]
+            else:
+                np.add.at(flat(out[k + 1]), tg, flat(fc[k]))
         return out
 
-    @pytest.mark.parametrize("d,L,sig_map", [(1, 6, None), (2, 4, None), (2, 4, [2, 0, 1]),
-                                             (2, 4, [1, 1, 0])])
-    def test_scatter_and_gather_match_add_at_oracle(self, d, L, sig_map):
+    @pytest.mark.parametrize("d,L", [(1, 6), (2, 4)])
+    def test_scatter_and_gather_match_add_at_oracle(self, d, L):
         from haarweight.operators import _shift_levels
         rng = np.random.default_rng(45)
         g = Grid(d, L)
-        sigma = ShiftMap.random_child(g, seed=46, sig_map=sig_map)
+        sigma = ShiftMap.random_child(g, seed=46)
         nsig = (1 << d) - 1
         fc = [rng.standard_normal((1 << k,) * d + (nsig, 2, 3)) for k in range(L)]
         gc = [rng.standard_normal(c.shape) for c in fc]
@@ -222,15 +210,23 @@ class TestShift:
         rhs = sum(float((a * b).sum()) for a, b in zip(fc, qtg))
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
-    def test_invalid_corner_shape(self):
-        g = Grid(1, 2)
-        with pytest.raises(ShiftMapError):
-            ShiftMap(g, [np.zeros((1, 1), dtype=int), np.zeros((2, 1), dtype=int), np.zeros((4, 1), dtype=int)])
-
-    def test_signature_map_validation(self):
-        g = Grid(2, 2)
-        with pytest.raises(ShiftMapError):
-            ShiftMap.left_child(g, sig_map=[0, 1, 3])
+    @pytest.mark.parametrize("d,L", [(1, 6), (2, 4), (3, 3)])
+    def test_targets_are_distinct_children(self, d, L):
+        g = Grid(d, L)
+        left, rand = ShiftMap.left_child(g), ShiftMap.random_child(g, seed=47)
+        for sigma in (left, rand):
+            assert len(sigma.targets) == L - 1
+            for k, tg in enumerate(sigma.targets):
+                source = np.unravel_index(np.arange(1 << (k * d)), (1 << k,) * d)
+                target = np.unravel_index(tg, (2 << k,) * d)
+                # sigma(I) is a child of I: each coordinate halves to I's
+                assert all(np.array_equal(t // 2, c) for t, c in zip(target, source))
+                assert len(np.unique(tg)) == len(tg)
+                if sigma is left:
+                    assert all((t % 2 == 0).all() for t in target)
+        # the random shift picks more than one child position
+        bits = np.stack(np.unravel_index(rand.targets[-1], (1 << (L - 1),) * d), -1) % 2
+        assert len(np.unique(bits, axis=0)) > 1
 
 
 class TestCommutator:
@@ -522,7 +518,7 @@ class TestAdjointKernels:
         g = Grid(1, 4)
         B = random_symbol(g, rng)
         A = MatrixSequence.random(g, rng=33)
-        sigma = ShiftMap.random_child(g, seed=44, sig_map=[0])
+        sigma = ShiftMap.random_child(g, seed=44)
         ops = [paraproduct_op(B), adjoint_paraproduct_op(B), haar_multiplier_op(A),
                shift_op(sigma), commutator_op(B, sigma),
                big_pi_op(A, MatrixWeight.random_spd(23, cond=9.0), 2.0)]
@@ -531,14 +527,14 @@ class TestAdjointKernels:
             MT = dense_matrix(Operator(op.grid, op.n, op.kernel_T))
             np.testing.assert_allclose(MT, M.T, atol=1e-12, err_msg=op.name)
 
-    def test_adjoints_d2_with_noninjective_sig(self):
+    def test_adjoints_d2_random_child(self):
         rng = np.random.default_rng(23)
-        g = Grid(2, 2)
-        sigma = ShiftMap.random_child(g, seed=5, sig_map=[2, 2, 0])
-        op = shift_op(sigma)
-        M = dense_matrix(op)
-        MT = dense_matrix(Operator(op.grid, op.n, op.kernel_T))
-        np.testing.assert_allclose(MT, M.T, atol=1e-12)
+        g = Grid(2, 3)
+        sigma = ShiftMap.random_child(g, seed=5)
+        for op in (shift_op(sigma), commutator_op(random_symbol(g, rng), sigma)):
+            M = dense_matrix(op)
+            MT = dense_matrix(Operator(op.grid, op.n, op.kernel_T))
+            np.testing.assert_allclose(MT, M.T, atol=1e-12, err_msg=op.name)
 
 
 class TestSymbolInvariants:

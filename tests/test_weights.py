@@ -16,8 +16,8 @@ from haarweight import weights as weights_module
 from haarweight.dyadic import Grid
 from haarweight.errors import IntegrabilityError, ShapeError
 from haarweight.weights import (
-    MatrixWeight, ap_characteristic, gauge_pyramid, lowner_batched, lp_norm, power_of,
-    reducing_pyramid, sphere_net,
+    MatrixWeight, ap_characteristic, ap_from_reducing, gauge_pyramid, lowner_batched, lp_norm,
+    power_of, reducing_pyramid, sphere_net,
 )
 
 
@@ -246,7 +246,7 @@ class TestReducingOperators:
         for p in (1.5, 2.0, 3.0):
             for W in sample_weights(seed=3, n_random=2):
                 red = reducing_pyramid(W, g, p)
-                ap = ap_characteristic(W, p, g, reducing=red).value_reducing
+                ap = ap_from_reducing(red, p)
                 dirs = red["net"]
                 for k in range(1, g.L + 1):
                     V_child = red["V"][k]
@@ -428,7 +428,7 @@ class TestRedOpAverageLemma:
         dirs = sphere_net(2, 64)
         for W in sample_weights(seed=17, n_random=2):
             red = reducing_pyramid(W, g, p)
-            ap = ap_characteristic(W, p, g, reducing=red).value_reducing
+            ap = ap_from_reducing(red, p)
             factor = ap ** (2.0 / p)
             avg = W.average_pyramid(g, -1.0 / p)
             eta = 2e-3 if p != 2.0 else 1e-9
@@ -444,7 +444,7 @@ class TestRedOpAverageLemma:
         for p in (2.0, 3.0):
             for W in sample_weights(seed=29, n_random=1):
                 red = reducing_pyramid(W, g, p)
-                ap = ap_characteristic(W, p, g, reducing=red).value_reducing
+                ap = ap_from_reducing(red, p)
                 avg = W.average_pyramid(g, -1.0 / p)
                 for k in range(g.L + 1):
                     lhs = np.linalg.det(red["V_prime"][k])
