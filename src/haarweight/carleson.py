@@ -10,7 +10,6 @@ both computed exactly on the finite tree by subtree reductions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -183,15 +182,6 @@ class StoppingTree:
     lambda2: float
     generations: list                                   # generations[j]: list of Cube
     generation_measures: list = field(default_factory=list)
-
-    def to_ndjson(self, path):
-        with open(path, "w") as fh:
-            for j, gen in enumerate(self.generations):
-                fh.write(json.dumps({
-                    "generation": j,
-                    "cubes": [c.record() for c in gen],
-                    "measure": self.generation_measures[j],
-                }) + "\n")
 
 
 STOPPING_SLACK = 0.05   # absorbs the ellipsoid certification tolerance

@@ -18,25 +18,31 @@ import sys
 import numpy as np
 
 from . import experiments, weights
-from .experiments import _read_int, _read_number, _write_json, refuse_beyond_memory
+from .experiments import (
+    _grid_bytes, _lanczos_bytes, _read_int, _read_number, _write_csv, _write_json,
+    refuse_beyond_memory,
+)
 from .carleson import bmo_norm, carleson_b_sup, carleson_c_constant, stopping_time_tree
 from .dyadic import Grid
 from .errors import ConfigError, HaarweightError, SparsenessError
 from .maximal import sparse_generate, sparse_op
 from .operators import (
-    MatrixSequence, MatrixSymbol, ShiftMap, adjoint_paraproduct_op, big_pi_op,
-    commutator_op, haar_multiplier_op, paraproduct_op, shift_op,
+    DENSE_DIM_CAP, MatrixSequence, MatrixSymbol, ShiftMap, adjoint_paraproduct_op,
+    big_pi_op, commutator_op, haar_multiplier_op, paraproduct_op, shift_op,
     weighted_operator_norm,
 )
 from .weights import MatrixWeight, ap_characteristic, reducing_pyramid
 
 
 def build_grid(cfg):
-    """The standard grid of the spec {"d": ..., "L": ...} (default d=1, L=8)."""
+    """The standard grid of the spec {"d": ..., "L": ...} (default d=1, L=8),
+    refused when its leaves alone need more than the physical memory."""
     spec = cfg.get("grid", {"d": 1, "L": 8})
     if not isinstance(spec, dict) or set(spec) - {"d", "L"}:
         raise ConfigError(f"a grid spec is an object with the fields 'd' and 'L', got {spec!r}")
-    return Grid(_read_int(spec, "d", None, lo=1), _read_int(spec, "L", None, lo=1))
+    d, L = _read_int(spec, "d", None, lo=1), _read_int(spec, "L", None, lo=1)
+    refuse_beyond_memory(_grid_bytes(d, L), f"a grid at d = {d}, L = {L}", "its leaf arrays")
+    return Grid(d, L)
 
 
 def _read_finite(cfg, key):
@@ -165,8 +171,8 @@ def build_operator(spec, grid, weight, p):
 
 def _apchar_bytes(grid, n):
     """Bytes that ``ap_characteristic`` holds at once for an n x n weight on
-    ``grid``, at the first net of ``reducing_pyramid`` (each doubling of the
-    net doubles the pyramid's share).
+    ``grid``, on the one net of ``weights.REDUCING_NET`` directions that
+    ``reducing_pyramid`` takes.
 
     The double average streams over x-row blocks: for 2x2 weights about three
     ``weights.AP_BLOCK_BYTES`` tables of ``linalg.pair_opnorms`` sums are
@@ -197,13 +203,18 @@ def cmd_apchar(cfg, out_dir):
     rep = ap_characteristic(W, p, grid)
     payload = rep.record()
     _write_json(os.path.join(out_dir, "apchar.json"), payload)
-    rep.to_csv(os.path.join(out_dir, "apchar.csv"))
+    _write_csv(os.path.join(out_dir, "apchar.csv"), ["level", "offset", "norm_VVprime_pow_p"],
+               ([k, off, float(v)] for k, arr in enumerate(rep.per_level)
+                for off, v in enumerate(arr.reshape(-1))))
     return {"passed": True, **payload}
 
 
 def cmd_opnorm(cfg, out_dir):
     grid, W = build_grid(cfg), build_2x2_weight(cfg, "opnorm")
     p = read_p(cfg)
+    if p == 2.0 and 2 * grid.n_leaves > DENSE_DIM_CAP:
+        refuse_beyond_memory(_lanczos_bytes(grid.d * grid.L),
+                             f"opnorm at p = 2, d = {grid.d}, L = {grid.L}", "its Lanczos bases")
     op = build_operator(cfg.get("operator", {}), grid, W, p)
     rep = weighted_operator_norm(op, W, p, seed=_read_int(cfg, "seed", 0))
     payload = {**rep.record(), "operator": op.name}
@@ -250,7 +261,10 @@ def cmd_stopping(cfg, out_dir):
     decay_ok = all(m <= 2.0 ** (-j) * (1 + 1e-12)
                    for j, m in enumerate(tree.generation_measures))
     os.makedirs(out_dir, exist_ok=True)
-    tree.to_ndjson(os.path.join(out_dir, "stopping.ndjson"))
+    with open(os.path.join(out_dir, "stopping.ndjson"), "w") as fh:
+        for j, (gen, meas) in enumerate(zip(tree.generations, tree.generation_measures)):
+            fh.write(json.dumps({"generation": j, "cubes": [c.record() for c in gen],
+                                 "measure": meas}) + "\n")
     payload = {"passed": bool(decay_ok),
                "lambda1": tree.lambda1, "lambda2": tree.lambda2,
                "generation_measures": tree.generation_measures}

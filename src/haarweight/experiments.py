@@ -90,10 +90,28 @@ def refuse_beyond_memory(need, who, what):
 
 
 def _lanczos_bytes(L):
-    """Bytes of the two Golub-Kahan-Lanczos bases of a matrix-free norm at depth
-    L (d = 1, n = 2), (steps + 1) x 2^L x n floats each; past 2^62 leaves
-    nothing fits, so larger L count as 62."""
+    """Bytes of the two Golub-Kahan-Lanczos bases of a matrix-free norm on 2^L
+    leaves (depth L at d = 1, or dL = L in d dimensions; n = 2),
+    (steps + 1) x 2^L x n floats each; past 2^62 leaves nothing fits, so
+    larger L count as 62."""
     return 2 * (linalg.LANCZOS_MAX_STEPS + 1) * (1 << min(L, 62)) * 2 * 8
+
+
+# bytes per leaf that every run on a grid holds at least: the smallest growth
+# of peak RSS per leaf between two depths over the commands that read a grid,
+# rounded down.  Measured at d = 1 (B per leaf, depths): sparse without a
+# weight 12.9 (L = 16, 20) and 13.9 (20, 24); opnorm shift 251 at p = 3 and
+# 382 at p = 2, counterexample paraproduct 271, stopping 438 at p = 2 and
+# 4359 at p = 3 (rotated weight), carleson 553, bmo 617 primal and 645 dual,
+# equivalence (1 instance) 2278; each at L = 16, 20, or at 12, 16 for opnorm,
+# stopping at p = 3 and equivalence
+LEAF_BYTES = 12
+
+
+def _grid_bytes(d, L):
+    """LEAF_BYTES per leaf of the depth-L grid in d dimensions; past 2^62
+    leaves nothing fits, so larger dL count as 62."""
+    return LEAF_BYTES << min(d * L, 62)
 
 
 def _write_csv(path, header, rows, schema=None):
@@ -143,6 +161,13 @@ def run_counterexample(kind, cfg, out_dir=None):
 
 def _counterexample_haar_multiplier(alpha, cfg, out_dir):
     n_max = _read_int(cfg, "depth", 20, lo=1)
+    # the closed form is exact while h = 2^-N is a normal float and u2 is
+    # finite; past that h rounds or u2 overflows, and the ratio check fails
+    # falsely.  Both hold up to a largest N, so the deepest level decides
+    if n_max > 1 - sys.float_info.min_exp or not np.isfinite(2.0 ** (alpha * n_max) / (1 - alpha)):
+        raise ConfigError(f"counterexample haar-multiplier at depth {n_max} leaves the float "
+                          f"range: 2^-depth must be a normal float and 2^(alpha depth) / "
+                          f"(1 - alpha) finite, alpha = {alpha:g}")
     rows = []
     values = []
     for N in range(n_max + 1):
@@ -188,6 +213,8 @@ def _counterexample_paraproduct(alpha, cfg, out_dir):
         raise ConfigError("config field 'n_range' needs two depths for a rate fit")
     # J_N = [2^{-N-1}, 2^{-N}) must hold at least one leaf
     L = _read_int(cfg, "L", n_hi + 2, lo=n_hi + 1)
+    refuse_beyond_memory(_grid_bytes(1, L), f"counterexample paraproduct at L = {L}",
+                         "its leaf arrays")
     g = Grid(1, L)
     W = MatrixWeight.diagonal_power([alpha, -alpha])
     B = log_swap_symbol(g)
@@ -472,6 +499,9 @@ def run_equivalence(cfg, out_dir=None):
     n_inst = _read_int(cfg, "instances", 200)
     L = _read_int(cfg, "L", 5, lo=1)
     seed = _read_int(cfg, "seed", 0)
+    refuse_beyond_memory(_grid_bytes(1, L), f"equivalence at L = {L}", "its leaf arrays")
+    if 2 << min(L, 62) > DENSE_DIM_CAP:
+        refuse_beyond_memory(_lanczos_bytes(L), f"equivalence at L = {L}", "its Lanczos bases")
     g = Grid(1, L)
     rng = np.random.default_rng(seed)
     n = 2

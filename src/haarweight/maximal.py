@@ -57,17 +57,6 @@ def maximal_mw_prime(W: MatrixWeight, f):
     return np.maximum.reduce(_prime_levels(W, f))
 
 
-def half_power_maximal(W: MatrixWeight, f):
-    """sup_I (1/|I|) int_I |(m_I(W^{-1/2}))^{-1/2} W^{-1/2}(y) f(y)| dy with the
-    integrand's leaf value m_leaf(W^{-1/2}) f_leaf; the variant the sparse
-    domination chain runs through."""
-    grid = f.grid
-    outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -0.5)]
-    t_leaf = _mv(W.leaf_averages(grid, -0.5), f.values)
-    levels = _chain_averages(outer, t_leaf, grid)
-    return np.maximum.reduce(levels)
-
-
 def _mw_ancestor_averages(W: MatrixWeight, f):
     """(L+1, N) array: row k holds, for each leaf x, the average over the
     level-k ancestor of x of P[x, y] = |W^{1/2}(x) W^{-1/2}(y) f(y)| (d = 1)."""
@@ -274,9 +263,11 @@ def sparse_proof_chain(W: MatrixWeight, G: SparseFamily, f, g, ap_value):
       q2 = A2^{1/2} sum_I |I| alpha_I beta_I            (q1 <= q2)
       q3 = 2 A2^{1/2} sum_I |E_I| alpha_I beta_I        (q2 <= q3, constant 2)
       q4 = 2 A2^{1/2} int M~'_W f  M~'_{W^{-1}} g       (q3 <= q4, exact)
-    with alpha, beta the half-power averaged quantities and M~' their chain
-    suprema (M~'_{W^{-1}} g is ``half_power_maximal(power_of(W, -1), g)``,
-    bit for bit).  Each inequality holds termwise for the computed numbers.
+    with alpha_I = (1/|I|) int_I |(m_I W^{-1/2})^{-1/2} W^{-1/2} f|, beta_I
+    the same for W^{-1} and g, the integrands' leaf values taken as
+    m_leaf(W^{-+1/2}) f_leaf, and M~'_W f, M~'_{W^{-1}} g their chain suprema
+    over the cubes that contain each leaf.  Each inequality holds termwise
+    for the computed numbers.
     """
     grid = f.grid
     d, L = grid.d, grid.L

@@ -249,16 +249,6 @@ class ApReport:
             "supremizing_cube_integral": self.cube_integral.record(),
         }
 
-    def to_csv(self, path):
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["level", "offset", "norm_VVprime_pow_p"])
-            for k, arr in enumerate(self.per_level):
-                flat = arr.reshape(-1)
-                for off, v in enumerate(flat):
-                    w.writerow([k, off, repr(float(v))])
-
 
 def sphere_net(n, m):
     """m unit directions; for n=2 equally spaced on the half-circle (the gauges
@@ -531,11 +521,8 @@ def _reducing_from_gauge(rho, dirs, n):
     return V, np.maximum(eta, 0.0), gap
 
 
-# reducing_pyramid's direction net for p != 2: REDUCING_NET directions,
-# doubled until the worst sandwich certificate eta is at most
-# REDUCING_ETA_TARGET or the net has 8 times REDUCING_NET directions
+# the number of directions of reducing_pyramid's net for p != 2
 REDUCING_NET = 64
-REDUCING_ETA_TARGET = 1e-3
 
 
 def reducing_pyramid(W: MatrixWeight, grid: Grid, p):
@@ -552,8 +539,16 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p):
     V = m_leaf(W^{2/p})^{1/2} and V' = m_leaf(W^{-2/p})^{1/2} give
     rho(e) = |V e| for every vector e, and their eta and gap are 0.  Each
     side's interior cubes, levels 0, ..., L-1, are one ``lowner_batched``
-    call: exact for n=2, with gaps of order 1e-10; for other n,
-    ``LOWNER_MAX_ITER`` and ``LOWNER_TOL`` bound the multiplicative update.
+    call on one net of ``REDUCING_NET`` directions: exact for n=2, with gaps
+    of order 1e-10; for other n, ``LOWNER_MAX_ITER`` and ``LOWNER_TOL`` bound
+    the multiplicative update, and its gap, not the net, sets eta.
+
+    For n=2, eta is 0 on every net up to ``LOWNER_OUTSIDE``.  The gauge ball
+    is convex, so the net points q_m = e_m / rho(e_m) lie on the boundary of
+    their hull conv{+-q_m}; by John's theorem its Lowner ellipse
+    E = {|U x| <= 1} has E / sqrt(n) inside the hull, so
+    1 / sqrt(n) <= |U q_m| <= 1 and eta = max / (sqrt(n) min) - 1 <= 0.
+
     So the finest level is exact for every vector, while an interior cube's
     sandwich rho(e) <= |V e| <= sqrt(n)(1 + eta) rho(e) is certified on the
     net directions only; no bound between them is derived yet, and on
@@ -561,34 +556,25 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p):
     of rotated_power([-0.45, 0.4], 2.0), L = 10, p = 1.5, default net).
     """
     n = W.n
+    dirs = sphere_net(n, REDUCING_NET)
     if p == 2.0:
         V = [linalg.sqrtm_spd(a) for a in W.average_pyramid(grid, 1.0)]
         Vp = [linalg.sqrtm_spd(a) for a in W.average_pyramid(grid, -1.0)]
         zeros = [np.zeros(a.shape[:-2]) for a in V]
         return {"V": V, "V_prime": Vp, "eta": zeros, "eta_prime": zeros,
-                "gap": zeros, "gap_prime": zeros, "net": sphere_net(n, REDUCING_NET), "p": p}
+                "gap": zeros, "gap_prime": zeros, "net": dirs, "p": p}
     sqrtm = linalg._sqrtm_2x2 if n == 2 else linalg.sqrtm_spd
     zero = np.zeros(grid.leaf_shape)
-    leaf = {"V": sqrtm(W.leaf_averages(grid, 2.0 / p)),
-            "V_prime": sqrtm(W.leaf_averages(grid, -2.0 / p)),
-            "eta": zero, "eta_prime": zero, "gap": zero, "gap_prime": zero}
-    m = REDUCING_NET
-    while True:
-        dirs = sphere_net(n, m)
-        out = {}
-        for dual, keys in ((False, ("V", "eta", "gap")),
-                           (True, ("V_prime", "eta_prime", "gap_prime"))):
-            rho = gauge_pyramid(W, grid, p, dirs, dual=dual)
-            flat = np.concatenate([a.reshape(-1, m) for a in rho])
-            cuts = np.cumsum([a.size // m for a in rho])[:-1]
-            for key, val in zip(keys, _reducing_from_gauge(flat, dirs, n)):
-                out[key] = [v.reshape(a.shape[:-1] + val.shape[1:])
-                            for v, a in zip(np.split(val, cuts), rho)]
-                out[key].append(leaf[key])
-        worst = max(e.max() for e in out["eta"] + out["eta_prime"])
-        if worst <= REDUCING_ETA_TARGET or m >= 8 * REDUCING_NET:
-            return {**out, "net": dirs, "p": p}
-        m *= 2
+    out = {}
+    for dual, keys in ((False, ("V", "eta", "gap")), (True, ("V_prime", "eta_prime", "gap_prime"))):
+        rho = gauge_pyramid(W, grid, p, dirs, dual=dual)
+        flat = np.concatenate([a.reshape(-1, REDUCING_NET) for a in rho])
+        cuts = np.cumsum([a.size // REDUCING_NET for a in rho])[:-1]
+        leaf = (sqrtm(W.leaf_averages(grid, (-2.0 if dual else 2.0) / p)), zero, zero)
+        for key, val, last in zip(keys, _reducing_from_gauge(flat, dirs, n), leaf):
+            out[key] = [v.reshape(a.shape[:-1] + val.shape[1:])
+                        for v, a in zip(np.split(val, cuts), rho)] + [last]
+    return {**out, "net": dirs, "p": p}
 
 
 # ---------------------------------------------------------------------------

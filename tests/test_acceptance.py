@@ -151,10 +151,9 @@ def test_criterion_4_stopping_time_decay(monkeypatch):
     for i in range(20):
         a1, a2 = rng.uniform(0.1, 0.45, size=2) * rng.choice([-1, 1], size=2)
         weights.append((f"rotated{i}", MatrixWeight.rotated_power([a1, a2], rng.uniform(0, np.pi)), max(abs(a1), abs(a2))))
-    # a coarse net and a loose sandwich target: the decay proof needs only
-    # the certified eta, not a small one
+    # a coarse net: the decay proof needs only the certified eta, not a
+    # small one
     monkeypatch.setattr(weights_module, "REDUCING_NET", 32)
-    monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", 0.08)
     for p in (1.5, 2.0, 3.0):
         pprime = p / (p - 1.0)
         for name, W, amax in weights:
@@ -186,7 +185,6 @@ def test_criterion_5_reducing_operator_calculus(monkeypatch):
     worst_eta = 0.0
     redop_ok = True
     monkeypatch.setattr(weights_module, "REDUCING_NET", 128)
-    monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", SANDWICH_ETA)
     for p in (1.5, 2.0, 3.0):
         for W in weights:
             red = reducing_pyramid(W, g, p)

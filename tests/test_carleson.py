@@ -292,7 +292,6 @@ class TestStoppingTree:
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
         monkeypatch.setattr(weights_module, "REDUCING_NET", 32)
-        monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", 0.08)
         g = Grid(1, 6)
         weights = [MatrixWeight.diagonal_power([0.3, -0.3]),
                    MatrixWeight.rotated_power([0.35, -0.2], 0.9),

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from haarweight import cli
 from haarweight import experiments as ex
 from haarweight import operators
 from haarweight.cli import main as cli_main
@@ -404,6 +405,25 @@ class TestCLI:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("counterexample_*"))
 
+    @pytest.mark.parametrize("alpha, depth", [
+        (0.3, 1075), (0.99, 1074), (0.99, 1030), (0.999999, 1022),
+    ], ids=["h-zero", "h-underflow", "h-subnormal", "u2-overflow"])
+    def test_haar_multiplier_past_the_float_range_refused(self, tmp_path, capsys, alpha, depth):
+        # past a normal 2^-depth or a finite 2^(alpha depth) / (1 - alpha) the
+        # closed form raises or its ratio check fails falsely: refused instead
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "haar-multiplier", "alpha": alpha, "depth": depth}))
+        assert self.run("counterexample", "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("counterexample_*"))
+
+    def test_haar_multiplier_deepest_normal_depth_runs(self, tmp_path):
+        # 2^-1022 is the smallest normal float, and u2 is still finite
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "haar-multiplier", "alpha": 0.99, "depth": 1022}))
+        assert self.run("counterexample", "--config", str(path), "--out", str(tmp_path)) == 0
+
     @pytest.mark.parametrize("command, cfg", [
         ("maximal", {"L": 40}),
         ("sweep", {"kind": "all", "L": 40}),
@@ -426,6 +446,36 @@ class TestCLI:
         assert err.startswith("config error: ") and "GiB" in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("sweep_*"))
+
+    @pytest.mark.parametrize("command, cfg, module, work", [
+        ("opnorm", {"grid": {"d": 1, "L": 40}, "operator": {"op": "shift"}}, cli, "Grid"),
+        ("opnorm", {"grid": {"d": 1, "L": 30}, "p": 3, "operator": {"op": "shift"}}, cli, "Grid"),
+        ("opnorm", {"grid": {"d": 1, "L": 20}, "operator": {"op": "shift"}},
+         cli, "build_operator"),
+        ("bmo", {"grid": {"d": 1, "L": 40}}, cli, "Grid"),
+        ("stopping", {"grid": {"d": 1, "L": 40}}, cli, "Grid"),
+        ("sparse", {"grid": {"d": 1, "L": 40}}, cli, "Grid"),
+        ("carleson", {"grid": {"d": 1, "L": 40}}, cli, "Grid"),
+        ("equivalence", {"L": 40, "instances": 1}, ex, "Grid"),
+        ("counterexample", {"kind": "paraproduct", "alpha": 0.3, "n_range": [4, 40]}, ex, "Grid"),
+    ], ids=["opnorm-L40", "opnorm-p3-L30", "opnorm-lanczos-L20", "bmo", "stopping", "sparse",
+            "carleson", "equivalence", "paraproduct"])
+    def test_oversized_grid_refused(self, tmp_path, capsys, monkeypatch, command, cfg, module,
+                                    work):
+        # with 8 GiB of memory each of these needs more for its leaf arrays
+        # (LEAF_BYTES per leaf) or for its Lanczos bases: refused before any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("the refusal must come before any work")
+        monkeypatch.setattr(module, work, no_work)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}
+        monkeypatch.setattr(ex.os, "sysconf", pages.get)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "GiB" in err and "than the 8 GiB" in err
+        assert not (tmp_path / "out").exists()
 
     def test_apchar_roundtrip(self, tmp_path):
         cfg = tmp_path / "cfg.json"

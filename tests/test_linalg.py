@@ -104,7 +104,6 @@ def test_leaf_pair_norms_match_formed_products(kind, d, L, p, monkeypatch):
     for got_k, want_k in zip(diags, table_double_average(want, g, p)):
         np.testing.assert_allclose(got_k, want_k, rtol=PAIR_RTOL, atol=0)
     monkeypatch.setattr(weights, "REDUCING_NET", 16)
-    monkeypatch.setattr(weights, "REDUCING_ETA_TARGET", 1.0)
     red = reducing_pyramid(W, g, p)
     rep = ap_characteristic(W, p, g)
     for got_k, V, Vp in zip(rep.per_level, red["V"], red["V_prime"]):

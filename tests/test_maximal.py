@@ -8,13 +8,13 @@ import pytest
 from haarweight.dyadic import Cube, Grid, StepFunction, sequence_maximal
 from haarweight.errors import SparsenessError
 from haarweight.maximal import (
-    SparseFamily, half_power_maximal, local_nq, maximal_mw, maximal_mw_prime,
+    SparseFamily, _chain_averages, local_nq, maximal_mw, maximal_mw_prime,
     mw_proof_certificate, sparse_generate, sparse_op,
     sparse_proof_chain, weak_type_check,
 )
 from haarweight import linalg
-from haarweight.operators import weighted_operator_norm
-from haarweight.weights import MatrixWeight, ap_from_reducing, reducing_pyramid
+from haarweight.operators import _mv, weighted_operator_norm
+from haarweight.weights import MatrixWeight, ap_from_reducing, power_of, reducing_pyramid
 
 
 def leaf_weight(values):
@@ -31,6 +31,16 @@ def clamped(W, n_cut):
         return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
 
     return MatrixWeight(W.n, leaf_values=leaf_values)
+
+
+def half_power_maximal(W, f):
+    """M~'_W f = sup_I (1/|I|) int_I |(m_I(W^{-1/2}))^{-1/2} W^{-1/2}(y) f(y)| dy
+    with the integrand's leaf value m_leaf(W^{-1/2}) f_leaf: the maximal
+    function of the last step of the sparse domination chain."""
+    grid = f.grid
+    outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -0.5)]
+    t_leaf = _mv(W.leaf_averages(grid, -0.5), f.values)
+    return np.maximum.reduce(_chain_averages(outer, t_leaf, grid))
 
 
 def all_cubes(grid):
@@ -416,3 +426,19 @@ class TestHalfPowerMaximal:
         m = half_power_maximal(W, f)
         assert m.min() >= 0
         assert np.isfinite(m).all()
+
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    @pytest.mark.parametrize("W", [MatrixWeight.diagonal_power([0.5, -0.3]),
+                                   MatrixWeight.rotated_power([0.4, -0.3], 0.7),
+                                   MatrixWeight.random_spd(11, cond=20.0)],
+                             ids=["diagonal", "rotated", "random-spd"])
+    def test_is_the_last_step_of_the_proof_chain(self, W, L):
+        # q4 = 2 A2^{1/2} int M~'_W f M~'_{W^{-1}} g, bit for bit
+        rng = np.random.default_rng(L)
+        g = Grid(1, L)
+        f = StepFunction(g, rng.standard_normal((g.n_leaves, 2)))
+        h = StepFunction(g, rng.standard_normal((g.n_leaves, 2)))
+        ap = ap_from_reducing(reducing_pyramid(W, g, 2.0), 2.0)
+        chain = sparse_proof_chain(W, sparse_generate(g, seed=L, density=0.5), f, h, ap)
+        m_f, m_h = half_power_maximal(W, f), half_power_maximal(power_of(W, -1.0), h)
+        assert chain[4] == 2.0 * np.sqrt(ap) * float((m_f * m_h).sum()) * g.leaf_measure

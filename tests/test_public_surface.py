@@ -22,7 +22,6 @@ PENDING = {
     "mw_proof_certificate": "waits for the M_W criterion (ROADMAP item 3)",
     "mean_oscillation": "belongs to the covering-lemma reduction of BMO over arbitrary cubes",
     "ntv_scalar_equivalence": "waits for the equivalence claim (ROADMAP item 1)",
-    "half_power_maximal": "the reference that criterion 10's chain is tested against",
 }
 
 

@@ -158,21 +158,28 @@ class TestReducingOperators:
             assert ratio.min() >= 1.0 - 1e-12
             assert ratio.max() <= np.sqrt(2.0) * (1.0 + 1e-3)
 
-    def test_coarse_net_stops_at_eight_times_its_size(self, monkeypatch):
-        # a target below every certificate (eta >= 0): the net doubles until it
-        # has 8 times the base directions, and the pyramid reports the eta it
-        # reached there instead of looping on
-        monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", -1.0)
-        sizes = []
-        net = weights_module.sphere_net
+    @pytest.mark.parametrize("p", [1.2, 3.0, 6.0])
+    @pytest.mark.parametrize("net", [4, 8, 32])
+    @pytest.mark.parametrize("W", [MatrixWeight.rotated_power([-0.45, 0.4], 2.0),
+                                   MatrixWeight.random_spd(8, cond=1e6)],
+                             ids=["rotated", "random-spd"])
+    def test_one_net_meets_the_john_bound(self, monkeypatch, W, net, p):
+        # a p != 2 pyramid draws one net of REDUCING_NET directions and takes
+        # one gauge pyramid per side on it.  No finer net is needed: for n = 2
+        # the net points e / rho(e) lie on the boundary of their hull, which
+        # holds E / sqrt(2) for its Lowner ellipse E (John), so the sandwich
+        # certificate eta is 0 on any net, up to LOWNER_OUTSIDE
+        nets, sides = [], []
+        sphere, gauge = weights_module.sphere_net, weights_module.gauge_pyramid
         monkeypatch.setattr(weights_module, "sphere_net",
-                            lambda n, m: sizes.append(m) or net(n, m))
-        red = reducing_pyramid(MatrixWeight.rotated_power([0.4, -0.3], 0.7), Grid(1, 4), 3.0)
-        base = weights_module.REDUCING_NET
-        assert sizes == [base, 2 * base, 4 * base, 8 * base]
-        assert len(red["net"]) == 8 * base
-        worst = max(float(e.max()) for e in red["eta"] + red["eta_prime"])
-        assert worst > weights_module.REDUCING_ETA_TARGET
+                            lambda n, m: nets.append((n, m)) or sphere(n, m))
+        monkeypatch.setattr(weights_module, "gauge_pyramid",
+                            lambda *a, dual: sides.append(dual) or gauge(*a, dual=dual))
+        monkeypatch.setattr(weights_module, "REDUCING_NET", net)
+        red = reducing_pyramid(W, Grid(2, 4), p)
+        assert nets == [(2, net)]
+        assert sides == [False, True]
+        assert max(float(e.max()) for e in red["eta"] + red["eta_prime"]) <= 1e-9
 
     @pytest.mark.parametrize("alphas, theta, L, net", [
         ([-0.45, 0.4], 2.0, 10, None),
@@ -186,7 +193,6 @@ class TestReducingOperators:
         # coarse net of criterion 4 leaf 0 of the second read down to 0.978
         if net is not None:
             monkeypatch.setattr(weights_module, "REDUCING_NET", net)
-            monkeypatch.setattr(weights_module, "REDUCING_ETA_TARGET", 0.08)
         W = MatrixWeight.rotated_power(alphas, theta)
         g, p, n = Grid(1, L), 1.5, 2
         red = reducing_pyramid(W, g, p)
