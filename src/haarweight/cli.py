@@ -17,10 +17,10 @@ import sys
 
 import numpy as np
 
-from . import experiments, weights
+from . import experiments, linalg, weights
 from .experiments import (
-    _grid_bytes, _lanczos_bytes, _read_int, _read_number, _write_csv, _write_json,
-    refuse_beyond_memory,
+    BMO_LEAF_BYTES, CARLESON_LEAF_BYTES, LEAF_BYTES, STOPPING_LEAF_BYTES, _grid_bytes,
+    _lanczos_bytes, _read_int, _read_number, _write_csv, _write_json, refuse_beyond_memory,
 )
 from .carleson import bmo_norm, carleson_b_sup, carleson_c_constant, stopping_time_tree
 from .dyadic import Grid
@@ -34,14 +34,16 @@ from .operators import (
 from .weights import MatrixWeight, ap_characteristic, reducing_pyramid
 
 
-def build_grid(cfg):
+def build_grid(cfg, leaf_bytes=LEAF_BYTES):
     """The standard grid of the spec {"d": ..., "L": ...} (default d=1, L=8),
-    refused when its leaves alone need more than the physical memory."""
+    refused when its leaves need more than the physical memory at
+    ``leaf_bytes`` per leaf, the command's own count."""
     spec = cfg.get("grid", {"d": 1, "L": 8})
     if not isinstance(spec, dict) or set(spec) - {"d", "L"}:
         raise ConfigError(f"a grid spec is an object with the fields 'd' and 'L', got {spec!r}")
     d, L = _read_int(spec, "d", None, lo=1), _read_int(spec, "L", None, lo=1)
-    refuse_beyond_memory(_grid_bytes(d, L), f"a grid at d = {d}, L = {L}", "its leaf arrays")
+    refuse_beyond_memory(_grid_bytes(d, L, leaf_bytes), f"a grid at d = {d}, L = {L}",
+                         "its leaf arrays")
     return Grid(d, L)
 
 
@@ -175,7 +177,7 @@ def _apchar_bytes(grid, n):
     ``reducing_pyramid`` takes.
 
     The double average streams over x-row blocks: for 2x2 weights about three
-    ``weights.AP_BLOCK_BYTES`` tables of ``linalg.pair_opnorms`` sums are
+    ``linalg.BLOCK_BYTES`` tables of ``linalg.pair_opnorms`` sums are
     alive at once, counted as four; other n form the block's n x n products
     for the SVD, counted as 2 n^2 tables.  Per leaf it keeps 2 (L + 1) level
     vectors and indices, the leaf averages and representatives (8 n^2) and
@@ -190,7 +192,7 @@ def _apchar_bytes(grid, n):
     tables = 4 if n == 2 else 2 * n * n
     floats = (leaves * (2 * (grid.L + 1) + 8 * n * n + 2 * m) + interior * 9 * m
               + (interior + leaves) * (2 * n * n + 4))
-    return tables * weights.AP_BLOCK_BYTES + 8 * floats
+    return tables * linalg.BLOCK_BYTES + 8 * floats
 
 
 def cmd_apchar(cfg, out_dir):
@@ -227,7 +229,7 @@ def cmd_bmo(cfg, out_dir):
     if variant not in ("primal", "dual", "unweighted"):
         raise ConfigError(f"unknown BMO variant {variant!r}")
     # the unweighted variant reads no weight
-    grid = build_grid(cfg)
+    grid = build_grid(cfg, BMO_LEAF_BYTES[variant])
     W = build_weight(cfg) if variant == "unweighted" else build_2x2_weight(cfg, "bmo")
     p = read_p(cfg)
     B = build_symbol(cfg.get("symbol", {}), grid)
@@ -239,7 +241,7 @@ def cmd_bmo(cfg, out_dir):
 
 
 def cmd_carleson(cfg, out_dir):
-    grid, W = build_grid(cfg), build_2x2_weight(cfg, "carleson")
+    grid, W = build_grid(cfg, CARLESON_LEAF_BYTES), build_2x2_weight(cfg, "carleson")
     p = read_p(cfg)
     A = build_sequence(cfg.get("sequence", {"kind": "random"}), grid)
     red = reducing_pyramid(W, grid, p)
@@ -251,8 +253,9 @@ def cmd_carleson(cfg, out_dir):
 
 
 def cmd_stopping(cfg, out_dir):
-    grid, W = build_grid(cfg), build_weight(cfg)
     p = read_p(cfg)
+    grid = build_grid(cfg, STOPPING_LEAF_BYTES["p = 2" if p == 2.0 else "p != 2"])
+    W = build_weight(cfg)
     for key in ("lambda1", "lambda2"):
         if cfg.get(key) is not None:
             _read_number(cfg, key, None, lambda v: v > 1.0, "a number > 1")

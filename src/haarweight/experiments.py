@@ -106,12 +106,20 @@ def _lanczos_bytes(L):
 # equivalence (1 instance) 2278; each at L = 16, 20, or at 12, 16 for opnorm,
 # stopping at p = 3 and equivalence
 LEAF_BYTES = 12
+# the commands that hold far more than that floor refuse by their own growth,
+# from the same measurements; unweighted bmo grew by 271 B (L = 16, 20), and
+# stopping counts its p = 3 growth at every p != 2, where it builds the
+# reducing pyramid's gauge on the direction net
+BMO_LEAF_BYTES = {"primal": 617, "dual": 645, "unweighted": 271}
+CARLESON_LEAF_BYTES = 553
+STOPPING_LEAF_BYTES = {"p = 2": 438, "p != 2": 4359}
+EQUIVALENCE_LEAF_BYTES = 2278
 
 
-def _grid_bytes(d, L):
-    """LEAF_BYTES per leaf of the depth-L grid in d dimensions; past 2^62
+def _grid_bytes(d, L, leaf_bytes=LEAF_BYTES):
+    """``leaf_bytes`` per leaf of the depth-L grid in d dimensions; past 2^62
     leaves nothing fits, so larger dL count as 62."""
-    return LEAF_BYTES << min(d * L, 62)
+    return leaf_bytes << min(d * L, 62)
 
 
 def _write_csv(path, header, rows, schema=None):
@@ -305,10 +313,12 @@ def _counterexample_commutator(alpha, cfg, out_dir):
 # ---------------------------------------------------------------------------
 
 SWEEP_STABILITY_FACTOR = 4.0
-# maximal_mw holds up to about this many N x N leaf-pair tables of floats at
-# once: peak RSS of a maximal sweep grew by 3.0, 3.8 and 3.2 tables at L = 10,
-# 11 and 12
-MW_PAIR_TABLES = 4
+# bytes per leaf and level that a maximal sweep holds: maximal_mw streams its
+# leaf-pair table in blocks of linalg.BLOCK_BYTES, so what grows with the grid
+# are its L + 1 per-level leaf arrays.  Peak RSS (os.wait4) grew by 936 B per
+# leaf from L = 10 to 12, 1086 B from 12 to 13 and 970 B from 13 to 14: 78,
+# 78 and 65 B per leaf and level
+MW_LEVEL_BYTES = 80
 
 
 def _multiplier_criterion(A, red):
@@ -429,12 +439,14 @@ def run_sweep(kind, cfg, out_dir=None):
     if kind not in kinds:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     wanted = kinds[kind]
-    # norms above the dense cap hold Lanczos bases and maximal_mw its leaf-pair
-    # tables; they run one after the other, so the larger sets the peak
+    # norms above the dense cap hold Lanczos bases and the maximal functions
+    # their per-level leaf arrays; they run one after the other, so the larger
+    # sets the peak
     leaves = 1 << min(L, 62)
     norms = kind != "maximal" and 2 * leaves > DENSE_DIM_CAP
     need = {"its Lanczos bases": _lanczos_bytes(L) if norms else 0,
-            "its leaf-pair tables": MW_PAIR_TABLES * leaves ** 2 * 8 if "maximal-mw" in wanted else 0}
+            "its per-level leaf arrays":
+                MW_LEVEL_BYTES * (L + 1) * leaves if "maximal-mw" in wanted else 0}
     what = max(need, key=need.get)
     refuse_beyond_memory(need[what], f"sweep {kind} at L = {L}", what)
     weights = []
@@ -499,7 +511,8 @@ def run_equivalence(cfg, out_dir=None):
     n_inst = _read_int(cfg, "instances", 200)
     L = _read_int(cfg, "L", 5, lo=1)
     seed = _read_int(cfg, "seed", 0)
-    refuse_beyond_memory(_grid_bytes(1, L), f"equivalence at L = {L}", "its leaf arrays")
+    refuse_beyond_memory(_grid_bytes(1, L, EQUIVALENCE_LEAF_BYTES), f"equivalence at L = {L}",
+                         "its leaf arrays")
     if 2 << min(L, 62) > DENSE_DIM_CAP:
         refuse_beyond_memory(_lanczos_bytes(L), f"equivalence at L = {L}", "its Lanczos bases")
     g = Grid(1, L)

@@ -3,7 +3,7 @@ the weighted embedding operator, and operator norms.
 
 Every operator acts on vector step functions.  The array-level kernels accept
 leaf values shaped grid + (n,) or grid + (n, B); the trailing batch axis is
-how dense matrices get assembled in one vectorized pass.  All operators
+how dense matrices get assembled, one block of identity columns per pass.  All operators
 annihilate the coarse mean (their sums run over cancellative Haar terms); the
 mean channel of the input still matters wherever cube averages appear.
 
@@ -342,8 +342,11 @@ def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
 # ---------------------------------------------------------------------------
 
 # largest dimension whose p=2 norm is assembled densely and certified exact.
-# For the commutator on 2 vCPUs with OpenBLAS, assembly takes 0.3-0.5 s at
-# 2048 and 1.2-1.6 s at 4096, where matrix-free Lanczos needs 0.06-0.07 s.
+# For the commutator on 2 vCPUs with OpenBLAS, column-block assembly takes
+# 0.18-0.21 s at 2048 and 0.6-0.9 s at 4096 in a process that has already
+# freed arrays of a few MiB, and 0.35-0.43 s and 1.6-1.9 s in a fresh one,
+# whose allocator hands each block's temporaries back to the system and
+# faults them in again; matrix-free Lanczos needs 0.06-0.07 s.
 # At 2048 the certified bracket of ``linalg.spectral_norm`` takes 0.14-0.16 s
 # under a diagonal power weight (two summands of 1024) and 0.37-0.39 s under
 # a rotated one (one summand)
@@ -366,15 +369,25 @@ class NormReport:
 
 def dense_matrix(op: Operator):
     """Dense matrix of op in the leaf-value basis (leaf-major, component-minor).
-    It is assembled on the first call and kept on op, read-only."""
+    It is assembled on the first call and kept on op, read-only.
+
+    The identity goes through the kernel in column blocks of
+    ``linalg.block_rows`` columns, each written into its columns of the
+    matrix, so besides the matrix assembly holds a few blocks, not a second
+    dim x dim identity and kernel output.  The kernels treat the columns as
+    a batch, so the matrix does not depend on the block width."""
     if op._dense is None:
         grid, n = op.grid, op.n
         dim = grid.n_leaves * n
         if dim > DENSE_DIM_CAP:
             raise ShapeError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
-        basis = np.eye(dim).reshape(grid.leaf_shape + (n, dim))
-        op._dense = op.kernel(basis).reshape(dim, dim)
-        op._dense.flags.writeable = False
+        width = linalg.block_rows(dim, 8 * dim)
+        dense = np.empty((dim, dim))
+        for lo in range(0, dim, width):
+            basis = np.eye(dim, width, -lo).reshape(grid.leaf_shape + (n, width))
+            dense[:, lo:lo + width] = op.kernel(basis).reshape(dim, width)
+        dense.flags.writeable = False
+        op._dense = dense
     return op._dense
 
 

@@ -590,34 +590,24 @@ def ap_from_reducing(reducing, p):
     return best
 
 
-# bytes of one x-row block of the leaf-pair table in the streamed A_p double
-# average; ``linalg.pair_opnorms`` holds about three tables of this size at
-# once.  Blocks that stay in cache are faster too: at d=1, L=12 the double
-# average took 0.6-0.8 s with blocks of 0.5-4 MiB against 1.05 s for the
-# whole 128 MiB table (2 vCPUs, OpenBLAS)
-AP_BLOCK_BYTES = 1 << 20
-
-
 def _double_average_levels(P, N, grid, p):
     """Per-level cube values of the A_p double average
     (1/|I|) int_I ((1/|I|) int_I ||P(x) N(t)||^{p'} dt)^{p/p'} dx, from the
     leaf representatives P of W^{1/p} and N of W^{-1/p}, flat over the leaves.
 
-    The leaf-pair table ||P_x N_t|| is streamed over blocks of x rows of about
-    ``AP_BLOCK_BYTES``.  In a block the inner t-average goes up one level at a
+    The leaf-pair table ||P_x N_t|| is streamed over blocks of
+    ``linalg.block_rows`` x rows; ``linalg.pair_opnorms`` holds about three
+    blocks at once.  In a block the inner t-average goes up one level at a
     time, and at each level only the entry of the cube that contains x is
     kept: the outer average over x in I reads that cube alone.  The outer
     x-averages then run on L + 1 leaf vectors.  Every sum is taken in the
     same order as over the whole N x N table, so the result does not depend
-    on the block size (for blocks of two rows or more, see below).
+    on the block size.
     """
     d, L = grid.d, grid.L
     pprime = p / (p - 1.0)
     count = len(P)
-    # a power of two of at least two rows, so that the blocks tile the 2^(dL)
-    # rows evenly; BLAS takes a one-row product down its matrix-vector path,
-    # which rounds otherwise than the GEMM of a whole table
-    rows = 1 << (max(2, AP_BLOCK_BYTES // (8 * count)).bit_length() - 1)
+    rows = linalg.block_rows(count, 8 * count)
     coords = np.unravel_index(np.arange(count), grid.leaf_shape)
     # the flat index of the level-k cube that contains each leaf
     owner = [np.ravel_multi_index(tuple(c >> (L - k) for c in coords), (1 << k,) * d)

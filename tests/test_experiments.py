@@ -430,7 +430,7 @@ class TestCLI:
         ("sweep", {"kind": "sparse", "L": 40}),
     ], ids=["maximal", "sweep-all", "sweep-norms-only"])
     def test_sweep_oversized_grid_refused(self, tmp_path, capsys, monkeypatch, command, cfg):
-        # L=40's leaf-pair tables and Lanczos bases need petabytes: refused
+        # L=40's per-level leaf arrays and Lanczos bases need petabytes: refused
         # before any reducing pyramid is built
         import time
 
@@ -475,6 +475,39 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "GiB" in err and "than the 8 GiB" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, module, work", [
+        ("bmo", {"variant": "primal"}, cli, "build_symbol"),
+        ("bmo", {"variant": "dual"}, cli, "build_symbol"),
+        ("bmo", {"variant": "unweighted"}, cli, "build_symbol"),
+        ("carleson", {}, cli, "build_sequence"),
+        ("stopping", {"p": 2}, cli, "stopping_time_tree"),
+        ("stopping", {"p": 3}, cli, "stopping_time_tree"),
+        ("equivalence", {"instances": 1}, ex, "Grid"),
+    ], ids=["bmo-primal", "bmo-dual", "bmo-unweighted", "carleson", "stopping-p2",
+            "stopping-p3", "equivalence"])
+    def test_refused_by_own_leaf_count(self, tmp_path, capsys, monkeypatch, command, cfg,
+                                       module, work):
+        # the deepest grid that the 12 B per leaf floor lets through in the
+        # physical memory of the machine that runs the test needs more than
+        # that memory at each of these commands' own count per leaf (at
+        # least 271 B): refused before any work.
+        # equivalence goes matrix-free past L = 10, so there its Lanczos
+        # bases (9632 B per leaf) refuse such a depth as well
+        def no_work(*args, **kwargs):
+            raise AssertionError("the refusal must come before any work")
+        monkeypatch.setattr(module, work, no_work)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        L = (have // ex.LEAF_BYTES).bit_length() - 1
+        assert ex._grid_bytes(1, L) <= have < ex._grid_bytes(1, L, 271)
+        grid = {"L": L} if command == "equivalence" else {"grid": {"d": 1, "L": L}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, **grid}))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"L = {L} needs about" in err and "GiB of physical memory" in err
         assert not (tmp_path / "out").exists()
 
     def test_apchar_roundtrip(self, tmp_path):

@@ -158,7 +158,7 @@ def test_streamed_double_average_matches_the_table(kind, d, L, p, monkeypatch):
                         lambda A, B: calls.append(len(A)) or pair_opnorms(A, B))
     count = g.n_leaves
     for rows, blocks in ((count // 4, 4), (count, 1), (2 * count, 1)):
-        monkeypatch.setattr(weights, "AP_BLOCK_BYTES", 8 * count * rows)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * count * rows)
         calls.clear()
         got = weights._double_average_levels(P, N, g, p)
         assert calls == [min(rows, count)] * blocks

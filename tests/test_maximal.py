@@ -97,7 +97,61 @@ class TestMWPrime:
         assert worst <= 2.0 * (1 + 1e-12)
 
 
+def table_ancestor_averages(W, f):
+    """The whole-table form of ``maximal._mw_ancestor_averages``: the N x N
+    leaf-pair table, coarsened along y one level at a time."""
+    from haarweight.dyadic import coarsen_levels
+    grid = f.grid
+    L, N, x = grid.L, grid.n_leaves, np.arange(grid.n_leaves)
+    Mw = W.leaf_averages(grid, 1.0)
+    t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
+    quad = Mw.reshape(N, -1) @ (t_leaf[:, :, None] * t_leaf[:, None, :]).reshape(N, -1).T
+    avg = np.sqrt(np.maximum(quad, 0.0))
+    out = np.empty((L + 1, N))
+    out[L] = avg[x, x]
+    for k in range(L - 1, -1, -1):
+        avg = coarsen_levels(avg, 1, 1, axis=1)
+        out[k] = avg[x, x >> (L - k)]
+    return out
+
+
 class TestMW:
+    @pytest.mark.parametrize("L", [6, 9, 11])
+    def test_streamed_averages_match_the_table(self, L, monkeypatch):
+        # x-row blocks of two rows, of a quarter of the rows and of all of
+        # them give the whole table's averages bit for bit
+        from haarweight import maximal
+        rng = np.random.default_rng(L)
+        g = Grid(1, L)
+        N = g.n_leaves
+        coarsen, firsts = maximal.coarsen_levels, []
+        monkeypatch.setattr(maximal, "coarsen_levels", lambda a, *args, **kw: (
+            a.shape[1] == N and firsts.append(len(a))) or coarsen(a, *args, **kw))
+        for W in (MatrixWeight.random_spd(12, cond=50.0),
+                  MatrixWeight.rotated_power([0.6, -0.4], 0.9)):
+            f = StepFunction(g, rng.standard_normal((N, 2)))
+            want = table_ancestor_averages(W, f)
+            for rows in (2, N // 4, N):
+                monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * N * rows)
+                firsts.clear()
+                assert np.array_equal(maximal._mw_ancestor_averages(W, f), want)
+                assert firsts == [rows] * (N // rows)
+
+    def test_streams_in_bounded_memory(self):
+        # at L = 12 one N x N table of floats is 128 MiB; the whole-table code
+        # peaked at three of them
+        import tracemalloc
+        g = Grid(1, 12)
+        W = MatrixWeight.rotated_power([0.6, -0.4], 0.9)
+        f = StepFunction(g, np.random.default_rng(12).standard_normal((g.n_leaves, 2)))
+        tracemalloc.start()
+        try:
+            maximal_mw(W, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n_leaves ** 2 * 8
+
     def test_identity_weight(self):
         rng = np.random.default_rng(3)
         g = Grid(1, 5)

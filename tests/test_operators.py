@@ -512,6 +512,60 @@ class TestWeightedNorms:
         assert data["kind"] == "exact"
 
 
+def assembly_operators(g):
+    """One operator of each kind that ``dense_matrix`` assembles, plus the
+    counterexample's log-swap commutator at d = 1."""
+    rng = np.random.default_rng(g.d * 100 + g.L)
+    B = random_symbol(g, rng)
+    A = MatrixSequence.random(g, rng=7)
+    sigma = ShiftMap.random_child(g, seed=8)
+    ops = [paraproduct_op(B), adjoint_paraproduct_op(B), haar_multiplier_op(A),
+           shift_op(sigma), commutator_op(B, sigma),
+           big_pi_op(A, MatrixWeight.rotated_power([0.4, -0.3], 0.7), 2.0),
+           sparse_op(sparse_generate(g, seed=9, density=0.5))]
+    if g.d == 1:
+        from haarweight.experiments import log_swap_symbol
+        ops.append(commutator_op(log_swap_symbol(g), ShiftMap.left_child(g)))
+    return ops
+
+
+class TestDenseAssembly:
+    @pytest.mark.parametrize("d, L", [(1, 5), (1, 9), (2, 3), (2, 4)])
+    def test_column_blocks_give_the_identity_push_bit_for_bit(self, d, L, monkeypatch):
+        # the identity pushed through the kernel in one call is the oracle;
+        # blocks of 2 and 64 columns and the whole identity give its bits
+        g = Grid(d, L)
+        dim = 2 * g.n_leaves
+        for op in assembly_operators(g):
+            want = op.kernel(np.eye(dim).reshape(g.leaf_shape + (2, dim))).reshape(dim, dim)
+            kernel, widths = op.kernel, []
+            op.kernel = lambda v: widths.append(v.shape[-1]) or kernel(v)
+            for width in (2, 64, dim):
+                monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * dim * width)
+                op._dense, widths[:] = None, []
+                got = dense_matrix(op)
+                assert widths == [width] * (dim // width), op.name
+                assert np.array_equal(got, want), (op.name, width)
+                assert not got.flags.writeable and dense_matrix(op) is got
+
+    def test_assembly_holds_blocks_not_a_second_matrix(self):
+        # the L = 10 counterexample commutator (dim 2048, a 32 MiB matrix)
+        # peaks below two matrices; the whole identity and its image peaked
+        # at 256 MiB
+        import tracemalloc
+        from haarweight.experiments import log_swap_symbol
+        g = Grid(1, 10)
+        op = commutator_op(log_swap_symbol(g), ShiftMap.left_child(g))
+        dim = 2 * g.n_leaves
+        tracemalloc.start()
+        try:
+            dense_matrix(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dim * dim * 8
+
+
 class TestAdjointKernels:
     def test_all_adjoints_match_dense_transpose(self):
         rng = np.random.default_rng(22)
