@@ -45,17 +45,18 @@ class CarlesonReport:
         return payload
 
 
+def conjugated_norms(A: MatrixSequence, reducing):
+    """Per-level ||V_I A_I^eps V_I^{-1}|| over the cubes I and signatures eps."""
+    return [linalg.opnorm(V[..., None, :, :] @ Ak @ linalg.powm_spd(V, -1.0)[..., None, :, :])
+            for V, Ak in zip(reducing["V"], A.levels)]
+
+
 def carleson_b_sup(A: MatrixSequence, W: MatrixWeight, p, reducing=None) -> CarlesonReport:
     """Condition (b): exact supremum with its supremizing cube."""
     grid = A.grid
     if reducing is None:
         reducing = reducing_pyramid(W, grid, p)
-    lam = []
-    for k in range(grid.L):
-        V = reducing["V"][k][..., None, :, :]
-        Vinv = linalg.powm_spd(reducing["V"][k], -1.0)[..., None, :, :]
-        lam.append(linalg.opnorm(V @ A.levels[k] @ Vinv) ** 2)
-    _, normalized = carleson_intensity(lam, grid.d)
+    _, normalized = carleson_intensity([a ** 2 for a in conjugated_norms(A, reducing)], grid.d)
     value, cube = sup_over_cubes(normalized)
     return CarlesonReport(value, cube, p, "condition-b", normalized)
 

@@ -17,33 +17,30 @@ import sys
 
 import numpy as np
 
-from . import experiments, linalg, weights
-from .experiments import (
-    BMO_LEAF_BYTES, CARLESON_LEAF_BYTES, LEAF_BYTES, STOPPING_LEAF_BYTES, _grid_bytes,
-    _lanczos_bytes, _read_int, _read_number, _write_csv, _write_json, refuse_beyond_memory,
-)
+from . import experiments
+from .experiments import _read_int, _read_number, _write_csv, _write_json
 from .carleson import bmo_norm, carleson_b_sup, carleson_c_constant, stopping_time_tree
 from .dyadic import Grid
 from .errors import ConfigError, HaarweightError, SparsenessError
 from .maximal import sparse_generate, sparse_op
+from .memory import leaf_arrays, refuse_beyond_memory
 from .operators import (
-    DENSE_DIM_CAP, MatrixSequence, MatrixSymbol, ShiftMap, adjoint_paraproduct_op,
-    big_pi_op, commutator_op, haar_multiplier_op, paraproduct_op, shift_op,
-    weighted_operator_norm,
+    MatrixSequence, MatrixSymbol, ShiftMap, adjoint_paraproduct_op, big_pi_op, commutator_op,
+    haar_multiplier_op, norm_need, paraproduct_op, shift_op, weighted_operator_norm,
 )
-from .weights import MatrixWeight, ap_characteristic, reducing_pyramid
+from .weights import MatrixWeight, ap_characteristic, ap_need, reducing_need, reducing_pyramid
 
 
-def build_grid(cfg, leaf_bytes=LEAF_BYTES):
+def build_grid(cfg, command, *kernels, p, n=2):
     """The standard grid of the spec {"d": ..., "L": ...} (default d=1, L=8),
-    refused when its leaves need more than the physical memory at
-    ``leaf_bytes`` per leaf, the command's own count."""
+    refused before it is built when ``command``'s leaf arrays or the need
+    ``kernel(d, L, n, p)`` of one of the ``kernels`` exceed physical memory."""
     spec = cfg.get("grid", {"d": 1, "L": 8})
     if not isinstance(spec, dict) or set(spec) - {"d", "L"}:
         raise ConfigError(f"a grid spec is an object with the fields 'd' and 'L', got {spec!r}")
     d, L = _read_int(spec, "d", None, lo=1), _read_int(spec, "L", None, lo=1)
-    refuse_beyond_memory(_grid_bytes(d, L, leaf_bytes), f"a grid at d = {d}, L = {L}",
-                         "its leaf arrays")
+    refuse_beyond_memory(f"{command} at d = {d}, L = {L}",
+                         [leaf_arrays(command, d, L), *(k(d, L, n, p) for k in kernels)])
     return Grid(d, L)
 
 
@@ -171,37 +168,11 @@ def build_operator(spec, grid, weight, p):
     raise ConfigError(f"unknown operator spec {spec!r}")
 
 
-def _apchar_bytes(grid, n):
-    """Bytes that ``ap_characteristic`` holds at once for an n x n weight on
-    ``grid``, on the one net of ``weights.REDUCING_NET`` directions that
-    ``reducing_pyramid`` takes.
-
-    The double average streams over x-row blocks: for 2x2 weights about three
-    ``linalg.BLOCK_BYTES`` tables of ``linalg.pair_opnorms`` sums are
-    alive at once, counted as four; other n form the block's n x n products
-    for the SVD, counted as 2 n^2 tables.  Per leaf it keeps 2 (L + 1) level
-    vectors and indices, the leaf averages and representatives (8 n^2) and
-    the gauge integrand on the net (2 per direction).  The reducing pyramid
-    holds about 8.5 floats per interior cube and net direction (tracemalloc
-    at d = 1, L = 10..14, n = 2, 64 directions), counted as 9, and each
-    cube's pair, certificates and gaps.
-    """
-    m = weights.REDUCING_NET
-    leaves = grid.n_leaves
-    interior = (leaves - 1) // ((1 << grid.d) - 1)
-    tables = 4 if n == 2 else 2 * n * n
-    floats = (leaves * (2 * (grid.L + 1) + 8 * n * n + 2 * m) + interior * 9 * m
-              + (interior + leaves) * (2 * n * n + 4))
-    return tables * linalg.BLOCK_BYTES + 8 * floats
-
-
 def cmd_apchar(cfg, out_dir):
-    grid, W = build_grid(cfg), build_weight(cfg)
+    W, p = build_weight(cfg), read_p(cfg)
+    grid = build_grid(cfg, "apchar", ap_need, n=W.n, p=p)
     if grid.d > 2:
         raise ConfigError(f"apchar supports d <= 2, got d = {grid.d}")
-    refuse_beyond_memory(_apchar_bytes(grid, W.n), f"apchar at d = {grid.d}, L = {grid.L}",
-                         "its reducing pyramid and leaf arrays")
-    p = read_p(cfg)
     rep = ap_characteristic(W, p, grid)
     payload = rep.record()
     _write_json(os.path.join(out_dir, "apchar.json"), payload)
@@ -212,12 +183,12 @@ def cmd_apchar(cfg, out_dir):
 
 
 def cmd_opnorm(cfg, out_dir):
-    grid, W = build_grid(cfg), build_2x2_weight(cfg, "opnorm")
-    p = read_p(cfg)
-    if p == 2.0 and 2 * grid.n_leaves > DENSE_DIM_CAP:
-        refuse_beyond_memory(_lanczos_bytes(grid.d * grid.L),
-                             f"opnorm at p = 2, d = {grid.d}, L = {grid.L}", "its Lanczos bases")
-    op = build_operator(cfg.get("operator", {}), grid, W, p)
+    W, p = build_2x2_weight(cfg, "opnorm"), read_p(cfg)
+    spec = cfg.get("operator", {})
+    # only the embedding operator builds a reducing pyramid
+    embedding = isinstance(spec, dict) and spec.get("op") == "embedding"
+    grid = build_grid(cfg, "opnorm", norm_need, *([reducing_need] if embedding else []), p=p)
+    op = build_operator(spec, grid, W, p)
     rep = weighted_operator_norm(op, W, p, seed=_read_int(cfg, "seed", 0))
     payload = {**rep.record(), "operator": op.name}
     _write_json(os.path.join(out_dir, "opnorm.json"), payload)
@@ -228,10 +199,11 @@ def cmd_bmo(cfg, out_dir):
     variant = cfg.get("variant", "primal")
     if variant not in ("primal", "dual", "unweighted"):
         raise ConfigError(f"unknown BMO variant {variant!r}")
-    # the unweighted variant reads no weight
-    grid = build_grid(cfg, BMO_LEAF_BYTES[variant])
+    # the unweighted variant reads no weight and builds no reducing pyramid
     W = build_weight(cfg) if variant == "unweighted" else build_2x2_weight(cfg, "bmo")
+    kernels = [] if variant == "unweighted" else [reducing_need]
     p = read_p(cfg)
+    grid = build_grid(cfg, f"bmo {variant}", *kernels, p=p)
     B = build_symbol(cfg.get("symbol", {}), grid)
     val, cube = bmo_norm(B, W, p, variant)
     payload = {"value": val, "variant": variant,
@@ -241,8 +213,8 @@ def cmd_bmo(cfg, out_dir):
 
 
 def cmd_carleson(cfg, out_dir):
-    grid, W = build_grid(cfg, CARLESON_LEAF_BYTES), build_2x2_weight(cfg, "carleson")
-    p = read_p(cfg)
+    W, p = build_2x2_weight(cfg, "carleson"), read_p(cfg)
+    grid = build_grid(cfg, "carleson", reducing_need, p=p)
     A = build_sequence(cfg.get("sequence", {"kind": "random"}), grid)
     red = reducing_pyramid(W, grid, p)
     rb = carleson_b_sup(A, W, p, reducing=red)
@@ -253,9 +225,8 @@ def cmd_carleson(cfg, out_dir):
 
 
 def cmd_stopping(cfg, out_dir):
-    p = read_p(cfg)
-    grid = build_grid(cfg, STOPPING_LEAF_BYTES["p = 2" if p == 2.0 else "p != 2"])
-    W = build_weight(cfg)
+    W, p = build_weight(cfg), read_p(cfg)
+    grid = build_grid(cfg, "stopping", reducing_need, n=W.n, p=p)
     for key in ("lambda1", "lambda2"):
         if cfg.get(key) is not None:
             _read_number(cfg, key, None, lambda v: v > 1.0, "a number > 1")
@@ -293,16 +264,18 @@ def cmd_maximal(cfg, out_dir):
 
 
 def cmd_sparse(cfg, out_dir):
-    grid = build_grid(cfg)
     W = build_2x2_weight(cfg, "sparse")
+    # only a weight makes it take a norm
+    p = None if cfg.get("weight") is None else read_p(cfg)
+    grid = build_grid(cfg, "sparse", *([] if p is None else [norm_need]), p=p)
     density = _read_number(cfg, "density", 0.5, lambda v: 0.0 < v <= 0.5, "in (0, 1/2]")
     try:
         fam = sparse_generate(grid, seed=_read_int(cfg, "seed", 0), density=density)
     except SparsenessError as exc:
         return {"passed": False, "error": str(exc)}
     payload = {"passed": True, "cubes": fam.record(), "size": len(fam)}
-    if cfg.get("weight") is not None:
-        rep = weighted_operator_norm(sparse_op(fam), W, read_p(cfg))
+    if p is not None:
+        rep = weighted_operator_norm(sparse_op(fam), W, p)
         payload["weighted_norm"] = rep.value
     _write_json(os.path.join(out_dir, "sparse.json"), payload)
     return payload

@@ -59,6 +59,12 @@ class Grid:
         return Cube(0, (0,) * self.d)
 
 
+def leaf_count(d, L):
+    """2^(dL) leaves, for a memory need taken before the grid is built; past
+    2^62 nothing fits, so dL (and in a need d or L) past 62 counts as 62."""
+    return 1 << min(d * L, 62)
+
+
 @dataclass(frozen=True)
 class Cube:
     """Dyadic cube 2^{-k}([0,1)^d + m + (-1)^k s) with level k and offset m.

@@ -16,16 +16,17 @@ import sys
 import numpy as np
 
 from . import linalg
-from .carleson import carleson_b_sup, carleson_c_constant
-from .dyadic import Grid, StepFunction
+from .carleson import carleson_b_sup, carleson_c_constant, conjugated_norms
+from .dyadic import Grid, StepFunction, sup_over_cubes
 from .errors import ConfigError
-from .maximal import maximal_mw, maximal_mw_prime, sparse_generate, sparse_op
+from .maximal import maximal_mw, maximal_mw_prime, mw_need, sparse_generate, sparse_op
+from .memory import leaf_arrays, refuse_beyond_memory
 from .operators import (
     DENSE_DIM_CAP, MatrixSequence, MatrixSymbol, ShiftMap, big_pi_op, commutator_op,
-    haar_multiplier_op, paraproduct_op, shift_op, weighted_operator_norm,
+    haar_multiplier_op, norm_need, paraproduct_op, shift_op, weighted_operator_norm,
 )
 from .weights import (
-    MatrixWeight, ap_from_reducing, lp_norm, power_of, reducing_pyramid,
+    MatrixWeight, ap_from_reducing, lp_norm, power_of, reducing_need, reducing_pyramid,
 )
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -78,48 +79,6 @@ def _read_range(cfg, key, default, lo):
         raise ConfigError(f"config field {key!r} must be [first, last], integers with "
                           f"{lo} <= first <= last, got {val!r}")
     return val
-
-
-def refuse_beyond_memory(need, who, what):
-    """Raise ConfigError when ``need`` bytes for ``what`` exceed the physical
-    memory, so that an oversized run stops before any work."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(f"{who} needs about {need / 2**30:.3g} GiB for {what}, "
-                          f"more than the {have / 2**30:.3g} GiB of physical memory")
-
-
-def _lanczos_bytes(L):
-    """Bytes of the two Golub-Kahan-Lanczos bases of a matrix-free norm on 2^L
-    leaves (depth L at d = 1, or dL = L in d dimensions; n = 2),
-    (steps + 1) x 2^L x n floats each; past 2^62 leaves nothing fits, so
-    larger L count as 62."""
-    return 2 * (linalg.LANCZOS_MAX_STEPS + 1) * (1 << min(L, 62)) * 2 * 8
-
-
-# bytes per leaf that every run on a grid holds at least: the smallest growth
-# of peak RSS per leaf between two depths over the commands that read a grid,
-# rounded down.  Measured at d = 1 (B per leaf, depths): sparse without a
-# weight 12.9 (L = 16, 20) and 13.9 (20, 24); opnorm shift 251 at p = 3 and
-# 382 at p = 2, counterexample paraproduct 271, stopping 438 at p = 2 and
-# 4359 at p = 3 (rotated weight), carleson 553, bmo 617 primal and 645 dual,
-# equivalence (1 instance) 2278; each at L = 16, 20, or at 12, 16 for opnorm,
-# stopping at p = 3 and equivalence
-LEAF_BYTES = 12
-# the commands that hold far more than that floor refuse by their own growth,
-# from the same measurements; unweighted bmo grew by 271 B (L = 16, 20), and
-# stopping counts its p = 3 growth at every p != 2, where it builds the
-# reducing pyramid's gauge on the direction net
-BMO_LEAF_BYTES = {"primal": 617, "dual": 645, "unweighted": 271}
-CARLESON_LEAF_BYTES = 553
-STOPPING_LEAF_BYTES = {"p = 2": 438, "p != 2": 4359}
-EQUIVALENCE_LEAF_BYTES = 2278
-
-
-def _grid_bytes(d, L, leaf_bytes=LEAF_BYTES):
-    """``leaf_bytes`` per leaf of the depth-L grid in d dimensions; past 2^62
-    leaves nothing fits, so larger dL count as 62."""
-    return leaf_bytes << min(d * L, 62)
 
 
 def _write_csv(path, header, rows, schema=None):
@@ -221,8 +180,8 @@ def _counterexample_paraproduct(alpha, cfg, out_dir):
         raise ConfigError("config field 'n_range' needs two depths for a rate fit")
     # J_N = [2^{-N-1}, 2^{-N}) must hold at least one leaf
     L = _read_int(cfg, "L", n_hi + 2, lo=n_hi + 1)
-    refuse_beyond_memory(_grid_bytes(1, L), f"counterexample paraproduct at L = {L}",
-                         "its leaf arrays")
+    refuse_beyond_memory(f"counterexample paraproduct at L = {L}",
+                         [leaf_arrays("counterexample paraproduct", 1, L)])
     g = Grid(1, L)
     W = MatrixWeight.diagonal_power([alpha, -alpha])
     B = log_swap_symbol(g)
@@ -264,9 +223,13 @@ def _counterexample_paraproduct(alpha, cfg, out_dir):
 
 def _counterexample_commutator(alpha, cfg, out_dir):
     l_lo, l_hi = _read_range(cfg, "l_range", [4, 12], lo=1)
-    # the top level's Lanczos bases are the largest arrays
-    refuse_beyond_memory(_lanczos_bytes(l_hi), f"counterexample commutator at L = {l_hi}",
-                         "its Lanczos bases")
+    # a growth pair (L, L + 1) is proved only from a certified norm(L), which
+    # takes the dense norm: dimension 2 * 2^L at most DENSE_DIM_CAP
+    if l_lo == l_hi or 2 << min(l_lo, 62) > DENSE_DIM_CAP:
+        raise ConfigError(f"config field 'l_range' needs two depths, the first L with 2 * 2^L "
+                          f"<= {DENSE_DIM_CAP}, for a certified growth pair, got {[l_lo, l_hi]}")
+    refuse_beyond_memory(f"counterexample commutator up to L = {l_hi}",
+                         [norm_need(1, L, 2, 2.0) for L in range(l_lo, min(l_hi, 62) + 1)])
     W = MatrixWeight.diagonal_power([alpha, -alpha])
     rows, norms, uppers = [], [], []
     for L in range(l_lo, l_hi + 1):
@@ -313,22 +276,6 @@ def _counterexample_commutator(alpha, cfg, out_dir):
 # ---------------------------------------------------------------------------
 
 SWEEP_STABILITY_FACTOR = 4.0
-# bytes per leaf and level that a maximal sweep holds: maximal_mw streams its
-# leaf-pair table in blocks of linalg.BLOCK_BYTES, so what grows with the grid
-# are its L + 1 per-level leaf arrays.  Peak RSS (os.wait4) grew by 936 B per
-# leaf from L = 10 to 12, 1086 B from 12 to 13 and 970 B from 13 to 14: 78,
-# 78 and 65 B per leaf and level
-MW_LEVEL_BYTES = 80
-
-
-def _multiplier_criterion(A, red):
-    """sup over cubes and signatures of ||V_I A_I^eps V_I^{-1}||."""
-    crit = 0.0
-    for k in range(len(A.levels)):
-        Vinv = linalg.powm_spd(red["V"][k], -1.0)
-        crit = max(crit, float(linalg.opnorm(
-            red["V"][k][..., None, :, :] @ A.levels[k] @ Vinv[..., None, :, :]).max()))
-    return crit
 
 
 def _conjugated_sequence(g, red, core):
@@ -377,7 +324,7 @@ def _sweep_instruments(g, weights, seed, names):
             t_conj = weighted_operator_norm(haar_multiplier_op(conj), W, 2.0).value
             best = (0.0, 1.0)
             for A, ta in ((swap, t_swap), (conj, t_conj)):
-                bound = ap ** 1.5 * _logp(ap) * _multiplier_criterion(A, red)
+                bound = ap ** 1.5 * _logp(ap) * sup_over_cubes(conjugated_norms(A, red))[0]
                 if ta / bound > best[0] / best[1]:
                     best = (ta, bound)
             out["haar-multiplier"].append(best)
@@ -439,16 +386,11 @@ def run_sweep(kind, cfg, out_dir=None):
     if kind not in kinds:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     wanted = kinds[kind]
-    # norms above the dense cap hold Lanczos bases and the maximal functions
-    # their per-level leaf arrays; they run one after the other, so the larger
-    # sets the peak
-    leaves = 1 << min(L, 62)
-    norms = kind != "maximal" and 2 * leaves > DENSE_DIM_CAP
-    need = {"its Lanczos bases": _lanczos_bytes(L) if norms else 0,
-            "its per-level leaf arrays":
-                MW_LEVEL_BYTES * (L + 1) * leaves if "maximal-mw" in wanted else 0}
-    what = max(need, key=need.get)
-    refuse_beyond_memory(need[what], f"sweep {kind} at L = {L}", what)
+    # one reducing pyramid per alpha, then the norms and maximal functions in turn
+    needs = [("its reducing pyramids", len(alphas) * reducing_need(1, L, 2, 2.0)[1])]
+    needs += [norm_need(1, L, 2, 2.0)] if kind != "maximal" else []
+    needs += [mw_need(L)] if "maximal-mw" in wanted else []
+    refuse_beyond_memory(f"sweep {kind} at L = {L}", needs)
     weights = []
     for alpha in alphas:
         W = MatrixWeight.diagonal_power([alpha, -alpha])
@@ -511,10 +453,8 @@ def run_equivalence(cfg, out_dir=None):
     n_inst = _read_int(cfg, "instances", 200)
     L = _read_int(cfg, "L", 5, lo=1)
     seed = _read_int(cfg, "seed", 0)
-    refuse_beyond_memory(_grid_bytes(1, L, EQUIVALENCE_LEAF_BYTES), f"equivalence at L = {L}",
-                         "its leaf arrays")
-    if 2 << min(L, 62) > DENSE_DIM_CAP:
-        refuse_beyond_memory(_lanczos_bytes(L), f"equivalence at L = {L}", "its Lanczos bases")
+    refuse_beyond_memory(f"equivalence at L = {L}",
+                         [leaf_arrays("equivalence", 1, L), norm_need(1, L, 2, 2.0)])
     g = Grid(1, L)
     rng = np.random.default_rng(seed)
     n = 2

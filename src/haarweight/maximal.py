@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .dyadic import (
-    Cube, Grid, coarsen_levels, mean_pyramid, refine_to_leaves, sequence_maximal,
+    Cube, Grid, coarsen_levels, leaf_count, mean_pyramid, refine_to_leaves, sequence_maximal,
 )
 from .errors import SparsenessError
 from .operators import Operator, _mv
@@ -84,6 +84,17 @@ def _mw_ancestor_averages(W: MatrixWeight, f):
             avg = coarsen_levels(avg, 1, 1, axis=1)
             out[k, x] = avg[i, x >> (L - k)]
     return out
+
+
+# bytes per leaf and level that M_W and M'_W hold on 2x2 weights, whose
+# leaf-pair table streams in blocks: the maximal sweep's peak RSS (os.wait4)
+# grew by 78, 78 and 65 B per leaf and level over L = 10..12, 12..13, 13..14
+MW_LEVEL_BYTES = 80
+
+
+def mw_need(L):
+    """(what, bytes) that the maximal functions hold on the depth-L grid (d = 1)."""
+    return "its per-level leaf arrays", MW_LEVEL_BYTES * (min(L, 62) + 1) * leaf_count(1, L)
 
 
 def maximal_mw(W: MatrixWeight, f):

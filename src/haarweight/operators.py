@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .dyadic import (
-    Grid, StepFunction, chain_sum, haar_analyze, haar_synthesize, mean_pyramid,
+    Grid, StepFunction, chain_sum, haar_analyze, haar_synthesize, leaf_count, mean_pyramid,
     refine, signature_product, signatures,
 )
 from .errors import ShapeError
@@ -351,6 +351,19 @@ def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
 # under a diagonal power weight (two summands of 1024) and 0.37-0.39 s under
 # a rotated one (one summand)
 DENSE_DIM_CAP = 2048
+
+
+def norm_need(d, L, n, p):
+    """(what, bytes) that ``weighted_operator_norm`` holds at once for
+    dim = n 2^(dL) columns: 16 floats of leaf vectors per column (the ascent
+    took 169-210 B per leaf at d = 1, n = 2, L = 10..12), plus four dim x dim
+    arrays at p = 2 up to the cap; above it the two Lanczos bases instead."""
+    dim = n * leaf_count(d, L)
+    if p != 2.0:
+        return "its ascent", 8 * 16 * dim
+    if dim <= DENSE_DIM_CAP:
+        return "its dense matrices", 8 * (4 * dim + 16) * dim
+    return "its Lanczos bases", 8 * 2 * (linalg.LANCZOS_MAX_STEPS + 1) * dim
 
 
 @dataclass

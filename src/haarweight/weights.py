@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .dyadic import Cube, Grid, coarsen_levels, mean_pyramid, sup_over_cubes
+from .dyadic import Cube, Grid, coarsen_levels, leaf_count, mean_pyramid, sup_over_cubes
 from .errors import IntegrabilityError, ShapeError
 
 
@@ -525,6 +525,19 @@ def _reducing_from_gauge(rho, dirs, n):
 REDUCING_NET = 64
 
 
+def reducing_need(d, L, n, p):
+    """(what, bytes) that ``reducing_pyramid`` holds at once for an n x n
+    weight on the depth-L grid in d dimensions: 3 n^2 + 4 floats per cube
+    (pairs, certificates, averages), 6 n^2 per leaf (cached averages, roots,
+    eigh temporaries) and at p != 2 the gauge on the net of m directions, 2 m
+    per leaf and about 8.5 m per interior cube (tracemalloc), counted as 9 m."""
+    leaves = leaf_count(d, L)
+    cubes = leaves + (leaves - 1) // ((1 << min(d, 62)) - 1)
+    m = 0 if p == 2.0 else REDUCING_NET
+    floats = cubes * (3 * n * n + 4) + leaves * (6 * n * n + 2 * m) + (cubes - leaves) * 9 * m
+    return "its reducing pyramid", 8 * floats
+
+
 def reducing_pyramid(W: MatrixWeight, grid: Grid, p):
     """Reducing pairs (V_I, V_I') for every cube of the grid.
 
@@ -581,13 +594,15 @@ def reducing_pyramid(W: MatrixWeight, grid: Grid, p):
 # A_p characteristic
 # ---------------------------------------------------------------------------
 
+def _vv_prime_levels(reducing, p):
+    """Per-level ||V_I V_I'||^p over the cubes of a reducing pyramid."""
+    return [linalg.opnorm(V @ Vp) ** p for V, Vp in zip(reducing["V"], reducing["V_prime"])]
+
+
 def ap_from_reducing(reducing, p):
     """sup_I ||V_I V_I'||^p from a precomputed reducing pyramid (the primary
     characteristic; no double integral)."""
-    best = 0.0
-    for V, Vp in zip(reducing["V"], reducing["V_prime"]):
-        best = max(best, float((linalg.opnorm(V @ Vp) ** p).max()))
-    return best
+    return max(0.0, *(float(a.max()) for a in _vv_prime_levels(reducing, p)))
 
 
 def _double_average_levels(P, N, grid, p):
@@ -628,6 +643,17 @@ def _double_average_levels(P, N, grid, p):
             for k in range(L + 1)]
 
 
+def ap_need(d, L, n, p):
+    """(what, bytes) that ``ap_characteristic`` holds at once: its reducing
+    pyramid, 2 (L + 1) + 4 n^2 floats per leaf, and the double average's
+    blocks, four ``linalg.BLOCK_BYTES`` tables for 2x2 weights (about three
+    are alive) and 2 n^2 for the n x n products of other n."""
+    tables = 4 if n == 2 else 2 * n * n
+    floats = leaf_count(d, L) * (2 * (min(L, 62) + 1) + 4 * n * n)
+    return ("its reducing pyramid and A_p tables",
+            reducing_need(d, L, n, p)[1] + tables * linalg.BLOCK_BYTES + 8 * floats)
+
+
 def ap_characteristic(W: MatrixWeight, p, grid: Grid) -> ApReport:
     """Both forms of the A_p characteristic over all grid cubes.
 
@@ -646,8 +672,7 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid) -> ApReport:
     if d > 2:
         raise ShapeError("A_p double integral implemented for d <= 2")
     reducing = reducing_pyramid(W, grid, p)
-    per_level = [linalg.opnorm(V @ Vp) ** p
-                 for V, Vp in zip(reducing["V"], reducing["V_prime"])]
+    per_level = _vv_prime_levels(reducing, p)
     best_val, best_cube = sup_over_cubes(per_level)
     # defining double average
     P = W.leaf_reps(grid, 1.0 / p)       # W^{1/p}(x) leaf representative

@@ -38,7 +38,6 @@ REVERSE_AP_P2 = 1e-9
 REVERSE_AP_GEN = 2e-3
 SANDWICH_ETA = 1e-3
 WEAK_TYPE_CONSTANT = 2.0          # = n, from the trace identity
-SWEEP_FACTOR = 4.0
 COVERING_RATIO = 6.0
 CAR_EMBED_CAP = 64.0              # dimensional allowance for the p=2 corollary
 SPARSE_FAMILIES = 1000

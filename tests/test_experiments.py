@@ -14,6 +14,7 @@ from haarweight import experiments as ex
 from haarweight import operators
 from haarweight.cli import main as cli_main
 from haarweight.errors import ConfigError
+from haarweight.memory import LEAF_ARRAY_BYTES, leaf_count
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -428,7 +429,8 @@ class TestCLI:
         ("maximal", {"L": 40}),
         ("sweep", {"kind": "all", "L": 40}),
         ("sweep", {"kind": "sparse", "L": 40}),
-    ], ids=["maximal", "sweep-all", "sweep-norms-only"])
+        ("maximal", {"L": 10 ** 300}),
+    ], ids=["maximal", "sweep-all", "sweep-norms-only", "maximal-L1e300"])
     def test_sweep_oversized_grid_refused(self, tmp_path, capsys, monkeypatch, command, cfg):
         # L=40's per-level leaf arrays and Lanczos bases need petabytes: refused
         # before any reducing pyramid is built
@@ -458,12 +460,15 @@ class TestCLI:
         ("carleson", {"grid": {"d": 1, "L": 40}}, cli, "Grid"),
         ("equivalence", {"L": 40, "instances": 1}, ex, "Grid"),
         ("counterexample", {"kind": "paraproduct", "alpha": 0.3, "n_range": [4, 40]}, ex, "Grid"),
+        ("apchar", {"grid": {"d": 10 ** 15, "L": 1}, "p": 3}, cli, "Grid"),
+        ("apchar", {"grid": {"d": 1, "L": 10 ** 300}, "p": 3}, cli, "Grid"),
     ], ids=["opnorm-L40", "opnorm-p3-L30", "opnorm-lanczos-L20", "bmo", "stopping", "sparse",
-            "carleson", "equivalence", "paraproduct"])
+            "carleson", "equivalence", "paraproduct", "apchar-d1e15", "apchar-L1e300"])
     def test_oversized_grid_refused(self, tmp_path, capsys, monkeypatch, command, cfg, module,
                                     work):
         # with 8 GiB of memory each of these needs more for its leaf arrays
-        # (LEAF_BYTES per leaf) or for its Lanczos bases: refused before any work
+        # (LEAF_ARRAY_BYTES per leaf) or for its Lanczos bases: refused before
+        # any work
         def no_work(*args, **kwargs):
             raise AssertionError("the refusal must come before any work")
         monkeypatch.setattr(module, work, no_work)
@@ -499,8 +504,8 @@ class TestCLI:
             raise AssertionError("the refusal must come before any work")
         monkeypatch.setattr(module, work, no_work)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        L = (have // ex.LEAF_BYTES).bit_length() - 1
-        assert ex._grid_bytes(1, L) <= have < ex._grid_bytes(1, L, 271)
+        L = (have // LEAF_ARRAY_BYTES["sparse"]).bit_length() - 1
+        assert LEAF_ARRAY_BYTES["sparse"] * leaf_count(1, L) <= have < 271 * leaf_count(1, L)
         grid = {"L": L} if command == "equivalence" else {"grid": {"d": 1, "L": L}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, **grid}))
@@ -509,6 +514,56 @@ class TestCLI:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert f"L = {L} needs about" in err and "GiB of physical memory" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, module", [
+        ("opnorm", {"grid": {"d": 1, "L": 28}, "p": 3, "operator": {"op": "shift"}}, cli),
+        ("opnorm", {"grid": {"d": 1, "L": 22}, "p": 3, "operator": {"op": "embedding"}}, cli),
+        ("sparse", {"grid": {"d": 1, "L": 24}, "weight": {"kind": "identity"}}, cli),
+        ("sparse", {"grid": {"d": 1, "L": 28}, "p": 3, "weight": {"kind": "identity"}}, cli),
+        ("counterexample", {"kind": "paraproduct", "alpha": 0.3, "n_range": [4, 26]}, ex),
+        ("carleson", {"grid": {"d": 1, "L": 22}, "p": 3}, cli),
+        ("bmo", {"grid": {"d": 1, "L": 22}, "p": 3, "variant": "primal"}, cli),
+        ("bmo", {"grid": {"d": 1, "L": 22}, "p": 3, "variant": "dual"}, cli),
+    ], ids=["opnorm-shift-p3-L28", "opnorm-embedding-p3-L22", "sparse-weight-p2-L24",
+            "sparse-weight-p3-L28", "paraproduct-L28", "carleson-p3-L22", "bmo-primal-p3-L22",
+            "bmo-dual-p3-L22"])
+    def test_refused_by_the_needs_of_what_it_runs(self, tmp_path, capsys, monkeypatch,
+                                                   command, cfg, module):
+        # with 8 GiB of memory each of these needs more for the kernels it
+        # runs in its regime (the ascent, the Lanczos bases, the net gauge of
+        # the reducing pyramid at p != 2) or for its own leaf arrays, and a
+        # refusal before the grid is built is the only way out
+        def no_work(*args, **kwargs):
+            raise AssertionError("the refusal must come before any work")
+        monkeypatch.setattr(module, "Grid", no_work)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}
+        monkeypatch.setattr(ex.os, "sysconf", pages.get)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "than the 8 GiB" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("l_range", ["one-depth", "past-the-dense-cap"])
+    def test_commutator_refuses_a_range_without_a_certified_pair(self, tmp_path, capsys,
+                                                                monkeypatch, l_range):
+        # a growth pair (L, L + 1) is certified only when norm(L) is dense,
+        # 2 * 2^L <= DENSE_DIM_CAP; without such a pair the run asserts nothing
+        def no_work(*args, **kwargs):
+            raise AssertionError("the refusal must come before any work")
+        monkeypatch.setattr(ex, "weighted_operator_norm", no_work)
+        first = (operators.DENSE_DIM_CAP // 2).bit_length()   # the first matrix-free depth
+        lo, hi = {"one-depth": (4, 4), "past-the-dense-cap": (first, first + 1)}[l_range]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "commutator", "alpha": 0.1, "l_range": [lo, hi]}))
+        assert self.run("counterexample", "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "l_range" in err
+        assert not list(tmp_path.glob("counterexample_*"))
+        assert not (tmp_path / "diagnostics.json").exists()
 
     def test_apchar_roundtrip(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -9,6 +9,9 @@ An option, a parameter with a default of a public function, of a public
 method or of a public class's constructor, counts as used when one of those
 callers passes it, by keyword or by position.  The names in ``PENDING`` wait
 for a result that will call them; once one has a caller it leaves the list.
+A module-level UPPER_CASE constant of the package or of the acceptance
+criteria counts as read when one of those callers reads its name outside
+its own assignment.
 """
 
 import ast
@@ -64,6 +67,28 @@ def uncalled():
 def test_every_public_name_has_a_caller():
     assert len(public_definitions()) > 50       # the parse found the package
     assert uncalled() == set(PENDING)
+
+
+def constants():
+    """(path, assignment, name) of the module-level UPPER_CASE constants of
+    the package and of the acceptance criteria."""
+    paths = sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    return [(path, node, t.id) for path, node in top_level(paths)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Name) and t.id.isupper()]
+
+
+def unread_constants():
+    reads = [(path, node, read_names(node)) for path, node in top_level(caller_files())]
+    return {name for path, node, name in constants()
+            if not any(name in names for p, n, names in reads
+                       if not (p == path and n.lineno == node.lineno))}
+
+
+def test_every_constant_is_read():
+    assert len(constants()) > 30                # the parse found the constants
+    assert unread_constants() == set()
 
 
 

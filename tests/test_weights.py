@@ -137,6 +137,21 @@ class TestReducingOperators:
         np.testing.assert_allclose(np.diag(V_prime), [np.sqrt(2.0), np.sqrt(2.0 / 3.0)], rtol=1e-12)
         assert np.linalg.norm(V @ V_prime, 2) ** 2 == pytest.approx(4.0 / 3.0)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_pyramid_stays_within_its_need(self, p):
+        # the need that the memory refusals count is at or above what the
+        # pyramid holds, the leaf averages it caches on a fresh weight included
+        import tracemalloc
+        g = Grid(1, 12)
+        W = MatrixWeight.rotated_power([-0.45, 0.4], 2.0)
+        tracemalloc.start()
+        try:
+            reducing_pyramid(W, g, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= weights_module.reducing_need(g.d, g.L, W.n, p)[1]
+
     def test_general_p_sandwich_certificate(self, monkeypatch):
         # direct quadrature of the gauge on coordinate directions sandwiches |V e_i|;
         # gauge_pyramid gives the interior levels, and a leaf's gauge is its
@@ -490,7 +505,7 @@ class TestApCharacteristic:
         # reducing pyramid included, stays below it and below the need that
         # apchar's memory refusal counts
         import tracemalloc
-        from haarweight.cli import _apchar_bytes
+        from haarweight.weights import ap_need
         g = Grid(1, 12)
         tracemalloc.start()
         try:
@@ -499,7 +514,7 @@ class TestApCharacteristic:
         finally:
             tracemalloc.stop()
         assert peak < 8 * g.n_leaves ** 2
-        assert peak <= _apchar_bytes(g, 2)
+        assert peak <= ap_need(g.d, g.L, 2, 1.5)[1]
 
     def test_power_weight_p2_value(self):
         W = MatrixWeight.diagonal_power([0.5, -0.5])
