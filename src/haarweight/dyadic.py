@@ -7,6 +7,10 @@ Parseval closes exactly on the finite tree, and ``haar_synthesize`` inverts it.
 
 Everything here is a pure function of immutable inputs; per-level arrays keep
 the spatial axes first and value axes last, so all tree walks are vectorized.
+The Haar transforms write their outputs in their input's memory order
+(``memory_order``): a Fortran-ordered input keeps the leaf axis contiguous,
+so their elementwise loops run along the leaves and not along a short value
+axis; the numbers are the same in either order.
 """
 
 from __future__ import annotations
@@ -151,6 +155,13 @@ def signature_product(eps, eps_prime):
 # Per-level array plumbing
 # ---------------------------------------------------------------------------
 
+def memory_order(a):
+    """"F" for a Fortran-contiguous array that is not also C-contiguous (an
+    array with at most one axis longer than 1, such as a level-0 array
+    shaped (1, 1, 2), is both), else "C"."""
+    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+
+
 def _halves(a, ax):
     """Sibling halves of axis ``ax`` as strided views: (.., 2m, ..) -> two (.., m, ..)."""
     a = a.reshape(a.shape[:ax] + (a.shape[ax] // 2, 2) + a.shape[ax + 1:])
@@ -259,7 +270,8 @@ def haar_analyze(values, d, L):
     values: (2^L,)*d + value_shape.  Returns (mean, coeffs, means_pyramid)
     with coeffs[k] shaped (2^k,)*d + (2^d - 1,) + value_shape; the signature
     axis sits right after the spatial axes.  Value axes are arbitrary, so a
-    trailing batch axis rides along for free.
+    trailing batch axis rides along for free.  Every output is written in the
+    memory order of ``values``.
 
     Each level is a separable butterfly on strided views: per child axis the
     sibling halves x0, x1 give x0 - x1 and x0 + x1, so after d axes the 2^d
@@ -270,11 +282,12 @@ def haar_analyze(values, d, L):
     nsig = (1 << d) - 1
     means = [None] * (L + 1)
     means[L] = np.asarray(values, dtype=float)
+    order = memory_order(means[L])
     coeffs = [None] * L
     for k in range(L - 1, -1, -1):
         rest = means[k + 1].shape[d:]
-        co = np.empty((1 << k,) * d + (nsig,) + rest)
-        mean = np.empty((1 << k,) * d + rest)
+        co = np.empty((1 << k,) * d + (nsig,) + rest, order=order)
+        mean = np.empty((1 << k,) * d + rest, order=order)
         parts = [means[k + 1]]
         for ax in range(d):
             outs = ([co[(slice(None),) * d + (s,)] for s in range(nsig)] + [mean]
@@ -290,10 +303,12 @@ def haar_analyze(values, d, L):
     return means[0][(0,) * d], coeffs, means
 
 
-def _merge(dif, tot, ax):
+def _merge(dif, tot, ax, order):
     """Inverse butterfly on axis ``ax``: tot + dif and tot - dif become the
-    sibling halves of a new array, (.., m, ..) -> (.., 2m, ..)."""
-    out = np.empty(tot.shape[:ax] + (2 * tot.shape[ax],) + tot.shape[ax + 1:])
+    sibling halves of a new array in memory order ``order``, (.., m, ..) ->
+    (.., 2m, ..).  Splitting an axis is a view in either order, so the halves
+    are written in place."""
+    out = np.empty(tot.shape[:ax] + (2 * tot.shape[ax],) + tot.shape[ax + 1:], order=order)
     y0, y1 = _halves(out, ax)
     np.add(tot, dif, out=y0)
     np.subtract(tot, dif, out=y1)
@@ -305,14 +320,17 @@ def haar_synthesize(mean, coeffs, d, L):
 
     Per level the scaled coefficients and the current cube values (the
     all-sum part) run the butterflies of ``haar_analyze`` backwards, last
-    child axis first."""
+    child axis first.  The output is written in the memory order of the
+    finest level, ``coeffs[L - 1]``: level 0 has one cube, so a
+    Fortran-ordered level 0 is C-contiguous as well."""
     nsig = (1 << d) - 1
+    order = memory_order(coeffs[L - 1])
     cur = np.broadcast_to(mean, (1,) * d + np.shape(mean)).copy()
     for k in range(L):
         v = coeffs[k] * 2.0 ** (k * d / 2.0)
         parts = [v[(slice(None),) * d + (s,)] for s in range(nsig)] + [cur]
         for ax in reversed(range(d)):
-            parts = [_merge(dif, tot, ax) for dif, tot in zip(parts[0::2], parts[1::2])]
+            parts = [_merge(dif, tot, ax, order) for dif, tot in zip(parts[0::2], parts[1::2])]
         cur = parts[0]
     return cur
 

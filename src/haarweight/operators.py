@@ -6,6 +6,9 @@ leaf values shaped grid + (n,) or grid + (n, B); the trailing batch axis is
 how dense matrices get assembled, one block of identity columns per pass.  All operators
 annihilate the coarse mean (their sums run over cancellative Haar terms); the
 mean channel of the input still matters wherever cube averages appear.
+The kernels take C- or Fortran-ordered leaf values and give the same bits
+for both; the matrix-free norm runs them leaf-contiguous (Fortran order), so
+that their elementwise loops run along the leaves.
 
 Each operator also carries its unweighted-L^2 adjoint kernel (the leaf basis
 is orthogonal with equal cell measures, so the adjoint is the dense
@@ -21,7 +24,7 @@ import numpy as np
 from . import linalg
 from .dyadic import (
     Grid, StepFunction, chain_sum, haar_analyze, haar_synthesize, leaf_count, mean_pyramid,
-    refine, signature_product, signatures,
+    memory_order, refine, signature_product, signatures,
 )
 from .errors import ShapeError
 from .weights import MatrixWeight, _lp_power, reducing_pyramid
@@ -29,10 +32,25 @@ from .weights import MatrixWeight, _lp_power, reducing_pyramid
 
 def _mv(mats, vecs):
     """Matrix-vector product broadcasting over leading axes; vecs may carry a
-    trailing batch axis (then it is a plain batched matmul)."""
+    trailing batch axis (then it is a plain batched matmul).
+
+    Without a batch axis, 2x2 matrices take the closed form
+    m_i0 v_0 + m_i1 v_1 on leaf slices, written in the memory order of vecs,
+    so that its loops run along the leaves of a leaf-contiguous input.  It
+    has the bits of the einsum that other matrix sizes take: that sum starts
+    from +0, and the final += 0.0 turns a -0 into +0 and changes nothing
+    else."""
     if vecs.ndim == mats.ndim:
         return mats @ vecs
-    return np.einsum("...ij,...j->...i", mats, vecs)
+    if mats.shape[-2:] != (2, 2):
+        return np.einsum("...ij,...j->...i", mats, vecs)
+    out = np.empty_like(vecs, dtype=np.result_type(mats, vecs),
+                        shape=np.broadcast_shapes(mats.shape[:-1], vecs.shape))
+    for i in range(2):
+        np.multiply(mats[..., i, 0], vecs[..., 0], out=out[..., i])
+        out[..., i] += mats[..., i, 1] * vecs[..., 1]
+    out += 0.0
+    return out
 
 
 def _transpose(mats):
@@ -166,10 +184,14 @@ def _shift_levels(sigma: ShiftMap, fc, adjoint=False):
     (scatter), and what moves below the leaf level is dropped.  With
     ``adjoint``, (Q^T g)_I^eps = g_{sigma(I)}^eps (gather).  sigma sends the
     cubes of a level to distinct children, so one fancy-index assignment per
-    level is a complete scatter."""
+    level is a complete scatter.
+
+    The levels are flattened by a reshape that merges the d cube axes, a
+    view of the output only in C order when d >= 2; so the outputs keep a
+    Fortran order of the input at d = 1 only, and are C-ordered otherwise."""
     d = sigma.grid.d
     flat = lambda a: a.reshape((-1,) + a.shape[d:])
-    out = [np.zeros(c.shape) for c in fc]
+    out = [np.zeros(c.shape, order=memory_order(c) if d == 1 else "C") for c in fc]
     for k, tg in enumerate(sigma.targets):
         if adjoint:
             flat(out[k])[:] = flat(fc[k + 1])[tg]
@@ -218,6 +240,19 @@ def _adjoint_paraproduct_values(grid, coeffs, vals):
 
 def _shift_values(sigma: ShiftMap, vals, adjoint=False):
     return _on_coefficients(sigma.grid, lambda fc: _shift_levels(sigma, fc, adjoint), vals)
+
+
+def _shift_pair(sigma: ShiftMap, a, b, adjoint=False):
+    """Q_sigma a and Q_sigma b (Q^T with ``adjoint``) as one shift of the
+    stacked pair, the pair axis right after the leaf axes and the pair in the
+    memory order of a; the shift acts on each value alone, so each half has
+    the bits of its own shift."""
+    d = sigma.grid.d
+    pair = np.empty(a.shape[:d] + (2,) + a.shape[d:], order=memory_order(a))
+    halves = np.moveaxis(pair, d, 0)
+    halves[0], halves[1] = a, b
+    q = np.moveaxis(_shift_values(sigma, pair, adjoint), d, 0)
+    return q[0], q[1]
 
 
 def _product_channels(B: MatrixSymbol, vals):
@@ -307,15 +342,25 @@ def shift_op(sigma: ShiftMap):
 
 def commutator_op(B: MatrixSymbol, sigma: ShiftMap):
     """[B, Q_sigma] f = B Q f - Q(B f); ``commutator_case_sum`` is the same
-    operator split into the paper's cases."""
+    operator split into the paper's cases.  A vector input shifts f and B f
+    as one stacked pair (``_shift_pair``); a batch of columns shifts them
+    one after the other, which keeps the working set of a column block of
+    ``dense_matrix`` at one block."""
     vals, valsT = B.step.values, _transpose(B.step.values)
+    batched = lambda v: v.ndim > B.grid.d + 1
 
     def kernel(v):
-        return _mv(vals, _shift_values(sigma, v)) - _shift_values(sigma, _mv(vals, v))
+        if batched(v):
+            return _mv(vals, _shift_values(sigma, v)) - _shift_values(sigma, _mv(vals, v))
+        qv, qbv = _shift_pair(sigma, v, _mv(vals, v))
+        return _mv(vals, qv) - qbv
 
     def kernel_T(v):
-        qt = _shift_values(sigma, _mv(valsT, v), adjoint=True)
-        return qt - _mv(valsT, _shift_values(sigma, v, adjoint=True))
+        if batched(v):
+            qt = _shift_values(sigma, _mv(valsT, v), adjoint=True)
+            return qt - _mv(valsT, _shift_values(sigma, v, adjoint=True))
+        qbv, qv = _shift_pair(sigma, _mv(valsT, v), v, adjoint=True)
+        return qbv - _mv(valsT, qv)
 
     return Operator(B.grid, B.n, kernel, kernel_T, "commutator")
 
@@ -346,7 +391,7 @@ def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
 # 0.18-0.21 s at 2048 and 0.6-0.9 s at 4096 in a process that has already
 # freed arrays of a few MiB, and 0.35-0.43 s and 1.6-1.9 s in a fresh one,
 # whose allocator hands each block's temporaries back to the system and
-# faults them in again; matrix-free Lanczos needs 0.06-0.07 s.
+# faults them in again; matrix-free Lanczos needs 0.02-0.04 s at 2048.
 # At 2048 the certified bracket of ``linalg.spectral_norm`` takes 0.14-0.16 s
 # under a diagonal power weight (two summands of 1024) and 0.37-0.39 s under
 # a rotated one (one summand)
@@ -433,6 +478,12 @@ def _whitened_summands(D, H, H_inv):
         return [M.reshape(dim, dim).T]
     out = []
     for R, C in blocks:
+        if len(R) == len(C) == 1:
+            # one row and one column class: the leaf blocks are scalars, and
+            # scaling rows and columns gives the einsums' bits
+            r, c = R[0], C[0]
+            out.append((H[:, r, r][:, None] * D4[:, r, :, c]) * H_inv[:, c, c][None, :])
+            continue
         left = np.einsum("lia,lamc->limc", H[:, R[:, None], R], D4[:, R][..., C])
         right = np.einsum("limb,mbj->limj", left, H_inv[:, C[:, None], C])
         out.append(right.reshape(N * len(R), N * len(C)))
@@ -501,9 +552,13 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
         return NormReport(val, "exact" if cert["certified"] else "lower-bound",
                           details={"dim": dim, "method": "certified Gram bracket", **cert})
     shape = grid.leaf_shape + (n,)
+    # the Lanczos vectors stay leaf-major, component-minor; the kernels run on
+    # a leaf-contiguous (Fortran-ordered) copy, and the result is read back
+    # into that order by the final reshape
+    leafwise = lambda x: np.asfortranarray(x.reshape(shape))
     val, wit, diag = linalg.matfree_spectral_norm(
-        lambda x: _mv(half, op.kernel(_mv(half_inv, x.reshape(shape)))).reshape(-1),
-        lambda y: _mv(half_inv, op.kernel_T(_mv(half, y.reshape(shape)))).reshape(-1),
+        lambda x: _mv(half, op.kernel(_mv(half_inv, leafwise(x)))).reshape(-1),
+        lambda y: _mv(half_inv, op.kernel_T(_mv(half, leafwise(y)))).reshape(-1),
         dim, seed=seed)
     return NormReport(val, "lower-bound", _mv(half_inv, wit.reshape(shape)),
                       {"dim": dim, "method": "Golub-Kahan-Lanczos", **diag})

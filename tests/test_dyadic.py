@@ -312,6 +312,28 @@ class TestButterflyKernels:
         assert np.abs(back - synthesize_oracle(mean, coeffs, d, L)).max() <= tol
         assert np.abs(back - x).max() <= tol
 
+    @pytest.mark.parametrize("d,L,rest", [(1, 6, (2,)), (1, 5, (2, 2, 3)), (2, 3, (2,)),
+                                          (2, 3, (2, 3))])
+    def test_transforms_keep_the_memory_order_bit_for_bit(self, d, L, rest):
+        # a leaf-contiguous (Fortran-ordered) input gives Fortran-ordered
+        # levels and leaf values with the C-ordered input's bits; at d = 1
+        # with vector values level 0 is shaped (1, 1, 2) and is C-contiguous
+        # too, so the synthesis reads its order from the finest level
+        x = np.random.default_rng(34).standard_normal((1 << L,) * d + rest)
+        xf = np.asfortranarray(x)
+        mean, coeffs, means = dy.haar_analyze(x, d, L)
+        f_mean, f_coeffs, f_means = dy.haar_analyze(xf, d, L)
+        assert np.array_equal(mean, f_mean)
+        for a, b in zip(coeffs + means, f_coeffs + f_means):
+            assert np.array_equal(a, b)
+            assert dy.memory_order(a) == "C"
+            assert b.flags.f_contiguous
+        assert dy.memory_order(f_coeffs[-1]) == "F"
+        back, f_back = (dy.haar_synthesize(mean, coeffs, d, L),
+                        dy.haar_synthesize(mean, f_coeffs, d, L))
+        assert np.array_equal(back, f_back)
+        assert dy.memory_order(back) == "C" and dy.memory_order(f_back) == "F"
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_coarsening_bit_identical_to_numpy(self, d):
         x = np.random.default_rng(33).standard_normal((16,) * d + (3,))

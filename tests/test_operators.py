@@ -7,7 +7,7 @@ kernel must match the transpose of its dense leaf-basis matrix exactly.
 import numpy as np
 import pytest
 
-from haarweight.dyadic import Grid, StepFunction, haar_analyze
+from haarweight.dyadic import Grid, StepFunction, haar_analyze, memory_order
 from haarweight.errors import ShapeError
 from haarweight.operators import (
     MatrixSequence, MatrixSymbol, NormReport, Operator, ShiftMap,
@@ -276,6 +276,25 @@ class TestCommutator:
             worst = max(worst, np.abs(a - b).max() / scale)
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("d,L", [(1, 11), (2, 3)])
+    def test_stacked_shift_has_the_bits_of_two_shifts(self, d, L):
+        # a vector input shifts f and B f as one stacked pair; the oracle is
+        # B Q f - Q(B f) with a shift of each, in both memory orders
+        from haarweight.operators import _mv, _shift_values
+        rng = np.random.default_rng(26)
+        g = Grid(d, L)
+        B = random_symbol(g, rng)
+        sigma = ShiftMap.random_child(g, seed=27)
+        op = commutator_op(B, sigma)
+        vals, valsT = B.step.values, np.swapaxes(B.step.values, -1, -2)
+        x = rng.standard_normal(g.leaf_shape + (2,))
+        for v in (x, np.asfortranarray(x)):
+            want = _mv(vals, _shift_values(sigma, v)) - _shift_values(sigma, _mv(vals, v))
+            assert np.array_equal(op.kernel(v), want)
+            want_T = (_shift_values(sigma, _mv(valsT, v), adjoint=True)
+                      - _mv(valsT, _shift_values(sigma, v, adjoint=True)))
+            assert np.array_equal(op.kernel_T(v), want_T)
+
     def test_one_transform_at_each_end(self, monkeypatch):
         # the case sum analyzes and synthesizes once for Q f, D(Q f), D f and
         # Q(D f); the product decomposition once in all
@@ -455,6 +474,31 @@ class TestWeightedNorms:
             assert rep.value == pytest.approx(want, rel=1e-13)
             assert want <= rep.details["upper"] <= want * (1 + 1e-9)
 
+    def test_one_class_summands_have_the_einsum_bits(self):
+        # under a diagonal weight each summand of a swapping or componentwise
+        # operator has one row and one column class; scaling its rows and
+        # columns gives the bits of the two leafwise einsums
+        from haarweight.experiments import log_swap_symbol
+        from haarweight.operators import _whitened_summands
+        g = Grid(1, 6)
+        W = MatrixWeight.diagonal_power([0.3, -0.3])
+        gram = W.leaf_averages(g, 1.0)
+        H, H_inv = linalg.powm_spd(gram, 0.5), linalg.powm_spd(gram, -0.5)
+        N = g.n_leaves
+        for op, classes in ((commutator_op(log_swap_symbol(g), ShiftMap.left_child(g)),
+                             [(0, 1), (1, 0)]),
+                            (shift_op(ShiftMap.random_child(g, seed=3)), [(0, 0), (1, 1)])):
+            D = dense_matrix(op)
+            got = _whitened_summands(D, H, H_inv)
+            assert len(got) == len(classes), op.name
+            D4 = D.reshape(N, 2, N, 2)
+            for M, (r, c) in zip(got, classes):
+                R, C = np.array([r]), np.array([c])
+                left = np.einsum("lia,lamc->limc", H[:, R[:, None], R], D4[:, R][..., C])
+                want = np.einsum("limb,mbj->limj", left, H_inv[:, C[:, None], C]).reshape(N, N)
+                assert np.array_equal(M, want) and M.flags.c_contiguous, op.name
+                assert np.array_equal(np.signbit(M), np.signbit(want)), op.name
+
     def test_summands_of_several_components(self):
         # a 3x3 multiplier that mixes components 0 and 1 and keeps 2 apart,
         # under a diagonal weight: one 2-component and one 1-component block
@@ -589,6 +633,73 @@ class TestAdjointKernels:
             M = dense_matrix(op)
             MT = dense_matrix(Operator(op.grid, op.n, op.kernel_T))
             np.testing.assert_allclose(MT, M.T, atol=1e-12, err_msg=op.name)
+
+
+class TestMemoryOrder:
+    """The matrix-free norms run the kernels on leaf-contiguous
+    (Fortran-ordered) inputs: every kernel must give the C-ordered input's
+    bits.  At d >= 2 the shift's scatter goes through a reshape that merges
+    the cube axes, which copies a Fortran-ordered level and loses the
+    scatter, so d = 2 is covered too."""
+
+    @staticmethod
+    def operators(g):
+        rng = np.random.default_rng(60 + g.d)
+        B = random_symbol(g, rng)
+        A = MatrixSequence.random(g, rng=61)
+        left, rand = ShiftMap.left_child(g), ShiftMap.random_child(g, seed=62)
+        return [paraproduct_op(B), adjoint_paraproduct_op(B), haar_multiplier_op(A),
+                shift_op(left), shift_op(rand), commutator_op(B, left), commutator_op(B, rand),
+                big_pi_op(A, MatrixWeight.rotated_power([0.4, -0.3], 0.7), 2.0)]
+
+    # a few leaves and 2^11 leaves at d = 1, a few and 2^12 at d = 2
+    @pytest.mark.parametrize("d,L", [(1, 6), (1, 11), (2, 3), (2, 6)])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_kernels_give_the_same_bits_in_either_order(self, d, L, batch):
+        g = Grid(d, L)
+        x = np.random.default_rng(63).standard_normal(g.leaf_shape + (2,) + batch)
+        xf = np.asfortranarray(x)
+        assert xf.flags.f_contiguous and not xf.flags.c_contiguous
+        for op in self.operators(g):
+            for kernel in (op.kernel, op.kernel_T):
+                want, got = kernel(x), kernel(xf)
+                assert got.shape == want.shape, op.name
+                assert np.array_equal(got, want), op.name
+                assert np.array_equal(np.signbit(got), np.signbit(want)), op.name
+
+    @pytest.mark.parametrize("mats_shape,vecs_shape", [
+        ((1024, 2, 2), (1024, 2)),          # a leaf product
+        ((2, 2), (1024, 3, 2)),             # one matrix against every vector
+        ((1024, 1, 2, 2), (1024, 3, 2)),    # the means multiplier on coefficient levels
+        ((1024, 3, 2, 2), (1024, 1, 2)),    # the paraproduct on cube means
+        ((3, 2, 2), (3, 2)),                # a few leaves
+        ((2, 2), (2,)),                     # the coarse mean
+    ])
+    def test_2x2_closed_form_has_the_einsum_bits(self, mats_shape, vecs_shape, monkeypatch):
+        from haarweight.operators import _mv
+        rng = np.random.default_rng(64)
+        mats = rng.standard_normal(mats_shape) * np.exp(rng.uniform(-20, 20, mats_shape))
+        vecs = rng.standard_normal(vecs_shape) * np.exp(rng.uniform(-20, 20, vecs_shape))
+        for a in (mats, vecs):                  # zeros of both signs
+            a[rng.random(a.shape) < 0.25] = 0.0
+            a[rng.random(a.shape) < 0.25] = -0.0
+        want = np.einsum("...ij,...j->...i", mats, vecs)
+        einsum, calls = np.einsum, []
+        monkeypatch.setattr(np, "einsum", lambda *a: calls.append(a[0]) or einsum(*a))
+        inputs = (vecs, np.asfortranarray(vecs), vecs[::-1][::-1])
+        for v in inputs:
+            got = _mv(mats, v)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert calls == []
+        if vecs.shape == want.shape and vecs.ndim > 1:
+            # written in the memory order of a leaf-contiguous input
+            assert memory_order(_mv(mats, np.asfortranarray(vecs))) == "F"
+        # other matrix sizes take the einsum
+        calls.clear()
+        m3, v3 = rng.standard_normal((1024, 3, 3)), rng.standard_normal((1024, 3))
+        assert np.array_equal(_mv(m3, v3), einsum("...ij,...j->...i", m3, v3))
+        assert calls == ["...ij,...j->...i"]
 
 
 class TestSymbolInvariants:
