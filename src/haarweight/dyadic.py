@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .errors import ShapeError
 
 
@@ -83,10 +84,6 @@ class Cube:
     shift: int = 1
 
     @property
-    def side(self):
-        return 2.0 ** (-self.level)
-
-    @property
     def measure(self):
         return 2.0 ** (-self.level * len(self.offset))
 
@@ -104,29 +101,6 @@ class Cube:
         step = _pow2(-self.level)
         los = [(m + Fraction(sgn * t, 3)) * step for m, t in zip(self.offset, self._shift_bits())]
         return [(lo, lo + step) for lo in los]
-
-    def children(self):
-        # child offsets follow the (-1)^k alternation so nesting is exact
-        sgn = -1 if self.level % 2 else 1
-        base = tuple(2 * m + (sgn if t else 0) for m, t in zip(self.offset, self._shift_bits()))
-        return [Cube(self.level + 1, tuple(b + c for b, c in zip(base, corner)), self.shift)
-                for corner in itertools.product((0, 1), repeat=len(self.offset))]
-
-    def parent(self):
-        if self.level == 0:
-            raise ValueError("root cube has no parent")
-        # invert children(): m_child = 2*m_parent + sgn_parent*tau + corner
-        sgn_parent = -1 if (self.level - 1) % 2 else 1
-        par = tuple((m - (sgn_parent if t else 0)) // 2
-                    for m, t in zip(self.offset, self._shift_bits()))
-        return Cube(self.level - 1, par, self.shift)
-
-    def contains(self, other):
-        """Exact containment check via rational bounds."""
-        for (a, b), (c, e) in zip(self.bounds(), other.bounds()):
-            if not (a <= c and e <= b):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +182,33 @@ def mean_pyramid(values, d, L):
     for k in range(L - 1, -1, -1):
         means[k] = coarsen_levels(means[k + 1], d, 1)
     return means
+
+
+def ancestor_averages(pair_rows, grid):
+    """(L + 1, N) array whose row k holds, for each leaf x in flat C order,
+    the average of a leaf-pair table T[x, y] over the leaves y of x's
+    level-k ancestor.
+
+    ``pair_rows(block)`` returns the rows T[x, .] of the leaves x in the
+    slice ``block``, flat over y in C order.  The table is built
+    ``linalg.block_rows`` rows at a time: a block goes up the levels along y
+    one at a time and keeps only the entry of x's own ancestor, so the walk
+    holds O(N * block) floats, not N x N.  The rows are independent, so the
+    result does not depend on the block."""
+    d, L, N = grid.d, grid.L, grid.n_leaves
+    rows = linalg.block_rows(N, 8 * N)
+    out = np.empty((L + 1, N))
+    i = np.arange(rows)
+    for lo in range(0, N, rows):
+        block = slice(lo, lo + rows)
+        coords = np.unravel_index(np.arange(lo, lo + rows), grid.leaf_shape)
+        table = pair_rows(block).reshape((rows,) + grid.leaf_shape)
+        for k in range(L, -1, -1):
+            if k < L:
+                table = coarsen_levels(table, d, 1, axis=1)
+                coords = tuple(c >> 1 for c in coords)
+            out[k, block] = table[(i,) + coords]
+    return out
 
 
 def subtree_sums(per_level, d):

@@ -196,7 +196,7 @@ def _counterexample_paraproduct(alpha, cfg, out_dir):
         mask[i0:i1] = 1.0
         arg = StepFunction(g, mask[:, None] * (inv_leaf @ e))
         out = op(arg)
-        num = lp_norm(out, W, 2.0) ** 2
+        num = lp_norm(out, W) ** 2
         # ||f_N||^2 = int_{J_N} t^{-alpha} dt, closed form
         den = (hi ** (1 - alpha) - lo ** (1 - alpha)) / (1 - alpha)
         ratios.append(num / den)

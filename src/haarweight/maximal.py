@@ -16,7 +16,8 @@ import numpy as np
 
 from . import linalg
 from .dyadic import (
-    Cube, Grid, coarsen_levels, leaf_count, mean_pyramid, refine_to_leaves, sequence_maximal,
+    Cube, Grid, ancestor_averages, coarsen_levels, leaf_count, mean_pyramid, refine_to_leaves,
+    sequence_maximal,
 )
 from .errors import SparsenessError
 from .operators import Operator, _mv
@@ -58,32 +59,17 @@ def maximal_mw_prime(W: MatrixWeight, f):
 
 
 def _mw_ancestor_averages(W: MatrixWeight, f):
-    """(L+1, N) array: row k holds, for each leaf x, the average over the
-    level-k ancestor of x of P[x, y] = |W^{1/2}(x) W^{-1/2}(y) f(y)| (d = 1).
-
-    The leaf-pair table P is streamed over blocks of ``linalg.block_rows`` x
-    rows: a block goes up the levels along y one at a time and keeps only the
-    entry of x's own ancestor, so it holds O(N * block) floats, not N x N.
-    The rows are independent, so the result does not depend on the block."""
+    """``dyadic.ancestor_averages`` of the leaf-pair table
+    P[x, y] = |W^{1/2}(x) W^{-1/2}(y) f(y)| (d = 1)."""
     grid = f.grid
     if grid.d != 1:
         raise ValueError("the two-sided maximal function is implemented for d=1")
-    L, N = grid.L, grid.n_leaves
+    N = grid.n_leaves
     Mw = W.leaf_averages(grid, 1.0).reshape(N, -1)
     t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
     # quad[x, y] = t_y^T Mw_x t_y as one GEMM of flattened Mw_x against t_y t_y^T
     tt = (t_leaf[:, :, None] * t_leaf[:, None, :]).reshape(N, -1).T
-    rows = linalg.block_rows(N, 8 * N)
-    out = np.empty((L + 1, N))
-    i = np.arange(rows)
-    for lo in range(0, N, rows):
-        x = lo + i
-        avg = np.sqrt(np.maximum(Mw[lo:lo + rows] @ tt, 0.0))   # P[x-leaf, y-leaf]
-        out[L, x] = avg[i, x]
-        for k in range(L - 1, -1, -1):
-            avg = coarsen_levels(avg, 1, 1, axis=1)
-            out[k, x] = avg[i, x >> (L - k)]
-    return out
+    return ancestor_averages(lambda block: np.sqrt(np.maximum(Mw[block] @ tt, 0.0)), grid)
 
 
 # bytes per leaf and level that M_W and M'_W hold on 2x2 weights, whose

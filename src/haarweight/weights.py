@@ -16,7 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .dyadic import Cube, Grid, coarsen_levels, leaf_count, mean_pyramid, sup_over_cubes
+from .dyadic import (
+    Cube, Grid, ancestor_averages, coarsen_levels, leaf_count, mean_pyramid, sup_over_cubes,
+)
 from .errors import IntegrabilityError, ShapeError
 
 
@@ -219,12 +221,13 @@ def _lp_power(vals, M, p, meas):
     return float((np.maximum(q, 0.0) ** (p / 2.0)).sum() * meas)
 
 
-def lp_norm(f, W: MatrixWeight, p=2.0):
-    """||f||_{L^p(W)}; exact at p=2, leaf L^2-representative gauge otherwise."""
+def lp_norm(f, W: MatrixWeight):
+    """||f||_{L^2(W)}, exact: on a leaf the integral of f^T W f for the
+    constant value f_leaf is f_leaf^T m_leaf(W) f_leaf |leaf|."""
     grid = f.grid
     if f.kind != "vector":
         raise ShapeError("weighted norms act on vector step functions")
-    return _lp_power(f.values, W.leaf_averages(grid, 2.0 / p), p, grid.leaf_measure) ** (1.0 / p)
+    return _lp_power(f.values, W.leaf_averages(grid, 1.0), 2.0, grid.leaf_measure) ** 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -608,36 +611,19 @@ def ap_from_reducing(reducing, p):
 def _double_average_levels(P, N, grid, p):
     """Per-level cube values of the A_p double average
     (1/|I|) int_I ((1/|I|) int_I ||P(x) N(t)||^{p'} dt)^{p/p'} dx, from the
-    leaf representatives P of W^{1/p} and N of W^{-1/p}, flat over the leaves.
-
-    The leaf-pair table ||P_x N_t|| is streamed over blocks of
-    ``linalg.block_rows`` x rows; ``linalg.pair_opnorms`` holds about three
-    blocks at once.  In a block the inner t-average goes up one level at a
-    time, and at each level only the entry of the cube that contains x is
-    kept: the outer average over x in I reads that cube alone.  The outer
-    x-averages then run on L + 1 leaf vectors.  Every sum is taken in the
-    same order as over the whole N x N table, so the result does not depend
-    on the block size.
-    """
+    leaf representatives P of W^{1/p} and N of W^{-1/p}, flat over the leaves:
+    the inner t-averages of ||P_x N_t||^{p'} are ``dyadic.ancestor_averages``,
+    and the outer x-averages of their p/p' powers run on L + 1 leaf vectors."""
     d, L = grid.d, grid.L
     pprime = p / (p - 1.0)
-    count = len(P)
-    rows = linalg.block_rows(count, 8 * count)
-    coords = np.unravel_index(np.arange(count), grid.leaf_shape)
-    # the flat index of the level-k cube that contains each leaf
-    owner = [np.ravel_multi_index(tuple(c >> (L - k) for c in coords), (1 << k,) * d)
-             for k in range(L + 1)]
-    inner_at_x = np.empty((L + 1, count))
-    for lo in range(0, count, rows):
-        block = slice(lo, lo + rows)
+
+    def pair_rows(block):
+        # in place: a fresh block for the power made d = 1, L = 10 about 20% slower
         inner = linalg.pair_opnorms(P[block], N)
         inner **= pprime
-        inner = inner.reshape((-1,) + grid.leaf_shape)
-        for k in range(L, -1, -1):
-            if k < L:
-                inner = coarsen_levels(inner, d, 1, axis=1)
-            flat = inner.reshape(len(inner), -1)
-            inner_at_x[k, block] = np.take_along_axis(flat, owner[k][block, None], axis=1)[:, 0]
+        return inner
+
+    inner_at_x = ancestor_averages(pair_rows, grid)
     inner_at_x **= p / pprime
     return [coarsen_levels(inner_at_x[k].reshape(grid.leaf_shape), d, L - k)
             for k in range(L + 1)]
@@ -645,13 +631,18 @@ def _double_average_levels(P, N, grid, p):
 
 def ap_need(d, L, n, p):
     """(what, bytes) that ``ap_characteristic`` holds at once: its reducing
-    pyramid, 2 (L + 1) + 4 n^2 floats per leaf, and the double average's
-    blocks, four ``linalg.BLOCK_BYTES`` tables for 2x2 weights (about three
-    are alive) and 2 n^2 for the n x n products of other n."""
+    pyramid; L + 3 + 4 n^2 floats per leaf, for the L + 1 ancestor averages
+    of the double average, the cube values ||V_I V_I'||^p (at most 2 per
+    leaf) and the leaf averages of W^{+-2/p} with their roots; and the blocks
+    of the leaf-pair table, ``linalg.BLOCK_BYTES`` or two rows if larger:
+    four for 2x2 weights (about three are alive) and 2 n^2 for the n x n
+    products of other n.  The outer averages hold under 3 floats per leaf,
+    after the blocks are freed."""
+    leaves = leaf_count(d, L)
     tables = 4 if n == 2 else 2 * n * n
-    floats = leaf_count(d, L) * (2 * (min(L, 62) + 1) + 4 * n * n)
-    return ("its reducing pyramid and A_p tables",
-            reducing_need(d, L, n, p)[1] + tables * linalg.BLOCK_BYTES + 8 * floats)
+    floats = leaves * (min(L, 62) + 3 + 4 * n * n)
+    return ("its reducing pyramid and A_p tables", reducing_need(d, L, n, p)[1]
+            + tables * max(linalg.BLOCK_BYTES, 16 * leaves) + 8 * floats)
 
 
 def ap_characteristic(W: MatrixWeight, p, grid: Grid) -> ApReport:
@@ -664,9 +655,7 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid) -> ApReport:
     For 2x2 weights every norm here is the closed form of ``linalg.opnorm``,
     and the leaf-pair norms of the double average come from
     ``linalg.pair_opnorms`` in four rank-4 GEMMs, without forming the
-    products; other n fall back to the SVD.  The double average streams over
-    blocks of x rows (``_double_average_levels``), so besides the reducing
-    pyramid it holds O(N * block) floats for N leaves, not N x N tables.
+    products; other n fall back to the SVD.
     """
     d, n = grid.d, W.n
     if d > 2:

@@ -26,11 +26,6 @@ def cubes_at_level(grid, k):
     return [Cube(k, m) for m in itertools.product(range(1 << k), repeat=grid.d)]
 
 
-def all_cubes(grid, max_level=None):
-    top = grid.L if max_level is None else max_level
-    return [c for k in range(top + 1) for c in cubes_at_level(grid, k)]
-
-
 def coefficient(coeffs, grid, cube, eps):
     """The single coefficient f_I^eps of ``haar_analyze``'s levels."""
     return coeffs[cube.level][cube.offset + (signatures(grid.d).index(tuple(eps)),)]
@@ -57,33 +52,6 @@ def haar_leaf_values(grid, cube_offset, level, eps):
 
 
 class TestGrid:
-    def test_children_partition_and_parent(self):
-        # shift 1 is the standard grid, shift 2 the third-shifted one
-        for shift in (1, 2):
-            for c in all_cubes(Grid(1, 3), 2):
-                cube = Cube(c.level, c.offset, shift)
-                kids = cube.children()
-                assert len(kids) == 2
-                # exact partition via rational bounds
-                (a, b), = cube.bounds()
-                bounds = sorted(k.bounds()[0] for k in kids)
-                assert bounds[0][0] == a and bounds[-1][1] == b
-                assert bounds[0][1] == bounds[1][0]
-                for k in kids:
-                    assert k.parent() == cube
-                    assert cube.contains(k)
-
-    def test_children_partition_d2_shifted(self):
-        for c in all_cubes(Grid(2, 2), 1):
-            cube = Cube(c.level, c.offset, 3)
-            kids = cube.children()
-            assert len(kids) == 4
-            total = sum(Fraction(1) for _ in kids)
-            assert total == 4
-            for k in kids:
-                assert cube.contains(k)
-                assert k.parent() == cube
-
     def test_leaves_partition_base_cube(self):
         g = Grid(2, 2)
         leaves = cubes_at_level(g, 2)
@@ -98,7 +66,6 @@ class TestGrid:
     def test_measure_exact(self):
         c = Cube(2, (1, 3))
         assert c.measure == 2.0 ** (-4)
-        assert c.side == 0.25
 
     def test_fields_and_bad_values(self):
         # a grid is its dimension and depth; a cube knows no grid
@@ -425,6 +392,33 @@ class TestSequenceMaximal:
         levels = [np.array([2.0]), np.zeros(2), np.array([0.0, 0.0, 0.0, 5.0])]
         out = sequence_maximal(levels, 1)
         np.testing.assert_allclose(out, [2.0, 2.0, 2.0, 5.0])
+
+
+class TestAncestorAverages:
+    @pytest.mark.parametrize("d, L", [(1, 6), (2, 3)])
+    def test_streamed_walk_matches_the_table(self, d, L, monkeypatch):
+        # integer entries below 2^10 make every cube mean exact, so the
+        # whole-table oracle averages each ancestor's leaves directly; x-row
+        # blocks of two rows, of a quarter of the rows and of all of them
+        # give its values bit for bit
+        from haarweight import linalg
+        g = Grid(d, L)
+        N = g.n_leaves
+        table = np.random.default_rng(10 * d + L).integers(0, 1 << 10, (N, N)).astype(float)
+        assert len(np.unique(table, axis=0)) == N
+        coords = np.array(np.unravel_index(np.arange(N), g.leaf_shape))
+        want = np.empty((L + 1, N))
+        for k in range(L + 1):
+            anc = coords >> (L - k)
+            same = (anc[:, :, None] == anc[:, None, :]).all(axis=0)   # y in x's ancestor
+            want[k] = (table * same).sum(axis=1) / same.sum(axis=1)
+        blocks = []
+        for rows in (2, N // 4, N):
+            monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * N * rows)
+            blocks.clear()
+            got = dy.ancestor_averages(lambda block: blocks.append(block) or table[block], g)
+            assert np.array_equal(got, want)
+            assert blocks == [slice(lo, lo + rows) for lo in range(0, N, rows)]
 
 
 class TestCarlesonLemma:

@@ -11,7 +11,9 @@ callers passes it, by keyword or by position.  The names in ``PENDING`` wait
 for a result that will call them; once one has a caller it leaves the list.
 A module-level UPPER_CASE constant of the package or of the acceptance
 criteria counts as read when one of those callers reads its name outside
-its own assignment.
+its own assignment.  A public method or property of a package class counts
+as called when one of those callers reads it as an attribute outside the
+member's own body.
 """
 
 import ast
@@ -90,6 +92,26 @@ def test_every_constant_is_read():
     assert len(constants()) > 30                # the parse found the constants
     assert unread_constants() == set()
 
+
+def public_members():
+    """(path, member, "Class.member") for the public methods and properties
+    of the package's public classes."""
+    return [(path, m, f"{node.name}.{m.name}") for path, node in public_definitions()
+            if isinstance(node, ast.ClassDef)
+            for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+
+
+def uncalled_members():
+    reads = [(path, sub.lineno, sub.attr) for path in caller_files()
+             for sub in ast.walk(ast.parse(path.read_text())) if isinstance(sub, ast.Attribute)]
+    return {label for path, m, label in public_members()
+            if not any(attr == m.name and not (p == path and m.lineno <= line <= m.end_lineno)
+                       for p, line, attr in reads)}
+
+
+def test_every_public_member_has_a_caller():
+    assert len(public_members()) > 20           # the parse found the members
+    assert uncalled_members() == set()
 
 
 def options(fn, bound):

@@ -17,7 +17,7 @@ from haarweight.dyadic import Grid
 from haarweight.errors import IntegrabilityError, ShapeError
 from haarweight.weights import (
     MatrixWeight, ap_characteristic, ap_from_reducing, gauge_pyramid, lowner_batched, lp_norm,
-    power_of, reducing_pyramid, sphere_net,
+    power_of, reducing_pyramid, sphere_net, _lp_power,
 )
 
 
@@ -590,11 +590,13 @@ class TestWeightedNorm:
         f = StepFunction(g, rng.standard_normal((32, 2)))
         M = W.leaf_averages(g, 1.0)
         want = np.sqrt(np.einsum("li,lij,lj->", f.values, M, f.values) * g.leaf_measure)
-        assert lp_norm(f, W, 2.0) == pytest.approx(want)
+        assert lp_norm(f, W) == pytest.approx(want)
 
     def test_identity_weight_any_p(self):
-        from haarweight.dyadic import StepFunction
+        # the leaf gauge of L^p(W) that the p != 2 ascent maximizes, the
+        # L^p norm of the leaf-constant weight (m_leaf W^{2/p})^{p/2}
         g = Grid(1, 3)
-        f = StepFunction(g, np.ones((8, 2)))
+        f = np.ones((8, 2))
         for p in (1.5, 2.0, 3.0):
-            assert lp_norm(f, MatrixWeight.identity(), p) == pytest.approx(np.sqrt(2.0))
+            M = MatrixWeight.identity().leaf_averages(g, 2.0 / p)
+            assert _lp_power(f, M, p, g.leaf_measure) ** (1.0 / p) == pytest.approx(np.sqrt(2.0))
