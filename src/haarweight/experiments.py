@@ -290,6 +290,31 @@ def _conjugated_sequence(g, red, core):
     return MatrixSequence(g, levels)
 
 
+def _dual_paraproduct_norms(B, Ws, pi_w):
+    """||pi_{B^T}|| on L^2(W^{-1}) for each W in Ws, where pi_w holds
+    ||pi_B|| on L^2(W).
+
+    With P the swap, a 2x2 symbol whose values equal their P-conjugate bit
+    for bit has P B P = B, and so B^T = B too, since P [[a, b], [c, d]] P =
+    [[d, c], [b, a]]; then pi_{B^T} = pi_B = P pi_B P.  Under an unrotated
+    power law W = diag(|x|^a, |x|^-a) with exponent 1, m_leaf(W^{-1}) =
+    P m_leaf(W) P entry for entry, so the whitened paraproduct on
+    L^2(W^{-1}) is P (H pi_B H^{-1}) P with H = m_leaf(W)^{1/2}, and its norm
+    is pi_w's.  The log-swap symbol under the sweep's weights passes these
+    checks; any other pair is normed on its own."""
+    v = B.step.values
+    swap_fixed = B.n == 2 and np.array_equal(v.view(np.int64), v[..., ::-1, ::-1].view(np.int64))
+    out, dual = list(pi_w), None
+    for i, W in enumerate(Ws):
+        if (swap_fixed and W.alphas is not None and W.rotation is None and W.exponent == 1.0
+                and W.alphas == (W.alphas[0], -W.alphas[0])):
+            continue
+        if dual is None:
+            dual = paraproduct_op(B.transpose())
+        out[i] = weighted_operator_norm(dual, power_of(W, -1.0), 2.0).value
+    return out
+
+
 def _sweep_instruments(g, weights, seed, names):
     """Measured norms and bound curves of ``names`` for each (W, reducing
     pyramid, A2) in ``weights``: {name: [(measured, bound) per weight]}.  Each
@@ -331,7 +356,7 @@ def _sweep_instruments(g, weights, seed, names):
     if "commutator" in need:
         # termwise accounting (reuses pi_w and q_norm)
         comm = norms(commutator_op(B, ShiftMap.left_child(g)))
-        pi_dual = norms(paraproduct_op(B.transpose()), [power_of(W, -1.0) for W in Ws])
+        pi_dual = _dual_paraproduct_norms(B, Ws, pi_w)
         out["commutator"] = [
             (c, q * max(pw, pd) + ap ** 1.5 * _logp(ap) * np.sqrt(bs))
             for c, q, pw, pd, ap, bs in zip(comm, q_norm, pi_w, pi_dual, aps, bstar)]

@@ -1,7 +1,8 @@
 """Batched small-matrix helpers and spectral norms: a closed form for 2x2
 matrices, a certified bracket for direct sums of dense matrices (a Lanczos or
-eigensolve lower bound and an upper bound proved by one floating-point
-Cholesky per summand) and a matrix-free Golub-Kahan-Lanczos lower bound."""
+eigensolve lower bound and an upper bound proved per summand by a norm bound
+or by one floating-point Cholesky) and a matrix-free Golub-Kahan-Lanczos
+lower bound."""
 
 from __future__ import annotations
 
@@ -14,12 +15,26 @@ def symmetrize(a):
 
 def powm_spd(a, s):
     """Batched symmetric power A^s via eigendecomposition (A must be SPD);
-    the 2x2 inverse takes the closed form of ``_inv_small``."""
+    the 2x2 inverse takes the closed form of ``_inv_small``.  A batch whose
+    off-diagonal entries are all zero is diag(d^s) without ``eigh``: for a
+    diagonal matrix ``eigh`` returns the diagonal and unit eigenvectors, and
+    its product V diag(w^s) V^T has the bits of diag(d^s)."""
     a = symmetrize(np.asarray(a, dtype=float))
     if s == -1 and a.shape[-2:] == (2, 2):
         if np.any(a[..., 0, 0] <= 0) or np.any(a[..., 0, 0] * a[..., 1, 1] <= a[..., 0, 1] ** 2):
             raise np.linalg.LinAlgError("matrix power of a non positive definite matrix")
         return _inv_small(a)
+    n = a.shape[-1]
+    # a is exactly symmetric, so for 2x2 one off-diagonal entry decides (the
+    # cheapest test, as 2x2 batches are nearly every call)
+    off = a[..., 0, 1] if n == 2 else a[..., ~np.eye(n, dtype=bool)]
+    if not np.count_nonzero(off):
+        d = np.diagonal(a, axis1=-2, axis2=-1)
+        if np.any(d <= 0):
+            raise np.linalg.LinAlgError("matrix power of a non positive definite matrix")
+        out = np.zeros_like(a)
+        np.einsum("...ii->...i", out)[...] = d ** s
+        return out
     w, v = np.linalg.eigh(a)
     if np.any(w <= 0):
         raise np.linalg.LinAlgError("matrix power of a non positive definite matrix")
@@ -212,6 +227,35 @@ def _certify_upper(gram, c, rows):
     return certified
 
 
+def _norm_bound(m):
+    """b >= lambda_max(M^T M) = ||M||_2^2 from M alone, with no Gram matrix:
+    ||M||_2^2 <= min(||M||_F^2, ||M||_1 ||M||_inf) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Ch. 6), the sums taken
+    over ``block_rows`` row blocks of |M| in one buffer, so that no whole |M|
+    is formed (the blocks tile M evenly).
+
+    Rounding: |m_ij| is exact, and every sum is of at most k = rows cols +
+    rows + cols nonnegative terms, so in any order it is at least
+    (1 - gamma_k) times its exact value; the squares and the product of the
+    two largest abs sums add a relative u each.  Underflow in a square or in
+    that product is at most one subnormal spacing eta = 2^-1074 apiece.  So
+    lambda_max(M^T M) <= (min + k eta) / (1 - gamma_k) <= (1 + 2 gamma_k)
+    (min + k eta).  The factor 1 + 4 gamma_k and the allowance k 2^-1022
+    (2^52 times k eta) also cover the rounding of b's own three
+    operations."""
+    rows, cols = m.shape
+    step = max(1, block_rows(rows, 8 * cols))
+    frob, row_max, col_sums, a = 0.0, 0.0, np.zeros(cols), np.empty((step, cols))
+    for lo in range(0, rows, step):
+        np.abs(m[lo:lo + step], out=a)
+        frob += float(np.vdot(a, a))
+        row_max = max(row_max, float(a.sum(axis=1).max(initial=0.0)))
+        col_sums += a.sum(axis=0)
+    k = rows * cols + rows + cols
+    return (1.0 + 4.0 * _gamma(k)) * (min(frob, row_max * float(col_sums.max(initial=0.0)))
+                                      + k * _TINY)
+
+
 # dimension above which the lower bound of ``spectral_norm`` comes from
 # Golub-Kahan-Lanczos on the dense matrix instead of a symmetric eigensolve of
 # its Gram matrix.  On the sweep's whitened operators (2 vCPUs, OpenBLAS) the
@@ -229,32 +273,55 @@ def spectral_norm(mats, seed=0):
     ``matfree_spectral_norm`` over the concatenated columns; each matvec
     concatenates the block products) or else sqrt(lambda_max) of the Gram
     matrices G^_b = M_b^T M_b from ``eigvalsh``.  The Gram matrix of the direct
-    sum is block diagonal, so its lambda_max is the largest over the G_b: the
-    upper bound sqrt(c) takes one Cholesky per summand (``_certify_upper``)
-    at a common c = max_b (theta^2 + s_b), with s_b twice the rounding bound
-    of G^_b at theta^2 and M_b's own row count.  It then runs about s_b/2
-    above theta^2 when theta is sharp.  When a Cholesky fails, theta was not
-    sharp (Lanczos converged to another singular value): theta is taken again
-    from ``eigvalsh`` of every G^_b and certified again, and ``fallback`` is
-    true.
+    sum is block diagonal, so its lambda_max is the largest over the G_b, and
+    the upper bound sqrt(c) is proved one summand at a time:
+
+    * with more than one summand, each M_b first gets the norm bound b_b >=
+      lambda_max(G_b) of ``_norm_bound``, min(||M_b||_F^2, ||M_b||_1
+      ||M_b||_inf) enlarged by 1 + 4 gamma_k and by an underflow allowance.
+      A summand with b_b <= theta^2 is cleared with no Gram matrix and no
+      Cholesky (a single summand attains theta, so it gets no bound);
+    * every other summand forms G^_b (lazily; the eigensolve and the
+      fallback form every G^_b) and takes one Cholesky (``_certify_upper``)
+      at a common c = max_b (theta^2 + s_b) over these summands, with s_b
+      twice the rounding bound of G^_b at theta^2 and M_b's own row count
+      (``_rounding_bound``).  c then runs about s_b/2 above theta^2 when
+      theta is sharp.  When the bounds clear every summand, c is theta^2.
+
+    Every summand is cleared by a check that could have failed.  When a
+    Cholesky fails, theta was not sharp (Lanczos converged to another
+    singular value): theta is taken again from ``eigvalsh`` of every G^_b and
+    certified again, and ``fallback`` is true.
 
     Returns (theta, details) with ``lower``, ``upper`` and ``shift`` c -
     theta^2 (both None when even the fallback could not be certified),
-    ``certified``, ``fallback``, ``summands`` and ``lanczos_steps`` or
+    ``certified``, ``fallback``, ``summands``, ``cholesky_summands`` and
+    ``bound_summands`` (the summands factored and those cleared by their
+    norm bound, in the last certification) and ``lanczos_steps`` or
     ``lower_from``.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
     n = sum(m.shape[1] for m in mats)
-    grams = [(m.T @ m, m.shape[0]) for m in mats]
+    grams = {}
+
+    def gram(i):
+        if i not in grams:
+            grams[i] = mats[i].T @ mats[i]
+        return grams[i]
+
+    bounds = [_norm_bound(m) for m in mats] if len(mats) > 1 else [np.inf]
 
     def certify(theta):
         t2 = theta * theta
-        c = max(t2 + 2.0 * _rounding_bound(g.diagonal(), t2, rows) for g, rows in grams)
-        return c if all(_certify_upper(g, c, rows) for g, rows in grams) else None
+        factor = [i for i, b in enumerate(bounds) if not b <= t2]
+        c = max([t2] + [t2 + 2.0 * _rounding_bound(gram(i).diagonal(), t2, len(mats[i]))
+                        for i in factor])
+        details.update(cholesky_summands=len(factor), bound_summands=len(mats) - len(factor))
+        return c if all(_certify_upper(gram(i), c, len(mats[i])) for i in factor) else None
 
     def from_eigvalsh():
         details["lower_from"] = "eigvalsh"
-        return max(_top_singular_value(g) for g, _ in grams)
+        return max(_top_singular_value(gram(i)) for i in range(len(mats)))
 
     details = {"summands": len(mats)}
     if n > LANCZOS_MIN_DIM:

@@ -520,14 +520,20 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
     components (a diagonal weight and a componentwise or swapping operator),
     the whitened matrix is a direct sum, and it is whitened and certified one
     summand at a time (``_whitened_summands``).  ``linalg.spectral_norm``
-    brackets the largest singular value: the value is the lower end (Lanczos
-    on the whole direct sum, or an eigensolve of the Gram matrices at small
-    dimension), and one Cholesky per summand proves the upper end.
+    brackets the largest singular value: the value is the lower end theta
+    (Lanczos on the whole direct sum, or an eigensolve of the Gram matrices
+    at small dimension), and each summand M_b proves the upper end on its
+    own.  Of two or more summands, one whose norm bound
+    min(||M_b||_F^2, ||M_b||_1 ||M_b||_inf) (1 + 4 gamma_k) + k 2^-1022 is at
+    most theta^2 is cleared without its Gram matrix; the factor and the
+    term allow for the rounding and the underflow of the k = rows cols +
+    rows + cols nonnegative terms of its sums.  Every other summand takes one
+    Cholesky of its Gram matrix, shifted by its rounding allowance.
     ``details`` carries ``lower``, ``upper``, ``shift``, ``fallback``,
-    ``summands`` and ``lanczos_steps`` or ``lower_from``.  The label is
-    ``exact`` (the bracket is about n^2 u wide) only when every Cholesky
-    succeeded; otherwise it is ``lower-bound`` with ``certified`` false.  No
-    witness.
+    ``summands``, ``cholesky_summands``, ``bound_summands`` and
+    ``lanczos_steps`` or ``lower_from``.  The label is ``exact`` (the
+    bracket is about n^2 u wide) only when every Cholesky succeeded;
+    otherwise it is ``lower-bound`` with ``certified`` false.  No witness.
     p = 2 above the cap: Golub-Kahan-Lanczos on the same whitening around
     op's kernel and its adjoint kernel; the value is ||T x|| of its unit
     witness x, hence a ``lower-bound``, and ``details`` carries the

@@ -128,9 +128,10 @@ class TestSweepSmall:
         assert len(calls) == 2 * norms
 
     def test_one_dense_assembly_per_operator(self, monkeypatch):
-        # six operators do not depend on alpha and one is built per alpha, so
-        # the sweep pushes the identity through a kernel 6 + 3 times, not
-        # 7 times per alpha
+        # five operators do not depend on alpha and one is built per alpha,
+        # and the dual paraproduct's norm is the paraproduct's under the
+        # sweep's weights, so the sweep pushes the identity through a kernel
+        # 5 + 3 times, not 7 times per alpha
         pushes = []
         real_init = operators.Operator.__init__
 
@@ -148,7 +149,45 @@ class TestSweepSmall:
 
         monkeypatch.setattr(operators.Operator, "__init__", init)
         ex.run_sweep("all", {"L": 5, "alphas": [0.2, 0.5, 0.8]})
-        assert len(pushes) == 9, pushes
+        assert len(pushes) == 8, pushes
+        assert pushes.count("paraproduct") == 1
+
+    def test_dual_paraproduct_norm_is_reused_only_by_symmetry(self, monkeypatch):
+        # the log-swap symbol under diag(x^a, x^-a) reuses ||pi_B|| on L^2(W)
+        # for ||pi_{B^T}|| on L^2(W^{-1}), within 4 ulps of the computed
+        # value; a random symbol, a symmetric one that the swap does not fix
+        # or a rotated weight computes it
+        from haarweight.dyadic import Grid
+        from haarweight.weights import MatrixWeight, power_of
+        g = Grid(1, 8)
+        B = ex.log_swap_symbol(g)
+        Ws = [MatrixWeight.diagonal_power([a, -a]) for a in (0.1, 0.5, 0.9)]
+        pi_w = [ex.weighted_operator_norm(operators.paraproduct_op(B), W, 2.0).value for W in Ws]
+        computed = [ex.weighted_operator_norm(operators.paraproduct_op(B.transpose()),
+                                              power_of(W, -1.0), 2.0).value for W in Ws]
+        calls = []
+        real = ex.weighted_operator_norm
+        monkeypatch.setattr(ex, "weighted_operator_norm",
+                            lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+        reused = ex._dual_paraproduct_norms(B, Ws, pi_w)
+        assert calls == [] and reused == pi_w
+        for r, c in zip(reused, computed):
+            assert abs(r - c) <= 4 * np.spacing(c)
+        rng = np.random.default_rng(5)
+        random_symbol = operators.MatrixSymbol.from_values(
+            g, rng.standard_normal(g.leaf_shape + (2, 2)))
+        symmetric_symbol = operators.MatrixSymbol.from_values(
+            g, random_symbol.step.values + random_symbol.step.values.swapaxes(-1, -2))
+        rotated = [MatrixWeight.rotated_power([0.3, -0.3], 0.4), Ws[1],
+                   MatrixWeight.diagonal_power([0.3, -0.2])]
+        for symbol, weights, computes in ((random_symbol, Ws, [0, 1, 2]),
+                                          (symmetric_symbol, Ws, [0, 1, 2]),
+                                          (B, rotated, [0, 2])):
+            calls.clear()
+            fake = [-1.0] * len(weights)
+            got = ex._dual_paraproduct_norms(symbol, weights, fake)
+            assert [i for i, v in enumerate(got) if v != -1.0] == computes
+            assert len(calls) == len(computes)
 
     def test_comm_quant_rows_match_all(self, tmp_path):
         cfg = {"L": 5, "alphas": [0.3, 0.6]}

@@ -17,6 +17,8 @@ below lambda_max, and that a Lanczos value below sigma_1 falls back to the
 eigensolve.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,48 @@ def test_2x2_inverse_takes_no_eigh(monkeypatch):
         linalg.powm_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), -1.0)
 
 
+def eigh_power(a, s):
+    """The eigendecomposition path of ``powm_spd``: V diag(w^s) V^T."""
+    w, v = np.linalg.eigh(linalg.symmetrize(a))
+    return (v * (w ** s)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+@pytest.mark.parametrize("s", [0.5, -0.5, 1.0 / 3.0, -1.0])
+def test_diagonal_powers_have_the_eigh_bits(s, monkeypatch):
+    # 1,000 random batches of diagonal 1x1, 2x2 and 3x3 matrices, diagonals
+    # over 26 decades with repeated values among them; the 2x2 inverse keeps
+    # the closed form of _inv_small, whose bits differ, so it is left out
+    rng = np.random.default_rng(24)
+    batches = []
+    for t in range(1000):
+        n = (1, 3)[t % 2] if s == -1.0 else (1, 2, 3)[t % 3]
+        shape = tuple(rng.integers(1, 9, size=t % 3)) + (n,)
+        d = np.exp(rng.uniform(-30.0, 30.0, size=shape))
+        if t % 5 == 0:
+            d = np.round(d) + 1.0
+        a = np.zeros(shape + (n,))
+        np.einsum("...ii->...i", a)[...] = d
+        batches.append((a, eigh_power(a, s)))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh called"))
+    for a, want in batches:
+        got = linalg.powm_spd(a, s)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_off_diagonal_entries_take_eigh(monkeypatch):
+    a = np.broadcast_to(np.diag([2.0, 3.0]), (4, 2, 2)).copy()
+    a[3, 0, 1] = a[3, 1, 0] = 1e-300
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    # one off-diagonal entry sends the whole batch to eigh
+    linalg.powm_spd(a, 0.5)
+    assert calls == [(4, 2, 2)]
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.powm_spd(np.diag([1.0, 0.0]), 0.5)
+    assert calls == [(4, 2, 2)]
+
+
 # ---------------------------------------------------------------------------
 # Certified dense spectral norms: a lower bound and a Cholesky-proved upper
 # bound, with ``eigvalsh`` as the fallback
@@ -330,3 +374,102 @@ def test_all_zero_summand(n):
     # the zero operator alone is certified at the scale of the underflow allowance
     value, det = linalg.spectral_norm([zero, np.zeros((3, 4))])
     assert value == 0.0 and det["certified"] and det["upper"] ** 2 < 1e-300
+
+
+# ---------------------------------------------------------------------------
+# Norm bounds that clear a summand without its Gram matrix
+# ---------------------------------------------------------------------------
+
+def exact_frobenius_sq(m):
+    return sum(Fraction(float(x)) ** 2 for x in m.ravel())
+
+
+def integer_rank1(rng, rows, cols, top):
+    """u v^T with integer u, v of at most ``top``: exact in floating point,
+    and its lambda_max(M^T M) is the exact (sum u^2)(sum v^2)."""
+    u = rng.integers(1, top, rows) * rng.choice([-1, 1], rows)
+    v = rng.integers(1, top, cols) * rng.choice([-1, 1], cols)
+    return np.outer(u, v).astype(float), Fraction(int((u * u).sum()) * int((v * v).sum()))
+
+
+@pytest.mark.parametrize("block_bytes", [linalg.BLOCK_BYTES, 4096])
+def test_norm_bound_covers_lambda_max(block_bytes, monkeypatch):
+    # block_bytes 4096 takes the abs sums over blocks of a few rows
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(12)
+    # random and ill-conditioned (cond 1e12): against the SVD, which is far
+    # below both norms of the bound
+    for M in (rng.standard_normal((300, 200)),
+              known_svd(np.logspace(0, -12, 120), np.eye(120)[0], seed=4)[:, :90]):
+        assert linalg._norm_bound(M) >= svd_norm(M) ** 2 * (1 + 1e-12)
+    # rank 1, where ||M||_F^2 is lambda_max itself: against the exact value,
+    # with sums of squares of up to 2^50 that round
+    for rows, cols in ((700, 300), (5, 3), (1, 1)):
+        M, lam = integer_rank1(rng, rows, cols, 1 << 25)
+        assert Fraction(linalg._norm_bound(M)) >= lam
+    # entries near 1e-160, whose squares are subnormal and lose their low
+    # bits or vanish: rank-1 matrices scaled by 2^-538 exactly, and a random one
+    M, lam = integer_rank1(rng, 40, 30, 50)
+    tiny = np.ldexp(M, -538)
+    assert 1e-162 < np.abs(tiny).max() < 1e-158 and (tiny * tiny).max() < 2.0 ** -1022
+    assert Fraction(linalg._norm_bound(tiny)) >= lam / 2 ** 1076
+    ones = np.ldexp(np.ones((64, 64)), -538)
+    assert Fraction(linalg._norm_bound(ones)) >= Fraction(64 * 64) / 2 ** 1076
+    R = rng.standard_normal((50, 40))
+    assert (Fraction(linalg._norm_bound(np.ldexp(R, -538)))
+            >= Fraction(svd_norm(R) ** 2 * (1 + 1e-12)) / 2 ** 1076)
+
+
+def test_norm_bound_forms_no_whole_abs_matrix():
+    # an 8 MiB matrix: its abs sums run over 1 MiB row blocks, so the bound
+    # holds about one block and its sums at a time, not a second 8 MiB |M|
+    import tracemalloc
+    M = np.random.default_rng(13).standard_normal((1024, 1024))
+    tracemalloc.start()
+    try:
+        linalg._norm_bound(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * linalg.BLOCK_BYTES
+
+
+def test_norm_bound_is_min_of_two_norms():
+    # ||M||_F^2 = n for the identity, ||M||_1 ||M||_inf = n^2 for a row of ones
+    n = 50
+    assert linalg._norm_bound(np.eye(n)) == pytest.approx(1.0, rel=1e-9)
+    assert linalg._norm_bound(np.ones((1, n))) == pytest.approx(n, rel=1e-9)
+    assert linalg._norm_bound(np.ones((n, n))) == pytest.approx(n * n, rel=1e-9)
+    assert linalg._norm_bound(np.zeros((0, 3))) > 0.0
+
+
+@pytest.mark.parametrize("n", [30, 300])
+def test_small_summand_is_cleared_by_its_bound(n, monkeypatch):
+    # a summand with sigma_1 far below the other's is cleared without a
+    # Cholesky; with its bound made infinite it is factored, and the bracket
+    # still holds
+    rng = np.random.default_rng(n + 2)
+    large = rng.standard_normal((n, n))
+    small = 1e-3 * rng.standard_normal((n // 2, n // 3))
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    value, det = linalg.spectral_norm([small, large])
+    assert calls == [(n, n)]
+    assert det["cholesky_summands"] == 1 and det["bound_summands"] == 1
+    want = svd_norm(large)
+    assert det["certified"] and value == pytest.approx(want, rel=1e-13)
+    assert want <= det["upper"] <= want * (1 + 1e-9)
+    calls.clear()
+    monkeypatch.setattr(linalg, "_norm_bound", lambda m: np.inf)
+    forced, det = linalg.spectral_norm([small, large])
+    assert sorted(calls) == sorted([(n // 3, n // 3), (n, n)])
+    assert det["cholesky_summands"] == 2 and det["bound_summands"] == 0
+    assert det["certified"] and forced == value
+    assert want <= det["upper"] <= want * (1 + 1e-9)
+
+
+def test_one_summand_gets_no_bound(monkeypatch):
+    monkeypatch.setattr(linalg, "_norm_bound", lambda m: pytest.fail("bound taken"))
+    _, det = linalg.spectral_norm([np.random.default_rng(3).standard_normal((20, 20))])
+    assert det["certified"] and det["cholesky_summands"] == 1 and det["bound_summands"] == 0

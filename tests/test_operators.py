@@ -455,24 +455,48 @@ class TestWeightedNorms:
     def test_direct_summands_are_factored_one_at_a_time(self, monkeypatch):
         # the commutator of log|x| SWAP under diag(x^a, x^-a) maps component 0
         # to 1 and 1 to 0, so its whitened matrix is a direct sum of two
-        # 512 x 512 blocks; a rotated weight couples the components, and the
-        # whole 1024 x 1024 matrix is factored as before
+        # 512 x 512 blocks: no Cholesky is taken of the whole matrix, and each
+        # block is cleared by its own norm bound or by its own 512 x 512
+        # Cholesky.  A rotated weight couples the components, and the whole
+        # 1024 x 1024 matrix is factored
         from haarweight.experiments import log_swap_symbol
         shapes = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
         g = Grid(1, 9)
         op = commutator_op(log_swap_symbol(g), ShiftMap.left_child(g))
-        for W, want_shapes in ((MatrixWeight.diagonal_power([0.3, -0.3]), [(512, 512)] * 2),
-                               (MatrixWeight.rotated_power([0.4, -0.3], 0.7), [(1024, 1024)])):
+        for W, summands, size in ((MatrixWeight.diagonal_power([0.3, -0.3]), 2, 512),
+                                  (MatrixWeight.rotated_power([0.4, -0.3], 0.7), 1, 1024)):
             shapes.clear()
             rep = weighted_operator_norm(op, W, 2.0)
-            assert shapes == want_shapes
-            assert rep.kind == "exact" and rep.details["summands"] == len(want_shapes)
+            det = rep.details
+            assert rep.kind == "exact" and det["summands"] == summands
+            assert shapes == [(size, size)] * det["cholesky_summands"]
+            assert det["cholesky_summands"] + det["bound_summands"] == summands
+            assert det["cholesky_summands"] >= 1
             white = leaf_blocks(g, W, 0.5) @ dense_matrix(op) @ leaf_blocks(g, W, -0.5)
             want = np.linalg.svd(white, compute_uv=False)[0]
             assert rep.value == pytest.approx(want, rel=1e-13)
-            assert want <= rep.details["upper"] <= want * (1 + 1e-9)
+            assert want <= det["upper"] <= want * (1 + 1e-9)
+
+    def test_a_summand_whose_bound_fails_takes_its_cholesky(self, monkeypatch):
+        # at a = 0.5 the paraproduct's smaller summand has sigma 0.49 against
+        # 37.1 at L = 9, and its norm bound clears it; with every bound made
+        # infinite it is factored instead, and the number and its label stay
+        from haarweight.experiments import log_swap_symbol
+        g = Grid(1, 7)
+        W = MatrixWeight.diagonal_power([0.5, -0.5])
+        op = paraproduct_op(log_swap_symbol(g))
+        cleared = weighted_operator_norm(op, W, 2.0)
+        monkeypatch.setattr(linalg, "_norm_bound", lambda m: np.inf)
+        factored = weighted_operator_norm(op, W, 2.0)
+        assert cleared.details["bound_summands"] == 1 == cleared.details["cholesky_summands"]
+        assert factored.details["bound_summands"] == 0
+        assert factored.details["cholesky_summands"] == 2
+        assert cleared.kind == factored.kind == "exact"
+        assert cleared.value == factored.value
+        for det in (cleared.details, factored.details):
+            assert type(det["bound_summands"]) is int and type(det["cholesky_summands"]) is int
 
     def test_one_class_summands_have_the_einsum_bits(self):
         # under a diagonal weight each summand of a swapping or componentwise
