@@ -244,7 +244,8 @@ def sparse_generate(grid: Grid, seed=0, density=0.5) -> SparseFamily:
 
 def sparse_op(G: SparseFamily) -> Operator:
     """S f = sum_{I in G} (m_I f) chi_I as a linear operator (self-adjoint on
-    unweighted L^2)."""
+    unweighted L^2); it acts on each component alike, so its kernel is its
+    core."""
     grid = G.grid
     d, L = grid.d, grid.L
     masks = [(k, m.astype(float)) for k, m in enumerate(G.masks) if m.any()]
@@ -257,7 +258,7 @@ def sparse_op(G: SparseFamily) -> Operator:
             out = out + refine_to_leaves(contrib, d, L - lev)
         return out
 
-    return Operator(grid, 2, kernel, kernel, "sparse")
+    return Operator(grid, 2, kernel, kernel, "sparse", core=kernel)
 
 
 def sparse_proof_chain(W: MatrixWeight, G: SparseFamily, f, g, ap_value):

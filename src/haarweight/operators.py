@@ -3,7 +3,11 @@ the weighted embedding operator, and operator norms.
 
 Every operator acts on vector step functions.  The array-level kernels accept
 leaf values shaped grid + (n,) or grid + (n, B); the trailing batch axis is
-how dense matrices get assembled, one block of identity columns per pass.  All operators
+how dense matrices get assembled, one block of identity columns per pass:
+the shift, the sparse operator and the commutator, which are built from one
+scalar matrix q on the leaves, push scalar identity columns through their
+scalar core and write q into each component, any other operator pushes
+vector identity columns through its kernel.  All operators
 annihilate the coarse mean (their sums run over cancellative Haar terms); the
 mean channel of the input still matters wherever cube averages appear.
 The kernels take C- or Fortran-ordered leaf values and give the same bits
@@ -292,13 +296,22 @@ def commutator_case_sum(B: MatrixSymbol, sigma: ShiftMap, vals):
 @dataclass
 class Operator:
     """A linear map on vector step functions with a batched array kernel and
-    the kernel of its unweighted-L^2 adjoint."""
+    the kernel of its unweighted-L^2 adjoint.
+
+    An operator built from a scalar matrix q(x, y) on the leaves also
+    carries ``core``, the scalar kernel of q (leaf values shaped
+    grid + (B,)).  Without ``symbol`` the operator is q acting on each
+    component alike, D[(x,i),(y,j)] = q(x,y) delta_ij; with the leaf
+    values ``symbol`` of a matrix function B it is the commutator kernel
+    q(x,y) (B(x) - B(y))."""
 
     grid: Grid
     n: int
     kernel: object
     kernel_T: object = None
     name: str = "operator"
+    core: object = field(default=None, repr=False, compare=False)
+    symbol: np.ndarray = field(default=None, repr=False, compare=False)
     _dense: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, f: StepFunction) -> StepFunction:
@@ -334,35 +347,30 @@ def haar_multiplier_op(A: MatrixSequence):
 
 
 def shift_op(sigma: ShiftMap):
-    return Operator(sigma.grid, 2,
-                    lambda v: _shift_values(sigma, v),
-                    lambda v: _shift_values(sigma, v, adjoint=True),
-                    "haar-shift")
+    """Q_sigma; it acts on each component alike, so its kernel is its core."""
+    shift = lambda v: _shift_values(sigma, v)
+    return Operator(sigma.grid, 2, shift, lambda v: _shift_values(sigma, v, adjoint=True),
+                    "haar-shift", core=shift)
 
 
 def commutator_op(B: MatrixSymbol, sigma: ShiftMap):
     """[B, Q_sigma] f = B Q f - Q(B f); ``commutator_case_sum`` is the same
-    operator split into the paper's cases.  A vector input shifts f and B f
-    as one stacked pair (``_shift_pair``); a batch of columns shifts them
-    one after the other, which keeps the working set of a column block of
-    ``dense_matrix`` at one block."""
+    operator split into the paper's cases.  The kernel shifts f and B f as
+    one stacked pair (``_shift_pair``).  Its matrix is q(x,y) (B(x) - B(y))
+    with q the shift's scalar matrix: the core is the shift, the symbol B's
+    leaf values."""
     vals, valsT = B.step.values, _transpose(B.step.values)
-    batched = lambda v: v.ndim > B.grid.d + 1
 
     def kernel(v):
-        if batched(v):
-            return _mv(vals, _shift_values(sigma, v)) - _shift_values(sigma, _mv(vals, v))
         qv, qbv = _shift_pair(sigma, v, _mv(vals, v))
         return _mv(vals, qv) - qbv
 
     def kernel_T(v):
-        if batched(v):
-            qt = _shift_values(sigma, _mv(valsT, v), adjoint=True)
-            return qt - _mv(valsT, _shift_values(sigma, v, adjoint=True))
         qbv, qv = _shift_pair(sigma, _mv(valsT, v), v, adjoint=True)
         return qbv - _mv(valsT, qv)
 
-    return Operator(B.grid, B.n, kernel, kernel_T, "commutator")
+    return Operator(B.grid, B.n, kernel, kernel_T, "commutator",
+                    core=lambda v: _shift_values(sigma, v), symbol=vals)
 
 
 def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
@@ -387,11 +395,9 @@ def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
 # ---------------------------------------------------------------------------
 
 # largest dimension whose p=2 norm is assembled densely and certified exact.
-# For the commutator on 2 vCPUs with OpenBLAS, column-block assembly takes
-# 0.18-0.21 s at 2048 and 0.6-0.9 s at 4096 in a process that has already
-# freed arrays of a few MiB, and 0.35-0.43 s and 1.6-1.9 s in a fresh one,
-# whose allocator hands each block's temporaries back to the system and
-# faults them in again; matrix-free Lanczos needs 0.02-0.04 s at 2048.
+# For the commutator on 2 vCPUs with OpenBLAS, assembly from its scalar core
+# takes 0.05-0.08 s at 2048, 0.2-0.3 s at 4096 and 1.1-1.6 s at 8192, most
+# of it writing the matrix; matrix-free Lanczos needs 0.02-0.04 s at 2048.
 # At 2048 the certified bracket of ``linalg.spectral_norm`` takes 0.14-0.16 s
 # under a diagonal power weight (two summands of 1024) and 0.37-0.39 s under
 # a rotated one (one summand)
@@ -429,24 +435,73 @@ def dense_matrix(op: Operator):
     """Dense matrix of op in the leaf-value basis (leaf-major, component-minor).
     It is assembled on the first call and kept on op, read-only.
 
-    The identity goes through the kernel in column blocks of
-    ``linalg.block_rows`` columns, each written into its columns of the
-    matrix, so besides the matrix assembly holds a few blocks, not a second
-    dim x dim identity and kernel output.  The kernels treat the columns as
-    a batch, so the matrix does not depend on the block width."""
+    An operator with a scalar ``core`` q pushes the N x N scalar identity
+    through the core and writes D[(x,i),(y,j)] = q(x,y) delta_ij, or
+    q(x,y) (B(x)_ij - B(y)_ij) + 0.0 with its ``symbol`` B (the += 0.0
+    turns a -0 into +0, as ``_mv`` does); any other operator pushes the
+    dim x dim identity through its kernel.  Either identity goes in column
+    blocks of ``linalg.block_rows`` columns, each written into its columns
+    of the matrix, so besides the matrix assembly holds a few blocks, not a
+    second identity and its image.  The kernels treat the columns as a
+    batch, so the matrix does not depend on the block width."""
     if op._dense is None:
         grid, n = op.grid, op.n
-        dim = grid.n_leaves * n
+        N = grid.n_leaves
+        dim = N * n
         if dim > DENSE_DIM_CAP:
             raise ShapeError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
-        width = linalg.block_rows(dim, 8 * dim)
-        dense = np.empty((dim, dim))
-        for lo in range(0, dim, width):
-            basis = np.eye(dim, width, -lo).reshape(grid.leaf_shape + (n, width))
-            dense[:, lo:lo + width] = op.kernel(basis).reshape(dim, width)
+        if op.core is None:
+            dense = np.empty((dim, dim))
+            for cols, basis in _identity_blocks(dim):
+                width = cols.stop - cols.start
+                dense[:, cols] = op.kernel(
+                    basis.reshape(grid.leaf_shape + (n, width))).reshape(dim, width)
+        else:
+            dense = np.zeros((dim, dim))
+            D4 = dense.reshape(N, n, N, n)
+            B = None if op.symbol is None else op.symbol.reshape(N, n, n)
+            for cols, basis in _identity_blocks(N):
+                width = cols.stop - cols.start
+                _write_core_block(D4, cols, B, op.core(
+                    basis.reshape(grid.leaf_shape + (width,))).reshape(N, width))
         dense.flags.writeable = False
         op._dense = dense
     return op._dense
+
+
+def _write_core_block(D4, cols, B, q):
+    """Write the columns ``cols`` (leaves y) of the zeroed D4[x, i, y, j]
+    from their block q(x, y): q delta_ij without a symbol B, else
+    q (B(x)_ij - B(y)_ij) + 0.0.  An entry B_ij that is the same on every
+    leaf (the zero diagonal of the log-swap symbol) makes every difference
+    zero and every entry +0, so its entries are left as they are."""
+    n = D4.shape[1]
+    if B is None:
+        for i in range(n):
+            D4[:, i, cols, i] = q
+        return
+    prod = np.empty(q.shape)
+    for i in range(n):
+        for j in range(n):
+            if (B[:, i, j] == B[0, i, j]).all():
+                continue
+            np.subtract.outer(B[:, i, j], B[cols, i, j], out=prod)
+            prod *= q
+            np.add(prod, 0.0, out=D4[:, i, cols, j])
+
+
+def _identity_blocks(count):
+    """(columns, block) over the column blocks of the count x count
+    identity, ``linalg.block_rows`` columns each.  One zeroed buffer carries
+    every block, and its ones move along from block to block, so the
+    identity is allocated and faulted in once per assembly."""
+    width = linalg.block_rows(count, 8 * count)
+    basis = np.zeros((count, width))
+    diag = np.arange(width)
+    for lo in range(0, count, width):
+        basis[lo + diag, diag] = 1.0
+        yield slice(lo, lo + width), basis
+        basis[lo + diag, diag] = 0.0
 
 
 def _whitened_summands(D, H, H_inv):

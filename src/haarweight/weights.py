@@ -202,9 +202,12 @@ def _interval_power_means(edges, beta):
 
 
 def power_of(W: MatrixWeight, s0) -> MatrixWeight:
-    """The pointwise power W^{s0} as a weight."""
+    """The pointwise power W^{s0} as a weight.  A power law with exponent e
+    is W = (R diag(|x|^alpha_i) R^T)^e, so W^{s0} scales the alphas by s0
+    and keeps e."""
     if W.leaf_values is None:
-        return MatrixWeight(W.n, alphas=[a * s0 for a in W.alphas], rotation=W.rotation)
+        return MatrixWeight(W.n, alphas=[a * s0 for a in W.alphas], rotation=W.rotation,
+                            exponent=W.exponent)
     out = MatrixWeight(W.n, leaf_values=W.leaf_values, exponent=W.exponent * s0)
     out._cache = W._cache
     return out

@@ -130,22 +130,28 @@ class TestSweepSmall:
     def test_one_dense_assembly_per_operator(self, monkeypatch):
         # five operators do not depend on alpha and one is built per alpha,
         # and the dual paraproduct's norm is the paraproduct's under the
-        # sweep's weights, so the sweep pushes the identity through a kernel
-        # 5 + 3 times, not 7 times per alpha
+        # sweep's weights, so the sweep pushes an identity through a kernel
+        # or a core 5 + 3 times, not 7 times per alpha
         pushes = []
         real_init = operators.Operator.__init__
 
         def init(self, *args, **kwargs):
             real_init(self, *args, **kwargs)
-            kernel, dim = self.kernel, self.grid.n_leaves * self.n
+            N = self.grid.n_leaves
 
-            def counted(v):
-                if (v.shape == self.grid.leaf_shape + (self.n, dim)
-                        and np.array_equal(v.reshape(dim, dim), np.eye(dim))):
-                    pushes.append(self.name)
-                return kernel(v)
+            def counted(fn, value_shape):
+                rows = N * int(np.prod(value_shape))
 
-            self.kernel = counted
+                def push(v):
+                    if (v.shape == self.grid.leaf_shape + value_shape + (rows,)
+                            and np.array_equal(v.reshape(rows, rows), np.eye(rows))):
+                        pushes.append(self.name)
+                    return fn(v)
+                return push
+
+            self.kernel = counted(self.kernel, (self.n,))
+            if self.core is not None:
+                self.core = counted(self.core, ())
 
         monkeypatch.setattr(operators.Operator, "__init__", init)
         ex.run_sweep("all", {"L": 5, "alphas": [0.2, 0.5, 0.8]})

@@ -278,8 +278,9 @@ class TestCommutator:
 
     @pytest.mark.parametrize("d,L", [(1, 11), (2, 3)])
     def test_stacked_shift_has_the_bits_of_two_shifts(self, d, L):
-        # a vector input shifts f and B f as one stacked pair; the oracle is
-        # B Q f - Q(B f) with a shift of each, in both memory orders
+        # the kernels shift f and B f as one stacked pair; the oracle is
+        # B Q f - Q(B f) with a shift of each, in both memory orders and for
+        # a batch of columns
         from haarweight.operators import _mv, _shift_values
         rng = np.random.default_rng(26)
         g = Grid(d, L)
@@ -288,7 +289,8 @@ class TestCommutator:
         op = commutator_op(B, sigma)
         vals, valsT = B.step.values, np.swapaxes(B.step.values, -1, -2)
         x = rng.standard_normal(g.leaf_shape + (2,))
-        for v in (x, np.asfortranarray(x)):
+        batch = rng.standard_normal(g.leaf_shape + (2, 3))
+        for v in (x, np.asfortranarray(x), batch):
             want = _mv(vals, _shift_values(sigma, v)) - _shift_values(sigma, _mv(vals, v))
             assert np.array_equal(op.kernel(v), want)
             want_T = (_shift_values(sigma, _mv(valsT, v), adjoint=True)
@@ -587,41 +589,145 @@ class TestWeightedNorms:
         assert data["kind"] == "exact"
 
 
+def commutators(g):
+    """The commutators that ``dense_matrix`` assembles, with their shift
+    maps: one of a random symbol, and the counterexample's log-swap
+    commutator at d = 1."""
+    rng = np.random.default_rng(g.d * 100 + g.L)
+    sigma = ShiftMap.random_child(g, seed=8)
+    out = [(commutator_op(random_symbol(g, rng), sigma), sigma)]
+    if g.d == 1:
+        from haarweight.experiments import log_swap_symbol
+        left = ShiftMap.left_child(g)
+        out.append((commutator_op(log_swap_symbol(g), left), left))
+    return out
+
+
 def assembly_operators(g):
     """One operator of each kind that ``dense_matrix`` assembles, plus the
     counterexample's log-swap commutator at d = 1."""
     rng = np.random.default_rng(g.d * 100 + g.L)
     B = random_symbol(g, rng)
     A = MatrixSequence.random(g, rng=7)
-    sigma = ShiftMap.random_child(g, seed=8)
     ops = [paraproduct_op(B), adjoint_paraproduct_op(B), haar_multiplier_op(A),
-           shift_op(sigma), commutator_op(B, sigma),
+           shift_op(ShiftMap.random_child(g, seed=8)),
            big_pi_op(A, MatrixWeight.rotated_power([0.4, -0.3], 0.7), 2.0),
            sparse_op(sparse_generate(g, seed=9, density=0.5))]
-    if g.d == 1:
-        from haarweight.experiments import log_swap_symbol
-        ops.append(commutator_op(log_swap_symbol(g), ShiftMap.left_child(g)))
-    return ops
+    return ops + [op for op, _ in commutators(g)]
+
+
+def counted_pushes(op):
+    """Make op's kernel and core record the width of every call; returns
+    the two lists of widths."""
+    pushes = {"kernel": [], "core": []}
+    for part, log in pushes.items():
+        fn = getattr(op, part)
+        if fn is not None:
+            setattr(op, part, lambda v, fn=fn, log=log: log.append(v.shape[-1]) or fn(v))
+    return pushes
+
+
+def leaf_ancestors(g, k):
+    """Flat C-order index of each leaf's level-k ancestor."""
+    coords = np.unravel_index(np.arange(g.n_leaves), g.leaf_shape)
+    return np.ravel_multi_index(tuple(c >> (g.L - k) for c in coords), (1 << k,) * g.d)
 
 
 class TestDenseAssembly:
     @pytest.mark.parametrize("d, L", [(1, 5), (1, 9), (2, 3), (2, 4)])
     def test_column_blocks_give_the_identity_push_bit_for_bit(self, d, L, monkeypatch):
-        # the identity pushed through the kernel in one call is the oracle;
-        # blocks of 2 and 64 columns and the whole identity give its bits
+        # an operator with a core pushes the N x N scalar identity through
+        # it, any other the dim x dim identity through its kernel; blocks of
+        # 2 and 16 columns and the whole identity give the same bits, and
+        # for every operator but the commutator (whose oracles follow) those
+        # of the vector identity pushed through the kernel in one call
         g = Grid(d, L)
-        dim = 2 * g.n_leaves
+        N = g.n_leaves
+        dim = 2 * N
         for op in assembly_operators(g):
             want = op.kernel(np.eye(dim).reshape(g.leaf_shape + (2, dim))).reshape(dim, dim)
-            kernel, widths = op.kernel, []
-            op.kernel = lambda v: widths.append(v.shape[-1]) or kernel(v)
-            for width in (2, 64, dim):
-                monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * dim * width)
-                op._dense, widths[:] = None, []
+            pushes = counted_pushes(op)
+            via, other = ("core", "kernel") if op.core is not None else ("kernel", "core")
+            rows = N if via == "core" else dim
+            first = None
+            for width in (2, 16, rows):
+                monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * rows * width)
+                op._dense = None
+                pushes["core"].clear(), pushes["kernel"].clear()
                 got = dense_matrix(op)
-                assert widths == [width] * (dim // width), op.name
-                assert np.array_equal(got, want), (op.name, width)
+                assert pushes[via] == [width] * (rows // width) and not pushes[other], op.name
+                first = got if first is None else first
+                assert np.array_equal(got, first), (op.name, width)
+                assert np.array_equal(np.signbit(got), np.signbit(first)), (op.name, width)
+                if op.name != "commutator":
+                    assert np.array_equal(got, want), (op.name, width)
                 assert not got.flags.writeable and dense_matrix(op) is got
+
+    def test_operators_without_a_core_take_the_kernel_push(self):
+        # each operator's structure picks its path: the shift, the sparse
+        # operator and the commutator push the scalar identity through their
+        # core, and the paraproducts, the Haar multiplier and big Pi, which
+        # have no core, push the vector identity through their kernel
+        g = Grid(1, 4)
+        for op in assembly_operators(g):
+            pushes = counted_pushes(op)
+            dense_matrix(op)
+            has_core = op.name in ("haar-shift", "sparse", "commutator")
+            assert (op.core is not None) == has_core, op.name
+            assert pushes["core"] == ([g.n_leaves] if has_core else []), op.name
+            assert pushes["kernel"] == ([] if has_core else [2 * g.n_leaves]), op.name
+
+    @pytest.mark.parametrize("d, L", [(1, 5), (1, 9), (2, 3), (2, 4)])
+    def test_commutator_is_the_shift_matrix_times_symbol_differences(self, d, L):
+        # D[(x,i),(y,j)] = q(x,y) (B(x)_ij - B(y)_ij) + 0.0 bit for bit, with
+        # q the scalar identity pushed through the core in one call
+        g = Grid(d, L)
+        N = g.n_leaves
+        for op, _ in commutators(g):
+            q = op.core(np.eye(N).reshape(g.leaf_shape + (N,))).reshape(N, 1, N, 1)
+            B = op.symbol.reshape(N, 2, 2)
+            diff = B[:, :, None, :] - B.transpose(1, 0, 2)[None]
+            want = (q * diff + 0.0).reshape(2 * N, 2 * N)
+            got = dense_matrix(op)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("d, L", [(1, 5), (1, 9), (2, 3), (2, 4)])
+    def test_commutator_is_within_rounding_of_the_vector_push(self, d, L):
+        # Column (y, j) of the vector push is B(x) Q^(e_y e_j) - Q^(b e_y e_j)
+        # with b = B(y)_:j, and the dense matrix is fl(q~ fl(B(x)_ij - B(y)_ij))
+        # with q~ = Q^ e_y.  Q^ is the analysis, the shift's scatter (exact)
+        # and the synthesis: each output is a sum over paths from the input
+        # leaf of products of the scale constants, each path through at most
+        # m = (2d + 1) L rounded steps (per level of the analysis d butterfly
+        # sums and one scaling, and per level of the synthesis one scaling
+        # and d butterfly sums), so |Q^(c e_y)(x) - c q(x,y)| <= gamma_m |c| P
+        # with P(x, y) the sum of the paths' absolute products: one path per
+        # cancellative signature eps and level k < L - 1 with x in sigma(I),
+        # I the level-k ancestor of y, of weight |h_sigma(I)(x) h_I(y)| |leaf|
+        # = 2^((2k + 1) d / 2 - dL).  The products with B, the difference and
+        # the final subtraction add two roundings on each side, so both are
+        # within gamma_(m+2) (|B(x)_ij| + |B(y)_ij|) P of the exact entry.
+        # Four more allow for the rounded constants 2^(+-kd/2) and two for
+        # evaluating the bound.
+        g = Grid(d, L)
+        N, dim = g.n_leaves, 2 * g.n_leaves
+        u = np.finfo(float).eps / 2
+        m = (2 * d + 1) * L + 8
+        gamma = m * u / (1 - m * u)
+        for op, sigma in commutators(g):
+            P = np.zeros((N, N))
+            for k, target in enumerate(sigma.targets):
+                inside = leaf_ancestors(g, k + 1)[:, None] == target[leaf_ancestors(g, k)][None, :]
+                P += inside * ((2 ** d - 1) * 2.0 ** ((2 * k + 1) * d / 2 - d * L))
+            q = op.core(np.eye(N).reshape(g.leaf_shape + (N,))).reshape(N, N)
+            assert np.all(np.abs(q) <= P * (1 + gamma)), "P bounds the shift's matrix"
+            vec = op.kernel(np.eye(dim).reshape(g.leaf_shape + (2, dim))).reshape(N, 2, N, 2)
+            absB = np.abs(op.symbol.reshape(N, 2, 2))
+            bound = 2 * gamma * (absB[:, :, None, :] + absB.transpose(1, 0, 2)[None]) * P[:, None, :, None]
+            got = dense_matrix(op).reshape(N, 2, N, 2)
+            assert np.all(np.abs(got - vec) <= bound)
+            assert bound.max() <= 1e-12 * np.abs(got).max()
 
     def test_assembly_holds_blocks_not_a_second_matrix(self):
         # the L = 10 counterexample commutator (dim 2048, a 32 MiB matrix)

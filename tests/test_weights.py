@@ -118,6 +118,15 @@ class TestRepresentations:
         assert power_of(W, -1.0).leaf_averages(g, -1.0) is W.leaf_averages(g, 1.0)
         assert len(calls) == 1
 
+    def test_power_of_a_power_law_keeps_its_exponent(self):
+        # W = diag(x^0.2, x^-0.2)^2, so W^-1 = diag(x^-0.4, x^0.4); dropping
+        # the exponent gave diag(x^-0.2, x^0.2) (1.404 against 1.975 on leaf 1)
+        g = Grid(1, 3)
+        W = MatrixWeight(2, alphas=(0.2, -0.2), exponent=2.0)
+        inv = power_of(W, -1.0)
+        assert inv.alphas == (-0.2, 0.2) and inv.exponent == 2.0
+        assert np.array_equal(inv.leaf_averages(g, 1.0), W.leaf_averages(g, -1.0))
+
 
 class TestReducingOperators:
     def test_identity_any_p(self):
