@@ -21,8 +21,8 @@ from .dyadic import (
     subtree_sums, sup_over_cubes,
 )
 from .errors import ThresholdError
-from .operators import MatrixSequence, MatrixSymbol, _mv
-from .weights import MatrixWeight, _leaf_overlaps, ap_from_reducing, reducing_pyramid
+from .operators import MatrixSequence, MatrixSymbol, _mv, big_pi_op, weighted_operator_norm
+from .weights import MatrixWeight, _leaf_overlaps, ap_from_reducing, power_of, reducing_pyramid
 
 
 @dataclass
@@ -99,6 +99,19 @@ def carleson_c_constant(A: MatrixSequence, W: MatrixWeight, p, reducing=None) ->
     per_level = [np.maximum.reduce(arrs) for arrs in zip(*per_form.values())]
     primal, dual = (sups[name][0] if name in sups else None for name in ("primal", "dual"))
     return CarlesonReport(value, cube, p, kind, per_level, primal, dual)
+
+
+def p2_necessity(A: MatrixSequence, W: MatrixWeight, reducing=None):
+    """Condition (c) at p=2, with the norm reports of the embedding operators
+    that bound its forms: Pi_A on L^2(W) (primal) and Pi_{A^T} on L^2(W^{-1})
+    (dual).  W^{-1}'s pyramid is W's with V and V' swapped, so one serves all."""
+    if reducing is None:
+        reducing = reducing_pyramid(W, A.grid, 2.0)
+    swapped = {**reducing, "V": reducing["V_prime"], "V_prime": reducing["V"]}
+    ops = (big_pi_op(A, W, 2.0, reducing),
+           big_pi_op(A.transpose(), power_of(W, -1.0), 2.0, swapped))
+    return (carleson_c_constant(A, W, 2.0, reducing=reducing),
+            *(weighted_operator_norm(op, MatrixWeight.identity(), 2.0) for op in ops))
 
 
 # ---------------------------------------------------------------------------

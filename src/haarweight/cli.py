@@ -292,6 +292,7 @@ def cmd_sweep(cfg, out_dir):
 
 
 def cmd_equivalence(cfg, out_dir):
+    _refuse_unknown_fields(cfg, "equivalence", ("instances", "L", "seed"))
     return experiments.run_equivalence(cfg, out_dir)
 
 

@@ -351,6 +351,15 @@ def find_covering_cube(lo, hi):
     lo, hi are per-coordinate rationals (anything Fraction accepts).  The
     search scans the at most three candidate levels and all 2^d shifts; a
     result is guaranteed by the third-shift covering lemma.
+
+    Why 6: in each coordinate the level-k cubes of shift bit 0 end at the
+    multiples of s = 2^-k and those of bit 1 at m s + (-1)^k s/3, so an end
+    of one kind lies at least s/3 from every end of the other.  A coordinate
+    interval [a, b) of length at most s/3 cannot hold one end of each kind
+    strictly inside, so it lies in a level-k cube of some bit, and each
+    coordinate picks its own bit.  With h the largest side, the finest level
+    whose s >= 3h has s/2 < 3h, so s < 6h; the candidates' sides 2^-k,
+    2^-k+1, 2^-k+2, with 2^-k in [h, 2h), include it.
     """
     lo = [Fraction(x) for x in lo]
     hi = [Fraction(x) for x in hi]

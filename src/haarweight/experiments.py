@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import linalg
-from .carleson import carleson_b_sup, carleson_c_constant, conjugated_norms
+from .carleson import carleson_b_sup, conjugated_norms, p2_necessity
 from .dyadic import Grid, StepFunction, sup_over_cubes
 from .errors import ConfigError
 from .maximal import maximal_mw, maximal_mw_prime, mw_need, sparse_generate, sparse_op
@@ -491,15 +491,8 @@ def run_equivalence(cfg, out_dir=None):
         red = reducing_pyramid(W, g, 2.0)
         ap = ap_from_reducing(red, 2.0)
         b = carleson_b_sup(A, W, 2.0, reducing=red).value
-        rep = carleson_c_constant(A, W, 2.0, reducing=red)
-        c = rep.value
-        nrm = weighted_operator_norm(big_pi_op(A, W, 2.0, red),
-                                     MatrixWeight.identity(), 2.0).value
-        Wd = power_of(W, -1.0)
-        red_d = reducing_pyramid(Wd, g, 2.0)
-        nrm_d = weighted_operator_norm(big_pi_op(A.transpose(), Wd, 2.0, red_d),
-                                       MatrixWeight.identity(), 2.0).value
-        # each (c) form against the embedding operator its test functions bound
+        rep, primal, dual = p2_necessity(A, W, red)
+        c, nrm, nrm_d = rep.value, primal.value, dual.value
         ok1 = (rep.primal_value <= nrm ** 2 * (1 + 1e-9)
                and rep.dual_value <= nrm_d ** 2 * (1 + 1e-9))
         ok2 = c <= n * b * (1 + 1e-9)

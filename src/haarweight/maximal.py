@@ -120,8 +120,15 @@ def weak_type_check(W: MatrixWeight, f):
     """Exhaustive weak (2,2) check for M' with the explicit constant n.
 
     Returns (max over attained thresholds of lam^2 |{M' > lam}| / ||f||_2^2,
-    the threshold achieving it).  The trace identity behind the proof makes
-    the bound lam^2 |{M' > lam}| <= n ||f||^2 exact in this discretization.
+    the threshold achieving it).  The bound lam^2 |{M' > lam}| <= n ||f||^2
+    holds exactly in this discretization.  {M' > lam} is the disjoint union
+    of the maximal cubes I with (1/|I|) int_I |H R f| > lam, where
+    H = (m_I W^{-1})^{-1/2} and R = m_leaf(W^{-1})^{1/2} is the leaf's
+    representative of W^{-1/2}.  By |H R f| <= ||H R||_F |f| and
+    Cauchy-Schwarz, lam^2 < (1/|I|) int_I ||H R||_F^2 (1/|I|) int_I |f|^2,
+    and the trace identity (1/|I|) int_I ||H R||_F^2 = tr(H m_I(W^{-1}) H)
+    = n (the leaf averages of W^{-1} average to m_I W^{-1}) gives
+    |I| lam^2 < n int_I |f|^2; sum over the disjoint I.
     """
     grid = f.grid
     m = maximal_mw_prime(W, f).ravel()

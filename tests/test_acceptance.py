@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from haarweight import experiments as ex
-from haarweight.carleson import carleson_b_sup, carleson_c_constant, stopping_time_tree
+from haarweight.carleson import p2_necessity, stopping_time_tree
 from haarweight.dyadic import (
     Grid, StepFunction, find_covering_cube, haar_analyze, haar_synthesize,
     sequence_maximal, carleson_intensity,
@@ -19,8 +19,8 @@ from haarweight.dyadic import (
 from haarweight.errors import IntegrabilityError
 from haarweight.maximal import sparse_generate, sparse_proof_chain, weak_type_check
 from haarweight.operators import (
-    MatrixSequence, MatrixSymbol, ShiftMap, big_pi_op, commutator_case_sum,
-    commutator_op, product_decomposition_values, weighted_operator_norm,
+    MatrixSequence, MatrixSymbol, ShiftMap, commutator_case_sum, commutator_op,
+    product_decomposition_values,
 )
 from haarweight import weights as weights_module
 from haarweight.weights import (
@@ -111,25 +111,15 @@ def test_criterion_2_counterexample_rates(tmp_path):
 
 
 def test_criterion_3_exact_p2_necessity():
-    # each condition (c) form against the embedding operator its test-function
-    # argument bounds it by: primal vs Pi_A, dual vs Pi_{A^T} with weight W^{-1}
-    from haarweight.weights import power_of
     rng = np.random.default_rng(103)
     violations = 0
     worst_margin = 0.0
     for t in range(200):
         L = int(rng.integers(3, 7))
-        g = Grid(1, L)
         W = MatrixWeight.random_spd(40000 + t, cond=float(rng.uniform(2, 64)))
-        A = MatrixSequence.random(g, rng=rng)
-        red = reducing_pyramid(W, g, 2.0)
-        rep = carleson_c_constant(A, W, 2.0, reducing=red)
-        nrm = weighted_operator_norm(big_pi_op(A, W, 2.0, red),
-                                     MatrixWeight.identity(), 2.0).value
-        Wd = power_of(W, -1.0)
-        red_d = reducing_pyramid(Wd, g, 2.0)
-        nrm_d = weighted_operator_norm(big_pi_op(A.transpose(), Wd, 2.0, red_d),
-                                       MatrixWeight.identity(), 2.0).value
+        A = MatrixSequence.random(Grid(1, L), rng=rng)
+        rep, primal, dual = p2_necessity(A, W)
+        nrm, nrm_d = primal.value, dual.value
         ok_p = rep.primal_value <= nrm ** 2 * (1 + NECESSITY_REL_TOL)
         ok_d = rep.dual_value <= nrm_d ** 2 * (1 + NECESSITY_REL_TOL)
         if not (ok_p and ok_d):

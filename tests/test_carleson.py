@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from haarweight import linalg
 from haarweight.carleson import (
     bmo_norm, carleson_b_sup, carleson_c_constant, mean_oscillation,
-    ntv_scalar_equivalence, stopping_constants, stopping_time_tree,
+    ntv_scalar_equivalence, p2_necessity, stopping_constants, stopping_time_tree,
 )
-from haarweight.dyadic import Cube, Grid, StepFunction, find_covering_cube
+from haarweight.dyadic import Cube, Grid, StepFunction, find_covering_cube, mean_pyramid
 from haarweight.errors import ThresholdError
-from haarweight.operators import (
-    MatrixSequence, MatrixSymbol, big_pi_op, weighted_operator_norm,
-)
+from haarweight.operators import MatrixSequence, MatrixSymbol
 from haarweight import weights as weights_module
 from haarweight.weights import MatrixWeight, ap_from_reducing, power_of, reducing_pyramid
 
@@ -89,21 +88,46 @@ class TestConditionC:
 
     def test_p2_necessity_dense_svd(self):
         # each (c) form <= the squared dense-SVD norm of its embedding operator
+        # (dim 64), by Parseval that of its Haar coefficients V_I A_I^eps
+        # m_I(W^{-1/2} f), with W^{-1}'s own pyramid for Pi_{A^T}
         rng = np.random.default_rng(7)
         g = Grid(1, 5)
+
+        def svd_norm(A, W):
+            V = [linalg.sqrtm_spd(a) for a in W.average_pyramid(g, 1.0)]
+            cols = W.leaf_averages(g, -0.5) @ np.eye(64).reshape(32, 2, 64)
+            mat = np.concatenate([np.einsum("xij,xsjk,xkb->xsib", v, a, m).reshape(-1, 64)
+                                  for v, a, m in zip(V, A.levels, mean_pyramid(cols, 1, 5))])
+            return np.linalg.svd(mat, compute_uv=False)[0] / np.sqrt(g.leaf_measure)
+
         for t in range(30):
             W = MatrixWeight.random_spd(300 + t, cond=64.0)
             A = MatrixSequence.random(g, rng=rng)
-            red = reducing_pyramid(W, g, 2.0)
-            rep = carleson_c_constant(A, W, 2.0, reducing=red)
-            nrm = weighted_operator_norm(big_pi_op(A, W, 2.0, red),
-                                         MatrixWeight.identity(), 2.0).value
+            rep, primal, dual = p2_necessity(A, W)
+            nrm, nrm_d = svd_norm(A, W), svd_norm(A.transpose(), power_of(W, -1.0))
             assert rep.primal_value <= nrm ** 2 * (1 + 1e-9)
-            Wd = power_of(W, -1.0)
-            red_d = reducing_pyramid(Wd, g, 2.0)
-            nrm_d = weighted_operator_norm(big_pi_op(A.transpose(), Wd, 2.0, red_d),
-                                           MatrixWeight.identity(), 2.0).value
             assert rep.dual_value <= nrm_d ** 2 * (1 + 1e-9)
+            # the certified norms agree to dim * eps, either solver's round-off
+            assert (primal.kind, dual.kind) == ("exact", "exact")
+            assert [primal.value, dual.value] == pytest.approx([nrm, nrm_d],
+                                                               rel=64 * np.finfo(float).eps)
+
+    def test_p2_necessity_builds_one_pyramid(self, monkeypatch):
+        # W^{-1}'s pyramid is W's with V and V' swapped, so an instance builds
+        # one reducing pyramid, and none when it is given one
+        import haarweight.carleson as carleson_module
+        import haarweight.operators as operators_module
+        calls = []
+        for module in (carleson_module, operators_module, weights_module):
+            monkeypatch.setattr(module, "reducing_pyramid",
+                                lambda *args: calls.append(args) or reducing_pyramid(*args))
+        g = Grid(1, 3)
+        W = MatrixWeight.random_spd(3, cond=8.0)
+        A = MatrixSequence.random(g, rng=np.random.default_rng(3))
+        p2_necessity(A, W)
+        assert len(calls) == 1
+        p2_necessity(A, W, reducing_pyramid(W, g, 2.0))
+        assert len(calls) == 1
 
     def test_two_sidedness_with_traced_constants(self):
         rng = np.random.default_rng(8)

@@ -1,5 +1,6 @@
 """Experiment-driver and CLI tests: determinism, schemas, exit codes, goldens."""
 
+import csv
 import json
 import os
 import subprocess
@@ -217,6 +218,21 @@ class TestEquivalenceSmall:
         assert rep["passed"]
         assert (tmp_path / "equivalence.csv").exists()
 
+    def test_default_run_keeps_the_c_le_nb_counterexamples(self, tmp_path):
+        # at its defaults (200 instances, L = 5, seed 0) the command fails only
+        # c <= n b, which is not a theorem (ROADMAP item 1), and at exactly
+        # these instances; every (c) form stays below its embedding norm
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        assert cli_main(["equivalence", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert json.loads((tmp_path / "equivalence.json").read_text())["exact_violations"] == 4
+        with open(tmp_path / "equivalence.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 200 and {r["c_le_norm"] for r in rows} == {"1"}
+        over = {int(r["instance"]): round(float(r["cond_c"]) / (2 * float(r["cond_b"])), 3)
+                for r in rows if r["c_le_n_b"] == "0"}
+        assert over == {44: 1.370, 58: 1.630, 101: 1.128, 193: 1.026}
+
 
 class TestCLI:
     def run(self, *argv):
@@ -344,14 +360,15 @@ class TestCLI:
          "'grid', 'weight'"),
         ("maximal", {"kind": "all"}, "'kind'"),
         ("sweep", {"kind": "sparse", "L": 3, "weight": {"kind": "identity"}}, "'weight'"),
-    ], ids=["maximal-grid-weight", "maximal-kind", "sweep-weight"])
+        ("equivalence", {"instance": 3, "grid": {"L": 3}}, "'alphas', 'grid', 'instance'"),
+    ], ids=["maximal-grid-weight", "maximal-kind", "sweep-weight", "equivalence-instance-grid"])
     def test_sweep_refuses_unknown_fields(self, tmp_path, capsys, command, cfg, unknown):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"alphas": [0.1, 0.5], **cfg}))
         assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.rstrip().endswith("unknown: " + unknown)
-        assert not list(tmp_path.glob("sweep_*"))
+        assert not list(tmp_path.glob("*.csv"))
         # the pinned benchmark config still runs
         path.write_text(json.dumps({"kind": "sparse", "L": 3, "alphas": [0.1, 0.5], "seed": 0}))
         assert self.run("sweep", "--config", str(path), "--out", str(tmp_path)) == 0

@@ -14,6 +14,12 @@ criteria counts as read when one of those callers reads its name outside
 its own assignment.  A public method or property of a package class counts
 as called when one of those callers reads it as an attribute outside the
 member's own body.
+
+Every UPPER_CASE constant that a verdict reads, an acceptance criterion's
+``ok`` or a command's ``passed``, is in ``LEDGER`` as derived (with the
+docstring that proves it), a tolerance (with what it absorbs) or fitted.
+The fitted ones are also in ``FITTED`` with the item that will remove them;
+like ``PENDING``, ``FITTED`` may only shrink.
 """
 
 import ast
@@ -27,6 +33,30 @@ PENDING = {
     "mw_proof_certificate": "waits for the M_W criterion (ROADMAP item 3)",
     "mean_oscillation": "belongs to the covering-lemma reduction of BMO over arbitrary cubes",
     "ntv_scalar_equivalence": "waits for the equivalence claim (ROADMAP item 1)",
+}
+
+
+FITTED = {
+    "SWEEP_STABILITY_FACTOR": "ROADMAP item 10: a sweep verdict from a derived bound",
+    "EXPONENT_BAND": "ROADMAP item 1: the equivalence claim from the embedding theorem",
+    "CAR_EMBED_CAP": "ROADMAP items 1 and 10: the p=2 embedding corollary's constant",
+}
+
+LEDGER = {
+    "COVERING_RATIO": ("derived", "dyadic.find_covering_cube: the one-third trick"),
+    "WEAK_TYPE_CONSTANT": ("derived", "maximal.weak_type_check: the trace identity"),
+    "PARSEVAL_TOL": ("tolerance", "round-off of the orthonormal Haar transforms"),
+    "EXACT_CORE_TOL": ("tolerance", "round-off of the product rule and commutator case sum"),
+    "RATE_TOL": ("tolerance", "round-off of the closed-form per-level ratio 2^alpha"),
+    "EXPONENT_REL_TOL": ("tolerance", "a log2 fit over finite depths against its derived "
+                                      "target 2 alpha"),
+    "NECESSITY_REL_TOL": ("tolerance", "round-off of the (c) forms against the exact norms"),
+    "REVERSE_AP_P2": ("tolerance", "round-off of the p=2 closed-form reducing operators"),
+    "REVERSE_AP_GEN": ("tolerance", "the direction net of the p!=2 Lowner ellipses"),
+    "SANDWICH_ETA": ("tolerance", "the p!=2 sandwich certificate on the net"),
+    "SWEEP_STABILITY_FACTOR": ("fitted", "a sharpness band on measured / bound ratios"),
+    "EXPONENT_BAND": ("fitted", "a band for the fitted (b)=>(a) A_2 exponent"),
+    "CAR_EMBED_CAP": ("fitted", "an allowance for the embedding corollary's fit"),
 }
 
 
@@ -71,11 +101,14 @@ def test_every_public_name_has_a_caller():
     assert uncalled() == set(PENDING)
 
 
+def constant_files():
+    return sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+
 def constants():
     """(path, assignment, name) of the module-level UPPER_CASE constants of
     the package and of the acceptance criteria."""
-    paths = sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    return [(path, node, t.id) for path, node in top_level(paths)
+    return [(path, node, t.id) for path, node in top_level(constant_files())
             if isinstance(node, (ast.Assign, ast.AnnAssign))
             for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
             if isinstance(t, ast.Name) and t.id.isupper()]
@@ -199,3 +232,58 @@ def unused_options():
 def test_every_option_has_a_caller():
     assert len(optional_parameters()) > 50      # the parse found the callables
     assert unused_options() == set()
+
+
+def stored(node):
+    """The names an assignment writes, read off its targets; none for other nodes."""
+    if isinstance(node, ast.Assign):
+        return set().union(*map(read_names, node.targets))
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return read_names(node.target)
+    return set()
+
+
+def verdict_reads(fn):
+    """Names whose values reach a verdict of fn: ``passed``, the ``ok`` handed
+    to an acceptance line and every value given to a "passed" key, then each
+    name read by an assignment to a reached name or by the test of a branch
+    that assigns one.  Loop ranges, which set how many instances a criterion
+    draws, are left out."""
+    reach, edges = {"passed"}, []
+    for sub in ast.walk(fn):
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_line":
+            reach |= read_names(sub.args[1])
+        elif isinstance(sub, ast.Dict):
+            for key, value in zip(sub.keys, sub.values):
+                if isinstance(key, ast.Constant) and key.value == "passed":
+                    reach |= read_names(value)
+        elif stored(sub) and sub.value is not None:
+            edges.append((stored(sub), sub.value))
+        elif isinstance(sub, ast.If):
+            branch = [s for stmt in sub.body + sub.orelse for s in ast.walk(stmt)]
+            edges.append((set().union(*map(stored, branch)), sub.test))
+    grew = True
+    while grew:
+        grew = False
+        for targets, value in edges:
+            if targets & reach and not read_names(value) <= reach:
+                reach |= read_names(value)
+                grew = True
+    return reach
+
+
+def verdict_constants():
+    """The constants of ``constants()`` that reach a verdict of a function of
+    their files."""
+    defined = {name for _, _, name in constants()}
+    return {name for path in constant_files()
+            for sub in ast.walk(ast.parse(path.read_text())) if isinstance(sub, ast.FunctionDef)
+            for name in verdict_reads(sub) & defined}
+
+
+def test_every_verdict_constant_is_derived_or_listed():
+    found = verdict_constants()
+    assert {"NECESSITY_REL_TOL", "EXPONENT_BAND"} <= found     # both kinds of verdict
+    assert found == set(LEDGER)
+    assert {kind for kind, _ in LEDGER.values()} == {"derived", "tolerance", "fitted"}
+    assert {name for name, (kind, _) in LEDGER.items() if kind == "fitted"} == set(FITTED)
