@@ -168,7 +168,15 @@ def build_operator(spec, grid, weight, p):
     raise ConfigError(f"unknown operator spec {spec!r}")
 
 
+def _refuse_unknown_fields(cfg, command, known):
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(f"{command} reads only the fields {', '.join(known)}; "
+                          f"unknown: {', '.join(map(repr, unknown))}")
+
+
 def cmd_apchar(cfg, out_dir):
+    _refuse_unknown_fields(cfg, "apchar", ("weight", "grid", "p"))
     W, p = build_weight(cfg), read_p(cfg)
     grid = build_grid(cfg, "apchar", ap_need, n=W.n, p=p)
     if grid.d > 2:
@@ -183,6 +191,7 @@ def cmd_apchar(cfg, out_dir):
 
 
 def cmd_opnorm(cfg, out_dir):
+    _refuse_unknown_fields(cfg, "opnorm", ("weight", "grid", "p", "operator", "seed"))
     W, p = build_2x2_weight(cfg, "opnorm"), read_p(cfg)
     spec = cfg.get("operator", {})
     # only the embedding operator builds a reducing pyramid
@@ -196,6 +205,7 @@ def cmd_opnorm(cfg, out_dir):
 
 
 def cmd_bmo(cfg, out_dir):
+    _refuse_unknown_fields(cfg, "bmo", ("variant", "weight", "grid", "p", "symbol"))
     variant = cfg.get("variant", "primal")
     if variant not in ("primal", "dual", "unweighted"):
         raise ConfigError(f"unknown BMO variant {variant!r}")
@@ -213,6 +223,7 @@ def cmd_bmo(cfg, out_dir):
 
 
 def cmd_carleson(cfg, out_dir):
+    _refuse_unknown_fields(cfg, "carleson", ("weight", "grid", "p", "sequence"))
     W, p = build_2x2_weight(cfg, "carleson"), read_p(cfg)
     grid = build_grid(cfg, "carleson", reducing_need, p=p)
     A = build_sequence(cfg.get("sequence", {"kind": "random"}), grid)
@@ -225,6 +236,7 @@ def cmd_carleson(cfg, out_dir):
 
 
 def cmd_stopping(cfg, out_dir):
+    _refuse_unknown_fields(cfg, "stopping", ("weight", "grid", "p", "lambda1", "lambda2"))
     W, p = build_weight(cfg), read_p(cfg)
     grid = build_grid(cfg, "stopping", reducing_need, n=W.n, p=p)
     for key in ("lambda1", "lambda2"):
@@ -251,22 +263,18 @@ def cmd_stopping(cfg, out_dir):
 SWEEP_FIELDS = ("L", "alphas", "seed")
 
 
-def _refuse_unknown_fields(cfg, command, known):
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        raise ConfigError(f"{command} reads only the fields {', '.join(known)}; "
-                          f"unknown: {', '.join(map(repr, unknown))}")
-
-
 def cmd_maximal(cfg, out_dir):
     _refuse_unknown_fields(cfg, "maximal", SWEEP_FIELDS)
     return experiments.run_sweep("maximal", cfg, out_dir)
 
 
 def cmd_sparse(cfg, out_dir):
+    # only a weight makes it take a norm, and only the norm reads p
+    weighted = cfg.get("weight") is not None
+    _refuse_unknown_fields(cfg, "sparse", ("weight", "grid", "density", "seed")
+                           + (("p",) if weighted else ()))
     W = build_2x2_weight(cfg, "sparse")
-    # only a weight makes it take a norm
-    p = None if cfg.get("weight") is None else read_p(cfg)
+    p = read_p(cfg) if weighted else None
     grid = build_grid(cfg, "sparse", *([] if p is None else [norm_need]), p=p)
     density = _read_number(cfg, "density", 0.5, lambda v: 0.0 < v <= 0.5, "in (0, 1/2]")
     try:
@@ -281,9 +289,18 @@ def cmd_sparse(cfg, out_dir):
     return payload
 
 
+# the fields that each kind of experiments.run_counterexample reads besides
+# its kind and alpha
+COUNTEREXAMPLE_FIELDS = {"haar-multiplier": ("depth",), "paraproduct": ("n_range", "L"),
+                         "commutator": ("l_range",)}
+
+
 def cmd_counterexample(cfg, out_dir):
-    return experiments.run_counterexample(_read_kind(cfg, "counterexample", "haar-multiplier"),
-                                          cfg, out_dir)
+    kind = _read_kind(cfg, "counterexample", "haar-multiplier")
+    if kind in COUNTEREXAMPLE_FIELDS:
+        _refuse_unknown_fields(cfg, f"counterexample {kind}",
+                               ("kind", "alpha") + COUNTEREXAMPLE_FIELDS[kind])
+    return experiments.run_counterexample(kind, cfg, out_dir)
 
 
 def cmd_sweep(cfg, out_dir):

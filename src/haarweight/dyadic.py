@@ -189,20 +189,22 @@ def ancestor_averages(pair_rows, grid):
     the average of a leaf-pair table T[x, y] over the leaves y of x's
     level-k ancestor.
 
-    ``pair_rows(block)`` returns the rows T[x, .] of the leaves x in the
-    slice ``block``, flat over y in C order.  The table is built
-    ``linalg.block_rows`` rows at a time: a block goes up the levels along y
-    one at a time and keeps only the entry of x's own ancestor, so the walk
-    holds O(N * block) floats, not N x N.  The rows are independent, so the
-    result does not depend on the block."""
+    ``pair_rows(block, buf)`` writes the rows T[x, .] of the leaves x in the
+    slice ``block``, flat over y in C order, into the (block, N) array
+    ``buf`` and returns it.  The table is built ``linalg.block_rows`` rows at
+    a time in that one buffer: a block goes up the levels along y one at a
+    time and keeps only the entry of x's own ancestor, so the walk holds
+    O(N * block) floats, not N x N.  The rows are independent, so the result
+    does not depend on the block."""
     d, L, N = grid.d, grid.L, grid.n_leaves
     rows = linalg.block_rows(N, 8 * N)
     out = np.empty((L + 1, N))
+    buf = np.empty((rows, N))
     i = np.arange(rows)
     for lo in range(0, N, rows):
         block = slice(lo, lo + rows)
         coords = np.unravel_index(np.arange(lo, lo + rows), grid.leaf_shape)
-        table = pair_rows(block).reshape((rows,) + grid.leaf_shape)
+        table = pair_rows(block, buf).reshape((rows,) + grid.leaf_shape)
         for k in range(L, -1, -1):
             if k < L:
                 table = coarsen_levels(table, d, 1, axis=1)

@@ -60,7 +60,8 @@ def maximal_mw_prime(W: MatrixWeight, f):
 
 def _mw_ancestor_averages(W: MatrixWeight, f):
     """``dyadic.ancestor_averages`` of the leaf-pair table
-    P[x, y] = |W^{1/2}(x) W^{-1/2}(y) f(y)| (d = 1)."""
+    P[x, y] = |W^{1/2}(x) W^{-1/2}(y) f(y)| (d = 1), each block's GEMM,
+    clamp and root written over the walk's one buffer."""
     grid = f.grid
     if grid.d != 1:
         raise ValueError("the two-sided maximal function is implemented for d=1")
@@ -69,12 +70,18 @@ def _mw_ancestor_averages(W: MatrixWeight, f):
     t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
     # quad[x, y] = t_y^T Mw_x t_y as one GEMM of flattened Mw_x against t_y t_y^T
     tt = (t_leaf[:, :, None] * t_leaf[:, None, :]).reshape(N, -1).T
-    return ancestor_averages(lambda block: np.sqrt(np.maximum(Mw[block] @ tt, 0.0)), grid)
+
+    def pair_rows(block, buf):
+        quad = np.matmul(Mw[block], tt, out=buf)
+        return np.sqrt(np.maximum(quad, 0.0, out=quad), out=quad)
+
+    return ancestor_averages(pair_rows, grid)
 
 
 # bytes per leaf and level that M_W and M'_W hold on 2x2 weights, whose
 # leaf-pair table streams in blocks: the maximal sweep's peak RSS (os.wait4)
-# grew by 78, 78 and 65 B per leaf and level over L = 10..12, 12..13, 13..14
+# grew by 78, 78 and 65 B per leaf and level over L = 10..12, 12..13, 13..14,
+# and by 63 and 72 B over L = 11..12, 12..13 once the blocks shared one buffer
 MW_LEVEL_BYTES = 80
 
 

@@ -615,14 +615,27 @@ def _double_average_levels(P, N, grid, p):
     """Per-level cube values of the A_p double average
     (1/|I|) int_I ((1/|I|) int_I ||P(x) N(t)||^{p'} dt)^{p/p'} dx, from the
     leaf representatives P of W^{1/p} and N of W^{-1/p}, flat over the leaves:
-    the inner t-averages of ||P_x N_t||^{p'} are ``dyadic.ancestor_averages``,
-    and the outer x-averages of their p/p' powers run on L + 1 leaf vectors."""
+    the inner t-averages of ||P_x N_t||^{p'} are ``dyadic.ancestor_averages``
+    of ``linalg.pair_opnorm_rows``, and the outer x-averages of their p/p'
+    powers run on L + 1 leaf vectors.
+
+    Rounding against the hypot form of ``linalg.opnorm`` (u = 2^-53): for 2x2
+    weights each leaf-pair norm is within e = 6.03 u of it (relative), and
+    the exact double average is monotone and homogeneous of degree p in the
+    norms, so it moves by at most (1 + e)^p - 1.  The computed value at level
+    k is within p (2 + d (L - k)) u + O(u^2) of the exact one on either
+    table: the p' power (2u; glibc documents pow to 1 ulp), d (L - k) sums
+    of two per inner average (u each; the halvings are exact), the p/p'
+    power, which scales relative errors by p/p' = p - 1 and adds 2u, and as
+    many sums per outer average.  So a level value moves by at most
+    p (6.04 + 4 + 2 d (L - k)) u <= p (11 + 2 d L) u relative, where no
+    power underflows."""
     d, L = grid.d, grid.L
     pprime = p / (p - 1.0)
+    norms = linalg.pair_opnorm_rows(P, N)
 
-    def pair_rows(block):
-        # in place: a fresh block for the power made d = 1, L = 10 about 20% slower
-        inner = linalg.pair_opnorms(P[block], N)
+    def pair_rows(block, buf):
+        inner = norms(block, buf)
         inner **= pprime
         return inner
 
@@ -638,9 +651,13 @@ def ap_need(d, L, n, p):
     of the double average, the cube values ||V_I V_I'||^p (at most 2 per
     leaf) and the leaf averages of W^{+-2/p} with their roots; and the blocks
     of the leaf-pair table, ``linalg.BLOCK_BYTES`` or two rows if larger:
-    four for 2x2 weights (about three are alive) and 2 n^2 for the n x n
-    products of other n.  The outer averages hold under 3 floats per leaf,
-    after the blocks are freed."""
+    four for 2x2 weights (the walk's buffer, the two scratch sub-blocks of
+    ``linalg.pair_opnorm_rows``, at most a block each, and the block's
+    coarsened levels, under one block) and 2 n^2 for the n x n products of
+    other n.  The outer averages hold under 3 floats per leaf, after the
+    blocks are freed.  At d = 1, L = 13, ``apchar``'s peak RSS (os.wait4, one
+    BLAS thread) was 6.4 MB (p = 2) and 36.6 MB (p = 1.5) above a run at
+    L = 2, against the 9.5 and 53.5 MB counted here."""
     leaves = leaf_count(d, L)
     tables = 4 if n == 2 else 2 * n * n
     floats = leaves * (min(L, 62) + 3 + 4 * n * n)
@@ -657,8 +674,8 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid) -> ApReport:
 
     For 2x2 weights every norm here is the closed form of ``linalg.opnorm``,
     and the leaf-pair norms of the double average come from
-    ``linalg.pair_opnorms`` in four rank-4 GEMMs, without forming the
-    products; other n fall back to the SVD.
+    ``linalg.pair_opnorm_rows`` in four rank-4 GEMMs per block, without
+    forming the products; other n fall back to the SVD.
     """
     d, n = grid.d, W.n
     if d > 2:

@@ -13,7 +13,7 @@ import pytest
 from haarweight import experiments as ex
 from haarweight.carleson import p2_necessity, stopping_time_tree
 from haarweight.dyadic import (
-    Grid, StepFunction, find_covering_cube, haar_analyze, haar_synthesize,
+    COVERING_RATIO, Grid, StepFunction, find_covering_cube, haar_analyze, haar_synthesize,
     sequence_maximal, carleson_intensity,
 )
 from haarweight.errors import IntegrabilityError
@@ -38,7 +38,6 @@ REVERSE_AP_P2 = 1e-9
 REVERSE_AP_GEN = 2e-3
 SANDWICH_ETA = 1e-3
 WEAK_TYPE_CONSTANT = 2.0          # = n, from the trace identity
-COVERING_RATIO = 6.0
 CAR_EMBED_CAP = 64.0              # dimensional allowance for the p=2 corollary
 SPARSE_FAMILIES = 1000
 

@@ -412,13 +412,22 @@ class TestAncestorAverages:
             anc = coords >> (L - k)
             same = (anc[:, :, None] == anc[:, None, :]).all(axis=0)   # y in x's ancestor
             want[k] = (table * same).sum(axis=1) / same.sum(axis=1)
-        blocks = []
+        blocks, buffers = [], set()
+
+        def pair_rows(block, buf):
+            blocks.append(block)
+            buffers.add(id(buf))
+            buf[...] = table[block]
+            return buf
+
         for rows in (2, N // 4, N):
             monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * N * rows)
             blocks.clear()
-            got = dy.ancestor_averages(lambda block: blocks.append(block) or table[block], g)
+            buffers.clear()
+            got = dy.ancestor_averages(pair_rows, g)
             assert np.array_equal(got, want)
             assert blocks == [slice(lo, lo + rows) for lo in range(0, N, rows)]
+            assert len(buffers) == 1            # every block in one buffer
 
 
 class TestCarlesonLemma:

@@ -314,8 +314,10 @@ class TestCLI:
                                             ("bmo", 1), ("sparse", 3)])
     def test_weight_not_2x2_refused(self, tmp_path, capsys, command, n):
         # every symbol, sequence and operator these commands build is 2 x 2
+        # (only opnorm reads an operator field; the others refuse it)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"grid": {"d": 1, "L": 4}, "operator": {"op": "shift"},
+        operator = {"operator": {"op": "shift"}} if command == "opnorm" else {}
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 4}, **operator,
                                     "weight": {"kind": "random-spd", "seed": 1, "n": n}}))
         assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
@@ -347,13 +349,29 @@ class TestCLI:
         # log x is a symbol on [0, 1): on a d=2 grid it is a config error
         # (exit 1), not a shape error from the operator (exit 2)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"grid": {"d": 2, "L": 3}, "operator": {
-            "op": "paraproduct", "symbol": {"kind": "scalar-log"}},
-            "symbol": {"kind": "log-swap"}}))
+        field = ({"operator": {"op": "paraproduct", "symbol": {"kind": "scalar-log"}}}
+                 if command == "opnorm" else {"symbol": {"kind": "log-swap"}})
+        path.write_text(json.dumps({"grid": {"d": 2, "L": 3}, **field}))
         assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "d = 1 only, got d = 2" in err
         assert not (tmp_path / "diagnostics.json").exists()
+
+    # configs shaped like the benchmark's, at a small L, that still run once
+    # a config with an unknown field is refused; a sweep-type command runs
+    # the sweep's
+    ROTATED = {"kind": "rotated", "alphas": [0.4, -0.3], "theta": 0.7}
+    RUNS = {
+        "sweep": {"kind": "sparse", "L": 3, "alphas": [0.1, 0.5], "seed": 0},
+        "apchar": {"weight": ROTATED, "grid": {"d": 1, "L": 3}, "p": 1.5},
+        "stopping": {"weight": ROTATED, "grid": {"d": 1, "L": 3}, "p": 3},
+        "counterexample": {"kind": "commutator", "alpha": 0.1, "l_range": [2, 3]},
+        "opnorm": {"grid": {"d": 1, "L": 3}, "operator": {"op": "shift"}, "p": 2, "seed": 0},
+        "bmo": {"grid": {"d": 1, "L": 3}, "variant": "dual", "symbol": {"kind": "random"}},
+        "carleson": {"grid": {"d": 1, "L": 3}, "p": 2, "sequence": {"kind": "random"}},
+        "sparse": {"grid": {"d": 1, "L": 3}, "weight": {"kind": "identity"}, "p": 2,
+                   "density": 0.5, "seed": 0},
+    }
 
     @pytest.mark.parametrize("command, cfg, unknown", [
         ("maximal", {"grid": {"d": 2, "L": 3}, "weight": {"kind": "identity"}},
@@ -361,17 +379,28 @@ class TestCLI:
         ("maximal", {"kind": "all"}, "'kind'"),
         ("sweep", {"kind": "sparse", "L": 3, "weight": {"kind": "identity"}}, "'weight'"),
         ("equivalence", {"instance": 3, "grid": {"L": 3}}, "'alphas', 'grid', 'instance'"),
-    ], ids=["maximal-grid-weight", "maximal-kind", "sweep-weight", "equivalence-instance-grid"])
+        ("apchar", {"bogus": 1}, "'alphas', 'bogus'"),
+        ("opnorm", {"operator": {"op": "shift"}, "symbol": {}}, "'alphas', 'symbol'"),
+        ("bmo", {"variant": "dual", "sequence": {}}, "'alphas', 'sequence'"),
+        ("carleson", {"lambda1": 2.0}, "'alphas', 'lambda1'"),
+        ("stopping", {"lamda1": 2.0}, "'alphas', 'lamda1'"),
+        ("sparse", {"p": 1.5}, "'alphas', 'p'"),
+        ("counterexample", {"kind": "haar-multiplier", "alpha": 0.5, "depht": 5},
+         "'alphas', 'depht'"),
+    ], ids=["maximal-grid-weight", "maximal-kind", "sweep-weight", "equivalence-instance-grid",
+            "apchar-bogus", "opnorm-symbol", "bmo-sequence", "carleson-lambda1",
+            "stopping-lamda1", "sparse-p-without-weight", "counterexample-depht"])
     def test_sweep_refuses_unknown_fields(self, tmp_path, capsys, command, cfg, unknown):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"alphas": [0.1, 0.5], **cfg}))
         assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.rstrip().endswith("unknown: " + unknown)
+        assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob("*.csv"))
-        # the pinned benchmark config still runs
-        path.write_text(json.dumps({"kind": "sparse", "L": 3, "alphas": [0.1, 0.5], "seed": 0}))
-        assert self.run("sweep", "--config", str(path), "--out", str(tmp_path)) == 0
+        runs = command if command in self.RUNS else "sweep"
+        path.write_text(json.dumps(self.RUNS[runs]))
+        assert self.run(runs, "--config", str(path), "--out", str(tmp_path)) == 0
 
     @pytest.mark.parametrize("command, cfg", [
         ("apchar", [1, 2]),
@@ -415,7 +444,9 @@ class TestCLI:
         def run(command, **cfg):
             out = tmp_path / command
             path = tmp_path / f"{command}.json"
-            path.write_text(json.dumps({"grid": grid, "p": 3, **cfg}))
+            # sparse reads p only with a weight, and refuses it without one
+            p = {} if command == "sparse" else {"p": 3}
+            path.write_text(json.dumps({"grid": grid, **p, **cfg}))
             assert self.run(command, "--config", str(path), "--out", str(out)) == 0
             return out
 

@@ -2,9 +2,12 @@
 root and inverse against the eigendecomposition.
 
 ``opnorm`` takes sigma_1 = (hypot(a+d, b-c) + hypot(a-d, b+c)) / 2 for 2x2
-input, and ``pair_opnorms`` builds the leaf-pair table of the A_p double
-average from the same four sums as GEMMs, without forming the products.
-The oracle is ``np.linalg.svd`` of the formed matrices.
+input, and ``pair_opnorm_rows`` builds the leaf-pair table of the A_p double
+average from the same four sums as GEMMs, without forming the products,
+with sqrt(s*s + t*t) for each hypot on a proved range.  The oracle is
+``np.linalg.svd`` of the formed matrices; the hypot form of the same GEMM
+sums (``hypot_table``) is the reference for the squares form's ulp bound
+and, outside its range, for its bits.
 
 The A_p double average streams the leaf-pair table over blocks of x rows;
 its oracle is the whole N x N table, coarsened as a two-sided array and read
@@ -32,6 +35,21 @@ PAIR_RTOL = 1e-13
 
 def svd_norm(a):
     return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def pair_table(P, N):
+    """The whole leaf-pair table ||P_x N_t|| of ``pair_opnorm_rows`` as one block."""
+    return linalg.pair_opnorm_rows(P, N)(slice(None), np.empty((len(P), len(N))))
+
+
+def hypot_table(P, N):
+    """The leaf-pair table from the same four GEMM sums as ``pair_opnorm_rows``,
+    each half of sigma_1 taken by ``np.hypot`` (``opnorm``'s form)."""
+    F = P.reshape(-1, 4)
+    n00, n01, n10, n11 = N[:, 0, 0], N[:, 0, 1], N[:, 1, 0], N[:, 1, 1]
+    H = ((n00, n10, n01, n11), (n01, n11, -n00, -n10),
+         (n00, n10, -n01, -n11), (n01, n11, n00, n10))
+    return linalg._sigma1_2x2(F @ np.stack(h) for h in H)
 
 
 def adversarial_sets():
@@ -79,12 +97,12 @@ def test_only_other_sizes_take_the_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", spy)
     rng = np.random.default_rng(3)
     linalg.opnorm(rng.standard_normal((10, 2, 2)))
-    linalg.pair_opnorms(rng.standard_normal((4, 2, 2)), rng.standard_normal((5, 2, 2)))
+    pair_table(rng.standard_normal((4, 2, 2)), rng.standard_normal((5, 2, 2)))
     assert calls == []
     m3 = rng.standard_normal((10, 3, 3))
     assert np.array_equal(linalg.opnorm(m3), svd(m3, compute_uv=False)[..., 0])
     P, N = rng.standard_normal((2, 6, 3, 3))
-    table = linalg.pair_opnorms(P, N)
+    table = pair_table(P, N)
     assert table.shape == (6, 6)
     assert np.array_equal(table, svd(P[:, None] @ N[None], compute_uv=False)[..., 0])
     assert calls == [(10, 3, 3), (6, 6, 3, 3)]
@@ -99,7 +117,7 @@ def test_leaf_pair_norms_match_formed_products(kind, d, L, p, monkeypatch):
     g = Grid(d, L)
     P = W.leaf_reps(g, 1.0 / p).reshape(-1, 2, 2)
     N = W.leaf_reps(g, -1.0 / p).reshape(-1, 2, 2)
-    table = linalg.pair_opnorms(P, N)
+    table = pair_table(P, N)
     want = svd_norm(P[:, None] @ N[None])
     np.testing.assert_allclose(table, want, rtol=PAIR_RTOL, atol=0)
     diags = table_double_average(table, g, p)
@@ -153,11 +171,15 @@ def test_streamed_double_average_matches_the_table(kind, d, L, p, monkeypatch):
     g, n = Grid(d, L), W.n
     P = W.leaf_reps(g, 1.0 / p).reshape(-1, n, n)
     N = W.leaf_reps(g, -1.0 / p).reshape(-1, n, n)
-    want = table_double_average(linalg.pair_opnorms(P, N), g, p)
+    want = table_double_average(pair_table(P, N), g, p)
     calls = []
-    pair_opnorms = linalg.pair_opnorms
-    monkeypatch.setattr(linalg, "pair_opnorms",
-                        lambda A, B: calls.append(len(A)) or pair_opnorms(A, B))
+    pair_opnorm_rows = linalg.pair_opnorm_rows
+
+    def spy(A, B):
+        rows = pair_opnorm_rows(A, B)
+        return lambda block, buf: calls.append(len(buf)) or rows(block, buf)
+
+    monkeypatch.setattr(linalg, "pair_opnorm_rows", spy)
     count = g.n_leaves
     for rows, blocks in ((count // 4, 4), (count, 1), (2 * count, 1)):
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * count * rows)
@@ -177,6 +199,71 @@ def spd_2x2(seed, count=500, cond=1e6):
     R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     lam = np.exp(rng.uniform(-0.5, 0.5, (count, 2)) * np.log(cond))
     return (R * lam[:, None, :]) @ np.swapaxes(R, 1, 2)
+
+
+# u = 2^-53.  ``pair_opnorm_rows`` proves its squares form within 6.03 u
+# sigma_1 of the hypot form of the same sums, and ``_double_average_levels``
+# a level of the double average within p (11 + 2 d L) u of the hypot form's
+U = 2.0 ** -53
+SQUARES_VS_HYPOT = 6.03 * U
+
+
+def rotations(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def pair_sets():
+    """(P, N) stacks whose products are near-conformal (sigma_1 close to
+    sigma_2, or equal for the scaled rotations) or products of two very
+    ill-conditioned SPD matrices."""
+    rng = np.random.default_rng(27)
+    R1, R2 = rotations(rng.uniform(0.0, 2.0 * np.pi, (2, 64)))
+    return {
+        "scaled-rotations": (3.0 * R1, R2),
+        "near-conformal": (R1 + 1e-9 * rng.standard_normal((64, 2, 2)), 0.5 * R2),
+        "ill-conditioned-spd": (spd_2x2(3, 64, cond=1e12), spd_2x2(4, 64, cond=1e12)),
+    }
+
+
+@pytest.mark.parametrize("name", list(pair_sets()))
+def test_squares_form_matches_svd_and_hypot(name):
+    P, N = pair_sets()[name]
+    table, hyp = pair_table(P, N), hypot_table(P, N)
+    np.testing.assert_allclose(table, svd_norm(P[:, None] @ N[None]), rtol=PAIR_RTOL, atol=0)
+    assert np.all(np.abs(table - hyp) <= SQUARES_VS_HYPOT * hyp)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600])
+def test_outside_the_squares_range_takes_the_hypot_form(scale):
+    # every other P_x scaled past the range: sigma_1 above 2^509 or h1 below
+    # 2^-450.  Those rows, and the zero matrix, equal the hypot form bit for
+    # bit; the others stay within its bound, and 2-row blocks give the
+    # whole table's bits
+    rng = np.random.default_rng(28)
+    P, N = rng.standard_normal((2, 32, 2, 2))
+    P[::2] *= scale
+    P[1] = 0.0
+    table, hyp = pair_table(P, N), hypot_table(P, N)
+    assert np.array_equal(table[::2], hyp[::2]) and np.all(table[1] == 0.0)
+    assert np.all(np.abs(table - hyp) <= SQUARES_VS_HYPOT * hyp)
+    np.testing.assert_allclose(table, svd_norm(P[:, None] @ N[None]), rtol=PAIR_RTOL, atol=0)
+    rows, buf = linalg.pair_opnorm_rows(P, N), np.empty((2, len(N)))
+    for lo in range(0, len(P), 2):
+        assert np.array_equal(rows(slice(lo, lo + 2), buf), table[lo:lo + 2])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("d, L", [(1, 10), (2, 4)])
+def test_double_average_within_its_bound_of_the_hypot_form(d, L, p):
+    g = Grid(d, L)
+    for W in (MatrixWeight.rotated_power([0.4, -0.3], 0.7),
+              MatrixWeight.rotated_power([-0.45, 0.4], 2.0)):
+        P = W.leaf_reps(g, 1.0 / p).reshape(-1, 2, 2)
+        N = W.leaf_reps(g, -1.0 / p).reshape(-1, 2, 2)
+        want = table_double_average(hypot_table(P, N), g, p)
+        for got_k, want_k in zip(weights._double_average_levels(P, N, g, p), want):
+            np.testing.assert_allclose(got_k, want_k, rtol=p * (11 + 2 * d * L) * U, atol=0)
 
 
 def test_sqrtm_2x2_closed_form_matches_eigh():
