@@ -5,8 +5,7 @@ paraproducts, Haar multipliers and shifts, commutators, Carleson embedding
 criteria, weighted BMO norms, stopping trees, maximal functions and sparse
 operators on truncated dyadic grids, with exact or certified checks of the
 relations between them.  The names below are what the command line, the
-benchmark and the acceptance criteria call, plus a few kept for results
-still to come (``tests/test_public_surface.py`` lists them).
+benchmark and the acceptance criteria call.
 """
 
 from .carleson import (
@@ -15,8 +14,6 @@ from .carleson import (
     bmo_norm,
     carleson_b_sup,
     carleson_c_constant,
-    mean_oscillation,
-    ntv_scalar_equivalence,
     stopping_time_tree,
 )
 from .dyadic import (
@@ -30,7 +27,6 @@ from .dyadic import (
 )
 from .maximal import (
     SparseFamily,
-    local_nq,
     maximal_mw,
     maximal_mw_prime,
     sparse_generate,
@@ -57,8 +53,8 @@ __all__ = [
     "ApReport", "CarlesonReport", "Cube", "Grid", "MatrixSequence", "MatrixSymbol",
     "MatrixWeight", "NormReport", "Operator", "ShiftMap", "SparseFamily",
     "StepFunction", "StoppingTree", "ap_characteristic", "bmo_norm", "carleson_b_sup",
-    "carleson_c_constant", "dense_matrix", "find_covering_cube", "local_nq", "lp_norm",
-    "maximal_mw", "maximal_mw_prime", "mean_oscillation", "ntv_scalar_equivalence",
-    "reducing_pyramid", "sequence_maximal", "signature_product", "signatures",
-    "sparse_generate", "stopping_time_tree", "weak_type_check", "weighted_operator_norm",
+    "carleson_c_constant", "dense_matrix", "find_covering_cube", "lp_norm", "maximal_mw",
+    "maximal_mw_prime", "reducing_pyramid", "sequence_maximal", "signature_product",
+    "signatures", "sparse_generate", "stopping_time_tree", "weak_type_check",
+    "weighted_operator_norm",
 ]

@@ -1,5 +1,4 @@
-"""Carleson embedding criteria, weighted BMO norms, stopping trees, and the
-scalar sup-vs-Lp equivalence.
+"""Carleson embedding criteria, weighted BMO norms, and stopping trees.
 
 The two embedding criteria for a coefficient sequence A are
   (b)  sup_J (1/|J|) sum_{I in J, eps} ||V_I A_I^eps V_I^{-1}||^2
@@ -11,18 +10,17 @@ both computed exactly on the finite tree by subtree reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
 from .dyadic import (
-    Cube, Grid, carleson_intensity, chain_sum, coarsen_levels, refine, refine_to_leaves,
-    subtree_sums, sup_over_cubes,
+    Cube, Grid, carleson_intensity, coarsen_levels, refine, refine_to_leaves, subtree_sums,
+    sup_over_cubes,
 )
 from .errors import ThresholdError
 from .operators import MatrixSequence, MatrixSymbol, _mv, big_pi_op, weighted_operator_norm
-from .weights import MatrixWeight, _leaf_overlaps, ap_from_reducing, power_of, reducing_pyramid
+from .weights import MatrixWeight, ap_from_reducing, power_of, reducing_pyramid
 
 
 @dataclass
@@ -159,31 +157,6 @@ def bmo_norm(B: MatrixSymbol, W: MatrixWeight, p, variant="primal"):
     raise ValueError(f"unknown BMO variant {variant!r}")
 
 
-def mean_oscillation(B: MatrixSymbol, W: MatrixWeight, p, lo, hi, center=None):
-    """(1/|Q|) int_Q ||W^{1/p}(x)(B(x) - m_Q B) V_Q^{-1}||^p for an arbitrary
-    rational interval Q = [lo, hi) in d=1, with exact partial-leaf overlap
-    weights.  ``center`` overrides the matrix subtracted from B (the
-    infimum-style oscillation uses other centers)."""
-    grid = B.grid
-    if grid.d != 1:
-        raise ValueError("arbitrary-cube oscillation implemented for d=1")
-    if p != 2.0:
-        raise ValueError("arbitrary-cube oscillation uses the p=2 closed form")
-    lo, hi = Fraction(lo), Fraction(hi)
-    idxs, weights = _leaf_overlaps(lo, hi, grid.L)
-    weights = np.array(weights)
-    total = float(hi - lo)
-    vals = B.step.values[idxs]
-    if center is None:
-        center = (weights[:, None, None] * vals).sum(axis=0) / total
-    avgW = W.average_over_interval(lo, hi, 1.0, grid=grid)
-    VQinv = linalg.powm_spd(linalg.sqrtm_spd(avgW), -1.0)
-    reps = W.leaf_reps(grid, 0.5)[idxs]
-    X = reps @ (vals - center) @ VQinv
-    osc = (linalg.opnorm(X) ** 2 * weights).sum() / total
-    return float(osc)
-
-
 # ---------------------------------------------------------------------------
 # Stopping trees
 # ---------------------------------------------------------------------------
@@ -250,36 +223,3 @@ def stopping_time_tree(W: MatrixWeight, p, grid: Grid, lambda1=None, lambda2=Non
             gens[j].append(Cube(k, tuple(idx)))
     return StoppingTree(root, p, float(lambda1), float(lambda2), gens,
                         [float(sum(c.measure for c in cubes)) for cubes in gens])
-
-
-# ---------------------------------------------------------------------------
-# Scalar NTV equivalence
-# ---------------------------------------------------------------------------
-
-def ntv_scalar_equivalence(a_levels, d, p):
-    """Both sides of the scalar sup-vs-Lp comparison for a nonnegative sequence:
-      sup_form = sup_J ((1/|J|) sum_{I in J} a_I^2)^{1/2}
-      lp_form  = sup_J ((1/|J|) int_J (sum_{I in J} a_I^2 chi_I / |I|)^{p/2})^{1/p}
-    a_levels: per-level scalar arrays for levels 0..L (leaves may carry values).
-    """
-    L = len(a_levels) - 1
-    sq = [np.asarray(a, dtype=float) ** 2 for a in a_levels]
-    sums = subtree_sums(sq, d)
-    sup_form = max(float((s * 2.0 ** (k * d)).max()) for k, s in enumerate(sums))
-    sup_form = np.sqrt(sup_form)
-    # for each J: the integrand restricted to J depends on J only through the
-    # truncation of the chain sum above J; build it per level
-    lp_form = 0.0
-    chain = chain_sum([s * (2.0 ** (k * d)) for k, s in enumerate(sq)], d)
-    # chain holds, per leaf x, the sum over all I containing x of
-    # a_I^2 chi_I / |I|; restricting to J drops the strict-ancestor part
-    drop = np.zeros((1,) * d)
-    for k in range(L + 1):
-        if k > 0:
-            # drop(J at level k) = sum over strict ancestors I of a_I^2 / |I|
-            drop = refine(drop + sq[k - 1] * (2.0 ** ((k - 1) * d)), d)
-        dropL = refine_to_leaves(drop, d, L - k)
-        integrand = np.maximum(chain - dropL, 0.0) ** (p / 2.0)
-        avg = coarsen_levels(integrand, d, L - k)
-        lp_form = max(lp_form, float(avg.max()) ** (1.0 / p))
-    return sup_form, lp_form

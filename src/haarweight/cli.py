@@ -99,13 +99,7 @@ def build_2x2_weight(cfg, command):
 
 def read_p(cfg):
     """The exponent p (default 2); every command that reads it needs 1 < p < inf."""
-    try:
-        p = float(cfg.get("p", 2.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"p must be a number, got {cfg.get('p')!r}")
-    if not 1.0 < p < float("inf"):
-        raise ConfigError(f"p must satisfy 1 < p < inf, got {p:g}")
-    return p
+    return float(_read_number(cfg, "p", 2.0, lambda v: 1.0 < v < np.inf, "a number in (1, inf)"))
 
 
 def build_symbol(spec, grid):

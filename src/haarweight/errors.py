@@ -5,12 +5,16 @@ class HaarweightError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(HaarweightError):
+    """An experiment configuration failed validation."""
+
+
 class ShapeError(HaarweightError):
     """Grid or value-shape mismatch between operands."""
 
 
-class IntegrabilityError(HaarweightError):
-    """A requested weight power is not integrable on the cell."""
+class IntegrabilityError(ConfigError):
+    """A requested weight power is not integrable on the cell (a config error)."""
 
 
 class SparsenessError(HaarweightError):
@@ -19,7 +23,3 @@ class SparsenessError(HaarweightError):
 
 class ThresholdError(HaarweightError):
     """Stopping-time thresholds must exceed 1."""
-
-
-class ConfigError(HaarweightError):
-    """An experiment configuration failed validation."""

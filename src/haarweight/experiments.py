@@ -475,7 +475,7 @@ EXPONENT_BAND = (0.0, 2.5)     # declared band for the (b)=>(a) A_2-power fit
 
 
 def run_equivalence(cfg, out_dir=None):
-    n_inst = _read_int(cfg, "instances", 200)
+    n_inst = _read_int(cfg, "instances", 200, lo=1)
     L = _read_int(cfg, "L", 5, lo=1)
     seed = _read_int(cfg, "seed", 0)
     refuse_beyond_memory(f"equivalence at L = {L}",

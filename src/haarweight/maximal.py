@@ -1,5 +1,4 @@
-"""Weighted maximal functions, the local N_Q quantity, weak-type checks, and
-sparse operators.
+"""Weighted maximal functions, weak-type checks, and sparse operators.
 
 All maximal functions are finite maxima over the dyadic chain of each leaf.
 Within a leaf the weight enters through its exact first-power averages (for
@@ -35,27 +34,15 @@ def _cube_averages(outer_levels, t_leaf, grid):
     return out
 
 
-def _chain_averages(outer_levels, t_leaf, grid):
-    """A_k(x) = a_k(I_k(x)) for the level-k ancestor I_k(x) of each leaf;
-    returns per-level leaf arrays."""
-    d, L = grid.d, grid.L
-    return [refine_to_leaves(a, d, L - k)
-            for k, a in enumerate(_cube_averages(outer_levels, t_leaf, grid))]
-
-
-def _prime_levels(W: MatrixWeight, f):
-    """Per-level leaf arrays of the averages whose chain maximum is M'f."""
-    grid = f.grid
-    outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -1.0)]
-    return _chain_averages(outer, _mv(W.leaf_reps(grid, -0.5), f.values), grid)
-
-
 def maximal_mw_prime(W: MatrixWeight, f):
     """Christ/Goldberg-type auxiliary maximal function at p = 2,
     M'f(x) = sup_{I: x in I} (1/|I|) int_I |(m_I W^{-1})^{-1/2} W^{-1/2}(y) f(y)| dy,
     as a scalar leaf array.
     """
-    return np.maximum.reduce(_prime_levels(W, f))
+    grid = f.grid
+    outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -1.0)]
+    t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
+    return sequence_maximal(_cube_averages(outer, t_leaf, grid), grid.d)
 
 
 def _mw_ancestor_averages(W: MatrixWeight, f):
@@ -96,33 +83,6 @@ def maximal_mw(W: MatrixWeight, f):
     return _mw_ancestor_averages(W, f).max(axis=0)
 
 
-def _nq_factors(W: MatrixWeight, grid: Grid):
-    """Leaf representatives of W^{1/2} and the per-level (m_R W^{-1})^{1/2}."""
-    return (W.leaf_reps(grid, 0.5),
-            [linalg.sqrtm_spd(a) for a in W.average_pyramid(grid, -1.0)])
-
-
-def _nq_on_cube(reps, halves, level, offset, grid):
-    """N_Q on the leaves of the cube Q = (level, offset) from ``_nq_factors``."""
-    d, L = grid.d, grid.L
-    reps_q = reps[tuple(slice(m << (L - level), (m + 1) << (L - level)) for m in offset)]
-    best = None
-    for k in range(level, L + 1):
-        Hk = halves[k][tuple(slice(m << (k - level), (m + 1) << (k - level))
-                             for m in offset)]
-        vals = linalg.opnorm(reps_q @ refine_to_leaves(Hk, d, L - k))
-        best = vals if best is None else np.maximum(best, vals)
-    return best
-
-
-def local_nq(W: MatrixWeight, Q: Cube, grid: Grid):
-    """N_Q(x) = sup_{R: x in R, R in Q} ||W^{1/2}(x) (m_R W^{-1})^{1/2}|| on the
-    leaves of the grid cube Q, plus its normalized square integral
-    (1/|Q|) int_Q N_Q^2."""
-    best = _nq_on_cube(*_nq_factors(W, grid), Q.level, Q.offset, grid)
-    return best, float((best ** 2).mean())
-
-
 def weak_type_check(W: MatrixWeight, f):
     """Exhaustive weak (2,2) check for M' with the explicit constant n.
 
@@ -147,41 +107,6 @@ def weak_type_check(W: MatrixWeight, f):
     if not vals[best] > 0.0:
         return 0.0, 0.0
     return float(vals[best]), float(lams[best])
-
-
-def mw_proof_certificate(W: MatrixWeight, f):
-    """Constructive selection behind the M_W bound: for each leaf x pick the
-    argmax cube R_x, its dyadic scale class j_x (via the M'-type average), and
-    the maximal same-class cube S containing R_x; returns the per-leaf ratio
-    M_W(x) / (2^{j_x + 1} N_S(x)), which the chain argument bounds by 8.
-    """
-    grid = f.grid
-    L = grid.L
-    N = 1 << L
-    x = np.arange(N)
-    mw_avgs = _mw_ancestor_averages(W, f)
-    k_star = mw_avgs.argmax(axis=0)
-    mw_val = mw_avgs.max(axis=0)
-    D = np.stack(_prime_levels(W, f))[k_star, x]
-    j = np.floor(np.log2(np.maximum(D, 1e-300))).astype(int)
-
-    # S_x is the coarsest cube on x's chain that is R_y for a leaf y of x's
-    # class: key each level-k ancestor by (class, offset) and look it up
-    # among the level-k cubes R_y
-    r_key = j * N + (x >> (L - k_star))
-    hits = np.stack([np.isin(j * N + (x >> (L - k)), r_key[k_star == k])
-                     for k in range(L + 1)])
-    s_lev = hits.argmax(axis=0)
-    s_off = x >> (L - s_lev)
-
-    reps, halves = _nq_factors(W, grid)
-    ratios = np.zeros(N)
-    for lev, off in set(zip(s_lev.tolist(), s_off.tolist())):
-        xs = x[(s_lev == lev) & (s_off == off)]
-        nq = _nq_on_cube(reps, halves, lev, (off,), grid)[xs - (off << (L - lev))]
-        den = 2.0 ** (j[xs] + 1) * nq
-        ratios[xs] = np.divide(mw_val[xs], den, out=np.zeros(xs.size), where=nq > 0)
-    return ratios, mw_val
 
 
 # ---------------------------------------------------------------------------

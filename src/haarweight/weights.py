@@ -11,7 +11,6 @@ maximal-volume ellipsoids for general p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -140,57 +139,6 @@ class MatrixWeight:
     def average_pyramid(self, grid, s=1.0):
         """m_I(W^s) for every cube, per-level arrays (exact: integrals add)."""
         return mean_pyramid(self.leaf_averages(grid, s), grid.d, grid.L)
-
-    def average_over_interval(self, lo, hi, s=1.0, grid=None):
-        """Exact (1/|I|) int_I W^s over an arbitrary rational interval (d=1).
-
-        Power laws integrate in closed form; leaf values are weighted by the
-        exact overlap measure with ``grid``'s leaf partition.
-        """
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            raise ValueError("empty interval")
-        if self.leaf_values is None:
-            width = float(hi - lo)
-            return self._power_law(self.exponent * s,
-                                   lambda beta: _abs_power_integral(lo, hi, beta) / width)
-        if grid is None or grid.d != 1:
-            raise ShapeError("leaf-valued weights need a d=1 grid for interval averages")
-        if lo < 0 or hi > 1:
-            raise ValueError("leaf-valued weights live on [0,1)")
-        leaf_vals = self.leaf_averages(grid, s)
-        acc = np.zeros((self.n, self.n))
-        for i, length in zip(*_leaf_overlaps(lo, hi, grid.L)):
-            acc += length * leaf_vals[i]
-        return acc / float(hi - lo)
-
-
-def _leaf_overlaps(lo, hi, L):
-    """The leaves i of the level-L partition of [0, 1) that meet the rational
-    interval [lo, hi), with their exact overlap lengths as floats."""
-    step = Fraction(1, 1 << L)
-    idxs, lengths = [], []
-    for i in range(max(int(lo / step), 0), min(-((-hi) // step), 1 << L)):
-        a, b = max(lo, step * i), min(hi, step * (i + 1))
-        if b > a:
-            idxs.append(i)
-            lengths.append(float(b - a))
-    return idxs, lengths
-
-
-def _abs_power_integral(lo, hi, beta):
-    """int_lo^hi |x|^beta dx, exact closed form, beta > -1."""
-    lo_f, hi_f = float(lo), float(hi)
-    b1 = beta + 1.0
-
-    def prim(x):
-        return abs(x) ** b1 / b1
-
-    if lo_f >= 0:
-        return prim(hi_f) - prim(lo_f)
-    if hi_f <= 0:
-        return prim(lo_f) - prim(hi_f)
-    return prim(lo_f) + prim(hi_f)
 
 
 def _interval_power_means(edges, beta):

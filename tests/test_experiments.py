@@ -291,6 +291,12 @@ class TestCLI:
         ("apchar", {"weight": {"kind": "random-spd", "seed": 10 ** 330}}),
         ("apchar", {"weight": {"kind": "scalar-power", "alpha": 10 ** 330}}),
         ("sweep", {"L": 10 ** 330}),
+        ("apchar", {"p": 10 ** 330}),
+        ("opnorm", {"p": "3", "operator": {"op": "shift"}}),
+        ("apchar", {"weight": {"kind": "scalar-power", "alpha": 1.5}}),
+        ("opnorm", {"p": 1.5, "operator": {"op": "shift"},
+                    "weight": {"kind": "diagonal-power", "alphas": [0.9, -0.9]}}),
+        ("equivalence", {"instances": 0}),
     ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
             "stopping-p<1", "sparse-p=1", "bmo-variant", "bmo-dyadic", "sparse-density",
             "shift-seed", "shift-kind", "shift-string", "symbol-scale", "sweep-L",
@@ -299,11 +305,13 @@ class TestCLI:
             "lambda1<1", "weight-n=0", "weight-no-alphas", "weight-seed<0",
             "weight-seed-1.5", "rotated-3-alphas", "weight-n=2.5", "weight-n-true",
             "grid-L=6.5", "grid-d-true", "grid-shift", "grid-typo", "grid-no-L",
-            "seed-1e330", "alpha-1e330", "sweep-L-1e330"])
+            "seed-1e330", "alpha-1e330", "sweep-L-1e330", "p-1e330", "p-a-string",
+            "alpha-not-integrable", "p-power-not-integrable", "equivalence-no-instances"])
     def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
-        # sweep reads no grid, so a grid field would be refused on its own
-        grid = {} if command == "sweep" else {"grid": {"d": 1, "L": 3}}
+        # sweep and equivalence read no grid, so a grid field would be refused
+        # on its own
+        grid = {} if command in ("sweep", "equivalence") else {"grid": {"d": 1, "L": 3}}
         path.write_text(json.dumps({**grid, **cfg}))
         assert self.run(command, "--config", str(path), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err

@@ -1,16 +1,17 @@
-"""Maximal function, N_Q, weak-type, and sparse-operator tests."""
+"""Maximal function, weak-type, and sparse-operator tests."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from haarweight.dyadic import Cube, Grid, StepFunction, sequence_maximal
+from haarweight.dyadic import (
+    Cube, Grid, StepFunction, coarsen_levels, refine_to_leaves, sequence_maximal,
+)
 from haarweight.errors import SparsenessError
 from haarweight.maximal import (
-    SparseFamily, _chain_averages, local_nq, maximal_mw, maximal_mw_prime,
-    mw_proof_certificate, sparse_generate, sparse_op,
-    sparse_proof_chain, weak_type_check,
+    SparseFamily, maximal_mw, maximal_mw_prime, sparse_generate, sparse_op, sparse_proof_chain,
+    weak_type_check,
 )
 from haarweight import linalg
 from haarweight.operators import _mv, weighted_operator_norm
@@ -23,24 +24,21 @@ def leaf_weight(values):
     return MatrixWeight(values.shape[-1], leaf_values=lambda grid: values)
 
 
-def clamped(W, n_cut):
-    """W's leaf values with their eigenvalues clamped onto [1/n_cut, n_cut]."""
-    def leaf_values(grid):
-        w, v = np.linalg.eigh(linalg.symmetrize(W.leaf_averages(grid, 1.0)))
-        w = np.clip(w, 1.0 / n_cut, n_cut)
-        return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-    return MatrixWeight(W.n, leaf_values=leaf_values)
-
-
 def half_power_maximal(W, f):
     """M~'_W f = sup_I (1/|I|) int_I |(m_I(W^{-1/2}))^{-1/2} W^{-1/2}(y) f(y)| dy
     with the integrand's leaf value m_leaf(W^{-1/2}) f_leaf: the maximal
-    function of the last step of the sparse domination chain."""
+    function of the last step of the sparse domination chain.  Each level's
+    cube averages are spread to their leaves and maximized there, a walk of
+    its own rather than ``dyadic.sequence_maximal``'s."""
     grid = f.grid
+    d, L = grid.d, grid.L
     outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(grid, -0.5)]
     t_leaf = _mv(W.leaf_averages(grid, -0.5), f.values)
-    return np.maximum.reduce(_chain_averages(outer, t_leaf, grid))
+    best = np.zeros(grid.leaf_shape)
+    for k, O in enumerate(outer):
+        vals = np.linalg.norm(_mv(refine_to_leaves(O, d, L - k), t_leaf), axis=-1)
+        best = np.maximum(best, refine_to_leaves(coarsen_levels(vals, d, L - k), d, L - k))
+    return best
 
 
 def all_cubes(grid):
@@ -193,124 +191,6 @@ class TestMW:
                 ys = range(anc << (L - k), (anc + 1) << (L - k))
                 best = max(best, np.mean([np.linalg.norm(half[x] @ t[y]) for y in ys]))
             assert m[x] == pytest.approx(best, rel=1e-12)
-        _, mw_val = mw_proof_certificate(W, f)
-        assert np.array_equal(mw_val, m)
-
-    def test_proof_chain_certificate(self):
-        rng = np.random.default_rng(5)
-        g = Grid(1, 6)
-        for W in [MatrixWeight.diagonal_power([0.5, -0.5]),
-                  MatrixWeight.random_spd(77, cond=100.0),
-                  MatrixWeight.rotated_power([0.8, -0.6], 0.4)]:
-            f = StepFunction(g, rng.standard_normal((64, 2)))
-            ratios, _ = mw_proof_certificate(W, f)
-            assert ratios.max() <= 8.0
-
-
-    def test_proof_certificate_matches_per_leaf_local_nq(self):
-        # the certificate computes N_S once per maximal cube S; a loop that calls
-        # local_nq for every leaf's S gives the same ratios bit for bit
-        from haarweight.maximal import _chain_averages, _mw_ancestor_averages
-        from haarweight.operators import _mv
-        rng = np.random.default_rng(9)
-        L, N = 6, 64
-        g = Grid(1, L)
-        W = MatrixWeight.random_spd(21, cond=25.0)
-        f = StepFunction(g, rng.standard_normal((N, 2)))
-        ratios, _ = mw_proof_certificate(W, f)
-        avgs = _mw_ancestor_averages(W, f)
-        k_star, mw_val = avgs.argmax(axis=0), avgs.max(axis=0)
-        outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(g, -1.0)]
-        prime = np.stack(_chain_averages(outer, _mv(W.leaf_reps(g, -0.5), f.values), g))
-        j = np.floor(np.log2(prime[k_star, np.arange(N)])).astype(int)
-        r_cubes = [(int(k), x >> (L - int(k))) for x, k in enumerate(k_star)]
-        want = np.zeros(N)
-        for x in range(N):
-            lev, off = r_cubes[x]
-            same = [c for y, c in enumerate(r_cubes) if j[y] == j[x]]
-            S = min((lv, o) for lv, o in same if lv <= lev and (off >> (lev - lv)) == o)
-            nq, _ = local_nq(W, Cube(S[0], (S[1],)), g)
-            want[x] = mw_val[x] / (2.0 ** (j[x] + 1) * nq[x - (S[1] << (L - S[0]))])
-        assert len({S for S in r_cubes}) > 1
-        assert np.array_equal(ratios, want)
-
-    @pytest.mark.parametrize("L", [5, 8])
-    def test_proof_certificate_matches_selection_oracle(self, L):
-        # per-leaf reference of the selection: the R cubes of each class, the
-        # maximal ones by explicit containment, and the one containing R_x
-        from haarweight.maximal import _chain_averages, _mw_ancestor_averages
-        from haarweight.operators import _mv
-        N = 1 << L
-        g = Grid(1, L)
-        rng = np.random.default_rng(L)
-        for W in [MatrixWeight.random_spd(31, cond=40.0),
-                  MatrixWeight.diagonal_power([0.6, -0.3]),
-                  MatrixWeight.rotated_power([0.5, -0.4], 1.1)]:
-            f = StepFunction(g, rng.standard_normal((N, 2)) * rng.uniform(0.1, 10))
-            ratios, mw_val = mw_proof_certificate(W, f)
-            avgs = _mw_ancestor_averages(W, f)
-            k_star = avgs.argmax(axis=0)
-            outer = [linalg.powm_spd(a, -0.5) for a in W.average_pyramid(g, -1.0)]
-            prime = np.stack(_chain_averages(outer, _mv(W.leaf_reps(g, -0.5), f.values), g))
-            D = np.maximum(prime[k_star, np.arange(N)], 1e-300)
-            j = np.floor(np.log2(D)).astype(int)
-            R = [(int(k), x >> (L - int(k))) for x, k in enumerate(k_star)]
-
-            def inside(a, b):                 # cube a strictly inside cube b
-                return a[0] > b[0] and a[1] >> (a[0] - b[0]) == b[1]
-
-            nq_of, want = {}, np.zeros(N)
-            for x in range(N):
-                same = {R[y] for y in range(N) if j[y] == j[x]}
-                maximal = [c for c in same if not any(inside(c, o) for o in same)]
-                S, = [c for c in maximal if c == R[x] or inside(R[x], c)]
-                if S not in nq_of:
-                    nq_of[S] = local_nq(W, Cube(S[0], (S[1],)), g)[0]
-                nq = nq_of[S][x - (S[1] << (L - S[0]))]
-                want[x] = mw_val[x] / (2.0 ** (j[x] + 1) * nq) if nq > 0 else 0.0
-            assert len(nq_of) > 1
-            assert np.array_equal(ratios, want)
-            assert np.array_equal(mw_val, avgs.max(axis=0))
-
-
-class TestNQ:
-    def test_identity(self):
-        g = Grid(1, 5)
-        nq, avg = local_nq(MatrixWeight.identity(), g.root(), g)
-        np.testing.assert_allclose(nq, 1.0)
-        assert avg == pytest.approx(1.0)
-
-    def test_constant_diagonal(self):
-        g = Grid(1, 4)
-        W = leaf_weight(np.broadcast_to(np.diag([4.0, 0.25]), (16, 2, 2)))
-        nq, avg = local_nq(W, g.root(), g)
-        np.testing.assert_allclose(nq, 1.0, rtol=1e-12)
-
-    def test_power_weight_bound_with_a2(self):
-        # (1/|Q|) int N_Q^2 <= C * A_2 with a stable fitted constant
-        for L in (6, 8, 10):
-            g = Grid(1, L)
-            W = MatrixWeight.scalar_power(0.5)
-            ap = ap_from_reducing(reducing_pyramid(W, g, 2.0), 2.0)
-            _, avg = local_nq(W, g.root(), g)
-            assert avg <= 4.0 * ap    # fitted cap, recorded across depths
-
-    def test_truncation_convergence_path(self):
-        # N_Q^n -> N_Q as the truncation level grows, on a fixed leaf set;
-        # truncation clamps leaf values, so the limit is the leaf-constant
-        # snapshot of the power weight
-        g = Grid(1, 6)
-        W = MatrixWeight.diagonal_power([0.8, -0.8])
-        base = leaf_weight(W.leaf_averages(g, 1.0))
-        nq_full, _ = local_nq(base, g.root(), g)
-        prev_err = np.inf
-        for n_cut in (10.0, 1e3, 1e9):
-            Wn = clamped(W, n_cut)
-            nq_n, _ = local_nq(Wn, g.root(), g)
-            err = np.abs(nq_n - nq_full).max()
-            assert err <= prev_err * (1 + 1e-12)
-            prev_err = err
-        assert prev_err <= 1e-6 * nq_full.max()
 
 
 class TestSparse:

@@ -7,8 +7,7 @@ benchmark (``perfbench/*.py``) or the acceptance criteria
 attribute.  Imports do not count, so ``__init__``'s re-exports call nothing.
 An option, a parameter with a default of a public function, of a public
 method or of a public class's constructor, counts as used when one of those
-callers passes it, by keyword or by position.  The names in ``PENDING`` wait
-for a result that will call them; once one has a caller it leaves the list.
+callers passes it, by keyword or by position.
 A module-level UPPER_CASE constant of the package or of the acceptance
 criteria counts as read when one of those callers reads its name outside
 its own assignment.  A public method or property of a package class counts
@@ -19,7 +18,7 @@ Every UPPER_CASE constant that a verdict reads, an acceptance criterion's
 ``ok`` or a command's ``passed``, is in ``LEDGER`` as derived (with the
 docstring that proves it), a tolerance (with what it absorbs) or fitted.
 The fitted ones are also in ``FITTED`` with the item that will remove them;
-like ``PENDING``, ``FITTED`` may only shrink.
+``FITTED`` may only shrink.
 """
 
 import ast
@@ -27,14 +26,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "haarweight"
-
-PENDING = {
-    "local_nq": "waits for the M_W criterion (ROADMAP item 3)",
-    "mw_proof_certificate": "waits for the M_W criterion (ROADMAP item 3)",
-    "mean_oscillation": "belongs to the covering-lemma reduction of BMO over arbitrary cubes",
-    "ntv_scalar_equivalence": "waits for the equivalence claim (ROADMAP item 1)",
-}
-
 
 FITTED = {
     "SWEEP_STABILITY_FACTOR": "ROADMAP item 10: a sweep verdict from a derived bound",
@@ -98,7 +89,7 @@ def uncalled():
 
 def test_every_public_name_has_a_caller():
     assert len(public_definitions()) > 50       # the parse found the package
-    assert uncalled() == set(PENDING)
+    assert uncalled() == set()
 
 
 def constant_files():
@@ -179,8 +170,7 @@ def optional_parameters():
     out = []
     for path, node in public_definitions():
         if isinstance(node, ast.FunctionDef):
-            if node.name not in PENDING:
-                out.append((node.name, path, node, node.name, None, options(node, 0)))
+            out.append((node.name, path, node, node.name, None, options(node, 0)))
             continue
         if is_dataclass(node):
             out.append((node.name, path, None, node.name, node, dataclass_options(node)))

@@ -6,7 +6,6 @@ on cubes touching the origin.
 """
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,13 +56,16 @@ class TestCellAverage:
             np.testing.assert_allclose(np.diag(pyr[N][0]), want, rtol=1e-12)
 
     def test_pyramid_matches_cell_average(self):
-        # leaf-summed pyramid equals closed-form averages on every cube
+        # leaf-summed pyramid equals closed-form averages on every cube:
+        # m_[lo, hi) x^a = (hi^{a+1} - lo^{a+1}) / ((a + 1)(hi - lo))
         W = MatrixWeight.diagonal_power([0.7, -0.2])
         g = Grid(1, 5)
         pyr = W.average_pyramid(g, 1.0)
         for k in (0, 2, 5):
             for m in range(1 << k):
-                want = W.average_over_interval(Fraction(m, 1 << k), Fraction(m + 1, 1 << k))
+                lo, hi = m / (1 << k), (m + 1) / (1 << k)
+                want = np.diag([(hi ** (a + 1) - lo ** (a + 1)) / ((a + 1) * (hi - lo))
+                                for a in (0.7, -0.2)])
                 np.testing.assert_allclose(pyr[k][m], want, rtol=1e-12)
 
     def test_rotation_conjugates(self):
@@ -88,14 +90,6 @@ class TestCellAverage:
         assert np.all(np.linalg.eigvalsh(vals) > 0)
         inv = W.leaf_averages(g, -1.0)
         np.testing.assert_allclose(vals @ inv, np.broadcast_to(np.eye(2), vals.shape), atol=1e-10)
-
-    def test_average_over_interval_partial_leaves(self):
-        W = MatrixWeight.random_spd(1, cond=4.0)
-        g = Grid(1, 3)
-        vals = W.leaf_averages(g, 1.0)
-        avg = W.average_over_interval(Fraction(1, 16), Fraction(5, 16), grid=g)
-        want = (0.5 * vals[0] + vals[1] + 0.5 * vals[2]) / 2.0
-        np.testing.assert_allclose(avg, want, rtol=1e-12)
 
 
 class TestRepresentations:
