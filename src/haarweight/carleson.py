@@ -29,7 +29,6 @@ class CarlesonReport:
     cube: Cube
     p: float
     kind: str
-    per_level: list = field(default_factory=list)
     primal_value: float = None    # condition (c) forms, where computed
     dual_value: float = None
 
@@ -56,7 +55,7 @@ def carleson_b_sup(A: MatrixSequence, W: MatrixWeight, p, reducing=None) -> Carl
         reducing = reducing_pyramid(W, grid, p)
     _, normalized = carleson_intensity([a ** 2 for a in conjugated_norms(A, reducing)], grid.d)
     value, cube = sup_over_cubes(normalized)
-    return CarlesonReport(value, cube, p, "condition-b", normalized)
+    return CarlesonReport(value, cube, p, "condition-b")
 
 
 def carleson_c_constant(A: MatrixSequence, W: MatrixWeight, p, reducing=None) -> CarlesonReport:
@@ -72,7 +71,7 @@ def carleson_c_constant(A: MatrixSequence, W: MatrixWeight, p, reducing=None) ->
     if p <= 2.0:
         forms["dual"] = ("V_prime", True)
     d = grid.d
-    per_form = {}
+    sups = {}
     for name, (vkey, transpose) in forms.items():
         per_cube = []
         for k in range(grid.L):
@@ -84,19 +83,16 @@ def carleson_c_constant(A: MatrixSequence, W: MatrixWeight, p, reducing=None) ->
                 G = np.swapaxes(Ak, -1, -2) @ Vsq[..., None, :, :] @ Ak
             per_cube.append(G.sum(axis=d))
         per_cube.append(np.zeros((1 << grid.L,) * d + (A.n, A.n)))
-        sums = subtree_sums(per_cube, d)
-        per_form[name] = []
-        for k, s in enumerate(sums):
+        levels = []
+        for k, s in enumerate(subtree_sums(per_cube, d)):
             Vinv = linalg.powm_spd(reducing[vkey][k], -1.0)
-            conj = Vinv @ (s * (2.0 ** (k * d))) @ Vinv
-            per_form[name].append(linalg.lambda_max(conj))
-    sups = {name: sup_over_cubes(lv) for name, lv in per_form.items()}
+            levels.append(linalg.lambda_max(Vinv @ (s * (2.0 ** (k * d))) @ Vinv))
+        sups[name] = sup_over_cubes(levels)
     # the larger form's supremum and cube; ties go to the primal form
     value, cube = max(sups.values(), key=lambda sup: sup[0])
     kind = "condition-c-" + ("both" if len(sups) == 2 else next(iter(sups)))
-    per_level = [np.maximum.reduce(arrs) for arrs in zip(*per_form.values())]
     primal, dual = (sups[name][0] if name in sups else None for name in ("primal", "dual"))
-    return CarlesonReport(value, cube, p, kind, per_level, primal, dual)
+    return CarlesonReport(value, cube, p, kind, primal, dual)
 
 
 def p2_necessity(A: MatrixSequence, W: MatrixWeight, reducing=None):

@@ -491,3 +491,60 @@ def matfree_spectral_norm(matvec, rmatvec, dim, seed=0):
     value = float(np.linalg.norm(matvec(witness)) / np.linalg.norm(witness))
     return value, witness, {"iterations": len(alphas), "residual": float(residual),
                             "converged": bool(residual <= LANCZOS_TOL)}
+
+
+# power method budget: this many random starts, each at most this many steps
+POWER_STARTS = 3
+POWER_STEPS = 200
+
+
+def _lp_dual(v, n, r):
+    """(||v||_r, J_r(v / max_l |v_l|)) on l^r(l^2) over the blocks v_l of n
+    consecutive entries, with the dual map J_r(u)_l = |u_l|^{r-2} u_l (zero
+    at zero) taken as s_l^{r-1} v_l / |v_l|, s_l = |v_l| / max_l |v_l| <= 1,
+    so that no power overflows."""
+    blocks = v.reshape(-1, n)
+    norms = np.linalg.norm(blocks, axis=1)
+    top = norms.max()
+    s = norms / top if top > 0 else norms
+    scale = np.divide(s ** (r - 1.0), norms, out=np.zeros_like(s), where=norms > 0)
+    return float(top * (s ** r).sum() ** (1.0 / r)), (blocks * scale[:, None]).reshape(v.shape)
+
+
+def matfree_lp_norm(matvec, rmatvec, dim, n, p, seed=0):
+    """Lower bound for the norm of a linear map A on l^p(l^2) (blocks of n
+    consecutive entries, as in ``_lp_dual``) given only by matvec/rmatvec
+    callables: Boyd's nonlinear power method (D. W. Boyd, Linear Algebra
+    Appl. 9, 1974), x <- J_q(A^T J_p(A x)) with 1/p + 1/q = 1, from
+    POWER_STARTS random starts.
+
+    The estimate ||A x||_p / ||x||_p never falls from step to step.  J is
+    homogeneous, so take ||x||_p = 1, y = A x and z = A^T J_p(y); with
+    <J_r(v), v> = ||v||_r^r and ||J_r(v)||_r' = ||v||_r^{r-1}
+    (1/r + 1/r' = 1), Hölder gives
+        ||y||_p^p = <J_p(y), A x> = <z, x> <= ||z||_q,
+        ||z||_q^q = <J_p(y), A J_q(z)> <= ||y||_p^{p-1} ||A J_q(z)||_p,
+        ||A J_q(z)||_p / ||J_q(z)||_p >= ||z||_q / ||y||_p^{p-1} >= ||y||_p.
+    A start stops at the fixed-point test ||z||_q ||x||_p <= <z, x> (the
+    first inequality holds as an equality) or after POWER_STEPS steps of one
+    rmatvec and one matvec each.  Returns (||A x|| / ||x||, x, {"iterations",
+    "converged"}) of the best start, x its last iterate (its start vector
+    when it took no step, as for a zero map).
+    """
+    q = p / (p - 1.0)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(POWER_STARTS):
+        x, steps, converged = rng.standard_normal(dim), 0, False
+        while True:
+            (norm_x, _), (norm_y, dual_y) = _lp_dual(x, n, p), _lp_dual(matvec(x), n, p)
+            if steps == POWER_STEPS:
+                break
+            z = rmatvec(dual_y)
+            norm_z, dual_z = _lp_dual(z, n, q)
+            if converged := bool(norm_z * norm_x <= z @ x):
+                break
+            x, steps = dual_z, steps + 1
+        if best is None or norm_y / norm_x > best[0]:
+            best = (norm_y / norm_x, x, {"iterations": steps, "converged": converged})
+    return best

@@ -17,6 +17,11 @@ that their elementwise loops run along the leaves.
 Each operator also carries its unweighted-L^2 adjoint kernel (the leaf basis
 is orthogonal with equal cell measures, so the adjoint is the dense
 transpose), which makes matrix-free norm iterations possible.
+
+Weighted operator norms are norms on L^p(W_{L,p}) with the leaf-constant
+W_{L,p} = (m_leaf W^{2/p})^{p/2}, which equals W for leaf-valued weights.
+At p = 2 the two norms agree on every step function (a leaf integral of
+f^T W f is f^T m_leaf(W) f |leaf|); at p != 2 only for leaf-valued weights.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .dyadic import (
     memory_order, refine, signature_product, signatures,
 )
 from .errors import ShapeError
-from .weights import MatrixWeight, _lp_power, reducing_pyramid
+from .weights import MatrixWeight, reducing_pyramid
 
 
 def _mv(mats, vecs):
@@ -406,12 +411,13 @@ DENSE_DIM_CAP = 2048
 
 def norm_need(d, L, n, p):
     """(what, bytes) that ``weighted_operator_norm`` holds at once for
-    dim = n 2^(dL) columns: 16 floats of leaf vectors per column (the ascent
-    took 169-210 B per leaf at d = 1, n = 2, L = 10..12), plus four dim x dim
-    arrays at p = 2 up to the cap; above it the two Lanczos bases instead."""
+    dim = n 2^(dL) columns: 28 floats of leaf vectors per column at p != 2
+    (the power method's peak RSS grew by up to 434 B per leaf at d = 1,
+    n = 2, L = 10..16, one BLAS thread), plus four dim x dim arrays at
+    p = 2 up to the cap; above it the two Lanczos bases instead."""
     dim = n * leaf_count(d, L)
     if p != 2.0:
-        return "its ascent", 8 * 16 * dim
+        return "its power method", 8 * 28 * dim
     if dim <= DENSE_DIM_CAP:
         return "its dense matrices", 8 * (4 * dim + 16) * dim
     return "its Lanczos bases", 8 * 2 * (linalg.LANCZOS_MAX_STEPS + 1) * dim
@@ -560,111 +566,51 @@ def _coupled_classes(d_pattern, h_pattern, h_inv_pattern):
     return [(R, C) for R, C in parts if len(R) and len(C)]
 
 
-# p != 2 ascent budget: this many restarts from random inputs, each at most
-# this many gradient steps
-ASCENT_RESTARTS = 3
-ASCENT_ITERS = 200
-
-
 def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> NormReport:
-    """Weighted operator norm of ``op`` on L^p(W).
+    """Weighted operator norm of ``op`` on L^p(W_{L,p}), W_{L,p} =
+    (m_leaf W^{2/p})^{p/2} (see the module docstring): the norm of the
+    whitened map H op H^{-1} on l^p(l^2) over the leaves, with the leaf blocks
+    H = m_leaf(W^{2/p})^{1/2} (the cell measures cancel).
 
     p = 2, dimension up to DENSE_DIM_CAP: op's dense matrix (assembled once
-    per operator by ``dense_matrix``) is whitened by the leaf blocks
-    m_leaf(W)^{+-1/2}.  When neither the weight nor the operator couples some
-    components (a diagonal weight and a componentwise or swapping operator),
-    the whitened matrix is a direct sum, and it is whitened and certified one
-    summand at a time (``_whitened_summands``).  ``linalg.spectral_norm``
-    brackets the largest singular value: the value is the lower end theta
-    (Lanczos on the whole direct sum, or an eigensolve of the Gram matrices
-    at small dimension), and each summand M_b proves the upper end on its
-    own.  Of two or more summands, one whose norm bound
-    min(||M_b||_F^2, ||M_b||_1 ||M_b||_inf) (1 + 4 gamma_k) + k 2^-1022 is at
-    most theta^2 is cleared without its Gram matrix; the factor and the
-    term allow for the rounding and the underflow of the k = rows cols +
-    rows + cols nonnegative terms of its sums.  Every other summand takes one
-    Cholesky of its Gram matrix, shifted by its rounding allowance.
-    ``details`` carries ``lower``, ``upper``, ``shift``, ``fallback``,
-    ``summands``, ``cholesky_summands``, ``bound_summands`` and
-    ``lanczos_steps`` or ``lower_from``.  The label is ``exact`` (the
-    bracket is about n^2 u wide) only when every Cholesky succeeded;
-    otherwise it is ``lower-bound`` with ``certified`` false.  No witness.
-    p = 2 above the cap: Golub-Kahan-Lanczos on the same whitening around
-    op's kernel and its adjoint kernel; the value is ||T x|| of its unit
-    witness x, hence a ``lower-bound``, and ``details`` carries the
-    iteration count, the relative Ritz residual and whether it converged.
-    p != 2: lower bound via normalized gradient ascent on the Rayleigh
-    quotient of the leaf gauges.
-    Witnesses are inputs f shaped grid.leaf_shape + (n,), so that
-    ||op f|| / ||f|| in L^p(W) is the value; at p = 2 that is
-    f = m_leaf(W)^{-1/2} x.
+    per operator by ``dense_matrix``) is whitened by the leaf blocks H^{+-1}.
+    When neither the weight nor the operator couples some components (a
+    diagonal weight and a componentwise or swapping operator), the whitened
+    matrix is a direct sum, whitened one summand at a time
+    (``_whitened_summands``).  ``linalg.spectral_norm`` brackets its largest
+    singular value, and the value is the lower end, with its ``details``.
+    The label is ``exact`` (the bracket is about n^2 u wide) only when the
+    upper end was certified, otherwise ``lower-bound``.  No witness.
+    Otherwise the whitened map runs matrix-free, as closures around op's
+    kernel and its adjoint kernel: at p = 2 by ``linalg.matfree_spectral_norm``
+    (Golub-Kahan-Lanczos), at p != 2 by ``linalg.matfree_lp_norm`` (Boyd's
+    power method).  The value is ||T x|| / ||x|| of its witness x, hence a
+    ``lower-bound``, and ``details`` carries the iteration count and
+    whether it converged (with the relative Ritz residual at p = 2).
+    Witnesses are inputs f = H^{-1} x shaped grid.leaf_shape + (n,), so that
+    ||op f|| / ||f|| in L^p(W_{L,p}) is the value.
     """
     grid, n = op.grid, op.n
     dim = grid.n_leaves * n
-    if p != 2.0:
-        return _ascent_lower_bound(op, W, p, seed)
-    # ||op||_{L^2(W)} = ||H op H^{-1}||, H = m_leaf(W)^{1/2} leafwise (cell measures cancel)
-    gram = W.leaf_averages(grid, 1.0)
+    gram = W.leaf_averages(grid, 2.0 / p)
     half, half_inv = linalg.powm_spd(gram, 0.5), linalg.powm_spd(gram, -0.5)
-    if dim <= DENSE_DIM_CAP:
+    if p == 2.0 and dim <= DENSE_DIM_CAP:
         summands = _whitened_summands(dense_matrix(op), half.reshape(-1, n, n),
                                       half_inv.reshape(-1, n, n))
         val, cert = linalg.spectral_norm(summands, seed)
         return NormReport(val, "exact" if cert["certified"] else "lower-bound",
                           details={"dim": dim, "method": "certified Gram bracket", **cert})
     shape = grid.leaf_shape + (n,)
-    # the Lanczos vectors stay leaf-major, component-minor; the kernels run on
-    # a leaf-contiguous (Fortran-ordered) copy, and the result is read back
-    # into that order by the final reshape
+    # leaf-major, component-minor vectors; the kernels run on a leaf-contiguous
+    # (Fortran-ordered) copy, read back into that order by the final reshape
     leafwise = lambda x: np.asfortranarray(x.reshape(shape))
-    val, wit, diag = linalg.matfree_spectral_norm(
-        lambda x: _mv(half, op.kernel(_mv(half_inv, leafwise(x)))).reshape(-1),
-        lambda y: _mv(half_inv, op.kernel_T(_mv(half, leafwise(y)))).reshape(-1),
-        dim, seed=seed)
+    matvec = lambda x: _mv(half, op.kernel(_mv(half_inv, leafwise(x)))).reshape(-1)
+    rmatvec = lambda y: _mv(half_inv, op.kernel_T(_mv(half, leafwise(y)))).reshape(-1)
+    if p == 2.0:
+        val, wit, diag = linalg.matfree_spectral_norm(matvec, rmatvec, dim, seed=seed)
+        method = "Golub-Kahan-Lanczos"
+    else:
+        val, wit, diag = linalg.matfree_lp_norm(matvec, rmatvec, dim, n, p, seed=seed)
+        method = "power method"
     return NormReport(val, "lower-bound", _mv(half_inv, wit.reshape(shape)),
-                      {"dim": dim, "method": "Golub-Kahan-Lanczos", **diag})
-
-
-def _ascent_lower_bound(op, W, p, seed):
-    grid, n = op.grid, op.n
-    M_in = W.leaf_averages(grid, 2.0 / p)
-    meas = grid.leaf_measure
-    rng = np.random.default_rng(seed)
-
-    def norm_p(vals):
-        return _lp_power(vals, M_in, p, meas)
-
-    def grad_norm_p(vals):
-        q = np.einsum("...i,...ij,...j->...", vals, M_in, vals)
-        w = np.maximum(q, 1e-300) ** (p / 2.0 - 1.0)
-        return p * meas * w[..., None] * _mv(M_in, vals)
-
-    best_val, best_wit = 0.0, None
-    for _ in range(ASCENT_RESTARTS):
-        f = rng.standard_normal(grid.leaf_shape + (n,))
-        f /= np.abs(f).max()
-        step = 0.5
-        for _ in range(ASCENT_ITERS):
-            Tf = op.kernel(f)
-            A, Bv = norm_p(Tf), norm_p(f)
-            if Bv <= 0:
-                break
-            ratio = (A / max(Bv, 1e-300)) ** (1.0 / p)
-            if ratio > best_val:
-                best_val, best_wit = ratio, f.copy()
-            g = op.kernel_T(grad_norm_p(Tf)) / max(A, 1e-300) - grad_norm_p(f) / max(Bv, 1e-300)
-            gn = np.abs(g).max()
-            if gn <= 0:
-                break
-            f_new = f + step * g / gn
-            A2, B2 = norm_p(op.kernel(f_new)), norm_p(f_new)
-            if B2 > 0 and A2 / B2 > A / Bv:
-                f = f_new / np.abs(f_new).max()
-                step = min(step * 1.25, 2.0)
-            else:
-                step *= 0.5
-                if step < 1e-9:
-                    break
-    return NormReport(float(best_val), "lower-bound", best_wit,
-                      {"p": p, "method": "rayleigh ascent"})
-
+                      {"dim": dim, "method": method, **diag})

@@ -352,6 +352,17 @@ class TestCLI:
             outs.append((tmp_path / "opnorm.json").read_text())
         assert outs[0] == outs[1] == outs[2] != outs[3]
 
+    def test_zero_operator_at_p_not_2_has_a_witness(self, tmp_path):
+        # a zero operator leaves the power method at its start vector, which
+        # is the witness of the value 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"p": 3, "grid": {"d": 1, "L": 4}, "operator": {
+            "op": "paraproduct", "symbol": {"kind": "random", "scale": 0}}}))
+        assert self.run("opnorm", "--config", str(path), "--out", str(tmp_path)) == 0
+        out = json.loads((tmp_path / "opnorm.json").read_text())
+        assert out["value"] == 0.0 and out["details"]["iterations"] == 0
+        assert len(out["witness"]) == 32 and any(out["witness"])
+
     @pytest.mark.parametrize("command", ["opnorm", "bmo"])
     def test_log_symbols_refused_off_d1(self, tmp_path, capsys, command):
         # log x is a symbol on [0, 1): on a d=2 grid it is a config error
@@ -631,7 +642,7 @@ class TestCLI:
     def test_refused_by_the_needs_of_what_it_runs(self, tmp_path, capsys, monkeypatch,
                                                    command, cfg, module):
         # with 8 GiB of memory each of these needs more for the kernels it
-        # runs in its regime (the ascent, the Lanczos bases, the net gauge of
+        # runs in its regime (the power method, the Lanczos bases, the net gauge of
         # the reducing pyramid at p != 2) or for its own leaf arrays, and a
         # refusal before the grid is built is the only way out
         def no_work(*args, **kwargs):

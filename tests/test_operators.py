@@ -568,17 +568,55 @@ class TestWeightedNorms:
         M = W.leaf_averages(g, 2.0 / 3.0)
 
         def leaf_gauge_norm(h):
-            # the norm the ascent maximizes: L^3 of the leaf-constant weight
-            # (m_leaf W^{2/3})^{3/2}
+            # the norm the power method maximizes: L^3 of the leaf-constant
+            # weight (m_leaf W^{2/3})^{3/2}
             return _lp_power(h.values, M, 3.0, g.leaf_measure) ** (1.0 / 3.0)
 
         f = StepFunction(g, rep.witness)
         achieved = leaf_gauge_norm(op(f)) / leaf_gauge_norm(f)
-        assert rep.value == pytest.approx(achieved, rel=1e-6)
+        assert rep.value == pytest.approx(achieved, rel=1e-12)
         # it is a genuine lower bound for the p-norm ratio over random probes
         assert all(leaf_gauge_norm(op(random_vector(g, rng)))
                    / leaf_gauge_norm(random_vector(g, rng)) <= rep.value * 50
                    for _ in range(3))
+
+    def test_p_not_2_value_never_falls_with_more_steps(self, monkeypatch):
+        # one start from the same seed: each step of the power method keeps
+        # or raises the estimate, so a larger step cap cannot lower it
+        g = Grid(1, 6)
+        B = random_symbol(g, np.random.default_rng(4))
+        W = MatrixWeight.rotated_power([0.3, -0.2], 0.7)
+        monkeypatch.setattr(linalg, "POWER_STARTS", 1)
+        for p in (1.25, 3.0):
+            values = []
+            for steps in (1, 2, 4, 8, 16, 32, 64):
+                monkeypatch.setattr(linalg, "POWER_STEPS", steps)
+                values.append(weighted_operator_norm(commutator_op(B, ShiftMap.left_child(g)),
+                                                     W, p).value)
+            assert all(b >= a * (1 - 1e-12) for a, b in zip(values, values[1:])), (p, values)
+
+    @pytest.mark.parametrize("case", ["log-swap-p1.5", "rotated-p1.02", "rotated-p60"])
+    def test_p_not_2_value_is_its_witness_ratio(self, case):
+        # the value is the leaf-gauge ratio at its witness to round-off, at
+        # the log-swap paraproduct under diag(x^0.45, x^-0.45) and at
+        # exponents near 1 and far above 2
+        from haarweight.experiments import log_swap_symbol
+        g = Grid(1, 8)
+        if case == "log-swap-p1.5":
+            W, p = MatrixWeight.diagonal_power([0.45, -0.45]), 1.5
+            op = paraproduct_op(log_swap_symbol(g))
+        else:
+            W = MatrixWeight.rotated_power([0.02, -0.03], 0.7)
+            p = 1.02 if case == "rotated-p1.02" else 60.0
+            op = commutator_op(random_symbol(g, np.random.default_rng(5)),
+                               ShiftMap.random_child(g, 1))
+        rep = weighted_operator_norm(op, W, p)
+        M = W.leaf_averages(g, 2.0 / p)
+        ratio = (_lp_power(op.kernel(rep.witness), M, p, g.leaf_measure)
+                 / _lp_power(rep.witness, M, p, g.leaf_measure)) ** (1.0 / p)
+        assert np.isfinite(rep.value) and rep.value == pytest.approx(ratio, rel=1e-12)
+        if case == "log-swap-p1.5":
+            assert rep.value >= 43.0
 
     def test_norm_report_json(self):
         g = Grid(1, 2)

@@ -596,7 +596,7 @@ class TestWeightedNorm:
         assert lp_norm(f, W) == pytest.approx(want)
 
     def test_identity_weight_any_p(self):
-        # the leaf gauge of L^p(W) that the p != 2 ascent maximizes, the
+        # the leaf gauge of L^p(W) that the p != 2 power method maximizes, the
         # L^p norm of the leaf-constant weight (m_leaf W^{2/p})^{p/2}
         g = Grid(1, 3)
         f = np.ones((8, 2))
