@@ -48,14 +48,31 @@ def _read_finite(cfg, key):
     return _read_number(cfg, key, None, np.isfinite, "a finite number")
 
 
-def _read_kind(spec, what, default):
-    """The string ``kind`` of an object spec (``default`` when absent)."""
+def _read_kind(spec, what, default, fields=None):
+    """The string ``kind`` of an object spec (``default`` when absent).  With
+    ``fields``, the fields each kind reads besides its kind, a spec of a
+    listed kind with any other field is refused."""
     if not isinstance(spec, dict):
         raise ConfigError(f"a {what} spec must be an object, got {spec!r}")
     kind = spec.get("kind", default)
     if not isinstance(kind, str):
         raise ConfigError(f"the {what} 'kind' must be a string, got {kind!r}")
+    if fields is not None and kind in fields:
+        _refuse_unknown_fields(spec, f"the {kind} {what}", ("kind",) + fields[kind])
     return kind
+
+
+# the fields that each kind of weight, symbol, sequence and shift reads
+# besides its kind, and each operator besides its op
+WEIGHT_FIELDS = {"identity": ("n",), "scalar-power": ("alpha", "n"),
+                 "random-spd": ("seed", "cond", "n"), "diagonal-power": ("alphas",),
+                 "rotated": ("alphas", "theta")}
+SYMBOL_FIELDS = {"log-swap": (), "scalar-log": (), "random": ("seed", "scale")}
+SEQUENCE_FIELDS = {"constant-swap": (), "random": ("seed",), "from-symbol": ("symbol",)}
+SIGMA_FIELDS = {"left-child": (), "random": ("seed",)}
+OPERATOR_FIELDS = {"paraproduct": ("symbol",), "adjoint-paraproduct": ("symbol",),
+                   "haar-multiplier": ("sequence",), "shift": ("sigma",),
+                   "commutator": ("symbol", "sigma"), "embedding": ("sequence",)}
 
 
 def build_weight(cfg):
@@ -63,7 +80,7 @@ def build_weight(cfg):
     (alpha, n), diagonal-power (alphas), rotated (2 alphas, theta) or
     random-spd (seed, cond, n)."""
     spec = cfg.get("weight", {"kind": "identity"})
-    kind = _read_kind(spec, "weight", None)
+    kind = _read_kind(spec, "weight", None, WEIGHT_FIELDS)
     if kind in ("identity", "scalar-power", "random-spd"):
         n = _read_int(spec, "n", 2, lo=1)
     if kind == "identity":
@@ -103,7 +120,7 @@ def read_p(cfg):
 
 
 def build_symbol(spec, grid):
-    kind = _read_kind(spec, "symbol", "log-swap")
+    kind = _read_kind(spec, "symbol", "log-swap", SYMBOL_FIELDS)
     if kind in ("log-swap", "scalar-log") and grid.d != 1:
         raise ConfigError(f"the {kind} symbol is log x on [0, 1), defined for d = 1 only, "
                           f"got d = {grid.d}")
@@ -121,7 +138,7 @@ def build_symbol(spec, grid):
 
 
 def build_sequence(spec, grid):
-    kind = _read_kind(spec, "sequence", "random")
+    kind = _read_kind(spec, "sequence", "random", SEQUENCE_FIELDS)
     if kind == "constant-swap":
         return MatrixSequence.constant(grid, experiments.SWAP)
     if kind == "random":
@@ -134,7 +151,8 @@ def build_sequence(spec, grid):
 def build_sigma(spec, grid):
     """The shift of the spec "left-child" (the default), {"kind": "left-child"}
     or {"kind": "random", "seed": ...}."""
-    kind = _read_kind({} if spec in (None, "left-child") else spec, "shift", "left-child")
+    kind = _read_kind({} if spec in (None, "left-child") else spec, "shift", "left-child",
+                      SIGMA_FIELDS)
     if kind == "left-child":
         return ShiftMap.left_child(grid)
     if kind == "random":
@@ -146,6 +164,8 @@ def build_operator(spec, grid, weight, p):
     if not isinstance(spec, dict):
         raise ConfigError(f"an operator spec must be an object, got {spec!r}")
     op_name = spec.get("op")
+    if isinstance(op_name, str) and op_name in OPERATOR_FIELDS:
+        _refuse_unknown_fields(spec, f"the {op_name} operator", ("op",) + OPERATOR_FIELDS[op_name])
     if op_name == "paraproduct":
         return paraproduct_op(build_symbol(spec.get("symbol", {}), grid))
     if op_name == "adjoint-paraproduct":

@@ -146,9 +146,14 @@ def _counterexample_haar_multiplier(alpha, cfg, out_dir):
         prod_norm = max(u1, u2)
         criterion = max(np.sqrt(u1 / u2), np.sqrt(u2 / u1))
         display = 2.0 ** (alpha * N) / (1 - alpha) ** 2
+        # criterion and display overflow to inf at depths where their logs
+        # stay finite; log2 of the criterion is |log2 u1 - log2 u2| / 2
+        log2_criterion = abs(2 * alpha * N + np.log2(1 + alpha) - np.log2(1 - alpha)) / 2
+        log2_display = alpha * N - 2 * np.log2(1 - alpha)
         ratio = prod_norm / values[-1] if values else float("nan")
         values.append(prod_norm)
-        rows.append([N, float(prod_norm), float(ratio), float(criterion), float(display)])
+        rows.append([N, float(prod_norm), float(ratio), float(criterion), float(display),
+                     float(log2_criterion), float(log2_display)])
     ratios = [v2 / v1 for v1, v2 in zip(values, values[1:])]
     slope, _, resid = fit_log2_slope(range(n_max + 1), values)
     report = {
@@ -163,13 +168,18 @@ def _counterexample_haar_multiplier(alpha, cfg, out_dir):
     }
     if out_dir:
         _write_csv(os.path.join(out_dir, f"counterexample_haar_multiplier_alpha{alpha:g}.csv"),
-                   ["N", "closed_form_norm", "per_level_ratio", "criterion_norm", "displayed_value"],
+                   ["N", "closed_form_norm", "per_level_ratio", "criterion_norm", "displayed_value",
+                    "log2_criterion_norm", "log2_displayed_value"],
                    rows,
                    {"N": "scale index of I_N = [0, 2^-N)",
                     "closed_form_norm": "||(m W)^{1/2} A (m W^{-1})^{1/2}|| on I_N",
                     "per_level_ratio": "norm(N) / norm(N-1)",
                     "criterion_norm": "||(m W)^{1/2} A (m W)^{-1/2}|| on I_N",
-                    "displayed_value": "2^{alpha N}/(1-alpha)^2 for comparison"})
+                    "displayed_value": "2^{alpha N}/(1-alpha)^2 for comparison",
+                    "log2_criterion_norm": "log2 of criterion_norm, computed in log space "
+                                           "(finite where criterion_norm overflows)",
+                    "log2_displayed_value": "log2 of displayed_value, computed in log space "
+                                            "(finite where displayed_value overflows)"})
         _write_json(os.path.join(out_dir, f"counterexample_haar_multiplier_alpha{alpha:g}.json"), report)
     return report
 
@@ -397,8 +407,9 @@ def run_sweep(kind, cfg, out_dir=None):
         raise ConfigError(f"config field 'alphas' must be a list, got {alphas!r}")
     for a in alphas:   # diag(x^a, x^-a) is cell-integrable for |a| < 1
         _read_number({"alphas": a}, "alphas", None, lambda v: abs(v) < 1.0, "numbers in (-1, 1)")
-    if len(alphas) < 2:   # one point is its own fit, so the sweep could not fail
-        raise ConfigError(f"config field 'alphas' needs at least 2 exponents, got {alphas!r}")
+    if len(set(alphas)) < 2:   # one point is its own fit, so the sweep could not fail
+        raise ConfigError(f"config field 'alphas' needs at least 2 distinct exponents, "
+                          f"got {alphas!r}")
     L = _read_int(cfg, "L", 10, lo=1)
     seed = _read_int(cfg, "seed", 0)
     g = Grid(1, L)

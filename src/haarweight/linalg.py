@@ -528,12 +528,14 @@ def matfree_lp_norm(matvec, rmatvec, dim, n, p, seed=0):
     A start stops at the fixed-point test ||z||_q ||x||_p <= <z, x> (the
     first inequality holds as an equality) or after POWER_STEPS steps of one
     rmatvec and one matvec each.  Returns (||A x|| / ||x||, x, {"iterations",
-    "converged"}) of the best start, x its last iterate (its start vector
-    when it took no step, as for a zero map).
+    "converged", "start_values"}) of the best start, x its last iterate (its
+    start vector when it took no step, as for a zero map); ``start_values``
+    holds every start's final ratio, in start order, so that the spread of
+    the starts' fixed points shows.
     """
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
-    best = None
+    best, values = None, []
     for _ in range(POWER_STARTS):
         x, steps, converged = rng.standard_normal(dim), 0, False
         while True:
@@ -545,6 +547,8 @@ def matfree_lp_norm(matvec, rmatvec, dim, n, p, seed=0):
             if converged := bool(norm_z * norm_x <= z @ x):
                 break
             x, steps = dual_z, steps + 1
-        if best is None or norm_y / norm_x > best[0]:
-            best = (norm_y / norm_x, x, {"iterations": steps, "converged": converged})
+        values.append(norm_y / norm_x)
+        if best is None or values[-1] > best[0]:
+            best = (values[-1], x, {"iterations": steps, "converged": converged})
+    best[2]["start_values"] = values
     return best

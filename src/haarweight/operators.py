@@ -318,6 +318,7 @@ class Operator:
     core: object = field(default=None, repr=False, compare=False)
     symbol: np.ndarray = field(default=None, repr=False, compare=False)
     _dense: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _scalar: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, f: StepFunction) -> StepFunction:
         if f.grid != self.grid:
@@ -414,7 +415,12 @@ def norm_need(d, L, n, p):
     dim = n 2^(dL) columns: 28 floats of leaf vectors per column at p != 2
     (the power method's peak RSS grew by up to 434 B per leaf at d = 1,
     n = 2, L = 10..16, one BLAS thread), plus four dim x dim arrays at
-    p = 2 up to the cap; above it the two Lanczos bases instead."""
+    p = 2 up to the cap; above it the two Lanczos bases instead.  The four
+    arrays are the coupled case, a dense matrix and its whitened copy; an
+    operator with a core whose summands split (``_core_summands``) holds
+    less (the L = 10 commutator under a diagonal weight traced 40 MiB of
+    these 128), but the need stays the coupled bound, so that a refusal
+    does not depend on the weight."""
     dim = n * leaf_count(d, L)
     if p != 2.0:
         return "its power method", 8 * 28 * dim
@@ -442,14 +448,13 @@ def dense_matrix(op: Operator):
     It is assembled on the first call and kept on op, read-only.
 
     An operator with a scalar ``core`` q pushes the N x N scalar identity
-    through the core and writes D[(x,i),(y,j)] = q(x,y) delta_ij, or
-    q(x,y) (B(x)_ij - B(y)_ij) + 0.0 with its ``symbol`` B (the += 0.0
-    turns a -0 into +0, as ``_mv`` does); any other operator pushes the
-    dim x dim identity through its kernel.  Either identity goes in column
-    blocks of ``linalg.block_rows`` columns, each written into its columns
-    of the matrix, so besides the matrix assembly holds a few blocks, not a
-    second identity and its image.  The kernels treat the columns as a
-    batch, so the matrix does not depend on the block width."""
+    through the core (``_core_columns``) and writes each component block of
+    ``_core_block`` into its place; any other operator pushes the dim x dim
+    identity through its kernel.  Either identity goes in column blocks of
+    ``linalg.block_rows`` columns, each written into its columns of the
+    matrix, so besides the matrix assembly holds a few blocks, not a second
+    identity and its image.  The kernels treat the columns as a batch, so
+    the matrix does not depend on the block width."""
     if op._dense is None:
         grid, n = op.grid, op.n
         N = grid.n_leaves
@@ -465,35 +470,67 @@ def dense_matrix(op: Operator):
         else:
             dense = np.zeros((dim, dim))
             D4 = dense.reshape(N, n, N, n)
-            B = None if op.symbol is None else op.symbol.reshape(N, n, n)
-            for cols, basis in _identity_blocks(N):
-                width = cols.stop - cols.start
-                _write_core_block(D4, cols, B, op.core(
-                    basis.reshape(grid.leaf_shape + (width,))).reshape(N, width))
+            for cols, q in _core_columns(op):
+                for i in range(n):
+                    for j in range(n):
+                        block = _core_block(q, op, i, j, cols)
+                        if block is not None:
+                            D4[:, i, cols, j] = block
         dense.flags.writeable = False
         op._dense = dense
     return op._dense
 
 
-def _write_core_block(D4, cols, B, q):
-    """Write the columns ``cols`` (leaves y) of the zeroed D4[x, i, y, j]
-    from their block q(x, y): q delta_ij without a symbol B, else
-    q (B(x)_ij - B(y)_ij) + 0.0.  An entry B_ij that is the same on every
-    leaf (the zero diagonal of the log-swap symbol) makes every difference
-    zero and every entry +0, so its entries are left as they are."""
-    n = D4.shape[1]
-    if B is None:
-        for i in range(n):
-            D4[:, i, cols, i] = q
-        return
-    prod = np.empty(q.shape)
-    for i in range(n):
-        for j in range(n):
-            if (B[:, i, j] == B[0, i, j]).all():
-                continue
-            np.subtract.outer(B[:, i, j], B[cols, i, j], out=prod)
-            prod *= q
-            np.add(prod, 0.0, out=D4[:, i, cols, j])
+def _core_columns(op):
+    """(columns, q(x, columns)) over the column blocks of the scalar
+    matrix q of an operator with a core: the N x N scalar identity pushed
+    through the core, ``_identity_blocks`` at a time."""
+    grid = op.grid
+    for cols, basis in _identity_blocks(grid.n_leaves):
+        yield cols, op.core(basis.reshape(grid.leaf_shape + (cols.stop - cols.start,))
+                            ).reshape(grid.n_leaves, -1)
+
+
+def _scalar_matrix(op):
+    """The N x N scalar matrix q of an operator with a core, from
+    ``_core_columns``.  It is built on the first call and kept on op,
+    read-only, so that norms under several weights push the core once."""
+    if op._scalar is None:
+        N = op.grid.n_leaves
+        q = np.empty((N, N))
+        for cols, block in _core_columns(op):
+            q[:, cols] = block
+        q.flags.writeable = False
+        op._scalar = q
+    return op._scalar
+
+
+def _core_block(q, op, i, j, cols=slice(None)):
+    """Component block D[(x, i), (y, j)] of an operator with a core, over
+    the leaves y in ``cols``, from their scalar block q(x, y): q itself
+    when i = j and op has no ``symbol``, else fl(fl(B(x)_ij - B(y)_ij) q)
+    + 0.0 with its symbol B (the += 0.0 turns a -0 into +0, as ``_mv``
+    does), a new array.  None for a block that is zero whatever q is: off
+    the diagonal without a symbol, and where B_ij is the same on every leaf
+    (the zero diagonal of the log-swap symbol), which makes every difference
+    zero and every entry +0."""
+    if not _may_couple(op, i, j):
+        return None
+    if op.symbol is None:
+        return q
+    B = op.symbol.reshape(-1, op.n, op.n)[:, i, j]
+    block = np.subtract.outer(B, B[cols])
+    block *= q
+    block += 0.0
+    return block
+
+
+def _may_couple(op, i, j):
+    """Whether ``_core_block`` (i, j) of op is computed, not known zero."""
+    if op.symbol is None:
+        return i == j
+    B = op.symbol.reshape(-1, op.n, op.n)[:, i, j]
+    return not (B == B[0]).all()
 
 
 def _identity_blocks(count):
@@ -551,6 +588,44 @@ def _whitened_summands(D, H, H_inv):
     return out
 
 
+def _core_summands(op, H, H_inv):
+    """``_whitened_summands(dense_matrix(op), H, H_inv)`` bit for bit for an
+    operator with a core, built one component block (``_core_block``) at a
+    time and never as the dim x dim matrix; None when that list is not two
+    or more summands of one row and one column class each.
+
+    With diagonal H and H^{-1} (a diagonal weight) and at most one block
+    that ``_may_couple`` in each row class and each column class, every
+    block (r, c) that is nonzero as assembled is a summand
+    (``_coupled_classes`` of the assembled blocks' pattern gives the
+    summands and their order), and whitening it by H_rr on the left and
+    H^{-1}_cc on the right takes the products, and so the bits, of
+    ``_whitened_summands``.  A weight or a symbol that couples the classes
+    is seen before q is built, so it builds nothing here."""
+    n = H.shape[1]
+    may = np.array([[_may_couple(op, i, j) for j in range(n)] for i in range(n)])
+    if ((((H.any(axis=0) | H_inv.any(axis=0)) & ~np.eye(n, dtype=bool)).any()
+            or (may.sum(axis=0) > 1).any() or (may.sum(axis=1) > 1).any())):
+        return None
+    q = _scalar_matrix(op)
+    blocks = {(i, j): _core_block(q, op, i, j) for i, j in zip(*np.nonzero(may))}
+    pattern = np.zeros((n, n), dtype=bool)
+    for (i, j), block in blocks.items():
+        pattern[i, j] = block.any()
+    parts = _coupled_classes(pattern, H.any(axis=0), H_inv.any(axis=0))
+    if len(parts) < 2:
+        op._scalar = None        # the whole matrix follows; hold it alone
+        return None
+    out = []
+    for (r,), (c,) in parts:
+        block = blocks.pop((r, c))
+        # a block without a symbol is q itself, kept on op
+        block = np.multiply(H[:, r, r][:, None], block, out=None if block is q else block)
+        block *= H_inv[:, c, c][None, :]
+        out.append(block)
+    return out
+
+
 def _coupled_classes(d_pattern, h_pattern, h_inv_pattern):
     """Connected components (R, C), both sets non-empty, of the n row classes
     and n column classes linked by the n x n nonzero patterns of D (row class
@@ -577,7 +652,9 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
     When neither the weight nor the operator couples some components (a
     diagonal weight and a componentwise or swapping operator), the whitened
     matrix is a direct sum, whitened one summand at a time
-    (``_whitened_summands``).  ``linalg.spectral_norm`` brackets its largest
+    (``_whitened_summands``); an operator with a core then builds each
+    summand from its scalar matrix and never the dense matrix
+    (``_core_summands``).  ``linalg.spectral_norm`` brackets its largest
     singular value, and the value is the lower end, with its ``details``.
     The label is ``exact`` (the bracket is about n^2 u wide) only when the
     upper end was certified, otherwise ``lower-bound``.  No witness.
@@ -595,8 +672,10 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
     gram = W.leaf_averages(grid, 2.0 / p)
     half, half_inv = linalg.powm_spd(gram, 0.5), linalg.powm_spd(gram, -0.5)
     if p == 2.0 and dim <= DENSE_DIM_CAP:
-        summands = _whitened_summands(dense_matrix(op), half.reshape(-1, n, n),
-                                      half_inv.reshape(-1, n, n))
+        H, H_inv = half.reshape(-1, n, n), half_inv.reshape(-1, n, n)
+        summands = None if op.core is None else _core_summands(op, H, H_inv)
+        if summands is None:
+            summands = _whitened_summands(dense_matrix(op), H, H_inv)
         val, cert = linalg.spectral_norm(summands, seed)
         return NormReport(val, "exact" if cert["certified"] else "lower-bound",
                           details={"dim": dim, "method": "certified Gram bracket", **cert})

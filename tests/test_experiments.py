@@ -29,6 +29,23 @@ class TestCounterexamples:
             assert rep["ratio_max_error"] <= 1e-6
             assert rep["per_level_ratio_target"] == pytest.approx(2.0 ** alpha)
 
+    def test_haar_multiplier_log2_columns_stay_finite(self, tmp_path):
+        # at alpha 0.99 and depth 1022 the run passes while criterion_norm and
+        # displayed_value overflow to inf; their log2 columns, computed in log
+        # space, stay finite and agree with them wherever they are finite
+        rep = ex.run_counterexample("haar-multiplier", {"alpha": 0.99, "depth": 1022},
+                                    str(tmp_path))
+        assert rep["passed"]
+        with open(tmp_path / "counterexample_haar_multiplier_alpha0.99.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1023
+        for col, inf_cells in (("criterion_norm", 509), ("displayed_value", 2)):
+            values = np.array([float(r[col]) for r in rows])
+            logs = np.array([float(r["log2_" + col]) for r in rows])
+            assert np.isinf(values).sum() == inf_cells and np.isfinite(logs).all()
+            finite = np.isfinite(values)
+            assert np.allclose(np.log2(values[finite]), logs[finite], rtol=1e-14, atol=1e-14)
+
     def test_haar_multiplier_prefactor_discrepancy_reported(self, tmp_path):
         rep = ex.run_counterexample("haar-multiplier", {"alpha": 0.5, "depth": 10}, str(tmp_path))
         assert rep["closed_form_prefactor"] == pytest.approx(2.0)
@@ -297,6 +314,7 @@ class TestCLI:
         ("opnorm", {"p": 1.5, "operator": {"op": "shift"},
                     "weight": {"kind": "diagonal-power", "alphas": [0.9, -0.9]}}),
         ("equivalence", {"instances": 0}),
+        ("sweep", {"alphas": [0.1, 0.1]}),
     ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
             "stopping-p<1", "sparse-p=1", "bmo-variant", "bmo-dyadic", "sparse-density",
             "shift-seed", "shift-kind", "shift-string", "symbol-scale", "sweep-L",
@@ -306,7 +324,8 @@ class TestCLI:
             "weight-seed-1.5", "rotated-3-alphas", "weight-n=2.5", "weight-n-true",
             "grid-L=6.5", "grid-d-true", "grid-shift", "grid-typo", "grid-no-L",
             "seed-1e330", "alpha-1e330", "sweep-L-1e330", "p-1e330", "p-a-string",
-            "alpha-not-integrable", "p-power-not-integrable", "equivalence-no-instances"])
+            "alpha-not-integrable", "p-power-not-integrable", "equivalence-no-instances",
+            "sweep-one-distinct-alpha"])
     def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
         # sweep and equivalence read no grid, so a grid field would be refused
@@ -420,6 +439,29 @@ class TestCLI:
         runs = command if command in self.RUNS else "sweep"
         path.write_text(json.dumps(self.RUNS[runs]))
         assert self.run(runs, "--config", str(path), "--out", str(tmp_path)) == 0
+
+    @pytest.mark.parametrize("cfg, unknown", [
+        ({"weight": {"kind": "diagonal-power", "alphas": [0.1, -0.1], "thet": 1}}, "'thet'"),
+        ({"operator": {"op": "commutator", "sigmaa": {"kind": "random"}}}, "'sigmaa'"),
+        ({"operator": {"op": "paraproduct", "symbol": {"kind": "random", "scal": 2}}}, "'scal'"),
+        ({"operator": {"op": "haar-multiplier", "sequence": {"kind": "random", "sed": 1}}},
+         "'sed'"),
+        ({"operator": {"op": "shift", "sigma": {"kind": "random", "seeed": 3}}}, "'seeed'"),
+    ], ids=["weight", "operator", "symbol", "sequence", "sigma"])
+    def test_nested_spec_refuses_unknown_fields(self, tmp_path, capsys, cfg, unknown):
+        # a misspelt field of a nested spec is refused (exit 1) instead of
+        # running its default; the spec without it runs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 3}, "operator": {"op": "shift"},
+                                    **cfg}))
+        assert self.run("opnorm", "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.rstrip().endswith("unknown: " + unknown)
+        assert not (tmp_path / "opnorm.json").exists()
+        drop = lambda s: {k: drop(v) if isinstance(v, dict) else v for k, v in s.items()
+                          if k != unknown.strip("'")}
+        path.write_text(json.dumps(drop(json.loads(path.read_text()))))
+        assert self.run("opnorm", "--config", str(path), "--out", str(tmp_path)) == 0
 
     @pytest.mark.parametrize("command, cfg", [
         ("apchar", [1, 2]),

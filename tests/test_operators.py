@@ -615,6 +615,11 @@ class TestWeightedNorms:
         ratio = (_lp_power(op.kernel(rep.witness), M, p, g.leaf_measure)
                  / _lp_power(rep.witness, M, p, g.leaf_measure)) ** (1.0 / p)
         assert np.isfinite(rep.value) and rep.value == pytest.approx(ratio, rel=1e-12)
+        # every start's final ratio is recorded, in start order, and the
+        # value is the best of them
+        starts = rep.details["start_values"]
+        assert len(starts) == linalg.POWER_STARTS and max(starts) == rep.value
+        assert all(type(v) is float for v in starts)
         if case == "log-swap-p1.5":
             assert rep.value >= 43.0
 
@@ -783,6 +788,102 @@ class TestDenseAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 2 * dim * dim * 8
+
+
+def core_operators(g):
+    """Operators with a core, each with whether it couples the components:
+    the left-child and a random-child shift, the sparse operator, and the
+    left-child commutator of a random symbol (which couples them), of one
+    that swaps the components and of one that acts on each alike (the
+    log-swap and scalar-log symbols at d = 1)."""
+    from haarweight.experiments import SWAP, log_leaf_means, log_swap_symbol
+    rng = np.random.default_rng(g.d * 100 + g.L)
+    if g.d == 1:
+        swap = log_swap_symbol(g)
+        scalar = MatrixSymbol.from_values(g, log_leaf_means(g)[:, None, None] * np.eye(2))
+    else:
+        b = rng.standard_normal(g.leaf_shape)[..., None, None]
+        swap, scalar = (MatrixSymbol.from_values(g, b * m) for m in (SWAP, np.eye(2)))
+    left = ShiftMap.left_child(g)
+    return [(shift_op(left), False), (shift_op(ShiftMap.random_child(g, seed=8)), False),
+            (sparse_op(sparse_generate(g, seed=9, density=0.5)), False),
+            (commutator_op(random_symbol(g, rng), left), True),
+            (commutator_op(swap, left), False), (commutator_op(scalar, left), False)]
+
+
+class TestCoreSummands:
+    WEIGHTS = {"identity": MatrixWeight.identity(),
+               "diagonal": MatrixWeight.diagonal_power([0.3, -0.2]),
+               "rotated": MatrixWeight.rotated_power([0.3, -0.2], 0.7),
+               "random-spd": MatrixWeight.random_spd(3, 16.0)}
+
+    @staticmethod
+    def halves(g, W):
+        """The (N, 2, 2) leaf blocks H = m_leaf(W)^{1/2} and H^{-1}."""
+        gram = W.leaf_averages(g, 1.0)
+        return (linalg.powm_spd(gram, 0.5).reshape(-1, 2, 2),
+                linalg.powm_spd(gram, -0.5).reshape(-1, 2, 2))
+
+    @pytest.mark.parametrize("d, L", [(1, L) for L in range(3, 10)] + [(2, 2), (2, 3), (2, 4)])
+    def test_summands_from_the_core_are_the_dense_summands(self, d, L):
+        # summands built one component block at a time have the bits, the
+        # count and the order of those split off the whitened dense matrix;
+        # a weight that couples the components (rotated, random SPD) or a
+        # symbol that couples them (random) leaves the dense path
+        from haarweight.operators import _core_summands, _whitened_summands
+        g = Grid(d, L)
+        for op, couples in core_operators(g):
+            for name, W in self.WEIGHTS.items():
+                H, H_inv = self.halves(g, W)
+                got = _core_summands(op, H, H_inv)
+                want = _whitened_summands(dense_matrix(op), H, H_inv)
+                splits = name in ("identity", "diagonal") and not couples
+                assert (got is not None) == splits, (op.name, name)
+                if got is None:
+                    continue
+                assert len(got) == len(want) == 2, (op.name, name)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.flags.c_contiguous, (op.name, name)
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64)), (op.name, name)
+
+    def test_norms_from_the_core_never_write_the_dense_matrix(self, monkeypatch):
+        # under a diagonal weight the shifts, the sparse operator and the
+        # swapping and componentwise commutators take their certified norm
+        # without the whole-matrix writer, with the whole-matrix path's bits
+        from haarweight import operators
+        from haarweight.operators import _whitened_summands
+        g = Grid(1, 6)
+        W = self.WEIGHTS["diagonal"]
+        H, H_inv = self.halves(g, W)
+        ops = [op for op, couples in core_operators(g) if not couples]
+        want = [linalg.spectral_norm(_whitened_summands(dense_matrix(op), H, H_inv))
+                for op in ops]
+
+        def refuse(op):
+            raise AssertionError("the dense matrix was written")
+        monkeypatch.setattr(operators, "dense_matrix", refuse)
+        for op, (value, cert) in zip(ops, want):
+            rep = weighted_operator_norm(op, W, 2.0)
+            assert rep.kind == "exact" and rep.details["summands"] == 2, op.name
+            assert rep.value == value and rep.details["upper"] == cert["upper"], op.name
+
+    def test_l10_commutator_norm_holds_no_dense_matrix(self):
+        # the counterexample's certified norm at L = 10 (dim 2048) under
+        # diag(x^0.1, x^-0.1): two 8 MiB summands and their Gram stage, not
+        # the 32 MiB dense matrix (the whole-matrix path traced 65.8 MiB)
+        import tracemalloc
+        from haarweight.experiments import log_swap_symbol
+        g = Grid(1, 10)
+        op = commutator_op(log_swap_symbol(g), ShiftMap.left_child(g))
+        W = MatrixWeight.diagonal_power([0.1, -0.1])
+        tracemalloc.start()
+        try:
+            rep = weighted_operator_norm(op, W, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.kind == "exact" and rep.details["summands"] == 2
+        assert peak <= 45 * 2 ** 20
 
 
 class TestAdjointKernels:
