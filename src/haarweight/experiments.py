@@ -407,8 +407,11 @@ def run_sweep(kind, cfg, out_dir=None):
         raise ConfigError(f"config field 'alphas' must be a list, got {alphas!r}")
     for a in alphas:   # diag(x^a, x^-a) is cell-integrable for |a| < 1
         _read_number({"alphas": a}, "alphas", None, lambda v: abs(v) < 1.0, "numbers in (-1, 1)")
-    if len(set(alphas)) < 2:   # one point is its own fit, so the sweep could not fail
-        raise ConfigError(f"config field 'alphas' needs at least 2 distinct exponents, "
+    # one point is its own fit, so the sweep could not fail; a and -a give
+    # swap-conjugate weights, with one A_2 and the same norm of every
+    # swept operator, so they are one point
+    if len({abs(a) for a in alphas}) < 2:
+        raise ConfigError(f"config field 'alphas' needs at least 2 distinct |exponents|, "
                           f"got {alphas!r}")
     L = _read_int(cfg, "L", 10, lo=1)
     seed = _read_int(cfg, "seed", 0)

@@ -19,7 +19,7 @@ from .dyadic import (
     sequence_maximal,
 )
 from .errors import SparsenessError
-from .operators import Operator, _mv
+from .operators import Operator, _componentwise_blocks, _mv
 from .weights import MatrixWeight
 
 
@@ -183,8 +183,8 @@ def sparse_generate(grid: Grid, seed=0, density=0.5) -> SparseFamily:
 
 def sparse_op(G: SparseFamily) -> Operator:
     """S f = sum_{I in G} (m_I f) chi_I as a linear operator (self-adjoint on
-    unweighted L^2); it acts on each component alike, so its kernel is its
-    core."""
+    unweighted L^2); it acts on each component alike, so its blocks come
+    from the scalar matrix of its own kernel."""
     grid = G.grid
     d, L = grid.d, grid.L
     masks = [(k, m.astype(float)) for k, m in enumerate(G.masks) if m.any()]
@@ -197,7 +197,7 @@ def sparse_op(G: SparseFamily) -> Operator:
             out = out + refine_to_leaves(contrib, d, L - lev)
         return out
 
-    return Operator(grid, 2, kernel, kernel, "sparse", core=kernel)
+    return Operator(grid, 2, kernel, kernel, "sparse", _componentwise_blocks(grid, 2, kernel))
 
 
 def sparse_proof_chain(W: MatrixWeight, G: SparseFamily, f, g, ap_value):

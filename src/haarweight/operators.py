@@ -3,11 +3,12 @@ the weighted embedding operator, and operator norms.
 
 Every operator acts on vector step functions.  The array-level kernels accept
 leaf values shaped grid + (n,) or grid + (n, B); the trailing batch axis is
-how dense matrices get assembled, one block of identity columns per pass:
-the shift, the sparse operator and the commutator, which are built from one
-scalar matrix q on the leaves, push scalar identity columns through their
-scalar core and write q into each component, any other operator pushes
-vector identity columns through its kernel.  All operators
+how an operator's matrix gets built, one block of identity columns per pass.
+Each operator describes its matrix by one table of n x n component blocks
+over the leaves: the shift, the sparse operator and the commutator build
+theirs from one scalar matrix q on the leaves, pushed once through a scalar
+map, and any other operator views its blocks in the matrix that the vector
+identity pushed through its kernel gives.  All operators
 annihilate the coarse mean (their sums run over cancellative Haar terms); the
 mean channel of the input still matters wherever cube averages appear.
 The kernels take C- or Fortran-ordered leaf values and give the same bits
@@ -26,6 +27,7 @@ f^T W f is f^T m_leaf(W) f |leaf|); at p != 2 only for leaf-valued weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,22 +305,26 @@ class Operator:
     """A linear map on vector step functions with a batched array kernel and
     the kernel of its unweighted-L^2 adjoint.
 
-    An operator built from a scalar matrix q(x, y) on the leaves also
-    carries ``core``, the scalar kernel of q (leaf values shaped
-    grid + (B,)).  Without ``symbol`` the operator is q acting on each
-    component alike, D[(x,i),(y,j)] = q(x,y) delta_ij; with the leaf
-    values ``symbol`` of a matrix function B it is the commutator kernel
-    q(x,y) (B(x) - B(y))."""
+    ``blocks`` describes the map's matrix D in the leaf-value basis: called,
+    it returns (table, matrix), the n x n table of the N x N component
+    blocks D[(x, i), (y, j)] over the leaves, None where a block is zero,
+    and the dim x dim matrix D that the blocks are views of, or None when
+    they are arrays of their own.  By default (``_kernel_blocks``) the
+    blocks are views of the kernel's matrix, the vector identity pushed
+    through it; an operator built from a scalar matrix q on the leaves
+    passes blocks built from q (``_componentwise_blocks``, and the
+    commutator's in ``commutator_op``)."""
 
     grid: Grid
     n: int
     kernel: object
     kernel_T: object = None
     name: str = "operator"
-    core: object = field(default=None, repr=False, compare=False)
-    symbol: np.ndarray = field(default=None, repr=False, compare=False)
-    _dense: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _scalar: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    blocks: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.blocks is None:
+            self.blocks = _kernel_blocks(self.grid, self.n, self.kernel)
 
     def __call__(self, f: StepFunction) -> StepFunction:
         if f.grid != self.grid:
@@ -353,19 +359,40 @@ def haar_multiplier_op(A: MatrixSequence):
 
 
 def shift_op(sigma: ShiftMap):
-    """Q_sigma; it acts on each component alike, so its kernel is its core."""
+    """Q_sigma; it acts on each component alike, so its blocks come from
+    the scalar matrix of its own kernel."""
     shift = lambda v: _shift_values(sigma, v)
     return Operator(sigma.grid, 2, shift, lambda v: _shift_values(sigma, v, adjoint=True),
-                    "haar-shift", core=shift)
+                    "haar-shift", _componentwise_blocks(sigma.grid, 2, shift))
 
 
 def commutator_op(B: MatrixSymbol, sigma: ShiftMap):
     """[B, Q_sigma] f = B Q f - Q(B f); ``commutator_case_sum`` is the same
     operator split into the paper's cases.  The kernel shifts f and B f as
-    one stacked pair (``_shift_pair``).  Its matrix is q(x,y) (B(x) - B(y))
-    with q the shift's scalar matrix: the core is the shift, the symbol B's
-    leaf values."""
+    one stacked pair (``_shift_pair``).
+
+    Its matrix is q(x,y) (B(x) - B(y)) with q the shift's scalar matrix,
+    pushed once and kept.  Each call of its ``blocks`` computes every
+    component block D[(x, i), (y, j)] = fl(fl(B(x)_ij - B(y)_ij) q(x, y))
+    + 0.0 (the += 0.0 turns a -0 into +0, as ``_mv`` does) as a new array,
+    within a derived rounding bound of the vector push; a block is None
+    where B_ij is the same on every leaf (the zero diagonal of the log-swap
+    symbol), which makes every difference zero and every entry +0."""
     vals, valsT = B.step.values, _transpose(B.step.values)
+    q = functools.cache(lambda: _identity_image(lambda v: _shift_values(sigma, v),
+                                                B.grid.leaf_shape))
+    entries = vals.reshape(-1, B.n, B.n)
+
+    def blocks():
+        table = [[None] * B.n for _ in range(B.n)]
+        for i in range(B.n):
+            for j in range(B.n):
+                b = entries[:, i, j]
+                if not (b == b[0]).all():
+                    block = table[i][j] = np.subtract.outer(b, b)
+                    block *= q()
+                    block += 0.0
+        return table, None
 
     def kernel(v):
         qv, qbv = _shift_pair(sigma, v, _mv(vals, v))
@@ -375,8 +402,7 @@ def commutator_op(B: MatrixSymbol, sigma: ShiftMap):
         qbv, qv = _shift_pair(sigma, _mv(valsT, v), v, adjoint=True)
         return qbv - _mv(valsT, qv)
 
-    return Operator(B.grid, B.n, kernel, kernel_T, "commutator",
-                    core=lambda v: _shift_values(sigma, v), symbol=vals)
+    return Operator(B.grid, B.n, kernel, kernel_T, "commutator", blocks)
 
 
 def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
@@ -401,9 +427,10 @@ def big_pi_op(A: MatrixSequence, W: MatrixWeight, p, reducing=None):
 # ---------------------------------------------------------------------------
 
 # largest dimension whose p=2 norm is assembled densely and certified exact.
-# For the commutator on 2 vCPUs with OpenBLAS, assembly from its scalar core
-# takes 0.05-0.08 s at 2048, 0.2-0.3 s at 4096 and 1.1-1.6 s at 8192, most
-# of it writing the matrix; matrix-free Lanczos needs 0.02-0.04 s at 2048.
+# For the commutator on 2 vCPUs with OpenBLAS, pushing q and writing the
+# matrix from its block table takes 0.03-0.05 s at 2048 and 0.11-0.18 s at
+# 4096 (0.01 s to write it again from the kept q at 2048); matrix-free
+# Lanczos needs 0.02-0.04 s at 2048.
 # At 2048 the certified bracket of ``linalg.spectral_norm`` takes 0.14-0.16 s
 # under a diagonal power weight (two summands of 1024) and 0.37-0.39 s under
 # a rotated one (one summand)
@@ -417,9 +444,9 @@ def norm_need(d, L, n, p):
     n = 2, L = 10..16, one BLAS thread), plus four dim x dim arrays at
     p = 2 up to the cap; above it the two Lanczos bases instead.  The four
     arrays are the coupled case, a dense matrix and its whitened copy; an
-    operator with a core whose summands split (``_core_summands``) holds
-    less (the L = 10 commutator under a diagonal weight traced 40 MiB of
-    these 128), but the need stays the coupled bound, so that a refusal
+    operator whose summands come from its block table (``_summands``)
+    holds less (the L = 10 commutator under a diagonal weight traced 40 MiB
+    of these 128), but the need stays the coupled bound, so that a refusal
     does not depend on the weight."""
     dim = n * leaf_count(d, L)
     if p != 2.0:
@@ -444,107 +471,98 @@ class NormReport:
 
 
 def dense_matrix(op: Operator):
-    """Dense matrix of op in the leaf-value basis (leaf-major, component-minor).
-    It is assembled on the first call and kept on op, read-only.
-
-    An operator with a scalar ``core`` q pushes the N x N scalar identity
-    through the core (``_core_columns``) and writes each component block of
-    ``_core_block`` into its place; any other operator pushes the dim x dim
-    identity through its kernel.  Either identity goes in column blocks of
-    ``linalg.block_rows`` columns, each written into its columns of the
-    matrix, so besides the matrix assembly holds a few blocks, not a second
-    identity and its image.  The kernels treat the columns as a batch, so
-    the matrix does not depend on the block width."""
-    if op._dense is None:
-        grid, n = op.grid, op.n
-        N = grid.n_leaves
-        dim = N * n
-        if dim > DENSE_DIM_CAP:
-            raise ShapeError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
-        if op.core is None:
-            dense = np.empty((dim, dim))
-            for cols, basis in _identity_blocks(dim):
-                width = cols.stop - cols.start
-                dense[:, cols] = op.kernel(
-                    basis.reshape(grid.leaf_shape + (n, width))).reshape(dim, width)
-        else:
-            dense = np.zeros((dim, dim))
-            D4 = dense.reshape(N, n, N, n)
-            for cols, q in _core_columns(op):
-                for i in range(n):
-                    for j in range(n):
-                        block = _core_block(q, op, i, j, cols)
-                        if block is not None:
-                            D4[:, i, cols, j] = block
-        dense.flags.writeable = False
-        op._dense = dense
-    return op._dense
+    """Dense matrix D of op in the leaf-value basis (leaf-major, component-minor),
+    from op's block table: the kept, read-only matrix that its blocks view,
+    or else a new matrix with each block written into its place."""
+    N, n = op.grid.n_leaves, op.n
+    dim = N * n
+    if dim > DENSE_DIM_CAP:
+        raise ShapeError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+    table, dense = op.blocks()
+    if dense is None:
+        dense = np.zeros((dim, dim))
+        D4 = dense.reshape(N, n, N, n)
+        for i, row in enumerate(table):
+            for j, block in enumerate(row):
+                if block is not None:
+                    D4[:, i, :, j] = block
+    return dense
 
 
-def _core_columns(op):
-    """(columns, q(x, columns)) over the column blocks of the scalar
-    matrix q of an operator with a core: the N x N scalar identity pushed
-    through the core, ``_identity_blocks`` at a time."""
-    grid = op.grid
-    for cols, basis in _identity_blocks(grid.n_leaves):
-        yield cols, op.core(basis.reshape(grid.leaf_shape + (cols.stop - cols.start,))
-                            ).reshape(grid.n_leaves, -1)
-
-
-def _scalar_matrix(op):
-    """The N x N scalar matrix q of an operator with a core, from
-    ``_core_columns``.  It is built on the first call and kept on op,
-    read-only, so that norms under several weights push the core once."""
-    if op._scalar is None:
-        N = op.grid.n_leaves
-        q = np.empty((N, N))
-        for cols, block in _core_columns(op):
-            q[:, cols] = block
-        q.flags.writeable = False
-        op._scalar = q
-    return op._scalar
-
-
-def _core_block(q, op, i, j, cols=slice(None)):
-    """Component block D[(x, i), (y, j)] of an operator with a core, over
-    the leaves y in ``cols``, from their scalar block q(x, y): q itself
-    when i = j and op has no ``symbol``, else fl(fl(B(x)_ij - B(y)_ij) q)
-    + 0.0 with its symbol B (the += 0.0 turns a -0 into +0, as ``_mv``
-    does), a new array.  None for a block that is zero whatever q is: off
-    the diagonal without a symbol, and where B_ij is the same on every leaf
-    (the zero diagonal of the log-swap symbol), which makes every difference
-    zero and every entry +0."""
-    if not _may_couple(op, i, j):
-        return None
-    if op.symbol is None:
-        return q
-    B = op.symbol.reshape(-1, op.n, op.n)[:, i, j]
-    block = np.subtract.outer(B, B[cols])
-    block *= q
-    block += 0.0
-    return block
-
-
-def _may_couple(op, i, j):
-    """Whether ``_core_block`` (i, j) of op is computed, not known zero."""
-    if op.symbol is None:
-        return i == j
-    B = op.symbol.reshape(-1, op.n, op.n)[:, i, j]
-    return not (B == B[0]).all()
-
-
-def _identity_blocks(count):
-    """(columns, block) over the column blocks of the count x count
-    identity, ``linalg.block_rows`` columns each.  One zeroed buffer carries
-    every block, and its ones move along from block to block, so the
-    identity is allocated and faulted in once per assembly."""
-    width = linalg.block_rows(count, 8 * count)
-    basis = np.zeros((count, width))
-    diag = np.arange(width)
-    for lo in range(0, count, width):
+def _identity_image(fn, shape):
+    """The read-only matrix of the linear map fn on leaf values shaped
+    ``shape`` (grid.leaf_shape, or that plus (n,)): the identity pushed
+    through fn in column blocks of ``linalg.block_rows`` columns, each written
+    into its columns.  One zeroed buffer carries every block, and its ones
+    move along from block to block, so besides the matrix the push holds a
+    few blocks, not a second identity and its image.  fn treats the columns
+    as a batch, so the matrix does not depend on the block width."""
+    rows = int(np.prod(shape))
+    width = linalg.block_rows(rows, 8 * rows)
+    basis, diag = np.zeros((rows, width)), np.arange(width)
+    out = np.empty((rows, rows))
+    for lo in range(0, rows, width):
         basis[lo + diag, diag] = 1.0
-        yield slice(lo, lo + width), basis
+        out[:, lo:lo + width] = fn(basis.reshape(shape + (width,))).reshape(rows, width)
         basis[lo + diag, diag] = 0.0
+    out.flags.writeable = False
+    return out
+
+
+def _kernel_blocks(grid, n, kernel):
+    """The ``blocks`` of an operator without a scalar matrix: the views
+    D4[:, i, :, j] of its matrix D, the vector identity pushed through
+    ``kernel``, None where a view has no nonzero entry; built on the first
+    call and kept with D."""
+    def build():
+        D = _identity_image(kernel, grid.leaf_shape + (n,))
+        D4 = D.reshape(grid.n_leaves, n, -1, n)
+        return [[D4[:, i, :, j] if D4[:, i, :, j].any() else None for j in range(n)]
+                for i in range(n)], D
+    return functools.cache(build)
+
+
+def _componentwise_blocks(grid, n, scalar):
+    """The ``blocks`` of an operator that acts on each of its n components by
+    the scalar map ``scalar``: its scalar matrix q, pushed on the first call
+    and kept, on the diagonal, None off it."""
+    q = functools.cache(lambda: _identity_image(scalar, grid.leaf_shape))
+    return lambda: ([[q() if i == j else None for j in range(n)] for i in range(n)], None)
+
+
+def _summands(op, H, H_inv):
+    """The direct summands of the whitened matrix M = H D H^{-1} of op's
+    matrix D, with H and H^{-1} given by their (N, n, n) leaf blocks: the
+    list ``_whitened_summands(dense_matrix(op), H, H_inv)``, bit for bit.
+
+    With diagonal H and H^{-1} (a diagonal weight) and at most one block of
+    op's table in each row class and each column class, the nonzero blocks
+    are the summands, taken straight from the table in the order of their
+    row classes (each block (r, c) is one component ({r}, {c}) of
+    ``_coupled_classes``, and the components come in the order of their
+    smallest row class).  Whitening a block by H_rr on the left and
+    H^{-1}_cc on the right takes the products, and so the bits, of
+    ``_whitened_summands``.  Otherwise, or with fewer than two summands, D
+    is written and split by ``_whitened_summands``."""
+    n = H.shape[1]
+    if not ((H.any(axis=0) | H_inv.any(axis=0)) & ~np.eye(n, dtype=bool)).any():
+        table = op.blocks()[0]
+        live = np.array([[block is not None for block in row] for row in table])
+        one = (live.sum(axis=0) <= 1).all() and (live.sum(axis=1) <= 1).all()
+        parts = [(r, c) for r, c in zip(*np.nonzero(live)) if one and table[r][c].any()]
+        if len(parts) > 1:
+            out = []
+            for r, c in parts:
+                # a shared, read-only block (q, or a view of the kept matrix)
+                # is whitened into a new array, a new one in place
+                block = table[r][c]
+                block = np.multiply(H[:, r, r][:, None], block,
+                                    out=block if block.flags.writeable else None)
+                block *= H_inv[:, c, c][None, :]
+                out.append(block)
+            return out
+        del table         # a table of new blocks is not held beside D
+    return _whitened_summands(dense_matrix(op), H, H_inv)
 
 
 def _whitened_summands(D, H, H_inv):
@@ -588,44 +606,6 @@ def _whitened_summands(D, H, H_inv):
     return out
 
 
-def _core_summands(op, H, H_inv):
-    """``_whitened_summands(dense_matrix(op), H, H_inv)`` bit for bit for an
-    operator with a core, built one component block (``_core_block``) at a
-    time and never as the dim x dim matrix; None when that list is not two
-    or more summands of one row and one column class each.
-
-    With diagonal H and H^{-1} (a diagonal weight) and at most one block
-    that ``_may_couple`` in each row class and each column class, every
-    block (r, c) that is nonzero as assembled is a summand
-    (``_coupled_classes`` of the assembled blocks' pattern gives the
-    summands and their order), and whitening it by H_rr on the left and
-    H^{-1}_cc on the right takes the products, and so the bits, of
-    ``_whitened_summands``.  A weight or a symbol that couples the classes
-    is seen before q is built, so it builds nothing here."""
-    n = H.shape[1]
-    may = np.array([[_may_couple(op, i, j) for j in range(n)] for i in range(n)])
-    if ((((H.any(axis=0) | H_inv.any(axis=0)) & ~np.eye(n, dtype=bool)).any()
-            or (may.sum(axis=0) > 1).any() or (may.sum(axis=1) > 1).any())):
-        return None
-    q = _scalar_matrix(op)
-    blocks = {(i, j): _core_block(q, op, i, j) for i, j in zip(*np.nonzero(may))}
-    pattern = np.zeros((n, n), dtype=bool)
-    for (i, j), block in blocks.items():
-        pattern[i, j] = block.any()
-    parts = _coupled_classes(pattern, H.any(axis=0), H_inv.any(axis=0))
-    if len(parts) < 2:
-        op._scalar = None        # the whole matrix follows; hold it alone
-        return None
-    out = []
-    for (r,), (c,) in parts:
-        block = blocks.pop((r, c))
-        # a block without a symbol is q itself, kept on op
-        block = np.multiply(H[:, r, r][:, None], block, out=None if block is q else block)
-        block *= H_inv[:, c, c][None, :]
-        out.append(block)
-    return out
-
-
 def _coupled_classes(d_pattern, h_pattern, h_inv_pattern):
     """Connected components (R, C), both sets non-empty, of the n row classes
     and n column classes linked by the n x n nonzero patterns of D (row class
@@ -647,14 +627,15 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
     whitened map H op H^{-1} on l^p(l^2) over the leaves, with the leaf blocks
     H = m_leaf(W^{2/p})^{1/2} (the cell measures cancel).
 
-    p = 2, dimension up to DENSE_DIM_CAP: op's dense matrix (assembled once
-    per operator by ``dense_matrix``) is whitened by the leaf blocks H^{+-1}.
-    When neither the weight nor the operator couples some components (a
-    diagonal weight and a componentwise or swapping operator), the whitened
-    matrix is a direct sum, whitened one summand at a time
-    (``_whitened_summands``); an operator with a core then builds each
-    summand from its scalar matrix and never the dense matrix
-    (``_core_summands``).  ``linalg.spectral_norm`` brackets its largest
+    p = 2, dimension up to DENSE_DIM_CAP: op's matrix, described by its
+    block table (``Operator.blocks``), is whitened by the leaf blocks
+    H^{+-1}.  When neither the weight nor the operator couples some
+    components (a diagonal weight and a componentwise or swapping
+    operator), the whitened matrix is a direct sum, each summand whitened
+    straight from a block of the table, and the dense matrix is never
+    written; otherwise ``dense_matrix`` writes it and
+    ``_whitened_summands`` splits it (``_summands``).
+    ``linalg.spectral_norm`` brackets its largest
     singular value, and the value is the lower end, with its ``details``.
     The label is ``exact`` (the bracket is about n^2 u wide) only when the
     upper end was certified, otherwise ``lower-bound``.  No witness.
@@ -672,10 +653,7 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
     gram = W.leaf_averages(grid, 2.0 / p)
     half, half_inv = linalg.powm_spd(gram, 0.5), linalg.powm_spd(gram, -0.5)
     if p == 2.0 and dim <= DENSE_DIM_CAP:
-        H, H_inv = half.reshape(-1, n, n), half_inv.reshape(-1, n, n)
-        summands = None if op.core is None else _core_summands(op, H, H_inv)
-        if summands is None:
-            summands = _whitened_summands(dense_matrix(op), H, H_inv)
+        summands = _summands(op, half.reshape(-1, n, n), half_inv.reshape(-1, n, n))
         val, cert = linalg.spectral_norm(summands, seed)
         return NormReport(val, "exact" if cert["certified"] else "lower-bound",
                           details={"dim": dim, "method": "certified Gram bracket", **cert})

@@ -104,7 +104,11 @@ class MatrixWeight:
         return vals
 
     def leaf_averages(self, grid, s=1.0):
-        """m_leaf(W^s) on every leaf, shape leaf_shape + (n, n).  Exact."""
+        """m_leaf(W^s) on every leaf, shape leaf_shape + (n, n).  Exact (to
+        round-off) at d = 1, where a power law's cell integrals have a closed
+        form, and for leaf-valued weights, which are constant on each leaf.
+        A power law at d >= 2 is sampled: each leaf takes W^s at its
+        midpoint (``_leaf_power``), not its cell average."""
         return self._leaf_power(grid, self.exponent * float(s))
 
     def _leaf_power(self, grid, e):

@@ -148,30 +148,31 @@ class TestSweepSmall:
     def test_one_dense_assembly_per_operator(self, monkeypatch):
         # five operators do not depend on alpha and one is built per alpha,
         # and the dual paraproduct's norm is the paraproduct's under the
-        # sweep's weights, so the sweep pushes an identity through a kernel
-        # or a core 5 + 3 times, not 7 times per alpha
-        pushes = []
-        real_init = operators.Operator.__init__
+        # sweep's weights, so the sweep pushes an identity (the vector one
+        # through a kernel, or the scalar one for q) 5 + 3 times, not 7
+        # times per alpha; every push goes through ``_identity_image``,
+        # counted here with the operator whose blocks asked for it
+        pushes, building = [], []
+        real_init, real_image = operators.Operator.__init__, operators._identity_image
 
         def init(self, *args, **kwargs):
             real_init(self, *args, **kwargs)
-            N = self.grid.n_leaves
+            blocks = self.blocks
 
-            def counted(fn, value_shape):
-                rows = N * int(np.prod(value_shape))
+            def counted():
+                building.append(self.name)
+                try:
+                    return blocks()
+                finally:
+                    building.pop()
+            self.blocks = counted
 
-                def push(v):
-                    if (v.shape == self.grid.leaf_shape + value_shape + (rows,)
-                            and np.array_equal(v.reshape(rows, rows), np.eye(rows))):
-                        pushes.append(self.name)
-                    return fn(v)
-                return push
-
-            self.kernel = counted(self.kernel, (self.n,))
-            if self.core is not None:
-                self.core = counted(self.core, ())
+        def image(fn, shape):
+            pushes.append(building[-1])
+            return real_image(fn, shape)
 
         monkeypatch.setattr(operators.Operator, "__init__", init)
+        monkeypatch.setattr(operators, "_identity_image", image)
         ex.run_sweep("all", {"L": 5, "alphas": [0.2, 0.5, 0.8]})
         assert len(pushes) == 8, pushes
         assert pushes.count("paraproduct") == 1
@@ -315,6 +316,8 @@ class TestCLI:
                     "weight": {"kind": "diagonal-power", "alphas": [0.9, -0.9]}}),
         ("equivalence", {"instances": 0}),
         ("sweep", {"alphas": [0.1, 0.1]}),
+        ("sweep", {"kind": "sparse", "alphas": [0.1, -0.1], "L": 4}),
+        ("sweep", {"kind": "all", "alphas": [0.5, -0.5], "L": 6}),
     ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
             "stopping-p<1", "sparse-p=1", "bmo-variant", "bmo-dyadic", "sparse-density",
             "shift-seed", "shift-kind", "shift-string", "symbol-scale", "sweep-L",
@@ -325,7 +328,8 @@ class TestCLI:
             "grid-L=6.5", "grid-d-true", "grid-shift", "grid-typo", "grid-no-L",
             "seed-1e330", "alpha-1e330", "sweep-L-1e330", "p-1e330", "p-a-string",
             "alpha-not-integrable", "p-power-not-integrable", "equivalence-no-instances",
-            "sweep-one-distinct-alpha"])
+            "sweep-one-distinct-alpha", "sweep-sparse-swap-conjugates",
+            "sweep-all-swap-conjugates"])
     def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
         # sweep and equivalence read no grid, so a grid field would be refused

@@ -12,7 +12,7 @@ from haarweight.errors import ShapeError
 from haarweight.operators import (
     MatrixSequence, MatrixSymbol, NormReport, Operator, ShiftMap,
     adjoint_paraproduct_op, big_pi_op, commutator_case_sum, commutator_op,
-    dense_matrix, haar_multiplier_op, paraproduct_op,
+    _shift_values, dense_matrix, haar_multiplier_op, paraproduct_op,
     product_decomposition_values, shift_op, weighted_operator_norm,
 )
 from haarweight.maximal import sparse_generate, sparse_op
@@ -633,16 +633,17 @@ class TestWeightedNorms:
 
 
 def commutators(g):
-    """The commutators that ``dense_matrix`` assembles, with their shift
-    maps: one of a random symbol, and the counterexample's log-swap
+    """The commutators that the tests assemble, each with its shift map and
+    its symbol: one of a random symbol, and the counterexample's log-swap
     commutator at d = 1."""
     rng = np.random.default_rng(g.d * 100 + g.L)
     sigma = ShiftMap.random_child(g, seed=8)
-    out = [(commutator_op(random_symbol(g, rng), sigma), sigma)]
+    B = random_symbol(g, rng)
+    out = [(commutator_op(B, sigma), sigma, B)]
     if g.d == 1:
         from haarweight.experiments import log_swap_symbol
-        left = ShiftMap.left_child(g)
-        out.append((commutator_op(log_swap_symbol(g), left), left))
+        left, B = ShiftMap.left_child(g), log_swap_symbol(g)
+        out.append((commutator_op(B, left), left, B))
     return out
 
 
@@ -656,17 +657,50 @@ def assembly_operators(g):
            shift_op(ShiftMap.random_child(g, seed=8)),
            big_pi_op(A, MatrixWeight.rotated_power([0.4, -0.3], 0.7), 2.0),
            sparse_op(sparse_generate(g, seed=9, density=0.5))]
-    return ops + [op for op, _ in commutators(g)]
+    return ops + [op for op, _, _ in commutators(g)]
 
 
-def counted_pushes(op):
-    """Make op's kernel and core record the width of every call; returns
-    the two lists of widths."""
-    pushes = {"kernel": [], "core": []}
-    for part, log in pushes.items():
-        fn = getattr(op, part)
-        if fn is not None:
-            setattr(op, part, lambda v, fn=fn, log=log: log.append(v.shape[-1]) or fn(v))
+# the operators whose blocks come from a scalar matrix q on the leaves
+SCALAR_BUILT = ("haar-shift", "sparse", "commutator")
+
+
+def vector_push(op):
+    """op's matrix from the dim x dim vector identity pushed through its
+    kernel in one call."""
+    g, dim = op.grid, op.n * op.grid.n_leaves
+    return op.kernel(np.eye(dim).reshape(g.leaf_shape + (op.n, dim))).reshape(dim, dim)
+
+
+def shift_matrix(g, sigma):
+    """The shift's scalar matrix q: the N x N identity pushed through the
+    shift in one call."""
+    N = g.n_leaves
+    return _shift_values(sigma, np.eye(N).reshape(g.leaf_shape + (N,))).reshape(N, N)
+
+
+def commutator_oracle(g, sigma, B):
+    """D[(x,i),(y,j)] = q(x,y) (B(x)_ij - B(y)_ij) + 0.0 with q the shift's
+    scalar matrix."""
+    N = g.n_leaves
+    q = shift_matrix(g, sigma).reshape(N, 1, N, 1)
+    b = B.step.values.reshape(N, 2, 2)
+    diff = b[:, :, None, :] - b.transpose(1, 0, 2)[None]
+    return (q * diff + 0.0).reshape(2 * N, 2 * N)
+
+
+def counted_pushes(monkeypatch):
+    """Make ``_identity_image``, which pushes every identity an operator's
+    blocks are built from, record each push as (rows of the identity, the
+    widths of its column blocks); returns the list of records."""
+    from haarweight import operators
+    pushes = []
+    real = operators._identity_image
+
+    def image(fn, shape):
+        widths = []
+        pushes.append((int(np.prod(shape)), widths))
+        return real(lambda v: widths.append(v.shape[-1]) or fn(v), shape)
+    monkeypatch.setattr(operators, "_identity_image", image)
     return pushes
 
 
@@ -679,58 +713,81 @@ def leaf_ancestors(g, k):
 class TestDenseAssembly:
     @pytest.mark.parametrize("d, L", [(1, 5), (1, 9), (2, 3), (2, 4)])
     def test_column_blocks_give_the_identity_push_bit_for_bit(self, d, L, monkeypatch):
-        # an operator with a core pushes the N x N scalar identity through
-        # it, any other the dim x dim identity through its kernel; blocks of
-        # 2 and 16 columns and the whole identity give the same bits, and
-        # for every operator but the commutator (whose oracles follow) those
-        # of the vector identity pushed through the kernel in one call
+        # each operator pushes one identity, once, in column blocks: the
+        # shift, the sparse operator and the commutator the N x N scalar
+        # identity, any other the dim x dim vector identity; blocks of 2 and
+        # 16 columns and the whole identity give the same bits, and for
+        # every operator but the commutator (whose oracles follow) those of
+        # the vector identity pushed through the kernel in one call.  A
+        # matrix that the blocks view is kept, read-only; one written from
+        # blocks of q is written again from the kept q
         g = Grid(d, L)
         N = g.n_leaves
-        dim = 2 * N
-        for op in assembly_operators(g):
-            want = op.kernel(np.eye(dim).reshape(g.leaf_shape + (2, dim))).reshape(dim, dim)
-            pushes = counted_pushes(op)
-            via, other = ("core", "kernel") if op.core is not None else ("kernel", "core")
-            rows = N if via == "core" else dim
-            first = None
-            for width in (2, 16, rows):
-                monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * rows * width)
-                op._dense = None
-                pushes["core"].clear(), pushes["kernel"].clear()
+        wants = [vector_push(op) for op in assembly_operators(g)]
+        pushes = counted_pushes(monkeypatch)
+        firsts = {}
+        for width in (2, 16, None):
+            for k, (op, want) in enumerate(zip(assembly_operators(g), wants)):
+                rows = N if op.name in SCALAR_BUILT else 2 * N
+                w = rows if width is None else width
+                monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * rows * w)
+                pushes.clear()
                 got = dense_matrix(op)
-                assert pushes[via] == [width] * (rows // width) and not pushes[other], op.name
-                first = got if first is None else first
-                assert np.array_equal(got, first), (op.name, width)
-                assert np.array_equal(np.signbit(got), np.signbit(first)), (op.name, width)
+                assert pushes == [(rows, [w] * (rows // w))], (op.name, w)
+                first = firsts.setdefault(k, got)
+                assert np.array_equal(got, first), (op.name, w)
+                assert np.array_equal(np.signbit(got), np.signbit(first)), (op.name, w)
                 if op.name != "commutator":
-                    assert np.array_equal(got, want), (op.name, width)
-                assert not got.flags.writeable and dense_matrix(op) is got
+                    assert np.array_equal(got, want), (op.name, w)
+                again = dense_matrix(op)
+                assert len(pushes) == 1, op.name
+                if op.name in SCALAR_BUILT:
+                    assert again is not got and np.array_equal(again, got), op.name
+                else:
+                    assert not got.flags.writeable and again is got, op.name
 
-    def test_operators_without_a_core_take_the_kernel_push(self):
-        # each operator's structure picks its path: the shift, the sparse
-        # operator and the commutator push the scalar identity through their
-        # core, and the paraproducts, the Haar multiplier and big Pi, which
-        # have no core, push the vector identity through their kernel
+    def test_operators_without_a_core_take_the_kernel_push(self, monkeypatch):
+        # each operator's structure picks its table: the shift and the
+        # sparse operator put their kept, read-only q on the diagonal and
+        # None off it, the commutator computes new blocks from its kept q on
+        # each call, and the paraproducts, the Haar multiplier and big Pi,
+        # which have no scalar matrix, view their blocks in the kept matrix
+        # of the vector push
         g = Grid(1, 4)
+        N = g.n_leaves
+        pushes = counted_pushes(monkeypatch)
         for op in assembly_operators(g):
-            pushes = counted_pushes(op)
-            dense_matrix(op)
-            has_core = op.name in ("haar-shift", "sparse", "commutator")
-            assert (op.core is not None) == has_core, op.name
-            assert pushes["core"] == ([g.n_leaves] if has_core else []), op.name
-            assert pushes["kernel"] == ([] if has_core else [2 * g.n_leaves]), op.name
+            pushes.clear()
+            table, matrix = op.blocks()
+            again, _ = op.blocks()
+            scalar = op.name in SCALAR_BUILT
+            assert [rows for rows, _ in pushes] == [N if scalar else 2 * N], op.name
+            assert (matrix is None) == scalar, op.name
+            if op.name in ("haar-shift", "sparse"):
+                q = table[0][0]
+                assert table[1][1] is q and again[0][0] is q and not q.flags.writeable
+                assert table[0][1] is None and table[1][0] is None
+            elif op.name == "commutator":
+                first = [b for row in table for b in row if b is not None]
+                second = [b for row in again for b in row if b is not None]
+                assert first and all(b.flags.writeable for b in first)
+                assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second))
+            else:
+                assert again is table
+                D4 = matrix.reshape(N, 2, N, 2)
+                for i in range(2):
+                    for j in range(2):
+                        block = table[i][j]
+                        assert block is not None and np.shares_memory(block, matrix)
+                        assert np.array_equal(block, D4[:, i, :, j]) and not block.flags.writeable
 
     @pytest.mark.parametrize("d, L", [(1, 5), (1, 9), (2, 3), (2, 4)])
     def test_commutator_is_the_shift_matrix_times_symbol_differences(self, d, L):
         # D[(x,i),(y,j)] = q(x,y) (B(x)_ij - B(y)_ij) + 0.0 bit for bit, with
-        # q the scalar identity pushed through the core in one call
+        # q the scalar identity pushed through the shift in one call
         g = Grid(d, L)
-        N = g.n_leaves
-        for op, _ in commutators(g):
-            q = op.core(np.eye(N).reshape(g.leaf_shape + (N,))).reshape(N, 1, N, 1)
-            B = op.symbol.reshape(N, 2, 2)
-            diff = B[:, :, None, :] - B.transpose(1, 0, 2)[None]
-            want = (q * diff + 0.0).reshape(2 * N, 2 * N)
+        for op, sigma, B in commutators(g):
+            want = commutator_oracle(g, sigma, B)
             got = dense_matrix(op)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -754,19 +811,19 @@ class TestDenseAssembly:
         # Four more allow for the rounded constants 2^(+-kd/2) and two for
         # evaluating the bound.
         g = Grid(d, L)
-        N, dim = g.n_leaves, 2 * g.n_leaves
+        N = g.n_leaves
         u = np.finfo(float).eps / 2
         m = (2 * d + 1) * L + 8
         gamma = m * u / (1 - m * u)
-        for op, sigma in commutators(g):
+        for op, sigma, B in commutators(g):
             P = np.zeros((N, N))
             for k, target in enumerate(sigma.targets):
                 inside = leaf_ancestors(g, k + 1)[:, None] == target[leaf_ancestors(g, k)][None, :]
                 P += inside * ((2 ** d - 1) * 2.0 ** ((2 * k + 1) * d / 2 - d * L))
-            q = op.core(np.eye(N).reshape(g.leaf_shape + (N,))).reshape(N, N)
+            q = shift_matrix(g, sigma)
             assert np.all(np.abs(q) <= P * (1 + gamma)), "P bounds the shift's matrix"
-            vec = op.kernel(np.eye(dim).reshape(g.leaf_shape + (2, dim))).reshape(N, 2, N, 2)
-            absB = np.abs(op.symbol.reshape(N, 2, 2))
+            vec = vector_push(op).reshape(N, 2, N, 2)
+            absB = np.abs(B.step.values.reshape(N, 2, 2))
             bound = 2 * gamma * (absB[:, :, None, :] + absB.transpose(1, 0, 2)[None]) * P[:, None, :, None]
             got = dense_matrix(op).reshape(N, 2, N, 2)
             assert np.all(np.abs(got - vec) <= bound)
@@ -790,12 +847,17 @@ class TestDenseAssembly:
         assert peak < 2 * dim * dim * 8
 
 
-def core_operators(g):
-    """Operators with a core, each with whether it couples the components:
-    the left-child and a random-child shift, the sparse operator, and the
-    left-child commutator of a random symbol (which couples them), of one
-    that swaps the components and of one that acts on each alike (the
-    log-swap and scalar-log symbols at d = 1)."""
+def table_operators(g):
+    """One operator of each kind, with whether it leaves the components
+    uncoupled (at most one block in each row and column class of its table)
+    and its reference matrix, the one-call vector push (the q (B(x) - B(y))
+    oracle for the commutator): the paraproduct, its adjoint and the Haar
+    multiplier of a random symbol and sequence (which couple the
+    components) and of the swap symbol (log-swap at d = 1) and the constant
+    swap (which swap them), the embedding, the left-child and a
+    random-child shift, the sparse operator, and the left-child commutator
+    of a random symbol, of the swap symbol and of one that acts on each
+    component alike (scalar-log at d = 1)."""
     from haarweight.experiments import SWAP, log_leaf_means, log_swap_symbol
     rng = np.random.default_rng(g.d * 100 + g.L)
     if g.d == 1:
@@ -804,11 +866,19 @@ def core_operators(g):
     else:
         b = rng.standard_normal(g.leaf_shape)[..., None, None]
         swap, scalar = (MatrixSymbol.from_values(g, b * m) for m in (SWAP, np.eye(2)))
+    B, A = random_symbol(g, rng), MatrixSequence.random(g, rng=7)
     left = ShiftMap.left_child(g)
-    return [(shift_op(left), False), (shift_op(ShiftMap.random_child(g, seed=8)), False),
-            (sparse_op(sparse_generate(g, seed=9, density=0.5)), False),
-            (commutator_op(random_symbol(g, rng), left), True),
-            (commutator_op(swap, left), False), (commutator_op(scalar, left), False)]
+    pushed = [(paraproduct_op(B), False), (adjoint_paraproduct_op(B), False),
+              (haar_multiplier_op(A), False), (paraproduct_op(swap), True),
+              (adjoint_paraproduct_op(swap), True),
+              (haar_multiplier_op(MatrixSequence.constant(g, SWAP)), True),
+              (big_pi_op(A, MatrixWeight.rotated_power([0.4, -0.3], 0.7), 2.0), False),
+              (shift_op(left), True), (shift_op(ShiftMap.random_child(g, seed=8)), True),
+              (sparse_op(sparse_generate(g, seed=9, density=0.5)), True)]
+    symbols = [(random_symbol(g, rng), False), (swap, True), (scalar, True)]
+    return ([(op, splits, vector_push(op)) for op, splits in pushed]
+            + [(commutator_op(S, left), splits, commutator_oracle(g, left, S))
+               for S, splits in symbols])
 
 
 class TestCoreSummands:
@@ -825,44 +895,56 @@ class TestCoreSummands:
                 linalg.powm_spd(gram, -0.5).reshape(-1, 2, 2))
 
     @pytest.mark.parametrize("d, L", [(1, L) for L in range(3, 10)] + [(2, 2), (2, 3), (2, 4)])
-    def test_summands_from_the_core_are_the_dense_summands(self, d, L):
-        # summands built one component block at a time have the bits, the
-        # count and the order of those split off the whitened dense matrix;
-        # a weight that couples the components (rotated, random SPD) or a
-        # symbol that couples them (random) leaves the dense path
-        from haarweight.operators import _core_summands, _whitened_summands
+    def test_summands_from_the_core_are_the_dense_summands(self, d, L, monkeypatch):
+        # every operator's summands have the bits, the count and the order
+        # of those split off its whitened reference matrix; under a weight
+        # with diagonal leaf blocks (identity, diagonal) an operator that
+        # leaves the components uncoupled takes them from its table, and
+        # never writes the dense matrix, and a weight that couples the
+        # components (rotated, random SPD) or an operator that couples them
+        # writes it and takes it whole
+        from haarweight import operators
+        from haarweight.operators import _summands, _whitened_summands
         g = Grid(d, L)
-        for op, couples in core_operators(g):
+        writes = []
+        real = operators.dense_matrix
+        monkeypatch.setattr(operators, "dense_matrix",
+                            lambda op: writes.append(op.name) or real(op))
+        for op, splits, D in table_operators(g):
             for name, W in self.WEIGHTS.items():
                 H, H_inv = self.halves(g, W)
-                got = _core_summands(op, H, H_inv)
-                want = _whitened_summands(dense_matrix(op), H, H_inv)
-                splits = name in ("identity", "diagonal") and not couples
-                assert (got is not None) == splits, (op.name, name)
-                if got is None:
-                    continue
-                assert len(got) == len(want) == 2, (op.name, name)
+                writes.clear()
+                got = _summands(op, H, H_inv)
+                want = _whitened_summands(D, H, H_inv)
+                from_table = name in ("identity", "diagonal") and splits
+                assert writes == ([] if from_table else [op.name]), (op.name, name)
+                assert len(got) == len(want) == (2 if from_table else 1), (op.name, name)
                 for a, b in zip(got, want):
-                    assert a.shape == b.shape and a.flags.c_contiguous, (op.name, name)
+                    assert a.shape == b.shape, (op.name, name)
+                    assert a.flags.c_contiguous or not from_table, (op.name, name)
                     assert np.array_equal(a.view(np.int64), b.view(np.int64)), (op.name, name)
 
     def test_norms_from_the_core_never_write_the_dense_matrix(self, monkeypatch):
-        # under a diagonal weight the shifts, the sparse operator and the
-        # swapping and componentwise commutators take their certified norm
-        # without the whole-matrix writer, with the whole-matrix path's bits
+        # under a diagonal weight every operator that leaves the components
+        # uncoupled takes its certified norm from its table, without the
+        # dense-matrix writer and with the whole-matrix path's bits: the
+        # shifts, the sparse operator, the swapping and componentwise
+        # commutators, and the log-swap paraproduct, its adjoint and the
+        # constant-swap multiplier, whose blocks are views of their kept
+        # matrix
         from haarweight import operators
         from haarweight.operators import _whitened_summands
         g = Grid(1, 6)
         W = self.WEIGHTS["diagonal"]
         H, H_inv = self.halves(g, W)
-        ops = [op for op, couples in core_operators(g) if not couples]
-        want = [linalg.spectral_norm(_whitened_summands(dense_matrix(op), H, H_inv))
-                for op in ops]
+        cases = [(op, D) for op, splits, D in table_operators(g) if splits]
+        assert {"paraproduct", "haar-multiplier"} <= {op.name for op, _ in cases}
+        want = [linalg.spectral_norm(_whitened_summands(D, H, H_inv)) for _, D in cases]
 
         def refuse(op):
             raise AssertionError("the dense matrix was written")
         monkeypatch.setattr(operators, "dense_matrix", refuse)
-        for op, (value, cert) in zip(ops, want):
+        for (op, _), (value, cert) in zip(cases, want):
             rep = weighted_operator_norm(op, W, 2.0)
             assert rep.kind == "exact" and rep.details["summands"] == 2, op.name
             assert rep.value == value and rep.details["upper"] == cert["upper"], op.name
@@ -884,6 +966,34 @@ class TestCoreSummands:
             tracemalloc.stop()
         assert rep.kind == "exact" and rep.details["summands"] == 2
         assert peak <= 45 * 2 ** 20
+
+    @pytest.mark.parametrize("case", ["paraproduct-diagonal", "commutator-rotated"])
+    def test_l10_norm_peaks(self, case):
+        # one certified norm at L = 10 (dim 2048, 32 MiB matrices), fresh
+        # operator included.  The log-swap paraproduct under
+        # diag(x^0.1, x^-0.1) keeps its pushed matrix, whose blocks its two
+        # summands are whitened from (65.8 MiB traced).  The commutator under
+        # a rotated weight writes its matrix from q for this norm only, so
+        # its certified bracket holds q (8 MiB) beside the whitened matrix
+        # and its Gram stage, not a kept 32 MiB matrix (129.8 MiB traced
+        # when the matrix was kept)
+        import tracemalloc
+        from haarweight.experiments import log_swap_symbol
+        g = Grid(1, 10)
+        if case == "paraproduct-diagonal":
+            op, W, limit = (paraproduct_op(log_swap_symbol(g)),
+                            MatrixWeight.diagonal_power([0.1, -0.1]), 66)
+        else:
+            op, W, limit = (commutator_op(log_swap_symbol(g), ShiftMap.left_child(g)),
+                            MatrixWeight.rotated_power([0.3, -0.2], 0.7), 106)
+        tracemalloc.start()
+        try:
+            rep = weighted_operator_norm(op, W, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.kind == "exact"
+        assert peak <= limit * 2 ** 20
 
 
 class TestAdjointKernels:
