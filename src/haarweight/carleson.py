@@ -20,7 +20,7 @@ from .dyadic import (
 )
 from .errors import ThresholdError
 from .operators import MatrixSequence, MatrixSymbol, _mv, big_pi_op, weighted_operator_norm
-from .weights import MatrixWeight, ap_from_reducing, power_of, reducing_pyramid
+from .weights import MatrixWeight, _refuse_overflow, ap_from_reducing, power_of, reducing_pyramid
 
 
 @dataclass
@@ -175,11 +175,12 @@ def stopping_constants(n, p):
     dimensional constants traced through the decay proof:
       C1  = n^{p/2} * n^{max(p/2, 1)}   (gauge sandwich + norm-vs-column bounds)
       C2' = n^{p'/2} * n^{max(p'/2, 1)}
-    inflated by STOPPING_SLACK."""
-    pp = p / (p - 1.0)
-    C1 = n ** (p / 2.0) * n ** max(p / 2.0, 1.0)
-    C2 = n ** (pp / 2.0) * n ** max(pp / 2.0, 1.0)
-    return 4.0 * C1 * (1.0 + STOPPING_SLACK), 4.0 * C2 * (1.0 + STOPPING_SLACK)
+    inflated by STOPPING_SLACK.  Near p = 1, C2' ~ n^{p'} is inf."""
+    pp, n = p / (p - 1.0), np.float64(n)
+    with np.errstate(over="ignore"):
+        C1 = n ** (p / 2.0) * n ** max(p / 2.0, 1.0)
+        C2 = n ** (pp / 2.0) * n ** max(pp / 2.0, 1.0)
+        return float(4.0 * C1 * (1.0 + STOPPING_SLACK)), float(4.0 * C2 * (1.0 + STOPPING_SLACK))
 
 
 def stopping_time_tree(W: MatrixWeight, p, grid: Grid, lambda1=None, lambda2=None,
@@ -187,17 +188,19 @@ def stopping_time_tree(W: MatrixWeight, p, grid: Grid, lambda1=None, lambda2=Non
     """Generations of maximal subcubes of the grid's root where the reducing
     operators deviate: J is a stopping child of its stopping ancestor I when
     ||V_J V_I^{-1}||^p > lambda1 or ||V_J^{-1} V_I||^{p'} > lambda2."""
+    pp = p / (p - 1.0)
     if reducing is None:
         reducing = reducing_pyramid(W, grid, p)
     if lambda1 is None or lambda2 is None:
         l1, l2 = stopping_constants(W.n, p)
         lambda1 = l1 if lambda1 is None else lambda1
         if lambda2 is None:
-            lambda2 = l2 * ap_from_reducing(reducing, p) ** ((p / (p - 1.0)) / p)
+            with np.errstate(over="ignore"):
+                lambda2 = l2 * np.float64(ap_from_reducing(reducing, p)) ** (pp / p)
+            _refuse_overflow([lambda2], p, pp, "the stopping threshold lambda2")
     if lambda1 <= 1.0 or lambda2 <= 1.0:
         raise ThresholdError("stopping thresholds must exceed 1")
     d, L = grid.d, grid.L
-    pp = p / (p - 1.0)
     V = reducing["V"]
     Vinv = [linalg.powm_spd(v, -1.0) for v in V]
     root = grid.root()

@@ -5,10 +5,13 @@ Every operator acts on vector step functions.  The array-level kernels accept
 leaf values shaped grid + (n,) or grid + (n, B); the trailing batch axis is
 how an operator's matrix gets built, one block of identity columns per pass.
 Each operator describes its matrix by one table of n x n component blocks
-over the leaves: the shift, the sparse operator and the commutator build
-theirs from one scalar matrix q on the leaves, pushed once through a scalar
-map, and any other operator views its blocks in the matrix that the vector
-identity pushed through its kernel gives.  All operators
+over the leaves, None where a block is zero: the shift, the sparse operator
+and the commutator build theirs from one scalar matrix q on the leaves,
+pushed once through a scalar map, and any other operator views its blocks
+in the matrix that the vector identity pushed through its kernel gives.  A
+dense p = 2 norm whitens that matrix in one place, ``_summands``: whole
+under a weight with off-diagonal leaf entries, and otherwise one summand
+per block when no component class holds two blocks.  All operators
 annihilate the coarse mean (their sums run over cancellative Haar terms); the
 mean channel of the input still matters wherever cube averages appear.
 The kernels take C- or Fortran-ordered leaf values and give the same bits
@@ -307,13 +310,14 @@ class Operator:
 
     ``blocks`` describes the map's matrix D in the leaf-value basis: called,
     it returns (table, matrix), the n x n table of the N x N component
-    blocks D[(x, i), (y, j)] over the leaves, None where a block is zero,
-    and the dim x dim matrix D that the blocks are views of, or None when
-    they are arrays of their own.  By default (``_kernel_blocks``) the
-    blocks are views of the kernel's matrix, the vector identity pushed
-    through it; an operator built from a scalar matrix q on the leaves
-    passes blocks built from q (``_componentwise_blocks``, and the
-    commutator's in ``commutator_op``)."""
+    blocks D[(x, i), (y, j)] over the leaves, None exactly where a block is
+    zero, and the dim x dim matrix D that the blocks are views of, or None
+    when they are arrays of their own.  A dense norm reads the table once
+    and takes its block pattern from the None entries alone.  By default
+    (``_kernel_blocks``) the blocks are views of the kernel's matrix, the
+    vector identity pushed through it; an operator built from a scalar
+    matrix q on the leaves passes blocks built from q
+    (``_componentwise_blocks``, and the commutator's in ``commutator_op``)."""
 
     grid: Grid
     n: int
@@ -375,9 +379,11 @@ def commutator_op(B: MatrixSymbol, sigma: ShiftMap):
     pushed once and kept.  Each call of its ``blocks`` computes every
     component block D[(x, i), (y, j)] = fl(fl(B(x)_ij - B(y)_ij) q(x, y))
     + 0.0 (the += 0.0 turns a -0 into +0, as ``_mv`` does) as a new array,
-    within a derived rounding bound of the vector push; a block is None
-    where B_ij is the same on every leaf (the zero diagonal of the log-swap
-    symbol), which makes every difference zero and every entry +0."""
+    within a derived rounding bound of the vector push.  A block is None
+    where it is zero: where B_ij is the same on every leaf (the zero
+    diagonal of the log-swap symbol), which makes every difference zero and
+    every entry +0, and where q vanishes wherever B_ij varies (q is zero at
+    L = 1)."""
     vals, valsT = B.step.values, _transpose(B.step.values)
     q = functools.cache(lambda: _identity_image(lambda v: _shift_values(sigma, v),
                                                 B.grid.leaf_shape))
@@ -389,9 +395,11 @@ def commutator_op(B: MatrixSymbol, sigma: ShiftMap):
             for j in range(B.n):
                 b = entries[:, i, j]
                 if not (b == b[0]).all():
-                    block = table[i][j] = np.subtract.outer(b, b)
+                    block = np.subtract.outer(b, b)
                     block *= q()
                     block += 0.0
+                    if block.any():
+                        table[i][j] = block
         return table, None
 
     def kernel(v):
@@ -443,11 +451,14 @@ def norm_need(d, L, n, p):
     (the power method's peak RSS grew by up to 434 B per leaf at d = 1,
     n = 2, L = 10..16, one BLAS thread), plus four dim x dim arrays at
     p = 2 up to the cap; above it the two Lanczos bases instead.  The four
-    arrays are the coupled case, a dense matrix and its whitened copy; an
-    operator whose summands come from its block table (``_summands``)
-    holds less (the L = 10 commutator under a diagonal weight traced 40 MiB
-    of these 128), but the need stays the coupled bound, so that a refusal
-    does not depend on the weight."""
+    arrays are the case of a matrix whitened whole (``_summands``): a kept
+    matrix, its whitened copy, and the Gram matrix and its Cholesky factor
+    of the certified bracket (the L = 10 embedding under the identity
+    traced 128 MiB of these 128).
+    An operator whose summands come from its block table holds less (the
+    L = 10 commutator under a diagonal weight traced 40 MiB), but the need
+    stays the bound of the whole case, so that a refusal does not depend
+    on the weight."""
     dim = n * leaf_count(d, L)
     if p != 2.0:
         return "its power method", 8 * 28 * dim
@@ -473,19 +484,23 @@ class NormReport:
 def dense_matrix(op: Operator):
     """Dense matrix D of op in the leaf-value basis (leaf-major, component-minor),
     from op's block table: the kept, read-only matrix that its blocks view,
-    or else a new matrix with each block written into its place."""
+    or else a new one written from the blocks (``_written_matrix``)."""
     N, n = op.grid.n_leaves, op.n
-    dim = N * n
-    if dim > DENSE_DIM_CAP:
-        raise ShapeError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+    if N * n > DENSE_DIM_CAP:
+        raise ShapeError(f"dense dimension {N * n} exceeds cap {DENSE_DIM_CAP}")
     table, dense = op.blocks()
-    if dense is None:
-        dense = np.zeros((dim, dim))
-        D4 = dense.reshape(N, n, N, n)
-        for i, row in enumerate(table):
-            for j, block in enumerate(row):
-                if block is not None:
-                    D4[:, i, :, j] = block
+    return _written_matrix(table, N, n) if dense is None else dense
+
+
+def _written_matrix(table, N, n):
+    """A new N n x N n matrix with each block of ``table`` written into its
+    place, zero elsewhere."""
+    dense = np.zeros((N * n, N * n))
+    D4 = dense.reshape(N, n, N, n)
+    for i, row in enumerate(table):
+        for j, block in enumerate(row):
+            if block is not None:
+                D4[:, i, :, j] = block
     return dense
 
 
@@ -525,100 +540,52 @@ def _kernel_blocks(grid, n, kernel):
 def _componentwise_blocks(grid, n, scalar):
     """The ``blocks`` of an operator that acts on each of its n components by
     the scalar map ``scalar``: its scalar matrix q, pushed on the first call
-    and kept, on the diagonal, None off it."""
-    q = functools.cache(lambda: _identity_image(scalar, grid.leaf_shape))
+    and kept, on the diagonal, None off it (and on it where q is zero)."""
+    @functools.cache
+    def q():
+        m = _identity_image(scalar, grid.leaf_shape)
+        return m if m.any() else None
     return lambda: ([[q() if i == j else None for j in range(n)] for i in range(n)], None)
 
 
 def _summands(op, H, H_inv):
-    """The direct summands of the whitened matrix M = H D H^{-1} of op's
-    matrix D, with H and H^{-1} given by their (N, n, n) leaf blocks: the
-    list ``_whitened_summands(dense_matrix(op), H, H_inv)``, bit for bit.
+    """The whitened matrix M = H D H^{-1} of op's matrix D, with H and H^{-1}
+    given by their (N, n, n) leaf blocks, as the list of its direct summands.
 
-    With diagonal H and H^{-1} (a diagonal weight) and at most one block of
-    op's table in each row class and each column class, the nonzero blocks
-    are the summands, taken straight from the table in the order of their
-    row classes (each block (r, c) is one component ({r}, {c}) of
-    ``_coupled_classes``, and the components come in the order of their
-    smallest row class).  Whitening a block by H_rr on the left and
-    H^{-1}_cc on the right takes the products, and so the bits, of
-    ``_whitened_summands``.  Otherwise, or with fewer than two summands, D
-    is written and split by ``_whitened_summands``."""
-    n = H.shape[1]
-    if not ((H.any(axis=0) | H_inv.any(axis=0)) & ~np.eye(n, dtype=bool)).any():
-        table = op.blocks()[0]
+    A weight with an off-diagonal leaf entry couples the components: D comes
+    from ``dense_matrix`` and M is whitened whole.  Under any other weight
+    op's table is read once.  When it has two or more blocks, at most one in
+    each row class and each column class, M is the direct sum of the blocks
+    H_rr D_rc H^{-1}_cc (every other entry is a sum of products with an exact
+    zero factor), taken in the order of their row classes; each is whitened
+    straight from the table by scaling its rows by H_rr and its columns by
+    H^{-1}_cc, a shared, read-only block (q, or a view of the kept matrix)
+    into a new array, a new one in place.  Any other table gives D, the kept
+    matrix or one written from the table, which is dropped before M is
+    whitened whole."""
+    N, n = H.shape[:2]
+    if ((H.any(axis=0) | H_inv.any(axis=0)) & ~np.eye(n, dtype=bool)).any():
+        D = dense_matrix(op)
+    else:
+        table, D = op.blocks()
         live = np.array([[block is not None for block in row] for row in table])
-        one = (live.sum(axis=0) <= 1).all() and (live.sum(axis=1) <= 1).all()
-        parts = [(r, c) for r, c in zip(*np.nonzero(live)) if one and table[r][c].any()]
-        if len(parts) > 1:
+        if live.sum() > 1 and (live.sum(axis=0) <= 1).all() and (live.sum(axis=1) <= 1).all():
             out = []
-            for r, c in parts:
-                # a shared, read-only block (q, or a view of the kept matrix)
-                # is whitened into a new array, a new one in place
+            for r, c in zip(*np.nonzero(live)):
                 block = table[r][c]
                 block = np.multiply(H[:, r, r][:, None], block,
                                     out=block if block.flags.writeable else None)
                 block *= H_inv[:, c, c][None, :]
                 out.append(block)
             return out
-        del table         # a table of new blocks is not held beside D
-    return _whitened_summands(dense_matrix(op), H, H_inv)
-
-
-def _whitened_summands(D, H, H_inv):
-    """The whitened matrix M = H D H^{-1} of a dense operator matrix D, with H
-    and H^{-1} given by their (N, n, n) leaf blocks, as the list of its direct
-    summands.
-
-    Rows and columns fall into n component classes (the index mod n).  The
-    classes that D, H or H^{-1} couple by a nonzero entry form connected
-    components, each a set R of row classes and a set C of column classes.
-    An entry of M with row class in R and column class outside C is a sum of
-    products H_ia D_ab H^{-1}_bj that each have an exact zero factor, so it is
-    an exact zero: after regrouping rows and columns by class, M is the direct
-    sum of the blocks M_b = H_RR D_RC H^{-1}_CC, each whitened leafwise with
-    the same products as the whole M.  Components without rows or without
-    columns carry no nonzero entry and are left out.  When fewer than two
-    blocks remain, M is returned whole."""
-    N, n = H.shape[:2]
-    D4 = D.reshape(N, n, N, n)
-    d_pattern = D4.any(axis=0).any(axis=1)
-    # when D couples every row class to every column class there is one block
-    blocks = [] if d_pattern.all() else _coupled_classes(d_pattern, H.any(axis=0),
-                                                         H_inv.any(axis=0))
-    if len(blocks) < 2:
-        dim = N * n
-        M = H @ D.reshape(N, n, dim)
-        # the right factor as a batched left product: (M H^{-1})^T = H^{-T} M^T
-        M = _transpose(H_inv) @ M.reshape(dim, dim).T.reshape(N, n, dim)
-        return [M.reshape(dim, dim).T]
-    out = []
-    for R, C in blocks:
-        if len(R) == len(C) == 1:
-            # one row and one column class: the leaf blocks are scalars, and
-            # scaling rows and columns gives the einsums' bits
-            r, c = R[0], C[0]
-            out.append((H[:, r, r][:, None] * D4[:, r, :, c]) * H_inv[:, c, c][None, :])
-            continue
-        left = np.einsum("lia,lamc->limc", H[:, R[:, None], R], D4[:, R][..., C])
-        right = np.einsum("limb,mbj->limj", left, H_inv[:, C[:, None], C])
-        out.append(right.reshape(N * len(R), N * len(C)))
-    return out
-
-
-def _coupled_classes(d_pattern, h_pattern, h_inv_pattern):
-    """Connected components (R, C), both sets non-empty, of the n row classes
-    and n column classes linked by the n x n nonzero patterns of D (row class
-    to column class), of H (row classes) and of H^{-1} (column classes)."""
-    n = len(d_pattern)
-    link = np.block([[h_pattern, d_pattern], [d_pattern.T, h_inv_pattern]])
-    link |= link.T | np.eye(2 * n, dtype=bool)
-    for _ in range((2 * n).bit_length()):      # paths of up to 2^k links
-        link = link @ link
-    first = link.argmax(axis=1)               # smallest node of each component
-    parts = [(np.flatnonzero(first[:n] == c), np.flatnonzero(first[n:] == c))
-             for c in np.unique(first)]
-    return [(R, C) for R, C in parts if len(R) and len(C)]
+        if D is None:
+            D = _written_matrix(table, N, n)
+        del table         # a table of new blocks is not held beside the whitening
+    dim = N * n
+    M = H @ D.reshape(N, n, dim)
+    # the right factor as a batched left product: (M H^{-1})^T = H^{-T} M^T
+    M = _transpose(H_inv) @ M.reshape(dim, dim).T.reshape(N, n, dim)
+    return [M.reshape(dim, dim).T]
 
 
 def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> NormReport:
@@ -629,13 +596,14 @@ def weighted_operator_norm(op: Operator, W: MatrixWeight, p=2.0, seed=0) -> Norm
 
     p = 2, dimension up to DENSE_DIM_CAP: op's matrix, described by its
     block table (``Operator.blocks``), is whitened by the leaf blocks
-    H^{+-1}.  When neither the weight nor the operator couples some
-    components (a diagonal weight and a componentwise or swapping
-    operator), the whitened matrix is a direct sum, each summand whitened
-    straight from a block of the table, and the dense matrix is never
-    written; otherwise ``dense_matrix`` writes it and
-    ``_whitened_summands`` splits it (``_summands``).
-    ``linalg.spectral_norm`` brackets its largest
+    H^{+-1} (``_summands``).  A weight with off-diagonal leaf entries
+    (rotated, random SPD) is whitened whole from ``dense_matrix``.  Under
+    any other weight the table is read once: when no row or column class
+    holds two of its blocks (a componentwise or swapping operator) and it
+    has two or more, the whitened matrix is their direct sum, each summand
+    whitened straight from its block, and the dense matrix is never
+    written; any other table is written into the matrix once and whitened
+    whole.  ``linalg.spectral_norm`` brackets its largest
     singular value, and the value is the lower end, with its ``details``.
     The label is ``exact`` (the bracket is about n^2 u wide) only when the
     upper end was certified, otherwise ``lower-bound``.  No witness.

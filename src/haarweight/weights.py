@@ -18,7 +18,7 @@ from . import linalg
 from .dyadic import (
     Cube, Grid, ancestor_averages, coarsen_levels, leaf_count, mean_pyramid, sup_over_cubes,
 )
-from .errors import IntegrabilityError, ShapeError
+from .errors import ConfigError, IntegrabilityError, ShapeError
 
 
 class MatrixWeight:
@@ -229,7 +229,9 @@ def gauge_pyramid(W, grid, p, dirs, dual=False):
     (exponent p') for the dual gauge; its cube means are taken from the
     leaves up, and the p-th (p'-th) roots only on the interior levels,
     because at a leaf the gauge is that representative itself, whose
-    reducing operator ``reducing_pyramid`` takes in closed form.
+    reducing operator ``reducing_pyramid`` takes in closed form.  Near p = 1
+    the dual exponent p' is large, and a power that overflows is refused
+    (``_refuse_overflow``).
     """
     pp = p / (p - 1.0)
     expo = (-2.0 / p) if dual else (2.0 / p)
@@ -237,9 +239,20 @@ def gauge_pyramid(W, grid, p, dirs, dual=False):
     M = W.leaf_averages(grid, expo)
     quad = np.einsum("...ij,mi,mj->...m", M, dirs, dirs)
     quad = np.maximum(quad, 0.0)
-    leaf_vals = quad ** (power / 2.0)
-    means = mean_pyramid(leaf_vals, grid.d, grid.L)
-    return [mk ** (1.0 / power) for mk in means[:-1]]
+    with np.errstate(over="ignore"):
+        means = mean_pyramid(quad ** (power / 2.0), grid.d, grid.L)
+    return _refuse_overflow([mk ** (1.0 / power) for mk in means[:-1]], p, power,
+                            "the dual gauge" if dual else "the gauge")
+
+
+def _refuse_overflow(levels, p, power, what):
+    """``levels`` as they are when every value is finite; otherwise a
+    ConfigError that names p and the power that overflowed (an infinite
+    value would pass as a number into the reports)."""
+    if not all(np.isfinite(a).all() for a in levels):
+        raise ConfigError(f"{what} overflows at p = {p!r}: its power {power:.6g} "
+                          f"exceeds the float range; take p further from 1")
+    return levels
 
 
 # the n=2 active-set solve stops once no point lies outside the ellipse by
@@ -591,8 +604,10 @@ def _double_average_levels(P, N, grid, p):
         inner **= pprime
         return inner
 
-    inner_at_x = ancestor_averages(pair_rows, grid)
-    inner_at_x **= p / pprime
+    with np.errstate(over="ignore"):
+        inner_at_x = ancestor_averages(pair_rows, grid)
+        inner_at_x **= p / pprime
+    _refuse_overflow([inner_at_x], p, pprime, "the A_p double average")
     return [coarsen_levels(inner_at_x[k].reshape(grid.leaf_shape), d, L - k)
             for k in range(L + 1)]
 

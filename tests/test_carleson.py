@@ -11,7 +11,7 @@ from haarweight.carleson import (
     stopping_time_tree,
 )
 from haarweight.dyadic import Cube, Grid, StepFunction, find_covering_cube, mean_pyramid
-from haarweight.errors import ThresholdError
+from haarweight.errors import ConfigError, ThresholdError
 from haarweight.operators import MatrixSequence, MatrixSymbol
 from haarweight import weights as weights_module
 from haarweight.weights import MatrixWeight, ap_from_reducing, power_of, reducing_pyramid
@@ -257,6 +257,13 @@ class TestStoppingTree:
         with pytest.raises(ThresholdError):
             stopping_time_tree(MatrixWeight.identity(), 2.0, grid=Grid(1, 3),
                                lambda1=0.5, lambda2=2.0)
+
+    def test_threshold_overflow_refused(self):
+        # near p = 1, C2' ~ n^{p'} is inf instead of a Python OverflowError,
+        # and a default lambda2 that overflows is refused by name
+        assert stopping_constants(2, 1.0001)[1] == np.inf
+        with pytest.raises(ConfigError, match="lambda2 overflows at p = 1.001"):
+            stopping_time_tree(MatrixWeight.scalar_power(-0.3), 1.001, grid=Grid(1, 3))
 
     @pytest.mark.parametrize("alpha", [0.6, 0.9])
     def test_power_weight_decay_p2(self, alpha):

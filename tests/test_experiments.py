@@ -341,6 +341,24 @@ class TestCLI:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["apchar", "stopping"])
+    @pytest.mark.parametrize("weight", [{"kind": "rotated", "alphas": [0.3, -0.2], "theta": 0.5},
+                                        {"kind": "scalar-power", "alpha": -0.3}],
+                             ids=["rotated", "scalar-negative"])
+    def test_overflow_near_p1_exit_1(self, tmp_path, capsys, command, weight):
+        # at p = 1.001 the dual exponent is p' = 1001: under the rotated
+        # weight the dual gauge's power overflows, and under x^-0.3 the A_p
+        # double average's (apchar) and the threshold lambda2's n^p'
+        # (stopping).  The run ends in exit 1 that names p and the power,
+        # and writes no output with an Infinity in it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 3}, "p": 1.001, "weight": weight}))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "overflows at p = 1.001" in err
+        assert "power 1001" in err and "Traceback" not in err
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("command, n", [("opnorm", 3), ("carleson", 1), ("bmo", 3),
                                             ("bmo", 1), ("sparse", 3)])
     def test_weight_not_2x2_refused(self, tmp_path, capsys, command, n):

@@ -47,6 +47,62 @@ def leaf_blocks(grid, W, s):
     return out
 
 
+def whitened_summands(D, H, H_inv):
+    """Reference splitter: the whitened matrix M = H D H^{-1} of a dense
+    operator matrix D, with H and H^{-1} given by their (N, n, n) leaf
+    blocks, as the list of its direct summands.
+
+    Rows and columns fall into n component classes (the index mod n).  The
+    classes that D, H or H^{-1} couple by a nonzero entry form connected
+    components, each a set R of row classes and a set C of column classes.
+    An entry of M with row class in R and column class outside C is a sum of
+    products H_ia D_ab H^{-1}_bj that each have an exact zero factor, so it is
+    an exact zero: after regrouping rows and columns by class, M is the direct
+    sum of the blocks M_b = H_RR D_RC H^{-1}_CC, each whitened leafwise with
+    the same products as the whole M.  Components without rows or without
+    columns carry no nonzero entry and are left out.  When fewer than two
+    blocks remain, M is returned whole."""
+    N, n = H.shape[:2]
+    D4 = D.reshape(N, n, N, n)
+    d_pattern = D4.any(axis=0).any(axis=1)
+    # when D couples every row class to every column class there is one block
+    blocks = [] if d_pattern.all() else coupled_classes(d_pattern, H.any(axis=0),
+                                                        H_inv.any(axis=0))
+    if len(blocks) < 2:
+        dim = N * n
+        M = H @ D.reshape(N, n, dim)
+        # the right factor as a batched left product: (M H^{-1})^T = H^{-T} M^T
+        M = np.swapaxes(H_inv, -1, -2) @ M.reshape(dim, dim).T.reshape(N, n, dim)
+        return [M.reshape(dim, dim).T]
+    out = []
+    for R, C in blocks:
+        if len(R) == len(C) == 1:
+            # one row and one column class: the leaf blocks are scalars, and
+            # scaling rows and columns gives the einsums' bits
+            r, c = R[0], C[0]
+            out.append((H[:, r, r][:, None] * D4[:, r, :, c]) * H_inv[:, c, c][None, :])
+            continue
+        left = np.einsum("lia,lamc->limc", H[:, R[:, None], R], D4[:, R][..., C])
+        right = np.einsum("limb,mbj->limj", left, H_inv[:, C[:, None], C])
+        out.append(right.reshape(N * len(R), N * len(C)))
+    return out
+
+
+def coupled_classes(d_pattern, h_pattern, h_inv_pattern):
+    """Connected components (R, C), both sets non-empty, of the n row classes
+    and n column classes linked by the n x n nonzero patterns of D (row class
+    to column class), of H (row classes) and of H^{-1} (column classes)."""
+    n = len(d_pattern)
+    link = np.block([[h_pattern, d_pattern], [d_pattern.T, h_inv_pattern]])
+    link |= link.T | np.eye(2 * n, dtype=bool)
+    for _ in range((2 * n).bit_length()):      # paths of up to 2^k links
+        link = link @ link
+    first = link.argmax(axis=1)               # smallest node of each component
+    parts = [(np.flatnonzero(first[:n] == c), np.flatnonzero(first[n:] == c))
+             for c in np.unique(first)]
+    return [(R, C) for R, C in parts if len(R) and len(C)]
+
+
 class TestParaproduct:
     def test_constant_symbol_annihilates(self):
         g = Grid(1, 4)
@@ -505,7 +561,6 @@ class TestWeightedNorms:
         # operator has one row and one column class; scaling its rows and
         # columns gives the bits of the two leafwise einsums
         from haarweight.experiments import log_swap_symbol
-        from haarweight.operators import _whitened_summands
         g = Grid(1, 6)
         W = MatrixWeight.diagonal_power([0.3, -0.3])
         gram = W.leaf_averages(g, 1.0)
@@ -515,7 +570,7 @@ class TestWeightedNorms:
                              [(0, 1), (1, 0)]),
                             (shift_op(ShiftMap.random_child(g, seed=3)), [(0, 0), (1, 1)])):
             D = dense_matrix(op)
-            got = _whitened_summands(D, H, H_inv)
+            got = whitened_summands(D, H, H_inv)
             assert len(got) == len(classes), op.name
             D4 = D.reshape(N, 2, N, 2)
             for M, (r, c) in zip(got, classes):
@@ -527,17 +582,26 @@ class TestWeightedNorms:
 
     def test_summands_of_several_components(self):
         # a 3x3 multiplier that mixes components 0 and 1 and keeps 2 apart,
-        # under a diagonal weight: one 2-component and one 1-component block
+        # under a diagonal weight: its table holds two blocks in row class 0,
+        # so its whitened matrix is taken whole, as one exact summand with
+        # the value of the reference's two summands (one 2-component and one
+        # 1-component block) to round-off.  A diagonal multiplier has one
+        # block per class, and its three summands come from its table
         g = Grid(1, 5)
         W = MatrixWeight.diagonal_power([0.3, -0.2, 0.5])
-        A = MatrixSequence.constant(g, [[1.0, 2.0, 0.0], [-0.5, 0.7, 0.0], [0.0, 0.0, 3.0]])
-        op = haar_multiplier_op(A)
-        rep = weighted_operator_norm(op, W, 2.0)
-        white = leaf_blocks(g, W, 0.5) @ dense_matrix(op) @ leaf_blocks(g, W, -0.5)
-        want = np.linalg.svd(white, compute_uv=False)[0]
-        assert rep.kind == "exact" and rep.details["summands"] == 2
-        assert rep.value == pytest.approx(want, rel=1e-13)
-        assert want <= rep.details["upper"] <= want * (1 + 1e-9)
+        gram = W.leaf_averages(g, 1.0)
+        H, H_inv = (linalg.powm_spd(gram, s).reshape(-1, 3, 3) for s in (0.5, -0.5))
+        for mat, summands in (([[1.0, 2.0, 0.0], [-0.5, 0.7, 0.0], [0.0, 0.0, 3.0]], 1),
+                              (np.diag([1.0, -0.5, 3.0]), 3)):
+            op = haar_multiplier_op(MatrixSequence.constant(g, mat))
+            rep = weighted_operator_norm(op, W, 2.0)
+            white = leaf_blocks(g, W, 0.5) @ dense_matrix(op) @ leaf_blocks(g, W, -0.5)
+            want = np.linalg.svd(white, compute_uv=False)[0]
+            assert rep.kind == "exact" and rep.details["summands"] == summands
+            assert rep.value == pytest.approx(want, rel=1e-13)
+            assert want <= rep.details["upper"] <= want * (1 + 1e-9)
+            split = linalg.spectral_norm(whitened_summands(dense_matrix(op), H, H_inv))[0]
+            assert rep.value == pytest.approx(split, rel=1e-13)
 
     def test_sweep_operators_split_under_diagonal_weights(self):
         # every operator of the quantitative sweep acts componentwise or swaps
@@ -897,14 +961,15 @@ class TestCoreSummands:
     @pytest.mark.parametrize("d, L", [(1, L) for L in range(3, 10)] + [(2, 2), (2, 3), (2, 4)])
     def test_summands_from_the_core_are_the_dense_summands(self, d, L, monkeypatch):
         # every operator's summands have the bits, the count and the order
-        # of those split off its whitened reference matrix; under a weight
-        # with diagonal leaf blocks (identity, diagonal) an operator that
-        # leaves the components uncoupled takes them from its table, and
-        # never writes the dense matrix, and a weight that couples the
-        # components (rotated, random SPD) or an operator that couples them
-        # writes it and takes it whole
+        # of those that the reference splitter takes off its whitened
+        # reference matrix; under a weight with diagonal leaf blocks
+        # (identity, diagonal) an operator that leaves the components
+        # uncoupled takes them from its table, an operator that couples them
+        # is whitened whole, and neither calls ``dense_matrix``; a weight
+        # that couples the components (rotated, random SPD) takes the
+        # matrix from ``dense_matrix`` and whitens it whole
         from haarweight import operators
-        from haarweight.operators import _summands, _whitened_summands
+        from haarweight.operators import _summands
         g = Grid(d, L)
         writes = []
         real = operators.dense_matrix
@@ -915,9 +980,10 @@ class TestCoreSummands:
                 H, H_inv = self.halves(g, W)
                 writes.clear()
                 got = _summands(op, H, H_inv)
-                want = _whitened_summands(D, H, H_inv)
-                from_table = name in ("identity", "diagonal") and splits
-                assert writes == ([] if from_table else [op.name]), (op.name, name)
+                want = whitened_summands(D, H, H_inv)
+                diagonal = name in ("identity", "diagonal")
+                from_table = diagonal and splits
+                assert writes == ([] if diagonal else [op.name]), (op.name, name)
                 assert len(got) == len(want) == (2 if from_table else 1), (op.name, name)
                 for a, b in zip(got, want):
                     assert a.shape == b.shape, (op.name, name)
@@ -933,13 +999,12 @@ class TestCoreSummands:
         # constant-swap multiplier, whose blocks are views of their kept
         # matrix
         from haarweight import operators
-        from haarweight.operators import _whitened_summands
         g = Grid(1, 6)
         W = self.WEIGHTS["diagonal"]
         H, H_inv = self.halves(g, W)
         cases = [(op, D) for op, splits, D in table_operators(g) if splits]
         assert {"paraproduct", "haar-multiplier"} <= {op.name for op, _ in cases}
-        want = [linalg.spectral_norm(_whitened_summands(D, H, H_inv)) for _, D in cases]
+        want = [linalg.spectral_norm(whitened_summands(D, H, H_inv)) for _, D in cases]
 
         def refuse(op):
             raise AssertionError("the dense matrix was written")
@@ -967,7 +1032,8 @@ class TestCoreSummands:
         assert rep.kind == "exact" and rep.details["summands"] == 2
         assert peak <= 45 * 2 ** 20
 
-    @pytest.mark.parametrize("case", ["paraproduct-diagonal", "commutator-rotated"])
+    @pytest.mark.parametrize("case", ["paraproduct-diagonal", "commutator-rotated",
+                                      "commutator-random-diagonal"])
     def test_l10_norm_peaks(self, case):
         # one certified norm at L = 10 (dim 2048, 32 MiB matrices), fresh
         # operator included.  The log-swap paraproduct under
@@ -976,16 +1042,24 @@ class TestCoreSummands:
         # a rotated weight writes its matrix from q for this norm only, so
         # its certified bracket holds q (8 MiB) beside the whitened matrix
         # and its Gram stage, not a kept 32 MiB matrix (129.8 MiB traced
-        # when the matrix was kept)
+        # when the matrix was kept).  A random-symbol commutator couples the
+        # components, and under diag(x^0.3, x^-0.2) its table of four new
+        # 8 MiB blocks is written into the matrix and dropped before the
+        # matrix is whitened whole (136.1 MiB traced when the table was held
+        # through the whitening)
         import tracemalloc
         from haarweight.experiments import log_swap_symbol
         g = Grid(1, 10)
         if case == "paraproduct-diagonal":
             op, W, limit = (paraproduct_op(log_swap_symbol(g)),
                             MatrixWeight.diagonal_power([0.1, -0.1]), 66)
-        else:
+        elif case == "commutator-rotated":
             op, W, limit = (commutator_op(log_swap_symbol(g), ShiftMap.left_child(g)),
                             MatrixWeight.rotated_power([0.3, -0.2], 0.7), 106)
+        else:
+            op, W, limit = (commutator_op(random_symbol(g, np.random.default_rng(10)),
+                                          ShiftMap.left_child(g)),
+                            MatrixWeight.diagonal_power([0.3, -0.2]), 105)
         tracemalloc.start()
         try:
             rep = weighted_operator_norm(op, W, 2.0)
@@ -994,6 +1068,48 @@ class TestCoreSummands:
             tracemalloc.stop()
         assert rep.kind == "exact"
         assert peak <= limit * 2 ** 20
+
+    @pytest.mark.parametrize("d, L", [(1, 5), (2, 3)])
+    def test_one_table_read_per_norm(self, d, L):
+        # one dense norm asks for op's table once, under every weight: a
+        # table that is not split is written into the matrix from the same
+        # read, not built again by ``dense_matrix``
+        g = Grid(d, L)
+        for op, _, _ in table_operators(g):
+            blocks = op.blocks
+            for name, W in self.WEIGHTS.items():
+                calls = []
+                op.blocks = lambda: calls.append(1) or blocks()
+                weighted_operator_norm(op, W, 2.0)
+                assert len(calls) == 1, (op.name, name)
+
+    def test_tables_are_none_exactly_where_a_block_is_zero(self):
+        # at L = 1 the shift's q vanishes, so the shift and the log-swap
+        # commutator have no nonzero block; a constant symbol makes every
+        # commutator block zero; at L = 5 the log-swap commutator has its
+        # two off-diagonal blocks.  None marks exactly the zero blocks of the
+        # reference matrix (the vector push, or the q (B(x) - B(y)) oracle)
+        from haarweight.experiments import log_swap_symbol
+        cases = []
+        for L in (1, 5):
+            g = Grid(1, L)
+            left = ShiftMap.left_child(g)
+            cases.append((shift_op(left), vector_push(shift_op(left))))
+            B = log_swap_symbol(g)
+            cases.append((commutator_op(B, left), commutator_oracle(g, left, B)))
+        g = Grid(1, 4)
+        left = ShiftMap.left_child(g)
+        B = MatrixSymbol.from_values(g, np.broadcast_to([[1.0, 2.0], [-3.0, 0.5]], (16, 2, 2)).copy())
+        cases.append((commutator_op(B, left), commutator_oracle(g, left, B)))
+        for op, D in cases:
+            N = op.grid.n_leaves
+            D4 = D.reshape(N, 2, N, 2)
+            table, _ = op.blocks()
+            zero = [[not D4[:, i, :, j].any() for j in range(2)] for i in range(2)]
+            assert [[block is None for block in row] for row in table] == zero, \
+                (op.name, op.grid.L)
+        live = [[block is not None for block in row] for row in cases[3][0].blocks()[0]]
+        assert live == [[False, True], [True, False]]
 
 
 class TestAdjointKernels:
