@@ -193,8 +193,6 @@ def cmd_apchar(cfg, out_dir):
     _refuse_unknown_fields(cfg, "apchar", ("weight", "grid", "p"))
     W, p = build_weight(cfg), read_p(cfg)
     grid = build_grid(cfg, "apchar", ap_need, n=W.n, p=p)
-    if grid.d > 2:
-        raise ConfigError(f"apchar supports d <= 2, got d = {grid.d}")
     rep = ap_characteristic(W, p, grid)
     payload = rep.record()
     _write_json(os.path.join(out_dir, "apchar.json"), payload)

@@ -428,7 +428,7 @@ def run_sweep(kind, cfg, out_dir=None):
     # one reducing pyramid per alpha, then the norms and maximal functions in turn
     needs = [("its reducing pyramids", len(alphas) * reducing_need(1, L, 2, 2.0)[1])]
     needs += [norm_need(1, L, 2, 2.0)] if kind != "maximal" else []
-    needs += [mw_need(L)] if "maximal-mw" in wanted else []
+    needs += [mw_need(1, L)] if "maximal-mw" in wanted else []
     refuse_beyond_memory(f"sweep {kind} at L = {L}", needs)
     weights = []
     for alpha in alphas:

@@ -364,8 +364,8 @@ def spectral_norm(mats, seed=0):
       ||M_b||_inf) enlarged by 1 + 4 gamma_k and by an underflow allowance.
       A summand with b_b <= theta^2 is cleared with no Gram matrix and no
       Cholesky (a single summand attains theta, so it gets no bound);
-    * every other summand forms G^_b (lazily; the eigensolve and the
-      fallback form every G^_b) and takes one Cholesky (``_certify_upper``)
+    * every other summand forms G^_b (lazily; the eigensolve forms every
+      G^_b) and takes one Cholesky (``_certify_upper``)
       at a common c = max_b (theta^2 + s_b) over these summands, with s_b
       twice the rounding bound of G^_b at theta^2 and M_b's own row count
       (``_rounding_bound``).  c then runs about s_b/2 above theta^2 when
@@ -373,15 +373,14 @@ def spectral_norm(mats, seed=0):
 
     Every summand is cleared by a check that could have failed.  When a
     Cholesky fails, theta was not sharp (Lanczos converged to another
-    singular value): theta is taken again from ``eigvalsh`` of every G^_b and
-    certified again, and ``fallback`` is true.
+    singular value, or round-off moved the eigensolve): theta stays the
+    lower end, and ``certified`` is false.
 
     Returns (theta, details) with ``lower``, ``upper`` and ``shift`` c -
-    theta^2 (both None when even the fallback could not be certified),
-    ``certified``, ``fallback``, ``summands``, ``cholesky_summands`` and
+    theta^2 (both None when the upper end could not be certified),
+    ``certified``, ``summands``, ``cholesky_summands`` and
     ``bound_summands`` (the summands factored and those cleared by their
-    norm bound, in the last certification) and ``lanczos_steps`` or
-    ``lower_from``.
+    norm bound) and ``lanczos_steps`` or ``lower_from``.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
     n = sum(m.shape[1] for m in mats)
@@ -392,34 +391,23 @@ def spectral_norm(mats, seed=0):
             grams[i] = mats[i].T @ mats[i]
         return grams[i]
 
-    bounds = [_norm_bound(m) for m in mats] if len(mats) > 1 else [np.inf]
-
-    def certify(theta):
-        t2 = theta * theta
-        factor = [i for i, b in enumerate(bounds) if not b <= t2]
-        c = max([t2] + [t2 + 2.0 * _rounding_bound(gram(i).diagonal(), t2, len(mats[i]))
-                        for i in factor])
-        details.update(cholesky_summands=len(factor), bound_summands=len(mats) - len(factor))
-        return c if all(_certify_upper(gram(i), c, len(mats[i])) for i in factor) else None
-
-    def from_eigvalsh():
-        details["lower_from"] = "eigvalsh"
-        return max(_top_singular_value(gram(i)) for i in range(len(mats)))
-
     details = {"summands": len(mats)}
     if n > LANCZOS_MIN_DIM:
         theta, _, diag = matfree_spectral_norm(*_direct_sum_maps(mats), n, seed)
         details["lanczos_steps"] = diag["iterations"]
     else:
-        theta = from_eigvalsh()
-    c = certify(theta)
-    details["fallback"] = c is None and n > LANCZOS_MIN_DIM
-    if details["fallback"]:
-        theta = from_eigvalsh()
-        c = certify(theta)
-    details.update(lower=theta, certified=c is not None,
-                   upper=None if c is None else float(np.nextafter(np.sqrt(c), np.inf)),
-                   shift=None if c is None else float(c - theta * theta))
+        details["lower_from"] = "eigvalsh"
+        theta = max(_top_singular_value(gram(i)) for i in range(len(mats)))
+    t2 = theta * theta
+    bounds = [_norm_bound(m) for m in mats] if len(mats) > 1 else [np.inf]
+    factor = [i for i, b in enumerate(bounds) if not b <= t2]
+    c = max([t2] + [t2 + 2.0 * _rounding_bound(gram(i).diagonal(), t2, len(mats[i]))
+                    for i in factor])
+    certified = all(_certify_upper(gram(i), c, len(mats[i])) for i in factor)
+    details.update(cholesky_summands=len(factor), bound_summands=len(mats) - len(factor),
+                   lower=theta, certified=certified,
+                   upper=float(np.nextafter(np.sqrt(c), np.inf)) if certified else None,
+                   shift=float(c - t2) if certified else None)
     return theta, details
 
 

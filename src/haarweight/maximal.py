@@ -47,14 +47,13 @@ def maximal_mw_prime(W: MatrixWeight, f):
 
 def _mw_ancestor_averages(W: MatrixWeight, f):
     """``dyadic.ancestor_averages`` of the leaf-pair table
-    P[x, y] = |W^{1/2}(x) W^{-1/2}(y) f(y)| (d = 1), each block's GEMM,
-    clamp and root written over the walk's one buffer."""
+    P[x, y] = |W^{1/2}(x) W^{-1/2}(y) f(y)|, flat over the leaves in C order
+    at every d, each block's GEMM, clamp and root written over the walk's
+    one buffer."""
     grid = f.grid
-    if grid.d != 1:
-        raise ValueError("the two-sided maximal function is implemented for d=1")
     N = grid.n_leaves
     Mw = W.leaf_averages(grid, 1.0).reshape(N, -1)
-    t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values)
+    t_leaf = _mv(W.leaf_reps(grid, -0.5), f.values).reshape(N, -1)
     # quad[x, y] = t_y^T Mw_x t_y as one GEMM of flattened Mw_x against t_y t_y^T
     tt = (t_leaf[:, :, None] * t_leaf[:, None, :]).reshape(N, -1).T
 
@@ -72,15 +71,17 @@ def _mw_ancestor_averages(W: MatrixWeight, f):
 MW_LEVEL_BYTES = 80
 
 
-def mw_need(L):
-    """(what, bytes) that the maximal functions hold on the depth-L grid (d = 1)."""
-    return "its per-level leaf arrays", MW_LEVEL_BYTES * (min(L, 62) + 1) * leaf_count(1, L)
+def mw_need(d, L):
+    """(what, bytes) that the maximal functions hold on the depth-L grid in
+    d dimensions, at ``MW_LEVEL_BYTES`` (measured at d = 1) per leaf and level."""
+    return "its per-level leaf arrays", MW_LEVEL_BYTES * (min(L, 62) + 1) * leaf_count(d, L)
 
 
 def maximal_mw(W: MatrixWeight, f):
     """M_W f(x) = sup_{I: x in I} (1/|I|) int_I |W^{1/2}(x) W^{-1/2}(y) f(y)| dy,
-    with the x-dependence through the leaf value of W^{1/2} (d = 1)."""
-    return _mw_ancestor_averages(W, f).max(axis=0)
+    with the x-dependence through the leaf value of W^{1/2}, on the leaf
+    array of the grid."""
+    return _mw_ancestor_averages(W, f).max(axis=0).reshape(f.grid.leaf_shape)
 
 
 def weak_type_check(W: MatrixWeight, f):

@@ -1,9 +1,10 @@
 """Matrix weights: exact cell averages, A_p characteristics, reducing operators.
 
 A weight is a generator of a.e. positive definite matrix values, held in one
-of two representations.  Power laws (|x|^alpha, the identity among them)
-average exactly through closed-form integrals; leaf values are constant on
-leaf cells by definition, so their averages are exact too.  Reducing
+of two representations.  Power laws (|x|^alpha, on R^d the product
+|x_1|^alpha ... |x_d|^alpha, the identity among them) average exactly through
+closed-form integrals at every d; leaf values are constant on leaf cells by
+definition, so their averages are exact too.  Reducing
 operators are closed-form symmetric square roots at p=2 and certified
 maximal-volume ellipsoids for general p.
 """
@@ -11,6 +12,7 @@ maximal-volume ellipsoids for general p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -26,8 +28,10 @@ class MatrixWeight:
 
     Exactly one representation is given:
       alphas       -- the power law R diag(|x|^{alpha_1}, ..., |x|^{alpha_n}) R^T,
-                      with R = ``rotation`` (the identity when None); every
-                      alpha = 0 is the identity weight;
+                      with R = ``rotation`` (the identity when None) and, at
+                      d >= 2, |x|^alpha the product weight
+                      |x_1|^alpha ... |x_d|^alpha; every alpha = 0 is the
+                      identity weight;
       leaf_values  -- a callable grid -> SPD values constant on its leaves,
                       leaf_shape + (n, n); the weight is their pointwise power
                       ``exponent``.
@@ -88,14 +92,24 @@ class MatrixWeight:
 
     # -- averaging core -----------------------------------------------------
 
-    def _power_law(self, s, means):
-        """R diag(means(s alpha_i)) R^T, where means(beta) averages |x|^beta
-        over each cell; refused unless every |x|^{s alpha_i} is integrable."""
+    def _power_law(self, grid, s):
+        """R diag(m(s alpha_1), ..., m(s alpha_n)) R^T on every leaf, where
+        m(beta) is the leaf average of |x|^beta = |x_1|^beta ... |x_d|^beta:
+        a leaf is a product of intervals, so m(beta) is the outer product of
+        the axis means ``_interval_power_means``.  Refused unless every
+        exponent s alpha_i exceeds -1, the rule under which |x_j|^beta is
+        integrable on every cell, and when a large exponent's average
+        underflows to 0 on some leaf, where the weight would be singular."""
+        edges = np.arange((1 << grid.L) + 1) / (1 << grid.L)
+        means = []
         for a in self.alphas:
-            if abs(s * a) >= 1.0:
+            if s * a <= -1.0:
                 raise IntegrabilityError(
-                    f"|x|^{s * a:g} is not cell-integrable (|s*alpha| >= 1)")
-        diag = np.stack([means(s * a) for a in self.alphas], axis=-1)
+                    f"|x|^{s * a:g} is not cell-integrable (s*alpha <= -1)")
+            means.append(reduce(np.multiply.outer, [_interval_power_means(edges, s * a)] * grid.d))
+            if not means[-1].all():
+                raise ConfigError(f"the leaf averages of |x|^{s * a:g} underflow to 0 near 0")
+        diag = np.stack(means, axis=-1)
         vals = np.zeros(diag.shape + (self.n,))
         idx = np.arange(self.n)
         vals[..., idx, idx] = diag
@@ -105,10 +119,8 @@ class MatrixWeight:
 
     def leaf_averages(self, grid, s=1.0):
         """m_leaf(W^s) on every leaf, shape leaf_shape + (n, n).  Exact (to
-        round-off) at d = 1, where a power law's cell integrals have a closed
-        form, and for leaf-valued weights, which are constant on each leaf.
-        A power law at d >= 2 is sampled: each leaf takes W^s at its
-        midpoint (``_leaf_power``), not its cell average."""
+        round-off) at every d: a power law's cell integrals have a closed
+        form, and leaf-valued weights are constant on each leaf."""
         return self._leaf_power(grid, self.exponent * float(s))
 
     def _leaf_power(self, grid, e):
@@ -120,15 +132,8 @@ class MatrixWeight:
         if self.leaf_values is not None:
             out = (self.leaf_values(grid) if e == 1.0
                    else linalg.powm_spd(self._leaf_power(grid, 1.0), e))
-        elif grid.d == 1:
-            edges = np.arange((1 << grid.L) + 1) / (1 << grid.L)
-            out = self._power_law(e, lambda beta: _interval_power_means(edges, beta))
         else:
-            # no closed form off the line: midpoint value, exactly constant on leaves
-            side = 1 << grid.L
-            axes = np.meshgrid(*[(np.arange(side) + 0.5) / side] * grid.d, indexing="ij")
-            r = np.sqrt(sum(ax ** 2 for ax in axes))
-            out = self._power_law(e, lambda beta: r ** beta)
+            out = self._power_law(grid, e)
         self._cache[key] = out
         return out
 
@@ -231,7 +236,8 @@ def gauge_pyramid(W, grid, p, dirs, dual=False):
     because at a leaf the gauge is that representative itself, whose
     reducing operator ``reducing_pyramid`` takes in closed form.  Near p = 1
     the dual exponent p' is large, and a power that overflows is refused
-    (``_refuse_overflow``).
+    (``_refuse_overflow``), as is one that underflows to a zero gauge value,
+    whose boundary point 1/rho the Lowner solve could not take.
     """
     pp = p / (p - 1.0)
     expo = (-2.0 / p) if dual else (2.0 / p)
@@ -241,8 +247,12 @@ def gauge_pyramid(W, grid, p, dirs, dual=False):
     quad = np.maximum(quad, 0.0)
     with np.errstate(over="ignore"):
         means = mean_pyramid(quad ** (power / 2.0), grid.d, grid.L)
-    return _refuse_overflow([mk ** (1.0 / power) for mk in means[:-1]], p, power,
-                            "the dual gauge" if dual else "the gauge")
+    what = "the dual gauge" if dual else "the gauge"
+    levels = _refuse_overflow([mk ** (1.0 / power) for mk in means[:-1]], p, power, what)
+    if not all(a.all() for a in levels):
+        raise ConfigError(f"{what} underflows at p = {p!r}: its power {power:.6g} "
+                          f"takes some cube's gauge to 0; take p further from 1")
+    return levels
 
 
 def _refuse_overflow(levels, p, power, what):
@@ -644,9 +654,7 @@ def ap_characteristic(W: MatrixWeight, p, grid: Grid) -> ApReport:
     ``linalg.pair_opnorm_rows`` in four rank-4 GEMMs per block, without
     forming the products; other n fall back to the SVD.
     """
-    d, n = grid.d, W.n
-    if d > 2:
-        raise ShapeError("A_p double integral implemented for d <= 2")
+    n = W.n
     reducing = reducing_pyramid(W, grid, p)
     per_level = _vv_prime_levels(reducing, p)
     best_val, best_cube = sup_over_cubes(per_level)

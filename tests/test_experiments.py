@@ -274,7 +274,6 @@ class TestCLI:
         ("apchar", {"p": 0.5}),
         ("apchar", {"p": "two"}),
         ("apchar", {"weight": {"kind": "random-spd", "seed": 0, "cond": -4}}),
-        ("apchar", {"grid": {"d": 3, "L": 2}}),
         ("opnorm", {"p": 1, "operator": {"op": "shift"}}),
         ("stopping", {"p": 0.9}),
         ("sparse", {"p": 1, "weight": {"kind": "identity"}}),
@@ -314,11 +313,13 @@ class TestCLI:
         ("apchar", {"weight": {"kind": "scalar-power", "alpha": 1.5}}),
         ("opnorm", {"p": 1.5, "operator": {"op": "shift"},
                     "weight": {"kind": "diagonal-power", "alphas": [0.9, -0.9]}}),
+        ("opnorm", {"operator": {"op": "shift"},
+                    "weight": {"kind": "diagonal-power", "alphas": [800, 0.5]}}),
         ("equivalence", {"instances": 0}),
         ("sweep", {"alphas": [0.1, 0.1]}),
         ("sweep", {"kind": "sparse", "alphas": [0.1, -0.1], "L": 4}),
         ("sweep", {"kind": "all", "alphas": [0.5, -0.5], "L": 6}),
-    ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "d=3", "opnorm-p=1",
+    ], ids=["p=1", "p=0.5", "p-not-a-number", "cond<1", "opnorm-p=1",
             "stopping-p<1", "sparse-p=1", "bmo-variant", "bmo-dyadic", "sparse-density",
             "shift-seed", "shift-kind", "shift-string", "symbol-scale", "sweep-L",
             "sweep-alpha=1", "sweep-one-alpha", "l_range-length",
@@ -327,7 +328,8 @@ class TestCLI:
             "weight-seed-1.5", "rotated-3-alphas", "weight-n=2.5", "weight-n-true",
             "grid-L=6.5", "grid-d-true", "grid-shift", "grid-typo", "grid-no-L",
             "seed-1e330", "alpha-1e330", "sweep-L-1e330", "p-1e330", "p-a-string",
-            "alpha-not-integrable", "p-power-not-integrable", "equivalence-no-instances",
+            "alpha-not-integrable", "p-power-not-integrable", "alpha-average-underflows",
+            "equivalence-no-instances",
             "sweep-one-distinct-alpha", "sweep-sparse-swap-conjugates",
             "sweep-all-swap-conjugates"])
     def test_bad_config_exit_1(self, tmp_path, capsys, command, cfg):
@@ -358,6 +360,50 @@ class TestCLI:
         assert err.startswith("config error: ") and "overflows at p = 1.001" in err
         assert "power 1001" in err and "Traceback" not in err
         assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["apchar", "stopping"])
+    def test_gauge_underflow_near_p1_exit_1(self, tmp_path, capsys, command):
+        # at p = 1.0001 the dual gauge's power p' = 10001 takes the cube
+        # means of |x|^0.6 (W^{-2/p} of x^-0.3) near 0 to 0, whose boundary
+        # point 1/rho the Lowner solve cannot take: exit 1, no output
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 3}, "p": 1.0001,
+                                    "weight": {"kind": "scalar-power", "alpha": -0.3}}))
+        assert self.run(command, "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the dual gauge underflows at p = 1.0001")
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_positive_exponents_are_integrable(self, tmp_path, capsys):
+        # diag(|x|^1.5, |x|^0.5) is in A_3: the shift's norm at p = 3 reads
+        # W^{2/3} and runs; apchar and stopping also read the leaf model's
+        # dual gauge W^{-2/3}, whose |x|^-1 is not integrable near 0
+        weight = {"kind": "diagonal-power", "alphas": [1.5, 0.5]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 6}, "p": 3, "weight": weight,
+                                    "operator": {"op": "shift"}}))
+        assert self.run("opnorm", "--config", str(path), "--out", str(tmp_path / "out")) == 0
+        out = json.loads((tmp_path / "out" / "opnorm.json").read_text())
+        assert out["kind"] == "lower-bound" and out["value"] == pytest.approx(1.40944, rel=1e-5)
+        capsys.readouterr()
+        path.write_text(json.dumps({"grid": {"d": 1, "L": 6}, "p": 3, "weight": weight}))
+        for command in ("apchar", "stopping"):
+            assert self.run(command, "--config", str(path), "--out", str(tmp_path / command)) == 1
+            err = capsys.readouterr().err
+            assert err == "config error: |x|^-1 is not cell-integrable (s*alpha <= -1)\n"
+
+    def test_apchar_d3_is_the_library_value(self, tmp_path):
+        # apchar runs at d = 3 and writes ap_characteristic's record, which
+        # test_weights checks against a brute-force double average
+        from haarweight.dyadic import Grid
+        from haarweight.weights import MatrixWeight, ap_characteristic
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"d": 3, "L": 2}, "p": 1.5, "weight": {
+            "kind": "rotated", "alphas": [0.4, -0.3], "theta": 0.7}}))
+        assert self.run("apchar", "--config", str(path), "--out", str(tmp_path)) == 0
+        rep = ap_characteristic(MatrixWeight.rotated_power([0.4, -0.3], 0.7), 1.5, Grid(3, 2))
+        assert json.loads((tmp_path / "apchar.json").read_text()) == json.loads(
+            json.dumps(rep.record()))
 
     @pytest.mark.parametrize("command, n", [("opnorm", 3), ("carleson", 1), ("bmo", 3),
                                             ("bmo", 1), ("sparse", 3)])

@@ -16,8 +16,8 @@ bit.
 
 ``spectral_norm`` brackets the largest singular value of a dense matrix; its
 tests check the bracket against the SVD, that the Cholesky rejects a value
-below lambda_max, and that a Lanczos value below sigma_1 falls back to the
-eigensolve.
+below lambda_max, and that a Lanczos value below sigma_1 stays an uncertified
+lower end, which a weighted norm labels ``lower-bound``.
 """
 
 from fractions import Fraction
@@ -27,6 +27,7 @@ import pytest
 
 from haarweight import linalg, weights
 from haarweight.dyadic import Grid, coarsen_levels
+from haarweight.operators import Operator, weighted_operator_norm
 from haarweight.weights import MatrixWeight, ap_characteristic, reducing_pyramid
 
 CLOSED_FORM_RTOL = 4e-15
@@ -329,7 +330,7 @@ def test_off_diagonal_entries_take_eigh(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Certified dense spectral norms: a lower bound and a Cholesky-proved upper
-# bound, with ``eigvalsh`` as the fallback
+# bound, or the lower bound alone when the Cholesky fails
 # ---------------------------------------------------------------------------
 
 def known_svd(sigma, v1, seed):
@@ -341,10 +342,11 @@ def known_svd(sigma, v1, seed):
     return (U * sigma) @ V.T
 
 
-def test_fallback_when_lanczos_misses_the_top(monkeypatch):
+def test_lower_bound_when_lanczos_misses_the_top(monkeypatch):
     # the top right singular vector is orthogonal to the seeded start vector
     # of Golub-Kahan-Lanczos, which therefore converges to sigma_2; only the
-    # failed Cholesky at sigma_2^2 can reveal that
+    # failed Cholesky at sigma_2^2 can reveal that, and the value stays an
+    # uncertified lower end
     monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 8)
     n, seed = 64, 3
     start = np.random.default_rng(seed).standard_normal(n)
@@ -355,11 +357,16 @@ def test_fallback_when_lanczos_misses_the_top(monkeypatch):
     missed, _, diag = linalg.matfree_spectral_norm(lambda v: M @ v, lambda u: M.T @ u, n, seed)
     assert diag["converged"] and missed == pytest.approx(sigma[1], rel=1e-12)
     value, det = linalg.spectral_norm([M], seed)
-    assert det["fallback"] and det["certified"]
-    assert det["lower_from"] == "eigvalsh" and det["lanczos_steps"] == diag["iterations"]
-    assert value == pytest.approx(sigma[0], rel=1e-13)
-    assert det["lower"] == value <= det["upper"]
-    assert sigma[0] <= det["upper"] <= sigma[0] * (1 + 1e-9)
+    assert not det["certified"] and det["upper"] is None and det["shift"] is None
+    assert "lower_from" not in det and det["lanczos_steps"] == diag["iterations"]
+    assert det["lower"] == value == missed <= sigma[0]
+    # as the matrix of an operator, with the identity weight, the norm is
+    # labelled a lower bound
+    M4 = M.reshape(n // 2, 2, n // 2, 2)
+    op = Operator(Grid(1, 5), 2, None, blocks=lambda: (
+        [[M4[:, i, :, j] for j in range(2)] for i in range(2)], M))
+    rep = weighted_operator_norm(op, MatrixWeight.identity(), 2.0, seed)
+    assert rep.kind == "lower-bound" and rep.value == value
 
 
 def test_cholesky_rejects_c_below_lambda_max():
@@ -381,7 +388,7 @@ def test_bracket_holds_the_svd_value(n):
     M = rng.standard_normal((n, n)) * np.logspace(0, -3, n)
     value, det = linalg.spectral_norm([M])
     want = svd_norm(M)
-    assert det["certified"] and not det["fallback"]
+    assert det["certified"]
     assert ("lanczos_steps" in det) == (n > linalg.LANCZOS_MIN_DIM)
     assert value == det["lower"] == pytest.approx(want, rel=1e-13)
     assert want <= det["upper"] <= want * (1 + 1e-9)
@@ -414,7 +421,7 @@ def test_permuted_direct_sum_matches_the_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
     value, det = linalg.spectral_norm(blocks)
     want = svd_norm(M)
-    assert det["summands"] == 2 and det["certified"] and not det["fallback"]
+    assert det["summands"] == 2 and det["certified"]
     assert calls == [(150, 150), (150, 150)]
     assert "lanczos_steps" in det                # 300 columns in all
     assert value == det["lower"] == pytest.approx(want, rel=1e-13)
@@ -422,11 +429,12 @@ def test_permuted_direct_sum_matches_the_svd(monkeypatch):
     assert max(svd_norm(b) for b in blocks) == pytest.approx(want, rel=1e-14)
 
 
-def test_fallback_when_lanczos_misses_the_larger_summand(monkeypatch):
+def test_lower_bound_when_lanczos_misses_the_larger_summand(monkeypatch):
     # the start vector's part on the larger summand's columns is orthogonal
     # to that summand's top right singular vector, so Lanczos on the sum
     # converges to the smaller summand's sigma_1; only the failed Cholesky of
-    # the larger summand can reveal that
+    # the larger summand can reveal that, and the value stays an uncertified
+    # lower end
     monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 8)
     n, seed = 32, 3
     start = np.random.default_rng(seed).standard_normal(2 * n)
@@ -441,10 +449,9 @@ def test_fallback_when_lanczos_misses_the_larger_summand(monkeypatch):
         *linalg._direct_sum_maps(blocks), 2 * n, seed)
     assert diag["converged"] and missed == pytest.approx(2.0, rel=1e-12)
     value, det = linalg.spectral_norm(blocks, seed)
-    assert det["fallback"] and det["certified"] and det["summands"] == 2
-    assert det["lower_from"] == "eigvalsh" and det["lanczos_steps"] == diag["iterations"]
-    assert value == pytest.approx(2.01, rel=1e-13)
-    assert 2.01 <= det["upper"] <= 2.01 * (1 + 1e-9)
+    assert not det["certified"] and det["upper"] is None and det["summands"] == 2
+    assert "lower_from" not in det and det["lanczos_steps"] == diag["iterations"]
+    assert det["lower"] == value == missed <= 2.01
 
 
 @pytest.mark.parametrize("n", [30, 300])

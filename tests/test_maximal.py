@@ -113,6 +113,25 @@ def table_ancestor_averages(W, f):
     return out
 
 
+def brute_force_mw(W, f):
+    """M_W f by an explicit walk over each leaf's ancestors and their
+    y-leaves, with the x-side factor m_leaf(W)^{1/2}(x) applied as a matrix,
+    on a grid of any d."""
+    g = f.grid
+    L = g.L
+    half = linalg.sqrtm_spd(W.leaf_averages(g, 1.0))
+    t = np.einsum("...ij,...j->...i", W.leaf_reps(g, -0.5), f.values)
+    out = np.zeros(g.leaf_shape)
+    for x in itertools.product(range(1 << L), repeat=g.d):
+        for k in range(L + 1):
+            cube = tuple(slice((c >> (L - k)) << (L - k), ((c >> (L - k)) + 1) << (L - k))
+                         for c in x)
+            ys = t[cube].reshape(-1, W.n)
+            avg = np.mean([np.linalg.norm(half[x] @ y) for y in ys])
+            out[x] = max(out[x], avg)
+    return out
+
+
 class TestMW:
     @pytest.mark.parametrize("L", [6, 9, 11])
     def test_streamed_averages_match_the_table(self, L, monkeypatch):
@@ -175,22 +194,23 @@ class TestMW:
                                    MatrixWeight.rotated_power([0.6, -0.4], 0.9)],
                              ids=["random-spd", "rotated"])
     def test_nonconstant_weight_brute_force(self, W):
-        # explicit walk over each leaf's ancestors and their y-leaves, with the
-        # x-side factor m_leaf(W)^{1/2}(x) applied as a matrix
         rng = np.random.default_rng(6)
-        L = 4
-        g = Grid(1, L)
+        g = Grid(1, 4)
         f = StepFunction(g, rng.standard_normal((16, 2)))
-        half = linalg.sqrtm_spd(W.leaf_averages(g, 1.0))
-        t = np.einsum("lij,lj->li", W.leaf_reps(g, -0.5), f.values)
+        np.testing.assert_allclose(maximal_mw(W, f), brute_force_mw(W, f), rtol=1e-12)
+
+    @pytest.mark.parametrize("L", [3, 4])
+    @pytest.mark.parametrize("W", [MatrixWeight.random_spd(12, cond=50.0),
+                                   MatrixWeight.rotated_power([0.6, -0.4], 0.9),
+                                   MatrixWeight.diagonal_power([0.9, -0.9])],
+                             ids=["random-spd", "rotated", "diagonal"])
+    def test_d2_brute_force(self, W, L):
+        rng = np.random.default_rng(L)
+        g = Grid(2, L)
+        f = StepFunction(g, rng.standard_normal(g.leaf_shape + (2,)))
         m = maximal_mw(W, f)
-        for x in range(16):
-            best = 0.0
-            for k in range(L + 1):
-                anc = x >> (L - k)
-                ys = range(anc << (L - k), (anc + 1) << (L - k))
-                best = max(best, np.mean([np.linalg.norm(half[x] @ t[y]) for y in ys]))
-            assert m[x] == pytest.approx(best, rel=1e-12)
+        assert m.shape == g.leaf_shape
+        np.testing.assert_allclose(m, brute_force_mw(W, f), rtol=1e-12)
 
 
 class TestSparse:

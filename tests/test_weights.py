@@ -13,7 +13,7 @@ import pytest
 from haarweight import linalg
 from haarweight import weights as weights_module
 from haarweight.dyadic import Grid
-from haarweight.errors import IntegrabilityError, ShapeError
+from haarweight.errors import IntegrabilityError
 from haarweight.weights import (
     MatrixWeight, ap_characteristic, ap_from_reducing, gauge_pyramid, lowner_batched, lp_norm,
     power_of, reducing_pyramid, sphere_net, _lp_power,
@@ -82,6 +82,47 @@ class TestCellAverage:
         g = Grid(1, 3)
         with pytest.raises(IntegrabilityError):
             W.average_pyramid(g, 2.0)
+
+    @pytest.mark.parametrize("L", [4, 5, 6])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_product_weight_a2_closed_form(self, alpha, L):
+        # at d = 2, diag(|x_1 x_2|^a, |x_1 x_2|^-a) has A_2 = (1/(1 - a^2))^2,
+        # the product over the two axes, attained on the cubes at the origin
+        W = MatrixWeight.diagonal_power([alpha, -alpha])
+        g = Grid(2, L)
+        red = reducing_pyramid(W, g, 2.0)
+        assert ap_from_reducing(red, 2.0) == pytest.approx((1.0 / (1.0 - alpha ** 2)) ** 2,
+                                                           rel=1e-12)
+
+    def test_d2_averages_match_quadrature(self):
+        # m_leaf(W^s) of R diag(|x_1 x_2|^{s a_i}) R^T against a tensor
+        # quadrature of the integrand over the cell: Gauss-Legendre on each
+        # axis of the cell that stays off 0, and on an axis that starts at 0,
+        # Gauss-Legendre on the geometric pieces [h q^{k+1}, h q^k], k < 60;
+        # with every exponent above -0.6, the dropped piece [0, h q^60] holds
+        # under q^{60 * 0.4} < 1e-16 of the axis integral
+        W = MatrixWeight.rotated_power([0.4, -0.3], 0.7)
+        g = Grid(2, 3)
+        t, w = np.polynomial.legendre.leggauss(20)
+        q = 0.2
+
+        def axis_rule(lo, hi):
+            pieces = ([(lo, hi)] if lo > 0.0
+                      else [(hi * q ** (k + 1), hi * q ** k) for k in range(60)])
+            nodes = np.concatenate([(a + b) / 2 + (b - a) / 2 * t for a, b in pieces])
+            return nodes, np.concatenate([(b - a) / 2 * w for a, b in pieces])
+
+        h = 1.0 / (1 << g.L)
+        for s in (1.0, -1.0, 1.5):
+            got = W.leaf_averages(g, s)
+            betas = s * np.array(W.alphas)
+            for i, j in itertools.product(range(1 << g.L), repeat=2):
+                x, wx = axis_rule(i * h, (i + 1) * h)
+                y, wy = axis_rule(j * h, (j + 1) * h)
+                xy = x[:, None] * y[None, :]
+                diag = np.array([wx @ xy ** beta @ wy for beta in betas]) / h ** 2
+                want = W.rotation @ np.diag(diag) @ W.rotation.T
+                np.testing.assert_allclose(got[i, j], want, rtol=1e-12, atol=1e-14 * abs(diag).max())
 
     def test_leaf_constant_spd(self):
         W = MatrixWeight.random_spd(4, cond=25.0)
@@ -496,12 +537,28 @@ class TestApCharacteristic:
         assert rep.value_reducing == pytest.approx(1.0)
         assert rep.value_integral == pytest.approx(1.0)
 
-    def test_d3_refused_before_any_work(self, monkeypatch):
-        import haarweight.weights as weights_module
-        monkeypatch.setattr(weights_module, "reducing_pyramid",
-                            lambda *args, **kwargs: pytest.fail("pyramid built for d=3"))
-        with pytest.raises(ShapeError):
-            ap_characteristic(MatrixWeight.identity(), 2.0, Grid(3, 2))
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("W", [MatrixWeight.random_spd(7, cond=16.0),
+                                   MatrixWeight.rotated_power([0.4, -0.3], 0.7)],
+                             ids=["random-spd", "rotated"])
+    def test_d3_double_average_matches_bruteforce(self, W, p):
+        # every cube I of the d = 3, L = 2 grid, its leaves listed by index:
+        # (1/|I|) sum_x ((1/|I|) sum_t ||P_x N_t||^{p'})^{p/p'} with the SVD's
+        # norms, against the streamed double average
+        g = Grid(3, 2)
+        pprime = p / (p - 1.0)
+        P = W.leaf_reps(g, 1.0 / p).reshape(-1, 2, 2)
+        N = W.leaf_reps(g, -1.0 / p).reshape(-1, 2, 2)
+        leaves = np.array(list(itertools.product(range(1 << g.L), repeat=3)))
+        best = 0.0
+        for k in range(g.L + 1):
+            for m in itertools.product(range(1 << k), repeat=3):
+                cube = np.flatnonzero(((leaves >> (g.L - k)) == m).all(axis=1))
+                inner = [np.mean([np.linalg.norm(P[x] @ N[t], 2) ** pprime for t in cube])
+                         for x in cube]
+                best = max(best, float(np.mean(np.array(inner) ** (p / pprime))))
+        rep = ap_characteristic(W, p, g)
+        assert rep.value_integral == pytest.approx(best, rel=1e-13)
 
     def test_double_average_streams_in_bounded_memory(self):
         # one N x N table of floats is 128 MiB at d=1, L=12; the whole run,
